@@ -254,6 +254,10 @@ class CodeFile:
     claimed: dict | None
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+
+
 def load_code_file(path) -> CodeFile:
     try:
         with open(path) as fh:
@@ -262,12 +266,26 @@ def load_code_file(path) -> CodeFile:
         raise ParseError(f"cannot read code file {path}: {exc}") from exc
     try:
         fspec = doc["field"]
-        field = make_field(fspec["q"], fspec["n"], fspec["poly"])
+        q, n, poly = fspec["q"], fspec["n"], fspec["poly"]
         m = doc.get("m", 1)
-        generators = [from_exponents(field, exps) for exps in doc["generators"]]
+        exps_list = doc["generators"]
+        claimed = doc.get("claimed")
     except KeyError as exc:
         raise ParseError(f"code file {path} missing key {exc}") from exc
-    return CodeFile(field, m, generators, doc.get("claimed"))
+    except TypeError:
+        raise ParseError(f"code file {path}: the document and its field "
+                         "must be JSON objects") from None
+    if not (isinstance(q, int) and isinstance(n, int) and isinstance(m, int)
+            and (poly is None or isinstance(poly, str) or _is_int_list(poly))
+            and isinstance(exps_list, list) and all(map(_is_int_list, exps_list))
+            and (claimed is None or isinstance(claimed, dict))):
+        raise ParseError(
+            f"code file {path}: q, n and m must be integers, poly a list of "
+            "integers or a string, each generator a list of integer exponents "
+            "and claimed an object")
+    field = make_field(q, n, poly)
+    generators = [from_exponents(field, exps) for exps in exps_list]
+    return CodeFile(field, m, generators, claimed)
 
 
 def dump_code_file(path, field: FieldSpec, m: int, generators,

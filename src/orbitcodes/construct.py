@@ -177,7 +177,6 @@ def _color_bound(adj, pmask):
             order.append(v)
             color_of.append(color)
             avail &= ~adj[v]
-            avail ^= 0  # keep avail's removed bit below
             avail &= ~low
             rest &= ~low
     return order, color_of

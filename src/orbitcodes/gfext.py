@@ -10,19 +10,27 @@ the coefficient of x^i (base-q digits, so plain bits when q = 2).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DegreeMismatch,
     NoDefault,
     NotPrime,
     NotPrimitive,
+    ParseError,
     TooLarge,
     ZeroInverse,
 )
 
 # Largest supported multiplicative group; log/antilog tables are dense.
 DEFAULT_MAX_GROUP_ORDER = 1 << 24
+
+# Fields with at most this many vectors keep every perp mask once the first
+# orthogonal complement asks for one: q^n masks of q^n - 1 bits, about 2 MB
+# at the cap.  Larger fields compute each mask when it is needed.
+PERP_TABLE_MAX_ORDER = 1 << 12
 
 # Primitive polynomials, constant term first.  The (2,4), (2,5), (2,6),
 # (2,8) and (2,10) entries are the ones the shipped example codes and the
@@ -77,22 +85,24 @@ def default_poly(q: int, n: int) -> tuple:
 def parse_poly(text: str, q: int) -> tuple:
     """Parse a polynomial given as coefficients "1,1,0,0,1" or terms "x^4+x+1"."""
     text = text.strip()
-    if "," in text or text.lstrip("-").isdigit():
-        coeffs = tuple(int(c) % q for c in text.split(","))
-        return coeffs
-    coeffs = {}
-    for term in text.replace("-", "+").split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        if "x" not in term:
-            coeffs[0] = coeffs.get(0, 0) + int(term)
-        else:
-            c, _, rest = term.partition("x")
-            c = int(c.rstrip("*")) if c.strip() else 1
-            e = int(rest.lstrip("^")) if rest.strip() else 1
-            coeffs[e] = coeffs.get(e, 0) + c
-    deg = max(coeffs)
+    try:
+        if "," in text or text.lstrip("-").isdigit():
+            return tuple(int(c) % q for c in text.split(","))
+        coeffs = {}
+        for term in text.replace("-", "+").split("+"):
+            term = term.strip()
+            if not term:
+                continue
+            if "x" not in term:
+                coeffs[0] = coeffs.get(0, 0) + int(term)
+            else:
+                c, _, rest = term.partition("x")
+                c = int(c.rstrip("*")) if c.strip() else 1
+                e = int(rest.lstrip("^")) if rest.strip() else 1
+                coeffs[e] = coeffs.get(e, 0) + c
+        deg = max(coeffs)
+    except ValueError as exc:
+        raise ParseError(f"cannot parse polynomial {text!r}: {exc}") from None
     return tuple(coeffs.get(i, 0) % q for i in range(deg + 1))
 
 
@@ -137,7 +147,11 @@ class FieldElement:
 
 
 class FieldSpec:
-    """F_{q^n} with full log/antilog tables; immutable once built."""
+    """F_{q^n} with full log/antilog tables; immutable once built.
+
+    The dot-product hyperplane masks (perp_mask, perp_masks) are derived
+    from the tables on first use and memoised on the instance.
+    """
 
     def __init__(self, q: int, n: int, poly: tuple,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
@@ -232,6 +246,59 @@ class FieldSpec:
         if self.q == 2:
             return a if s & 1 else 0
         return self.pack_coords((x * s) % self.q for x in self.unpack_coords(a))
+
+    # -- dot-product hyperplanes ------------------------------------------
+
+    @cached_property
+    def _trace_form(self) -> tuple:
+        """(zeros, dual_log) for the trace form Tr(x) = x + x^q + ... + x^(q^(n-1)).
+
+        zeros is the bitset of exponents e with Tr(gamma^e) = 0.  dual_log[r],
+        for a packed vector r != 0, is the exponent s with r . x = Tr(gamma^s x)
+        for every x; each linear functional is x -> Tr(a x) for exactly one a.
+        """
+        q, n, N, antilog = self.q, self.n, self.group_order, self.antilog
+        # t[j] = Tr(gamma^j): the first n as sums of Frobenius conjugates, the
+        # rest from gamma^n = -(p_0 + p_1 gamma + ... + p_{n-1} gamma^{n-1})
+        t = []
+        for j in range(n):
+            acc = 0
+            for i in range(n):
+                acc = self.coord_add(acc, antilog[j * q ** i % N])
+            t.append(acc)
+        taps = [(i, -c % q) for i, c in enumerate(self.poly[:n]) if c]
+        for j in range(N - n):
+            t.append(sum(c * t[j + i] for i, c in taps) % q)
+        zeros = int("".join("0" if v else "1" for v in reversed(t)), 2)
+        # x -> Tr(gamma^s x) has coefficient vector (t[s], ..., t[s+n-1])
+        dual_log = array("l", [0]) * self.order
+        window, top = self.pack_coords(t[:n]), q ** (n - 1)
+        for s in range(N):
+            dual_log[window] = s
+            window = window // q + t[(s + n) % N] * top
+        return zeros, dual_log
+
+    def perp_mask(self, r: int) -> int:
+        """Bitset of the exponents e with antilog[e] . r = 0 (mod q).
+
+        This is the hyperplane orthogonal to the packed vector r under the
+        coordinate dot product, and a rotation of the trace-0 bitset.
+        """
+        N = self.group_order
+        full = (1 << N) - 1
+        if r == 0:
+            return full
+        zeros, dual_log = self._trace_form
+        # r . gamma^e = Tr(gamma^(s+e)): rotate zeros right by s
+        s = dual_log[r]
+        return ((zeros >> s) | (zeros << (N - s))) & full
+
+    @cached_property
+    def perp_masks(self):
+        """perp_mask(r) for every packed vector r; None above PERP_TABLE_MAX_ORDER."""
+        if self.order > PERP_TABLE_MAX_ORDER:
+            return None
+        return [self.perp_mask(r) for r in range(self.order)]
 
     # -- elements ----------------------------------------------------------
 

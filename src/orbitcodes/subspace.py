@@ -4,15 +4,28 @@ A subspace V is stored as an integer bitset over exponents 0..q^n-2: bit j
 is set iff gamma^j lies in V (the zero vector is implicit).  Intersection is
 a bitwise AND, multiplying every element by gamma^e rotates the bitset by e
 positions, and the dimension k is recovered from popcount = q^k - 1.
+
+The orthogonal complement (under the coordinate dot product in the
+polynomial basis) needs no elimination.  perp[r] is the bitset of exponents
+e with antilog[e] . r = 0 (mod q), the hyperplane orthogonal to the packed
+vector r, and V-perp is the AND of perp[antilog[e]] over the set bits e of
+V, taken in increasing order.  The loop stops once the popcount reaches
+q^(n-dim V) - 1: the AND over any subset S of V is S-perp, which contains
+V-perp, and the two are equal exactly when their sizes match.  The masks
+are FieldSpec.perp_mask: each is a rotation of the one bitset of exponents
+with trace 0, so a field's masks cost one pass over its exponents, made on
+the first complement and memoised on the FieldSpec.  Fields with at most
+PERP_TABLE_MAX_ORDER vectors keep all q^n masks (about 2 MB at the cap);
+larger ones rotate each mask when it is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import (
     AllZero,
+    BadModulus,
     DuplicateExponent,
     ExponentOutOfRange,
     FieldMismatch,
@@ -301,88 +314,38 @@ def _rref(field: FieldSpec, rows: list) -> list:
     return [field.pack_coords(row) for row in mat[:ri] if any(row)]
 
 
-def nullspace_packed(field: FieldSpec, rows: list) -> list:
-    """Basis (packed) of {x : row . x = 0 for all rows} under the coordinate dot product."""
-    q, n = field.q, field.n
-    if q == 2:
-        return _nullspace_gf2(rows, n)
-    # general q: gaussian elimination on digit matrices
-    mat = [list(field.unpack_coords(r)) for r in rows]
-    pivots = []
-    ri = 0
-    for col in range(n):
-        pr = next((i for i in range(ri, len(mat)) if mat[i][col]), None)
-        if pr is None:
-            continue
-        mat[ri], mat[pr] = mat[pr], mat[ri]
-        inv = pow(mat[ri][col], q - 2, q)
-        mat[ri] = [(x * inv) % q for x in mat[ri]]
-        for i in range(len(mat)):
-            if i != ri and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], mat[ri])]
-        pivots.append(col)
-        ri += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][fc]) % q
-        basis.append(field.pack_coords(vec))
-    return basis
-
-
-def _nullspace_gf2(rows: list, n: int) -> list:
-    mat = list(rows)
-    pivots = []
-    ri = 0
-    for col in range(n):
-        pr = next((i for i in range(ri, len(mat)) if (mat[i] >> col) & 1), None)
-        if pr is None:
-            continue
-        mat[ri], mat[pr] = mat[pr], mat[ri]
-        for i in range(len(mat)):
-            if i != ri and (mat[i] >> col) & 1:
-                mat[i] ^= mat[ri]
-        pivots.append(col)
-        ri += 1
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        vec = 1 << fc
-        for i, pc in enumerate(pivots):
-            if (mat[i] >> fc) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    return basis
-
-
 def orthogonal_complement(V: Subspace) -> Subspace:
-    """Nullspace of V under the coordinate dot product in the polynomial basis."""
+    """V-perp under the coordinate dot product in the polynomial basis.
+
+    perp[r] is the bitset of exponents e with antilog[e] . r = 0 (mod q).
+    V-perp is the AND of perp[antilog[e]] over the set bits e of V, in
+    increasing order, stopped as soon as its popcount is q^(n-dim V) - 1:
+    the AND over the elements taken so far is their complement, which
+    contains V-perp and equals it exactly when the sizes match.  The masks
+    come from FieldSpec.perp_masks, made on the first complement in a field
+    and memoised on it; a field with more than PERP_TABLE_MAX_ORDER vectors
+    keeps no table and computes each mask with FieldSpec.perp_mask instead.
+    """
     field = V.field
-    if V.dim == 0:
-        return full_space(field)
-    if V.dim == field.n:
-        return zero_subspace(field)
-    rows = _greedy_basis_packed(field, V.bits, k_hint=V.dim)
-    nsp = nullspace_packed(field, rows)
-    bits = _bits_from_packed(field, _span_packed(field, nsp))
-    return Subspace(field, bits, field.n - V.dim)
+    return Subspace(field, complement_bits(field, V.bits, V.dim), field.n - V.dim)
 
 
 def complement_bits(field: FieldSpec, bits: int, dim: int) -> int:
     """orthogonal_complement on raw bitsets (hot path for the duality search)."""
+    out = (1 << field.group_order) - 1
     if dim == 0:
-        return (1 << field.group_order) - 1
-    if dim == field.n:
-        return 0
-    rows = _greedy_basis_packed(field, bits, k_hint=dim)
-    nsp = nullspace_packed(field, rows)
-    return _bits_from_packed(field, _span_packed(field, nsp))
+        return out
+    target = field.q ** (field.n - dim) - 1
+    perp = field.perp_masks
+    antilog = field.antilog
+    while bits:
+        low = bits & -bits
+        r = antilog[low.bit_length() - 1]
+        out &= perp[r] if perp is not None else field.perp_mask(r)
+        if out.bit_count() == target:
+            break
+        bits ^= low
+    return out
 
 
 def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
@@ -394,7 +357,7 @@ def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
     field = V.field
     N = field.group_order
     if m < 1 or N % m != 0:
-        raise FieldMismatch(f"modulus {m} does not divide {N}")
+        raise BadModulus(f"modulus {m} does not divide {N}")
     best, best_off = V.bits, 0
     cur = V.bits
     for j in range(1, N // m):

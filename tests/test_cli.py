@@ -80,6 +80,22 @@ def test_verify_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "dualize"])
+def test_malformed_generator_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": {"q": 2, "n": 4, "poly": [1, 1, 0, 0, 1]},
+                               "m": 1, "generators": [5]}))
+    code, _, err = run(capsys, command, str(bad))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_poly_term_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "selfdual", "--n", "4", "--poly", "x^a")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dualize_round_trip(tmp_path, capsys):
     d1 = str(tmp_path / "dual.json")
     d2 = str(tmp_path / "dual2.json")

@@ -20,6 +20,7 @@ from orbitcodes import (
 from orbitcodes.codes import gaussian_coefficient
 from orbitcodes.errors import (
     AllZero,
+    BadModulus,
     DuplicateExponent,
     ExponentOutOfRange,
     FieldMismatch,
@@ -188,6 +189,13 @@ def test_canonical_rotation(f16):
     rep3, off3 = canonical_rotation(U, 3)
     assert off3 % 3 == 0
     assert min(shift(U, j).bits for j in range(0, 15, 3)) == rep3.bits
+
+
+def test_canonical_rotation_bad_modulus(f16):
+    U = from_exponents(f16, [3, 4, 7])
+    for m in (0, 4, 16):
+        with pytest.raises(BadModulus):
+            canonical_rotation(U, m)
 
 
 @given(st.integers(0, (1 << 15) - 1), st.integers(-40, 40))
