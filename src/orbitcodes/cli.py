@@ -18,7 +18,6 @@ from .codes import (
     etzion_vardy_bound,
     is_cyclic,
     load_code_file,
-    min_distance,
     spread_code,
     verify_code_file,
 )
@@ -60,7 +59,7 @@ def _field_from_args(args):
 
 
 def _budget_from_args(args):
-    if getattr(args, "budget_sec", None):
+    if args.budget_sec:
         return RunBudget(max_seconds=args.budget_sec)
     return None
 
@@ -203,6 +202,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_clique(args) -> int:
+    if not (args.db or args.graph):
+        raise ParseError("clique needs --graph or --db")
     if args.db:
         orbits = read_orbit_db(args.db)
         G = build_graph(orbits, args.d)
@@ -287,23 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "verify, bound, construct")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n=True, k=False, m=False):
+    # each subcommand takes only the options it reads
+    def field_args(sp, k=False):
         sp.add_argument("--q", type=int, default=2, help="field characteristic")
-        if n:
-            sp.add_argument("--n", type=int, required=True, help="extension degree")
+        sp.add_argument("--n", type=int, required=True, help="extension degree")
         sp.add_argument("--poly", help="primitive polynomial, e.g. 'x^4+x+1' or '1,1,0,0,1'")
         if k:
             sp.add_argument("--k", type=int, required=True, help="subspace dimension")
-        if m:
-            sp.add_argument("--m", type=int, default=1, help="quasi-cyclic shift modulus")
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+    def format_arg(sp, *choices):
+        sp.add_argument("--format", choices=("text", "json") + choices, default="text")
+
+    def budget_arg(sp):
         sp.add_argument("--budget-sec", type=float, help="soft time budget")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker count (results are worker-count independent)")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("classify", help="census of m-quasi orbits of G_q(n,k)")
-    common(sp, k=True, m=True)
+    field_args(sp, k=True)
+    sp.add_argument("--m", type=int, default=1, help="quasi-cyclic shift modulus")
+    format_arg(sp, "csv")
+    budget_arg(sp)
     sp.add_argument("--db", help="write the orbit database (JSON lines) here")
     sp.add_argument("--extended", action="store_true",
                     help="allow long enumerations (n=10 scale)")
@@ -312,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify a code file against its claim")
     sp.add_argument("file")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    format_arg(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("dualize", help="write the dual of a code file")
     sp.add_argument("file")
     sp.add_argument("-o", "--output")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    format_arg(sp)
     sp.set_defaults(func=cmd_dualize)
 
     sp = sub.add_parser("bound", help="packing upper bound for (n, d, k, q)")
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("spread", help="build the subfield spread code")
-    common(sp)
+    field_args(sp)
     sp.add_argument("--t", type=int, required=True, help="subfield degree (t | n)")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_spread)
@@ -347,16 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     sp.add_argument("--budget-sec", type=float)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    format_arg(sp)
     sp.set_defaults(func=cmd_clique)
 
     sp = sub.add_parser("selfdual", help="all minimal self-dual quasi-cyclic codes")
-    common(sp)
+    field_args(sp)
+    format_arg(sp)
     sp.set_defaults(func=cmd_selfdual)
 
     sp = sub.add_parser("conjecture-check",
                         help="full-length orbit with d >= 2k-2 exists?")
-    common(sp, k=True)
+    field_args(sp, k=True)
+    format_arg(sp)
+    budget_arg(sp)
     sp.set_defaults(func=cmd_conjecture_check)
 
     return p

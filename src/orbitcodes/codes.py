@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    BadModulus,
     FieldMismatch,
     NotADivisor,
     OddDistance,
@@ -17,10 +16,11 @@ from .errors import (
 )
 from .gfext import FieldSpec, make_field
 from .subspace import (
-    Subspace,
+    check_modulus,
     dimension_from_popcount,
     from_bits,
     from_exponents,
+    orbit_bits,
     orthogonal_complement,
     rotate_bits,
 )
@@ -83,30 +83,17 @@ class SubspaceCode:
         return (n, self.size, d)
 
 
-def _expand_orbit_bits(field: FieldSpec, bits: int, m: int) -> list:
-    """All distinct rotations of bits by multiples of m, starting at bits."""
-    N = field.group_order
-    out = [bits]
-    cur = rotate_bits(bits, m, N)
-    while cur != bits:
-        out.append(cur)
-        cur = rotate_bits(cur, m, N)
-    return out
-
-
 def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
     """Union of the m-quasi orbits of the generators; duplicate orbits are merged."""
-    N = field.group_order
-    if m < 1 or N % m != 0:
-        raise BadModulus(f"m={m} does not divide {N}")
+    check_modulus(field, m)
     words = {}
     duplicates = []
     provenance = []
     for idx, gen in enumerate(generators):
         if gen.field != field:
             raise FieldMismatch("generator belongs to a different field")
-        members = _expand_orbit_bits(field, gen.bits, m)
-        if members[0] in words or any(b in words for b in members):
+        members = orbit_bits(field, gen.bits, m)
+        if any(b in words for b in members):
             duplicates.append(idx)
         for b in members:
             words[b] = gen.dim
@@ -146,10 +133,6 @@ def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
 # -- minimum distance -------------------------------------------------------------
 
 
-def _dist_bits(q: int, ka: int, kb: int, a: int, b: int) -> int:
-    return ka + kb - 2 * dimension_from_popcount((a & b).bit_count(), q)
-
-
 def min_distance(C: SubspaceCode) -> int:
     """Exact minimum distance; orbit-based when provenance is available."""
     if C.size < 2:
@@ -176,41 +159,33 @@ def _min_distance_all_pairs(C: SubspaceCode) -> int:
 
 
 def _min_distance_orbits(C: SubspaceCode) -> int:
-    """Shift identity: only orbit-vs-shifted-orbit comparisons are needed."""
+    """Shift identity: only orbit-vs-shifted-orbit comparisons are needed.
+
+    Each comparison of a generator a with an orbit takes the largest
+    overlap of a with the orbit's members and converts it once.
+    """
     field = C.field
-    N, q = field.group_order, field.q
-    gens = []
+    q = field.q
+    orbits = []
     seen = set()
     for gen, m in C.provenance:
-        members = _expand_orbit_bits(field, gen.bits, m)
+        members = orbit_bits(field, gen.bits, m)
         if members[0] in seen:
             continue  # duplicate orbit
         seen.update(members)
-        gens.append((gen.dim, gen.bits, m, len(members)))
-    best = None
-
-    def consider(d):
-        nonlocal best
-        if best is None or d < best:
-            best = d
-
-    for ka, a, m, length in gens:
-        cur = a
-        for _ in range(length - 1):
-            cur = rotate_bits(cur, m, N)
-            consider(_dist_bits(q, ka, ka, a, cur))
-    for i in range(len(gens)):
-        ka, a, ma, _ = gens[i]
-        for j in range(i + 1, len(gens)):
-            kb, b, mb, _ = gens[j]
-            m = ma  # generators of one code share a modulus
-            cur = b
-            for _ in range(N // m):
-                consider(_dist_bits(q, ka, kb, a, cur))
-                cur = rotate_bits(cur, m, N)
-    if best is None:
+        orbits.append((gen.dim, gen.bits, members))
+    dists = []
+    for i, (ka, a, members) in enumerate(orbits):
+        if len(members) > 1:
+            w = max([(a & r).bit_count() for r in members[1:]])
+            dists.append(2 * ka - 2 * dimension_from_popcount(w, q))
+        # generators of one code share a modulus
+        for kb, _, other in orbits[i + 1:]:
+            w = max([(a & r).bit_count() for r in other])
+            dists.append(ka + kb - 2 * dimension_from_popcount(w, q))
+    if not dists:
         raise TooSmall("code has a single orbit of length 1")
-    return best
+    return min(dists)
 
 
 # -- duality and cyclicity ----------------------------------------------------------
@@ -223,9 +198,8 @@ def dualize(C: SubspaceCode) -> SubspaceCode:
 
 def is_quasi_cyclic(C: SubspaceCode, m: int) -> bool:
     """True iff the word set is closed under the shift by gamma^m."""
+    check_modulus(C.field, m)
     N = C.field.group_order
-    if m < 1 or N % m != 0:
-        raise BadModulus(f"m={m} does not divide {N}")
     bitset = {w.bits for w in C.words}
     return all(rotate_bits(b, m, N) in bitset for b in bitset)
 
@@ -307,7 +281,7 @@ def verify_code_file(path) -> dict:
     cf = load_code_file(path)
     field = cf.field
     code = code_from_generators(field, cf.m, cf.generators)
-    orbit_sizes = [len(_expand_orbit_bits(field, g.bits, cf.m)) for g in cf.generators]
+    orbit_sizes = [len(orbit_bits(field, g.bits, cf.m)) for g in cf.generators]
     d = min_distance(code) if code.size >= 2 else None
     report = {
         "field": {"q": field.q, "n": field.n, "poly": list(field.poly)},

@@ -11,19 +11,26 @@ level: each component is a minimal self-dual m-quasi-cyclic code.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from math import gcd
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
-from .errors import FieldMismatch, ResourceLimit, SameOrbit, VerificationFailed
+from .errors import (
+    FieldMismatch,
+    OddDistance,
+    ParseError,
+    ResourceLimit,
+    SameOrbit,
+    VerificationFailed,
+)
 from .gfext import FieldSpec
 from .orbits import Orbit, cyclic_orbit_data, divisors
 from .subspace import (
     complement_bits,
     dimension_from_popcount,
     from_bits,
-    rotate_bits,
+    orbit_bits,
 )
 
 
@@ -31,24 +38,18 @@ from .subspace import (
 
 
 def inter_orbit_distance(A: Orbit, B: Orbit) -> int:
-    """Minimum distance between any member of A and any member of B."""
+    """Minimum distance between any member of A and any member of B.
+
+    By the shift identity it is the distance from A's representative to the
+    nearest member of B, the one with the largest overlap.
+    """
     if A.field != B.field or A.m != B.m:
         raise FieldMismatch("orbits must share a field and modulus")
     if A.rep.bits == B.rep.bits:
         raise SameOrbit("orbits are identical")
-    field = A.field
-    N, q = field.group_order, field.q
-    a, ka, kb = A.rep.bits, A.k, B.k
-    cur = B.rep.bits
-    best = ka + kb
-    for _ in range(N // A.m):
-        d = ka + kb - 2 * dimension_from_popcount((a & cur).bit_count(), q)
-        if d < best:
-            best = d
-            if best == 0:
-                return 0
-        cur = rotate_bits(cur, A.m, N)
-    return best
+    a = A.rep.bits
+    w = max([(a & r).bit_count() for r in orbit_bits(A.field, B.rep.bits, A.m)])
+    return A.k + B.k - 2 * dimension_from_popcount(w, A.field.q)
 
 
 @dataclass
@@ -73,7 +74,7 @@ class CompatGraph:
 def build_graph(orbits, d: int) -> CompatGraph:
     """Graph over orbits whose internal minimum distance meets the threshold d."""
     if d < 2 or d % 2 != 0:
-        raise ValueError(f"threshold d={d} must be even and >= 2")
+        raise OddDistance(f"threshold d={d} must be even and >= 2")
     included = [o for o in orbits if o.min_dist >= d]
     excluded = [o for o in orbits if o.min_dist < d]
     n = len(included)
@@ -97,20 +98,41 @@ def write_dimacs(G: CompatGraph, path) -> None:
 
 
 def read_dimacs(path):
-    """Read a DIMACS edge list; returns (n_vertices, adjacency bitmasks)."""
-    n, adj = 0, []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "p":
-                n = int(parts[2])
-                adj = [0] * n
-            elif parts[0] == "e":
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    """Read a DIMACS edge list; returns (n_vertices, adjacency bitmasks).
+
+    A missing or unreadable file, a missing or repeated p line, or an edge
+    that is malformed or names a vertex outside 1..n is a ParseError.
+    """
+    n, adj = None, []
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read DIMACS file {path}: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts or parts[0] not in ("p", "e"):
+            continue
+        where = f"DIMACS file {path} line {lineno}"
+        try:
+            nums = [int(x) for x in (parts[2:4] if parts[0] == "p" else parts[1:3])]
+        except ValueError:
+            raise ParseError(f"{where}: expected integers") from None
+        if parts[0] == "p":
+            if n is not None or len(nums) != 2 or nums[0] < 0:
+                raise ParseError(f"{where}: expected one 'p edge <vertices> <edges>'")
+            n = nums[0]
+            adj = [0] * n
+            continue
+        if n is None:
+            raise ParseError(f"{where}: edge before the 'p' line")
+        if len(nums) != 2 or not all(1 <= v <= n for v in nums):
+            raise ParseError(f"{where}: edge must join two vertices in 1..{n}")
+        i, j = nums[0] - 1, nums[1] - 1
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    if n is None:
+        raise ParseError(f"DIMACS file {path} has no 'p edge' line")
     return n, adj
 
 
@@ -256,18 +278,11 @@ class SelfDualHit:
 
 
 def _orbit_count(field: FieldSpec, bitset, m: int) -> int:
-    N = field.group_order
     seen, count = set(), 0
     for b in bitset:
-        if b in seen:
-            continue
-        count += 1
-        cur = b
-        while True:
-            seen.add(cur)
-            cur = rotate_bits(cur, m, N)
-            if cur == b:
-                break
+        if b not in seen:
+            count += 1
+            seen.update(orbit_bits(field, b, m))
     return count
 
 
@@ -291,45 +306,30 @@ def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
     if total > max_space:
         raise ResourceLimit(f"P_{q}({n}) has {total} subspaces > limit {max_space}")
 
-    # orbit tables for every dimension, plus a member -> (orbit, offset) index
-    orbit_base = []      # (k, base_bits, D)
+    # the cyclic orbits of every dimension, each as its list of members
+    # gamma^j V, plus a member -> (orbit, j) index
+    orbit_base = [(0, [0])]      # (k, members)
+    for k in range(1, n):
+        orbit_base += [(k, orbit_bits(field, rec.rep_bits))
+                       for rec in cyclic_orbit_data(field, k)]
+    orbit_base.append((n, [(1 << N) - 1]))
     index = {}
-    for k in range(n + 1):
-        if k == 0:
-            orbit_base.append((0, 0, 1))
-            index[0] = (len(orbit_base) - 1, 0)
-            continue
-        if k == n:
-            full = (1 << N) - 1
-            orbit_base.append((n, full, 1))
-            index[full] = (len(orbit_base) - 1, 0)
-            continue
-        for rec in cyclic_orbit_data(field, k):
-            oid = len(orbit_base)
-            orbit_base.append((k, rec.rep_bits, rec.length))
-            cur = rec.rep_bits
-            for j in range(rec.length):
-                index[cur] = (oid, j)
-                cur = rotate_bits(cur, 1, N)
+    for oid, (_, members) in enumerate(orbit_base):
+        for j, b in enumerate(members):
+            index[b] = (oid, j)
 
     # orthogonal-complement pairing at the member level (each pair once)
     pairs = []
-    for oid, (k, base, D) in enumerate(orbit_base):
-        if 2 * k > n:
-            continue
-        cur = base
-        for j in range(D):
-            dual = complement_bits(field, cur, k)
-            pairs.append(((oid, j), index[dual]))
-            cur = rotate_bits(cur, 1, N)
+    for oid, (k, members) in enumerate(orbit_base):
+        if 2 * k <= n:
+            pairs += [((oid, j), index[complement_bits(field, b, k)])
+                      for j, b in enumerate(members)]
 
     moduli = [m for m in divisors(N) if m != N]
     components = {}      # frozenset of word bits -> set of moduli
     for m in moduli:
-        g = [gcd(m, D) for (_, _, D) in orbit_base]
-        offset = [0]
-        for gi in g:
-            offset.append(offset[-1] + gi)
+        g = [gcd(m, len(members)) for (_, members) in orbit_base]
+        offset = [0, *accumulate(g)]
         parent = list(range(offset[-1]))
 
         def find(x):
@@ -346,20 +346,14 @@ def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
         for (o1, j1), (o2, j2) in pairs:
             union(offset[o1] + j1 % g[o1], offset[o2] + j2 % g[o2])
 
+        # quasi orbit s of cyclic orbit oid is its members s, s+g, s+2g, ...
         groups = {}
-        for oid, (k, base, D) in enumerate(orbit_base):
-            for s in range(g[oid]):
+        for oid, gi in enumerate(g):
+            for s in range(gi):
                 groups.setdefault(find(offset[oid] + s), []).append((oid, s))
-        for members in groups.values():
-            words = []
-            for oid, s in members:
-                k, base, D = orbit_base[oid]
-                cur = rotate_bits(base, s, N)
-                step = g[oid]
-                for _ in range(D // step):
-                    words.append((k, cur))
-                    cur = rotate_bits(cur, step, N)
-            key = frozenset(b for _, b in words)
+        for quasi in groups.values():
+            key = frozenset(b for oid, s in quasi
+                            for b in orbit_base[oid][1][s::g[oid]])
             components.setdefault(key, set()).add(m)
 
     # filter: nontrivial, inclusion-minimal across all moduli

@@ -77,5 +77,9 @@ class ParseError(OrbitCodesError):
     pass
 
 
+class CheckpointMismatch(OrbitCodesError):
+    """A checkpoint file belongs to another field, polynomial, k or format."""
+
+
 class ResourceLimit(RuntimeError):
     """A configured time or work budget was exceeded."""

@@ -7,25 +7,37 @@ has such a member) and deduplicating against the members of orbits already
 seen.  An m-quasi census is then derived without re-enumeration: a cyclic
 orbit of length D splits into g = gcd(m, D) quasi orbits of length D/g,
 all sharing the same internal minimum distance profile.
+
+Walking a cyclic orbit (orbit_bits, from subspace) gives its D members
+gamma^j V and their overlaps |V & gamma^j V|.  A quasi orbit stepping by
+g | D holds the members j = g, 2g, ... of that walk, so its internal
+minimum distance comes from the largest overlap among them,
+max(overlap[g::g]).  CyclicOrbitRecord.min_by_step keeps that distance
+for every g | D with g < D, and any m-quasi census reads it at
+g = gcd(m, D).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import gcd, isqrt
 
 from .codes import gaussian_coefficient
-from .errors import BadModulus, ResourceLimit, VerificationFailed
+from .errors import CheckpointMismatch, ParseError, ResourceLimit, VerificationFailed
 from .gfext import FieldSpec, make_field
 from .subspace import (
     Subspace,
+    check_modulus,
     dimension_from_popcount,
     from_bits,
     full_space,
+    orbit_bits,
     rotate_bits,
+    stabilizer,
     zero_subspace,
 )
 
@@ -71,8 +83,8 @@ class _BudgetClock:
 
 
 def divisors(n: int) -> list:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 # -- candidate enumeration -----------------------------------------------------
@@ -161,56 +173,23 @@ class CyclicOrbitRecord:
     rep_bits: int
     length: int          # D, the cyclic orbit length
     stab_degree: int     # t with D = (q^n-1)/(q^t-1)
-    min_by_class: dict   # gcd(j, D) -> min distance d(V, gamma^j V) over that class
+    min_by_step: dict    # g | D, g < D -> min distance d(V, gamma^j V) over g | j
 
     def min_dist_for_step(self, g: int) -> int:
         """Internal minimum distance of a quasi orbit stepping by g (g | D)."""
-        if g >= self.length:
-            return 0
-        return min(v for c, v in self.min_by_class.items() if c % g == 0)
-
-
-def _stabilizer_degree_bits(field: FieldSpec, bits: int) -> int:
-    N, q = field.group_order, field.q
-    for t in sorted(divisors(field.n), reverse=True):
-        if rotate_bits(bits, N // (q ** t - 1), N) == bits:
-            return t
-    raise AssertionError("t=1 always stabilizes")  # pragma: no cover
+        return 0 if g >= self.length else self.min_by_step[g]
 
 
 def _process_orbit(field: FieldSpec, k: int, bits: int, visited: set) -> CyclicOrbitRecord:
     """Walk one cyclic orbit: mark members containing gamma^0, collect distances."""
-    N, q = field.group_order, field.q
-    t = _stabilizer_degree_bits(field, bits)
-    D = N // (q ** t - 1)
-    min_by_class = {}
-    rep = bits
-    cur = bits
-    two_k = 2 * k
-    if q == 2:
-        for j in range(1, D):
-            cur = ((cur << 1) | (cur >> (N - 1))) & ((1 << N) - 1)
-            if cur & 1:
-                visited.add(cur)
-            if cur < rep:
-                rep = cur
-            d = two_k - 2 * ((bits & cur).bit_count() + 1).bit_length() + 2
-            c = gcd(j, D)
-            if d < min_by_class.get(c, two_k + 1):
-                min_by_class[c] = d
-    else:
-        for j in range(1, D):
-            cur = rotate_bits(cur, 1, N)
-            if cur & 1:
-                visited.add(cur)
-            if cur < rep:
-                rep = cur
-            w = dimension_from_popcount((bits & cur).bit_count(), q)
-            d = two_k - 2 * w
-            c = gcd(j, D)
-            if d < min_by_class.get(c, two_k + 1):
-                min_by_class[c] = d
-    return CyclicOrbitRecord(rep, D, t, min_by_class)
+    t, D = stabilizer(field, bits)
+    members = orbit_bits(field, bits)
+    visited.update(r for r in members if r & 1)
+    overlap = [(bits & r).bit_count() for r in members]
+    q = field.q
+    min_by_step = {g: 2 * k - 2 * dimension_from_popcount(max(overlap[g::g]), q)
+                   for g in divisors(D) if g < D}
+    return CyclicOrbitRecord(min(members), D, t, min_by_step)
 
 
 _CYCLIC_CACHE: dict = {}
@@ -246,7 +225,12 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
 
 
 class Checkpoint:
-    """Append-only JSONL checkpoint for long enumerations (n=10 scale)."""
+    """Append-only JSONL checkpoint for long enumerations (n=10 scale).
+
+    The first line is a header naming the field (q, n, poly) and k; a file
+    written for any other field, polynomial or k is refused, never mixed in.
+    A torn last line, left by a run stopped mid-write, is cut off on load.
+    """
 
     def __init__(self, path, flush_every: int = 256):
         self.path = path
@@ -254,36 +238,51 @@ class Checkpoint:
         self._buf = []
 
     def load(self, field: FieldSpec, k: int, visited: set):
-        records, last_idx = [], -1
+        header = {"checkpoint": 1, "q": field.q, "n": field.n,
+                  "poly": list(field.poly), "k": k}
         try:
-            fh = open(self.path)
+            with open(self.path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
-            return records, 0
-        with fh:
-            for line in fh:
-                rec = json.loads(line)
-                if rec.get("k") != k or rec.get("n") != field.n or rec.get("q") != field.q:
-                    continue
+            data = b""
+        except OSError as exc:
+            raise ParseError(f"cannot read checkpoint {self.path}: {exc}") from None
+        complete = data[:data.rfind(b"\n") + 1]
+        if len(complete) < len(data):
+            os.truncate(self.path, len(complete))
+        lines = complete.decode(errors="replace").splitlines()
+        if not lines:
+            self._buf.append(json.dumps(header))
+            return [], 0
+        where = f"checkpoint {self.path}"
+        first = _json_line(lines[0], f"{where} line 1")
+        if first != header:
+            what = ("holds records in the older min_by_class format"
+                    if isinstance(first, dict) and "min_by_class" in first
+                    else "was written for another field, polynomial or k")
+            raise CheckpointMismatch(
+                f"{where} {what}, not for (q={field.q}, n={field.n}, "
+                f"poly={list(field.poly)}, k={k}); delete it to start over")
+        records, last_idx = [], -1
+        for lineno, line in enumerate(lines[1:], 2):
+            rec = _json_line(line, f"{where} line {lineno}")
+            try:
                 r = CyclicOrbitRecord(
                     int(rec["rep_bits"], 16), rec["length"], rec["stab_degree"],
-                    {int(c): d for c, d in rec["min_by_class"].items()})
-                records.append(r)
+                    {int(g): d for g, d in rec["min_by_step"].items()})
                 last_idx = max(last_idx, rec["cand"])
-                # re-mark every member containing gamma^0 as visited
-                N = field.group_order
-                cur = r.rep_bits
-                for _ in range(r.length):
-                    if cur & 1:
-                        visited.add(cur)
-                    cur = rotate_bits(cur, 1, N)
+            except (KeyError, TypeError, ValueError, AttributeError):
+                raise ParseError(f"{where} line {lineno} is not an orbit "
+                                 "record") from None
+            records.append(r)
+            visited.update(b for b in orbit_bits(field, r.rep_bits) if b & 1)
         return records, last_idx + 1
 
     def record(self, field: FieldSpec, k: int, cand_idx: int, rec: CyclicOrbitRecord):
         self._buf.append(json.dumps({
-            "q": field.q, "n": field.n, "k": k, "cand": cand_idx,
-            "rep_bits": format(rec.rep_bits, "x"), "length": rec.length,
-            "stab_degree": rec.stab_degree,
-            "min_by_class": {str(c): d for c, d in rec.min_by_class.items()},
+            "cand": cand_idx, "rep_bits": format(rec.rep_bits, "x"),
+            "length": rec.length, "stab_degree": rec.stab_degree,
+            "min_by_step": {str(g): d for g, d in rec.min_by_step.items()},
         }))
         if len(self._buf) >= self.flush_every:
             self.flush()
@@ -296,40 +295,36 @@ class Checkpoint:
         self._buf = []
 
 
+def _json_line(line: str, where: str):
+    try:
+        return json.loads(line)
+    except ValueError:
+        raise ParseError(f"{where} is not JSON") from None
+
+
 # -- public operations -----------------------------------------------------------
 
 
 def stabilizer_degree(V: Subspace) -> int:
     """Largest t | n whose subfield multiplicative group fixes V."""
-    return _stabilizer_degree_bits(V.field, V.bits)
+    return stabilizer(V.field, V.bits)[0]
 
 
 def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     """The m-quasi orbit of V."""
     field = V.field
-    N = field.group_order
-    if m < 1 or N % m != 0:
-        raise BadModulus(f"m={m} does not divide {N}")
-    t = stabilizer_degree(V)
-    D = N // (field.q ** t - 1)
-    g = gcd(m, D)
-    L = D // g
-    # smallest l >= 1 with shift(V, l*m) = V -- sanity-check the formula
-    rep_bits = V.bits
-    cur = V.bits
-    best = V.bits
-    md = 2 * V.dim + 1
-    for j in range(1, L):
-        cur = rotate_bits(cur, m, N)
-        if cur < best:
-            best = cur
-        w = dimension_from_popcount((V.bits & cur).bit_count(), field.q)
-        md = min(md, 2 * V.dim - 2 * w)
-    if rotate_bits(cur, m, N) != V.bits:
+    check_modulus(field, m)
+    t, _ = stabilizer(field, V.bits)
+    members = orbit_bits(field, V.bits, m)
+    # one more step of m must close the walk -- sanity-check the formula
+    if rotate_bits(members[-1], m, field.group_order) != V.bits:
         raise VerificationFailed("orbit length formula disagrees with iteration")
-    if L == 1:
-        md = 0
-    return Orbit(field, m, from_bits(field, best), L, V.dim, md, t)
+    L = len(members)
+    md = 0
+    if L > 1:
+        w = max([(V.bits & r).bit_count() for r in members[1:]])
+        md = 2 * V.dim - 2 * dimension_from_popcount(w, field.q)
+    return Orbit(field, m, from_bits(field, min(members)), L, V.dim, md, t)
 
 
 def orbit_min_distance(O: Orbit) -> int:
@@ -339,45 +334,27 @@ def orbit_min_distance(O: Orbit) -> int:
 
 def orbit_members(O: Orbit) -> list:
     """All subspaces of the orbit, starting at the representative."""
-    N = O.field.group_order
-    out = []
-    cur = O.rep.bits
-    for _ in range(O.length):
-        out.append(from_bits(O.field, cur))
-        cur = rotate_bits(cur, O.m, N)
-    return out
+    return [from_bits(O.field, b) for b in orbit_bits(O.field, O.rep.bits, O.m)]
 
 
 def enumerate_orbits(field: FieldSpec, k: int, m: int = 1,
                      budget: RunBudget | None = None, checkpoint=None):
     """Yield every m-quasi orbit of G_q(n,k) exactly once."""
-    N = field.group_order
-    if m < 1 or N % m != 0:
-        raise BadModulus(f"m={m} does not divide {N}")
+    check_modulus(field, m)
     if k == 0:
         yield Orbit(field, m, zero_subspace(field), 1, 0, 0, field.n)
         return
     if k == field.n:
         yield Orbit(field, m, full_space(field), 1, field.n, 0, field.n)
         return
-    records = cyclic_orbit_data(field, k, budget=budget, checkpoint=checkpoint)
-    for rec in records:
+    for rec in cyclic_orbit_data(field, k, budget=budget, checkpoint=checkpoint):
         g = gcd(m, rec.length)
-        L = rec.length // g
         md = rec.min_dist_for_step(g)
-        if g == 1:
-            yield Orbit(field, m, from_bits(field, rec.rep_bits), L, k, md,
-                        rec.stab_degree)
-            continue
-        rots = [rec.rep_bits]
-        cur = rec.rep_bits
-        for _ in range(rec.length - 1):
-            cur = rotate_bits(cur, 1, N)
-            rots.append(cur)
+        # quasi orbit s holds the cyclic orbit's members s, s+g, s+2g, ...
+        rots = orbit_bits(field, rec.rep_bits) if g > 1 else [rec.rep_bits]
         for s in range(g):
-            rep = min(rots[(s + j * g) % rec.length] for j in range(L))
-            yield Orbit(field, m, from_bits(field, rep), L, k, md,
-                        rec.stab_degree)
+            yield Orbit(field, m, from_bits(field, min(rots[s::g])), rec.length // g,
+                        k, md, rec.stab_degree)
 
 
 # -- census ---------------------------------------------------------------------
@@ -423,9 +400,7 @@ class CensusTable:
 def classify(field: FieldSpec, k: int, m: int = 1,
              budget: RunBudget | None = None, checkpoint=None) -> CensusTable:
     """Census of all m-quasi orbits of G_q(n,k); the mass check is enforced."""
-    N = field.group_order
-    if m < 1 or N % m != 0:
-        raise BadModulus(f"m={m} does not divide {N}")
+    check_modulus(field, m)
     counts = {}
     if k == 0 or k == field.n:
         counts[(1, 0)] = 1
@@ -508,20 +483,44 @@ def write_orbit_db(orbits, path) -> int:
 
 
 def read_orbit_db(path, field: FieldSpec | None = None) -> list:
-    """Read an orbit database; all records must share one field spec."""
+    """Read an orbit database; all records must share one field spec.
+
+    An unreadable file, a line that is not an orbit record, or a record from
+    another field than the first (or than field, when given) is a ParseError.
+    """
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read orbit db {path}: {exc}") from None
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if field is None:
-                field = make_field(rec["q"], rec["n"], rec["poly"])
-            bits = 0
-            for e in rec["rep"]:
-                bits |= 1 << e
-            rep = from_bits(field, bits)
-            out.append(Orbit(field, rec["m"], rep, rec["length"], rec["k"],
-                             rec["min_dist"], rec["stab_degree"]))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"orbit db {path} line {lineno}"
+        rec = _json_line(line, where)
+        try:
+            q, n, m, length, k, min_dist, stab_degree = (rec[key] for key in (
+                "q", "n", "m", "length", "k", "min_dist", "stab_degree"))
+            poly, rep = tuple(rec["poly"]), list(rec["rep"])
+        except (KeyError, TypeError):
+            raise ParseError(f"{where} is not an orbit record") from None
+        if not all(isinstance(x, int) for x in (
+                q, n, m, length, k, min_dist, stab_degree, *poly, *rep)):
+            raise ParseError(f"{where}: every field of an orbit record "
+                             "must be an integer or a list of integers")
+        if field is None:
+            field = make_field(q, n, poly)
+        if (q, n, poly) != (field.q, field.n, field.poly):
+            raise ParseError(f"{where} is from another field than the first record")
+        if not all(0 <= e < field.group_order for e in rep):
+            raise ParseError(f"{where}: rep exponents must lie in "
+                             f"[0, {field.group_order})")
+        check_modulus(field, m)
+        bits = 0
+        for e in rep:
+            bits |= 1 << e
+        out.append(Orbit(field, m, from_bits(field, bits), length, k,
+                         min_dist, stab_degree))
     return out

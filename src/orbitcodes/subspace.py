@@ -17,11 +17,23 @@ with trace 0, so a field's masks cost one pass over its exponents, made on
 the first complement and memoised on the FieldSpec.  Fields with at most
 PERP_TABLE_MAX_ORDER vectors keep all q^n masks (about 2 MB at the cap);
 larger ones rotate each mask when it is needed.
+
+Every orbit walk goes through two functions.  stabilizer(field, bits)
+returns (t, D): F_{q^t} is the largest subfield whose nonzero elements fix
+the subspace, and D = (q^n-1)/(q^t-1) is its cyclic orbit length.
+orbit_bits(field, bits, m) returns the D/gcd(m, D) distinct rotations of
+bits by multiples of m, each one shift-and-mask of the doubled bitset
+bits | bits << (q^n-1).  A distance between a subspace and an orbit is read
+from the largest overlap: d = dim U + dim V - 2 dim(U meet V) is smallest
+where the popcount of U & V is largest, so each caller takes
+max((a & r).bit_count() for r in members) and converts that one popcount
+with dimension_from_popcount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     AllZero,
@@ -43,8 +55,6 @@ def dimension_from_popcount(popcount: int, q: int) -> int:
         return k
     k, size = 0, 1
     while size - 1 < popcount:
-        if size - 1 == popcount:
-            break
         size *= q
         k += 1
     if size - 1 != popcount:
@@ -59,6 +69,43 @@ def rotate_bits(bits: int, e: int, length: int) -> int:
         return bits
     mask = (1 << length) - 1
     return ((bits << e) | (bits >> (length - e))) & mask
+
+
+def check_modulus(field: FieldSpec, m: int) -> None:
+    """Raise BadModulus unless m is a positive divisor of q^n - 1."""
+    N = field.group_order
+    if m < 1 or N % m != 0:
+        raise BadModulus(f"modulus m={m} does not divide q^n-1 = {N}")
+
+
+def stabilizer(field: FieldSpec, bits: int) -> tuple:
+    """(t, D) for the subspace with these bits.
+
+    F_{q^t} is the largest subfield (t | n) whose nonzero elements fix the
+    subspace, and D = (q^n-1)/(q^t-1) is the length of its cyclic orbit.
+    """
+    N, q, n = field.group_order, field.q, field.n
+    doubled = bits | bits << N
+    mask = (1 << N) - 1
+    for t in range(n, 0, -1):
+        if n % t == 0:
+            D = N // (q ** t - 1)
+            if (doubled >> (N - D)) & mask == bits:
+                return t, D
+    raise NotASubspace("bitset is not fixed by the scalars F_q^*")
+
+
+def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
+    """The distinct rotations of bits by multiples of m, starting at bits.
+
+    Member j is the rotation by j*m, for j < D/gcd(m, D) with D from
+    stabilizer; m must divide q^n - 1 (see check_modulus).
+    """
+    N = field.group_order
+    _, D = stabilizer(field, bits)
+    doubled = bits | bits << N
+    mask = (1 << N) - 1
+    return [(doubled >> s) & mask for s in range(N, N - D // gcd(m, D) * m, -m)]
 
 
 @dataclass(frozen=True)
@@ -355,15 +402,7 @@ def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
     smallest bitset integer value; it is shared by every orbit member.
     """
     field = V.field
-    N = field.group_order
-    if m < 1 or N % m != 0:
-        raise BadModulus(f"modulus {m} does not divide {N}")
-    best, best_off = V.bits, 0
-    cur = V.bits
-    for j in range(1, N // m):
-        cur = rotate_bits(cur, m, N)
-        if cur == V.bits:
-            break
-        if cur < best:
-            best, best_off = cur, j * m
-    return Subspace(field, best, V.dim), best_off
+    check_modulus(field, m)
+    members = orbit_bits(field, V.bits, m)
+    best = min(members)
+    return Subspace(field, best, V.dim), members.index(best) * m

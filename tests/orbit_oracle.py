@@ -1,0 +1,177 @@
+"""The rotate/popcount orbit loops that the orbit_bits kernel replaced, as oracles.
+
+Each function walks an orbit one rotate_bits step at a time and converts
+every member's overlap to a distance, as the code did before the kernel.
+process_orbit keeps both of its branches: the GF(2) one with the inlined
+rotation and bit-length dimension, and the general-q one.
+"""
+
+from math import gcd
+
+from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
+from orbitcodes.orbits import divisors
+from orbitcodes.subspace import Subspace, dimension_from_popcount, rotate_bits
+
+
+def stabilizer_degree_bits(field, bits: int) -> int:
+    N, q = field.group_order, field.q
+    for t in sorted(divisors(field.n), reverse=True):
+        if rotate_bits(bits, N // (q ** t - 1), N) == bits:
+            return t
+    raise AssertionError("t=1 always stabilizes")
+
+
+def process_orbit(field, k: int, bits: int, visited: set, general: bool = False):
+    """(rep, D, t, min_by_class) of one cyclic orbit; marks members containing gamma^0.
+
+    min_by_class maps gcd(j, D) to the least d(V, gamma^j V) over that class.
+    general=True takes the general-q branch even when q = 2.
+    """
+    N, q = field.group_order, field.q
+    t = stabilizer_degree_bits(field, bits)
+    D = N // (q ** t - 1)
+    min_by_class = {}
+    rep = bits
+    cur = bits
+    two_k = 2 * k
+    if q == 2 and not general:
+        for j in range(1, D):
+            cur = ((cur << 1) | (cur >> (N - 1))) & ((1 << N) - 1)
+            if cur & 1:
+                visited.add(cur)
+            if cur < rep:
+                rep = cur
+            d = two_k - 2 * ((bits & cur).bit_count() + 1).bit_length() + 2
+            c = gcd(j, D)
+            if d < min_by_class.get(c, two_k + 1):
+                min_by_class[c] = d
+    else:
+        for j in range(1, D):
+            cur = rotate_bits(cur, 1, N)
+            if cur & 1:
+                visited.add(cur)
+            if cur < rep:
+                rep = cur
+            w = dimension_from_popcount((bits & cur).bit_count(), q)
+            d = two_k - 2 * w
+            c = gcd(j, D)
+            if d < min_by_class.get(c, two_k + 1):
+                min_by_class[c] = d
+    return rep, D, t, min_by_class
+
+
+def min_dist_for_step(D: int, min_by_class: dict, g: int) -> int:
+    """Internal minimum distance of the quasi orbit stepping by g (g | D)."""
+    if g >= D:
+        return 0
+    return min(v for c, v in min_by_class.items() if c % g == 0)
+
+
+def orbit_of(V: Subspace, m: int = 1) -> tuple:
+    """(rep bits, length, min_dist, t) of V's m-quasi orbit."""
+    field = V.field
+    N = field.group_order
+    if m < 1 or N % m != 0:
+        raise BadModulus(f"m={m} does not divide {N}")
+    t = stabilizer_degree_bits(field, V.bits)
+    D = N // (field.q ** t - 1)
+    L = D // gcd(m, D)
+    cur = V.bits
+    best = V.bits
+    md = 2 * V.dim + 1
+    for _ in range(1, L):
+        cur = rotate_bits(cur, m, N)
+        if cur < best:
+            best = cur
+        w = dimension_from_popcount((V.bits & cur).bit_count(), field.q)
+        md = min(md, 2 * V.dim - 2 * w)
+    if rotate_bits(cur, m, N) != V.bits:
+        raise VerificationFailed("orbit length formula disagrees with iteration")
+    if L == 1:
+        md = 0
+    return best, L, md, t
+
+
+def inter_orbit_distance(A, B) -> int:
+    """Least distance from A's rep to any of the N/m shifts of B's rep."""
+    field = A.field
+    N, q = field.group_order, field.q
+    a, ka, kb = A.rep.bits, A.k, B.k
+    cur = B.rep.bits
+    best = ka + kb
+    for _ in range(N // A.m):
+        d = ka + kb - 2 * dimension_from_popcount((a & cur).bit_count(), q)
+        if d < best:
+            best = d
+            if best == 0:
+                return 0
+        cur = rotate_bits(cur, A.m, N)
+    return best
+
+
+def expand_orbit_bits(field, bits: int, m: int) -> list:
+    """All distinct rotations of bits by multiples of m, starting at bits."""
+    N = field.group_order
+    out = [bits]
+    cur = rotate_bits(bits, m, N)
+    while cur != bits:
+        out.append(cur)
+        cur = rotate_bits(cur, m, N)
+    return out
+
+
+def _dist_bits(q: int, ka: int, kb: int, a: int, b: int) -> int:
+    return ka + kb - 2 * dimension_from_popcount((a & b).bit_count(), q)
+
+
+def min_distance_orbits(C) -> int:
+    """Minimum distance of a code with provenance, member by member."""
+    field = C.field
+    N, q = field.group_order, field.q
+    gens = []
+    seen = set()
+    for gen, m in C.provenance:
+        members = expand_orbit_bits(field, gen.bits, m)
+        if members[0] in seen:
+            continue
+        seen.update(members)
+        gens.append((gen.dim, gen.bits, m, len(members)))
+    best = None
+
+    def consider(d):
+        nonlocal best
+        if best is None or d < best:
+            best = d
+
+    for ka, a, m, length in gens:
+        cur = a
+        for _ in range(length - 1):
+            cur = rotate_bits(cur, m, N)
+            consider(_dist_bits(q, ka, ka, a, cur))
+    for i in range(len(gens)):
+        ka, a, ma, _ = gens[i]
+        for j in range(i + 1, len(gens)):
+            kb, b, _, _ = gens[j]
+            cur = b
+            for _ in range(N // ma):
+                consider(_dist_bits(q, ka, kb, a, cur))
+                cur = rotate_bits(cur, ma, N)
+    if best is None:
+        raise TooSmall("code has a single orbit of length 1")
+    return best
+
+
+def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
+    """(least rotation of V by a multiple of m, the offset reaching it)."""
+    N = V.field.group_order
+    if m < 1 or N % m != 0:
+        raise BadModulus(f"modulus {m} does not divide {N}")
+    best, best_off = V.bits, 0
+    cur = V.bits
+    for j in range(1, N // m):
+        cur = rotate_bits(cur, m, N)
+        if cur == V.bits:
+            break
+        if cur < best:
+            best, best_off = cur, j * m
+    return best, best_off

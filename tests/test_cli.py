@@ -42,8 +42,7 @@ def test_classify_json_and_csv(capsys):
 
 def test_classify_deterministic(capsys):
     a = run(capsys, "classify", "--n", "8", "--k", "3", "--m", "5")
-    b = run(capsys, "classify", "--n", "8", "--k", "3", "--m", "5",
-            "--workers", "4")
+    b = run(capsys, "classify", "--n", "8", "--k", "3", "--m", "5")
     assert a == b
 
 
@@ -162,3 +161,84 @@ def test_custom_poly_flag(capsys):
     code, out, _ = run(capsys, "classify", "--n", "4", "--k", "2",
                        "--poly", "x^4+x+1")
     assert code == 0 and "mass 35" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "6", "--k", "3", "--workers", "4"],
+    ["classify", "--n", "6", "--k", "3", "--seed", "7"],
+    ["spread", "--n", "6", "--t", "3", "--workers", "2"],
+    ["spread", "--n", "6", "--t", "3", "--seed", "7"],
+    ["spread", "--n", "6", "--t", "3", "--budget-sec", "1"],
+    ["spread", "--n", "6", "--t", "3", "--format", "json"],
+    ["selfdual", "--n", "4", "--workers", "9"],
+    ["selfdual", "--n", "4", "--seed", "7"],
+    ["selfdual", "--n", "4", "--budget-sec", "1e-6"],
+    ["selfdual", "--n", "4", "--format", "csv"],
+    ["conjecture-check", "--n", "6", "--k", "2", "--workers", "2"],
+    ["conjecture-check", "--n", "6", "--k", "2", "--seed", "7"],
+    ["conjecture-check", "--n", "6", "--k", "2", "--format", "csv"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def assert_one_line_error(result, code):
+    status, _, err = result
+    assert status == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_graph_missing_db_is_a_parse_error(tmp_path, capsys):
+    assert_one_line_error(run(capsys, "graph", "--db", str(tmp_path / "none.db"),
+                              "--d", "4"), 2)
+
+
+def test_graph_garbage_db_is_a_parse_error(tmp_path, capsys):
+    db = tmp_path / "garbage.db"
+    db.write_text("garbage\n")
+    assert_one_line_error(run(capsys, "graph", "--db", str(db), "--d", "4"), 2)
+
+
+def test_orbit_db_mixing_fields_is_a_parse_error(tmp_path, capsys):
+    db = str(tmp_path / "orbits.jsonl")
+    other = str(tmp_path / "other.jsonl")
+    assert run(capsys, "classify", "--n", "6", "--k", "2", "--db", db)[0] == 0
+    assert run(capsys, "classify", "--n", "6", "--k", "2", "--db", other,
+               "--poly", "x^6+x+1")[0] == 0
+    with open(db, "a") as fh, open(other) as src:
+        fh.write(src.readline())
+    assert_one_line_error(run(capsys, "graph", "--db", db, "--d", "2"), 2)
+
+
+def test_graph_odd_threshold_is_a_domain_error(tmp_path, capsys):
+    db = str(tmp_path / "orbits.jsonl")
+    assert run(capsys, "classify", "--n", "6", "--k", "2", "--db", db)[0] == 0
+    assert_one_line_error(run(capsys, "graph", "--db", db, "--d", "3"), 3)
+
+
+@pytest.mark.parametrize("text", ["p edge 2 1\ne 1 3\n", "e 1 2\n", "c no p line\n",
+                                  "p edge 2 1\ne 1 x\n"],
+                         ids=["edge-past-n", "edge-before-p", "no-p-line", "not-a-number"])
+def test_bad_dimacs_is_a_parse_error(tmp_path, capsys, text):
+    g = tmp_path / "bad.dimacs"
+    g.write_text(text)
+    assert_one_line_error(run(capsys, "clique", "--graph", str(g)), 2)
+
+
+def test_clique_needs_a_graph(capsys):
+    assert_one_line_error(run(capsys, "clique"), 2)
+
+
+def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
+    from orbitcodes import make_field
+    from orbitcodes.orbits import Checkpoint, cyclic_orbit_data
+    ck = str(tmp_path / "ck.jsonl")
+    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(ck), use_cache=False)
+    before = open(ck).read()
+    assert_one_line_error(run(capsys, "classify", "--n", "6", "--k", "3",
+                              "--checkpoint", ck, "--poly", "x^6+x+1"), 3)
+    assert open(ck).read() == before

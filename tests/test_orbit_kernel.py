@@ -1,0 +1,183 @@
+"""The orbit_bits / stabilizer kernel against the per-step loops it replaced."""
+
+import itertools
+import random
+
+import pytest
+
+from orbitcodes import (
+    canonical_rotation,
+    classify,
+    code_from_generators,
+    enumerate_orbits,
+    from_bits,
+    inter_orbit_distance,
+    is_quasi_cyclic,
+    load_code_file,
+    make_field,
+    orbit_of,
+    shift,
+)
+from orbitcodes.codes import _min_distance_orbits
+from orbitcodes.errors import BadModulus
+from orbitcodes.orbits import _iter_candidates, _process_orbit, cyclic_orbit_data, divisors
+from orbitcodes.subspace import check_modulus, orbit_bits, rotate_bits, stabilizer
+from tests import orbit_oracle as oracle
+from tests.conftest import data_path
+
+# primitive polynomials other than the defaults, constant term first
+F64_OTHER_POLY = (1, 1, 0, 0, 0, 0, 1)              # x^6 + x + 1
+F256_OTHER_POLY = (1, 0, 0, 0, 1, 1, 1, 0, 1)       # x^8 + x^6 + x^5 + x^4 + 1
+
+FIELDS = {
+    "F2^6": (2, 6, None), "F2^6-other": (2, 6, F64_OTHER_POLY),
+    "F2^8": (2, 8, None), "F2^8-other": (2, 8, F256_OTHER_POLY),
+    "F3^3": (3, 3, None), "F3^4": (3, 4, None), "F5^2": (5, 2, None),
+}
+
+
+def field_of(name):
+    q, n, poly = FIELDS[name]
+    return make_field(q, n, poly)
+
+
+def assert_walk_matches(field, k, bits, visited, general=False):
+    """One cyclic orbit, walked by _process_orbit and by the oracle loop."""
+    before = set(visited)
+    rec = _process_orbit(field, k, bits, visited)
+    old_visited = set(before)
+    rep, D, t, by_class = oracle.process_orbit(field, k, bits, old_visited, general)
+    assert (rec.rep_bits, rec.length, rec.stab_degree) == (rep, D, t)
+    # the kernel also marks the walk's start, a candidate never met again
+    assert visited == old_visited | {bits}
+    for g in divisors(D):
+        assert rec.min_dist_for_step(g) == oracle.min_dist_for_step(D, by_class, g)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_census_walk_matches_oracle(name):
+    """Every cyclic orbit of every G_q(n, k), 0 < k < n, in census order."""
+    field = field_of(name)
+    # on F_2^6 the oracle's general-q branch must agree on GF(2) too
+    also_general = field.q == 2 and field.n == 6
+    for k in range(1, field.n):
+        visited = set()
+        for bits in _iter_candidates(field, k):
+            if bits not in visited:
+                assert_walk_matches(field, k, bits, visited)
+                if also_general:
+                    assert_walk_matches(field, k, bits, set(), general=True)
+
+
+def test_f1024_sampled_walks_match_oracle():
+    field = make_field(2, 10)
+    rng = random.Random(1024)
+    cands = list(_iter_candidates(field, 3))
+    sample = rng.sample(cands, 40)
+    for bits in sample:
+        assert_walk_matches(field, 3, bits, set())
+    orbits = [orbit_of(from_bits(field, b), m)
+              for b in sample[:8] for m in (1, 3, 11, 33)]
+    for V in (from_bits(field, b) for b in sample[:8]):
+        for m in divisors(field.group_order):
+            assert_orbit_of_matches(V, m)
+    for A, B in itertools.combinations(orbits, 2):
+        if A.m == B.m and A.rep.bits != B.rep.bits:
+            assert inter_orbit_distance(A, B) == oracle.inter_orbit_distance(A, B)
+
+
+def assert_orbit_of_matches(V, m):
+    O = orbit_of(V, m)
+    assert (O.rep.bits, O.length, O.min_dist, O.stab_degree) == oracle.orbit_of(V, m)
+    rep, off = canonical_rotation(V, m)
+    assert (rep.bits, off) == oracle.canonical_rotation(V, m)
+    assert shift(V, off).bits == rep.bits
+
+
+@pytest.mark.parametrize("name", ["F2^6", "F2^6-other", "F2^8", "F3^3", "F3^4", "F5^2"])
+def test_orbit_of_every_modulus_matches_oracle(name):
+    """orbit_of and canonical_rotation on a shifted member of each cyclic orbit.
+
+    F_2^8 takes every third orbit, to keep the test short.
+    """
+    field = field_of(name)
+    N = field.group_order
+    stride = 3 if field.order == 256 else 1
+    for k in range(1, field.n):
+        for i, rec in enumerate(cyclic_orbit_data(field, k)[::stride]):
+            V = from_bits(field, rotate_bits(rec.rep_bits, 1 + i % 7, N))
+            for m in divisors(N):
+                assert_orbit_of_matches(V, m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 9, 21])
+def test_inter_orbit_distance_all_pairs_f64(m):
+    field = field_of("F2^6")
+    orbits = list(enumerate_orbits(field, 3, m))
+    pairs = 0
+    for A, B in itertools.combinations(orbits, 2):
+        assert inter_orbit_distance(A, B) == oracle.inter_orbit_distance(A, B)
+        pairs += 1
+    assert pairs == len(orbits) * (len(orbits) - 1) // 2 > 0
+
+
+CODE_FILES = ["cyclic_n5k2", "example1_n10k5", "example2_n10k3", "example3_n8k4",
+              "quasi3_n8k4", "selfdual_p2_4_m5", "selfdual_p2_6_m21",
+              "selfdual_p2_8_m85", "spread_n6k3"]
+
+
+@pytest.mark.parametrize("name", CODE_FILES)
+def test_min_distance_of_shipped_codes_matches_oracle(name):
+    cf = load_code_file(data_path(name + ".json"))
+    code = code_from_generators(cf.field, cf.m, cf.generators)
+    assert _min_distance_orbits(code) == oracle.min_distance_orbits(code)
+
+
+@pytest.mark.parametrize("name", ["F2^6", "F2^6-other", "F3^3", "F5^2"])
+def test_min_distance_of_random_orbit_codes_matches_oracle(name):
+    """Seeded unions of 2-4 orbits, of one or mixed dimensions, every modulus."""
+    field = field_of(name)
+    reps = [from_bits(field, rec.rep_bits) for k in range(1, field.n)
+            for rec in cyclic_orbit_data(field, k)]
+    rng = random.Random(field.order)
+    for m in divisors(field.group_order):
+        for _ in range(12):
+            gens = [shift(V, rng.randrange(field.group_order))
+                    for V in rng.sample(reps, min(len(reps), rng.randint(2, 4)))]
+            code = code_from_generators(field, m, gens)
+            if code.size >= 2:
+                assert _min_distance_orbits(code) == oracle.min_distance_orbits(code)
+
+
+def test_orbit_bits_is_the_distinct_rotations():
+    """orbit_bits lists the rotations by multiples of m, in order, without repeats."""
+    field = field_of("F2^6")
+    N = field.group_order
+    for rec in cyclic_orbit_data(field, 3):
+        for m in divisors(N):
+            members = orbit_bits(field, rec.rep_bits, m)
+            assert members == oracle.expand_orbit_bits(field, rec.rep_bits, m)
+            assert members == [rotate_bits(rec.rep_bits, j * m, N)
+                               for j in range(len(members))]
+        t, D = stabilizer(field, rec.rep_bits)
+        assert (t, D) == (rec.stab_degree, rec.length)
+
+
+def test_every_modulus_check_raises_one_message():
+    field = field_of("F2^6")
+    V = from_bits(field, cyclic_orbit_data(field, 2)[0].rep_bits)
+    code = code_from_generators(field, 1, [V])
+    calls = [lambda m: check_modulus(field, m),
+             lambda m: canonical_rotation(V, m),
+             lambda m: orbit_of(V, m),
+             lambda m: next(enumerate_orbits(field, 2, m)),
+             lambda m: classify(field, 2, m),
+             lambda m: code_from_generators(field, m, [V]),
+             lambda m: is_quasi_cyclic(code, m)]
+    for m in (0, 4):
+        messages = set()
+        for call in calls:
+            with pytest.raises(BadModulus) as exc:
+                call(m)
+            messages.add(str(exc.value))
+        assert messages == {f"modulus m={m} does not divide q^n-1 = 63"}
