@@ -31,7 +31,7 @@ from .construct import (
     CompatGraph,
 )
 from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
-from .gfext import make_field, parse_poly
+from .gfext import make_field
 from .orbits import (
     Checkpoint,
     RunBudget,
@@ -54,8 +54,7 @@ EXTENDED_THRESHOLD = 500_000
 
 
 def _field_from_args(args):
-    poly = parse_poly(args.poly, args.q) if args.poly else None
-    return make_field(args.q, args.n, poly)
+    return make_field(args.q, args.n, args.poly or None)
 
 
 def _budget_from_args(args):
@@ -210,8 +209,7 @@ def cmd_clique(args) -> int:
     else:
         _, adj = read_dimacs(args.graph)
         G = adj
-    budget = args.budget_sec and int(args.budget_sec * 100000) or None
-    results = find_cliques(G, budget=budget, mode=args.mode, seed=args.seed)
+    results = find_cliques(G, mode=args.mode, seed=args.seed, seconds=args.budget_sec)
     best = results[0]
     payload = {"mode": args.mode, "size": best.size, "certified": best.certified,
                "vertices": list(best.vertices)}
@@ -348,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--db", help="orbit db (builds the graph, enables code assembly)")
     sp.add_argument("--d", type=int, default=4, help="threshold when using --db")
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    sp.add_argument("--budget-sec", type=float)
+    sp.add_argument("--budget-sec", type=float,
+                    help="wall-clock limit on the search; a search it stops is not certified")
     sp.add_argument("--seed", type=int, default=0)
     format_arg(sp)
     sp.set_defaults(func=cmd_clique)

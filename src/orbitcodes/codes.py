@@ -17,9 +17,11 @@ from .errors import (
 from .gfext import FieldSpec, make_field
 from .subspace import (
     check_modulus,
+    cyclic_overlaps,
     dimension_from_popcount,
     from_bits,
     from_exponents,
+    meet_dim,
     orbit_bits,
     orthogonal_complement,
     rotate_bits,
@@ -161,8 +163,9 @@ def _min_distance_all_pairs(C: SubspaceCode) -> int:
 def _min_distance_orbits(C: SubspaceCode) -> int:
     """Shift identity: only orbit-vs-shifted-orbit comparisons are needed.
 
-    Each comparison of a generator a with an orbit takes the largest
-    overlap of a with the orbit's members and converts it once.
+    Each comparison of a generator a with an orbit stepping by m reads the
+    largest overlap among every m-th entry of one correlation of a with the
+    orbit's generator.
     """
     field = C.field
     q = field.q
@@ -173,16 +176,16 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
         if members[0] in seen:
             continue  # duplicate orbit
         seen.update(members)
-        orbits.append((gen.dim, gen.bits, members))
+        orbits.append((gen.dim, gen.bits, m, len(members)))
     dists = []
-    for i, (ka, a, members) in enumerate(orbits):
-        if len(members) > 1:
-            w = max([(a & r).bit_count() for r in members[1:]])
-            dists.append(2 * ka - 2 * dimension_from_popcount(w, q))
+    for i, (ka, a, m, length) in enumerate(orbits):
+        if length > 1:
+            overlap = cyclic_overlaps(field, a, a)
+            dists.append(2 * ka - 2 * meet_dim(q, overlap[m:length * m:m], ka))
         # generators of one code share a modulus
-        for kb, _, other in orbits[i + 1:]:
-            w = max([(a & r).bit_count() for r in other])
-            dists.append(ka + kb - 2 * dimension_from_popcount(w, q))
+        for kb, b, _, _ in orbits[i + 1:]:
+            overlap = cyclic_overlaps(field, a, b)
+            dists.append(ka + kb - 2 * meet_dim(q, overlap[::m], min(ka, kb)))
     if not dists:
         raise TooSmall("code has a single orbit of length 1")
     return min(dists)
@@ -236,8 +239,9 @@ def load_code_file(path) -> CodeFile:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read code file {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes and malformed JSON alike
+        raise ParseError(f"cannot read code file {path}: {exc}") from None
     try:
         fspec = doc["field"]
         q, n, poly = fspec["q"], fspec["n"], fspec["poly"]

@@ -11,6 +11,7 @@ level: each component is a minimal self-dual m-quasi-cyclic code.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from math import gcd
@@ -28,8 +29,9 @@ from .gfext import FieldSpec
 from .orbits import Orbit, cyclic_orbit_data, divisors
 from .subspace import (
     complement_bits,
-    dimension_from_popcount,
+    cyclic_overlaps,
     from_bits,
+    meet_dim,
     orbit_bits,
 )
 
@@ -41,15 +43,16 @@ def inter_orbit_distance(A: Orbit, B: Orbit) -> int:
     """Minimum distance between any member of A and any member of B.
 
     By the shift identity it is the distance from A's representative to the
-    nearest member of B, the one with the largest overlap.
+    nearest member of B, the one with the largest overlap; B's members are
+    the shifts of its representative by multiples of m, so the overlaps are
+    every m-th entry of one correlation.
     """
     if A.field != B.field or A.m != B.m:
         raise FieldMismatch("orbits must share a field and modulus")
     if A.rep.bits == B.rep.bits:
         raise SameOrbit("orbits are identical")
-    a = A.rep.bits
-    w = max([(a & r).bit_count() for r in orbit_bits(A.field, B.rep.bits, A.m)])
-    return A.k + B.k - 2 * dimension_from_popcount(w, A.field.q)
+    overlap = cyclic_overlaps(A.field, A.rep.bits, B.rep.bits)
+    return A.k + B.k - 2 * meet_dim(A.field.q, overlap[::A.m], min(A.k, B.k))
 
 
 @dataclass
@@ -97,11 +100,17 @@ def write_dimacs(G: CompatGraph, path) -> None:
             fh.write(f"e {i} {j}\n")
 
 
+# One adjacency bitmask per vertex is allocated from the p line alone, so the
+# vertex count is capped well above any graph the exact search can finish.
+MAX_DIMACS_VERTICES = 1 << 20
+
+
 def read_dimacs(path):
     """Read a DIMACS edge list; returns (n_vertices, adjacency bitmasks).
 
-    A missing or unreadable file, a missing or repeated p line, or an edge
-    that is malformed or names a vertex outside 1..n is a ParseError.
+    A missing or unreadable file, a missing or repeated p line, a vertex
+    count above MAX_DIMACS_VERTICES, or an edge that is malformed or names
+    a vertex outside 1..n is a ParseError.
     """
     n, adj = None, []
     try:
@@ -121,6 +130,8 @@ def read_dimacs(path):
         if parts[0] == "p":
             if n is not None or len(nums) != 2 or nums[0] < 0:
                 raise ParseError(f"{where}: expected one 'p edge <vertices> <edges>'")
+            if nums[0] > MAX_DIMACS_VERTICES:
+                raise ParseError(f"{where}: more than {MAX_DIMACS_VERTICES} vertices")
             n = nums[0]
             adj = [0] * n
             continue
@@ -149,27 +160,34 @@ class CliqueResult:
         return len(self.vertices)
 
 
-def find_cliques(G, budget: float | int | None = None, mode: str = "exact",
-                 seed: int = 0, starts: int = 64) -> list:
-    """Best cliques found; exact mode certifies optimality within budget.
+def find_cliques(G, budget: int | None = None, mode: str = "exact",
+                 seed: int = 0, starts: int = 64,
+                 seconds: float | None = None) -> list:
+    """Best cliques found; exact mode certifies optimality within its budgets.
 
-    G may be a CompatGraph or a plain adjacency bitmask list.  budget is a
-    node limit for exact mode and a start count multiplier for greedy mode.
+    G may be a CompatGraph or a plain adjacency bitmask list.  Exact mode
+    stops after budget search nodes or after seconds of wall-clock time,
+    whichever comes first, and then returns the best clique so far with
+    certified=False.  Greedy mode tries starts random orders, fewer if
+    seconds run out first; it ignores budget and never certifies.
     """
     adj = G.adj if isinstance(G, CompatGraph) else list(G)
+    deadline = None if seconds is None else time.monotonic() + seconds
     if mode == "exact":
-        best, certified = _max_clique_exact(adj, budget)
+        best, certified = _max_clique_exact(adj, budget, deadline)
         return [CliqueResult(tuple(sorted(best)), certified)]
     if mode == "greedy":
-        return _greedy_cliques(adj, seed, starts)
+        return _greedy_cliques(adj, seed, starts, deadline)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _greedy_cliques(adj, seed, starts):
+def _greedy_cliques(adj, seed, starts, deadline=None):
     n = len(adj)
     rng = random.Random(seed)
     seen = {}
-    for _ in range(max(1, starts)):
+    for start in range(max(1, starts)):
+        if start and deadline is not None and time.monotonic() > deadline:
+            break
         order = list(range(n))
         rng.shuffle(order)
         clique = []
@@ -204,21 +222,29 @@ def _color_bound(adj, pmask):
     return order, color_of
 
 
-def _max_clique_exact(adj, node_budget=None):
+def _max_clique_exact(adj, node_budget=None, deadline=None):
+    """Branch and bound with the coloring bound; (best, certified).
+
+    The clock is read every 1024 nodes; a search stopped by either budget
+    keeps the best clique found so far and is not certified.
+    """
     n = len(adj)
     best = []
     nodes = 0
-    exhausted = [False]
+    exhausted = False
 
     def expand(rmembers, pmask):
-        nonlocal nodes, best
+        nonlocal nodes, best, exhausted
         if node_budget is not None and nodes > node_budget:
-            exhausted[0] = True
+            exhausted = True
             return
         nodes += 1
+        if deadline is not None and nodes & 0x3FF == 0 and time.monotonic() > deadline:
+            exhausted = True
+            return
         order, colors = _color_bound(adj, pmask)
         for i in range(len(order) - 1, -1, -1):
-            if exhausted[0]:
+            if exhausted:
                 return
             if len(rmembers) + colors[i] <= len(best):
                 return
@@ -234,9 +260,7 @@ def _max_clique_exact(adj, node_budget=None):
 
     if n:
         expand([], (1 << n) - 1)
-    else:
-        best = []
-    return best, not exhausted[0]
+    return best, not exhausted
 
 
 def assemble_code(G: CompatGraph, clique: CliqueResult) -> SubspaceCode:

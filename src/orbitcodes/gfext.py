@@ -74,6 +74,24 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def _field_order(q: int, n: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
+    """q^n, or TooLarge once q^n - 1 passes max_group_order.
+
+    The power is built one factor at a time, so a huge q or n is refused
+    before it costs anything (and before q is tested for primality).
+    """
+    if n < 1:
+        raise DegreeMismatch(f"n={n} must be >= 1")
+    if q < 2:
+        raise NotPrime(f"q={q} is not prime")
+    order = 1
+    for _ in range(n):
+        order *= q
+        if order - 1 > max_group_order:
+            raise TooLarge(f"q^{n}-1 exceeds limit {max_group_order}")
+    return order
+
+
 def default_poly(q: int, n: int) -> tuple:
     """Return the built-in primitive polynomial for F_{q^n}, constant term first."""
     try:
@@ -82,8 +100,12 @@ def default_poly(q: int, n: int) -> tuple:
         raise NoDefault(f"no built-in primitive polynomial for q={q}, n={n}") from None
 
 
-def parse_poly(text: str, q: int) -> tuple:
-    """Parse a polynomial given as coefficients "1,1,0,0,1" or terms "x^4+x+1"."""
+def parse_poly(text: str, q: int, max_degree: int | None = None) -> tuple:
+    """Parse a polynomial given as coefficients "1,1,0,0,1" or terms "x^4+x+1".
+
+    A term above max_degree, when given, raises DegreeMismatch before a
+    coefficient tuple of that length is built.
+    """
     text = text.strip()
     try:
         if "," in text or text.lstrip("-").isdigit():
@@ -103,6 +125,8 @@ def parse_poly(text: str, q: int) -> tuple:
         deg = max(coeffs)
     except ValueError as exc:
         raise ParseError(f"cannot parse polynomial {text!r}: {exc}") from None
+    if max_degree is not None and deg > max_degree:
+        raise DegreeMismatch(f"polynomial has degree {deg}, expected {max_degree}")
     return tuple(coeffs.get(i, 0) % q for i in range(deg + 1))
 
 
@@ -155,10 +179,9 @@ class FieldSpec:
 
     def __init__(self, q: int, n: int, poly: tuple,
                  max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
+        order = _field_order(q, n, max_group_order)
         if not is_prime(q):
             raise NotPrime(f"q={q} is not prime")
-        if n < 1:
-            raise DegreeMismatch(f"n={n} must be >= 1")
         poly = tuple(int(c) for c in poly)
         if len(poly) != n + 1:
             raise DegreeMismatch(f"polynomial has degree {len(poly) - 1}, expected {n}")
@@ -166,9 +189,6 @@ class FieldSpec:
             raise DegreeMismatch("polynomial must be monic")
         if any(c < 0 or c >= q for c in poly):
             raise DegreeMismatch(f"coefficients must lie in [0, {q})")
-        order = q ** n
-        if order - 1 > max_group_order:
-            raise TooLarge(f"q^n-1 = {order - 1} exceeds limit {max_group_order}")
 
         self.q = q
         self.n = n
@@ -363,8 +383,9 @@ class FieldSpec:
 def make_field(q: int, n: int, poly=None,
                max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> FieldSpec:
     """Build and validate a FieldSpec; poly defaults to the built-in table."""
+    _field_order(q, n, max_group_order)
     if poly is None:
         poly = default_poly(q, n)
     elif isinstance(poly, str):
-        poly = parse_poly(poly, q)
+        poly = parse_poly(poly, q, n)
     return FieldSpec(q, n, tuple(poly), max_group_order=max_group_order)

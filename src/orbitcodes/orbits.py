@@ -8,13 +8,18 @@ seen.  An m-quasi census is then derived without re-enumeration: a cyclic
 orbit of length D splits into g = gcd(m, D) quasi orbits of length D/g,
 all sharing the same internal minimum distance profile.
 
-Walking a cyclic orbit (orbit_bits, from subspace) gives its D members
-gamma^j V and their overlaps |V & gamma^j V|.  A quasi orbit stepping by
-g | D holds the members j = g, 2g, ... of that walk, so its internal
-minimum distance comes from the largest overlap among them,
-max(overlap[g::g]).  CyclicOrbitRecord.min_by_step keeps that distance
-for every g | D with g < D, and any m-quasi census reads it at
-g = gcd(m, D).
+A cyclic orbit is walked without listing its D members.  Its overlaps
+|V & gamma^j V| for every j come from one correlation product
+(cyclic_overlaps, from subspace).  A quasi orbit stepping by g | D holds
+the members j = g, 2g, ... of the cyclic orbit, so its internal minimum
+distance comes from the largest overlap among them, overlap[g:D:g].
+CyclicOrbitRecord.min_by_step keeps that distance for every g | D with
+g < D, and any m-quasi census reads it at g = gcd(m, D).  The candidates
+that the orbit accounts for are its members containing gamma^0, the |V|
+rotations of V by -e for e in V (gamma0_members); they go into the
+visited set, and the smallest of them is the orbit's canonical
+representative, so marking the orbit and naming it cost O(|V|) shifts
+instead of O(D).
 """
 
 from __future__ import annotations
@@ -27,14 +32,23 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt
 
 from .codes import gaussian_coefficient
-from .errors import CheckpointMismatch, ParseError, ResourceLimit, VerificationFailed
+from .errors import (
+    CheckpointMismatch,
+    OrbitCodesError,
+    ParseError,
+    ResourceLimit,
+    VerificationFailed,
+)
 from .gfext import FieldSpec, make_field
 from .subspace import (
     Subspace,
     check_modulus,
-    dimension_from_popcount,
+    cyclic_overlaps,
     from_bits,
+    from_exponents,
     full_space,
+    gamma0_members,
+    meet_dim,
     orbit_bits,
     rotate_bits,
     stabilizer,
@@ -183,13 +197,13 @@ class CyclicOrbitRecord:
 def _process_orbit(field: FieldSpec, k: int, bits: int, visited: set) -> CyclicOrbitRecord:
     """Walk one cyclic orbit: mark members containing gamma^0, collect distances."""
     t, D = stabilizer(field, bits)
-    members = orbit_bits(field, bits)
-    visited.update(r for r in members if r & 1)
-    overlap = [(bits & r).bit_count() for r in members]
+    ones = gamma0_members(field, bits)
+    visited.update(ones)
+    overlap = cyclic_overlaps(field, bits, bits)
     q = field.q
-    min_by_step = {g: 2 * k - 2 * dimension_from_popcount(max(overlap[g::g]), q)
+    min_by_step = {g: 2 * k - 2 * meet_dim(q, overlap[g:D:g], k)
                    for g in divisors(D) if g < D}
-    return CyclicOrbitRecord(min(members), D, t, min_by_step)
+    return CyclicOrbitRecord(min(ones), D, t, min_by_step)
 
 
 _CYCLIC_CACHE: dict = {}
@@ -199,7 +213,8 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
                       checkpoint=None, use_cache: bool = True) -> list:
     """All m=1 orbit records for G_q(n,k), deterministic order."""
     key = (field, k)
-    if use_cache and budget is None and key in _CYCLIC_CACHE:
+    # a checkpointed run must write its file, so it never reads the cache
+    if use_cache and budget is None and checkpoint is None and key in _CYCLIC_CACHE:
         return _CYCLIC_CACHE[key]
     clock = (budget or RunBudget()).start()
     records = []
@@ -274,8 +289,11 @@ class Checkpoint:
             except (KeyError, TypeError, ValueError, AttributeError):
                 raise ParseError(f"{where} line {lineno} is not an orbit "
                                  "record") from None
+            if not _plausible_record(field, k, r):
+                raise ParseError(f"{where} line {lineno} does not describe a "
+                                 "cyclic orbit of this field")
             records.append(r)
-            visited.update(b for b in orbit_bits(field, r.rep_bits) if b & 1)
+            visited.update(gamma0_members(field, r.rep_bits))
         return records, last_idx + 1
 
     def record(self, field: FieldSpec, k: int, cand_idx: int, rec: CyclicOrbitRecord):
@@ -295,10 +313,27 @@ class Checkpoint:
         self._buf = []
 
 
+def _plausible_record(field: FieldSpec, k: int, r: CyclicOrbitRecord) -> bool:
+    """Whether a checkpointed record fits its rep: size, (t, D) and steps g | D.
+
+    The distances are not recomputed, which would cost as much as the walk.
+    """
+    if not (0 < r.rep_bits < 1 << field.group_order
+            and r.rep_bits.bit_count() == field.q ** k - 1):
+        return False
+    try:
+        t, D = stabilizer(field, r.rep_bits)
+    except OrbitCodesError:
+        return False
+    return ((t, D) == (r.stab_degree, r.length)
+            and set(r.min_by_step) == {g for g in divisors(D) if g < D}
+            and all(type(d) is int for d in r.min_by_step.values()))
+
+
 def _json_line(line: str, where: str):
     try:
         return json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise ParseError(f"{where} is not JSON") from None
 
 
@@ -322,8 +357,8 @@ def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     L = len(members)
     md = 0
     if L > 1:
-        w = max([(V.bits & r).bit_count() for r in members[1:]])
-        md = 2 * V.dim - 2 * dimension_from_popcount(w, field.q)
+        overlap = cyclic_overlaps(field, V.bits, V.bits)
+        md = 2 * V.dim - 2 * meet_dim(field.q, overlap[m:L * m:m], V.dim)
     return Orbit(field, m, from_bits(field, min(members)), L, V.dim, md, t)
 
 
@@ -487,6 +522,9 @@ def read_orbit_db(path, field: FieldSpec | None = None) -> list:
 
     An unreadable file, a line that is not an orbit record, or a record from
     another field than the first (or than field, when given) is a ParseError.
+    So is a record whose rep is not a subspace, is not the canonical
+    representative of its orbit, or disagrees with orbit_of on the orbit's
+    k, length, min_dist or stab_degree: every record is recomputed.
     """
     try:
         with open(path) as fh:
@@ -514,13 +552,18 @@ def read_orbit_db(path, field: FieldSpec | None = None) -> list:
             field = make_field(q, n, poly)
         if (q, n, poly) != (field.q, field.n, field.poly):
             raise ParseError(f"{where} is from another field than the first record")
-        if not all(0 <= e < field.group_order for e in rep):
-            raise ParseError(f"{where}: rep exponents must lie in "
-                             f"[0, {field.group_order})")
         check_modulus(field, m)
-        bits = 0
-        for e in rep:
-            bits |= 1 << e
-        out.append(Orbit(field, m, from_bits(field, bits), length, k,
-                         min_dist, stab_degree))
+        try:
+            V = from_exponents(field, rep)
+        except OrbitCodesError as exc:
+            raise ParseError(f"{where}: rep is not a subspace: {exc}") from None
+        orbit = orbit_of(V, m)
+        if orbit.rep.bits != V.bits:
+            raise ParseError(f"{where}: rep is not its orbit's canonical representative")
+        for key, value in (("k", k), ("length", length), ("min_dist", min_dist),
+                           ("stab_degree", stab_degree)):
+            if getattr(orbit, key) != value:
+                raise ParseError(f"{where}: stored {key}={value} but the orbit "
+                                 f"has {key}={getattr(orbit, key)}")
+        out.append(orbit)
     return out

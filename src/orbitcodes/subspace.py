@@ -23,15 +23,34 @@ returns (t, D): F_{q^t} is the largest subfield whose nonzero elements fix
 the subspace, and D = (q^n-1)/(q^t-1) is its cyclic orbit length.
 orbit_bits(field, bits, m) returns the D/gcd(m, D) distinct rotations of
 bits by multiples of m, each one shift-and-mask of the doubled bitset
-bits | bits << (q^n-1).  A distance between a subspace and an orbit is read
-from the largest overlap: d = dim U + dim V - 2 dim(U meet V) is smallest
-where the popcount of U & V is largest, so each caller takes
-max((a & r).bit_count() for r in members) and converts that one popcount
-with dimension_from_popcount.
+bits | bits << (q^n-1).  gamma0_members(field, bits) lists only the members
+that contain gamma^0: the rotations of V by -e for e in V, |V| shifts of
+the doubled bitset instead of D.  The smallest member as an integer is
+among them (a member without gamma^0 halves when rotated down by one), so
+they give a cyclic orbit's canonical representative as well.
+
+Every orbit distance comes from one correlation kernel.
+cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
+|a & rot(b, j)|, j = 0..N-1, from a single big-int product (Kronecker
+substitution): a is spread into N lanes of W bytes, lane i holding bit i,
+b into N lanes in reverse order, and lane N-1+j of the product is the
+linear correlation at shift j; the wrapped part, lane j-1, is added back
+in with one shift.  No lane can carry into the next, because every lane
+is at most min(|a|, |b|), so W is the smallest of 1, 2, 4 and 8 bytes that
+holds that bound, q^k - 1 for k-dimensional subspaces.  The lanes come out
+with to_bytes, as bytes when W = 1 and as a memoryview cast to W-byte
+ints otherwise, so the slices callers take (overlap[::m], overlap[g:D:g])
+and the searches over them run in C.  A distance between a subspace and
+an orbit is read from the largest overlap: d = dim U + dim V -
+2 dim(U meet V) is smallest where the popcount of U & V is largest.  Every
+overlap of two subspaces is the size q^w - 1 of their meet, so
+meet_dim(q, overlaps, top) finds the largest w by testing q^w - 1, w = top,
+top-1, ..., for membership in the slice.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -106,6 +125,73 @@ def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
     doubled = bits | bits << N
     mask = (1 << N) - 1
     return [(doubled >> s) & mask for s in range(N, N - D // gcd(m, D) * m, -m)]
+
+
+def gamma0_members(field: FieldSpec, bits: int) -> set:
+    """The members of bits' cyclic orbit that contain gamma^0.
+
+    They are the rotations by -e for the exponents e of the subspace, so
+    they cost |V| shifts of the doubled bitset, not one per member.
+    """
+    N = field.group_order
+    doubled = bits | bits << N
+    mask = (1 << N) - 1
+    out = set()
+    while bits:
+        low = bits & -bits
+        out.add((doubled >> (low.bit_length() - 1)) & mask)
+        bits ^= low
+    return out
+
+
+_BITS_TO_LANES = bytes.maketrans(b"01", b"\x00\x01")
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lanes(bits: int, N: int, W: int, order: str) -> int:
+    """bits spread into N lanes of W bytes.
+
+    order "big" puts bit i in lane i; "little" puts it in lane N-1-i.
+    """
+    digits = format(bits, f"0{N}b").encode().translate(_BITS_TO_LANES)
+    if W > 1:
+        lanes = bytearray(W * N)
+        lanes[W - 1 if order == "big" else 0::W] = digits
+        digits = lanes
+    return int.from_bytes(digits, order)
+
+
+def cyclic_overlaps(field: FieldSpec, a: int, b: int):
+    """All q^n - 1 overlaps |a & rot(b, j)|, indexed by the shift j.
+
+    One product of a's lanes with b's reversed lanes gives the linear
+    correlation; lane N-1+j holds the overlaps that do not wrap and lane
+    j-1 those that do, and one shift adds the two.  The result is bytes
+    when every overlap fits in a byte, else a memoryview of W-byte ints.
+    """
+    N = field.group_order
+    top = min(a.bit_count(), b.bit_count())
+    W = next(w for w in _LANE_FORMATS if top < 1 << 8 * w)
+    lane = 8 * W
+    linear = _lanes(a, N, W, "big") * _lanes(b, N, W, "little")
+    cyclic = (linear >> lane * (N - 1)) + ((linear << lane) & ((1 << lane * N) - 1))
+    if W == 1:
+        return cyclic.to_bytes(N, "little")
+    lanes = memoryview(cyclic.to_bytes(W * N, sys.byteorder)).cast(_LANE_FORMATS[W])
+    return lanes if sys.byteorder == "little" else lanes[::-1]
+
+
+def meet_dim(q: int, overlaps, top: int) -> int:
+    """Largest w <= top with q^w - 1 among the overlaps of two subspaces.
+
+    Every such overlap is the size of a meet, q^w - 1, so the largest one
+    is found by membership tests, which run in C; overlaps must not be
+    empty.
+    """
+    for w in range(top, 0, -1):
+        if q ** w - 1 in overlaps:
+            return w
+    return 0
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""The rotate/popcount orbit loops that the orbit_bits kernel replaced, as oracles.
+"""The rotate/popcount orbit loops that the orbit kernels replaced, as oracles.
 
 Each function walks an orbit one rotate_bits step at a time and converts
-every member's overlap to a distance, as the code did before the kernel.
-process_orbit keeps both of its branches: the GF(2) one with the inlined
-rotation and bit-length dimension, and the general-q one.
+every member's overlap to a distance, as the code did before the orbit_bits
+and cyclic_overlaps kernels.  process_orbit keeps both of its branches: the
+GF(2) one with the inlined rotation and bit-length dimension, and the
+general-q one.
 """
 
 from math import gcd
@@ -11,6 +12,12 @@ from math import gcd
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
 from orbitcodes.orbits import divisors
 from orbitcodes.subspace import Subspace, dimension_from_popcount, rotate_bits
+
+
+def cyclic_overlaps(field, a: int, b: int) -> list:
+    """|a & rot(b, j)| for every shift j, one rotation at a time."""
+    N = field.group_order
+    return [(a & rotate_bits(b, j, N)).bit_count() for j in range(N)]
 
 
 def stabilizer_degree_bits(field, bits: int) -> int:

@@ -242,3 +242,34 @@ def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
     assert_one_line_error(run(capsys, "classify", "--n", "6", "--k", "3",
                               "--checkpoint", ck, "--poly", "x^6+x+1"), 3)
     assert open(ck).read() == before
+
+
+def test_graph_refuses_a_db_with_forged_distances(tmp_path, capsys):
+    """A stored min_dist is checked, not trusted: 2 -> 6 no longer passes."""
+    db = tmp_path / "orbits.jsonl"
+    assert run(capsys, "classify", "--n", "6", "--k", "3", "--db", str(db))[0] == 0
+    records = [json.loads(line) for line in db.read_text().splitlines()]
+    assert any(r["min_dist"] == 2 for r in records)
+    for r in records:
+        if r["min_dist"] == 2:
+            r["min_dist"] = 6
+    db.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert_one_line_error(run(capsys, "graph", "--db", str(db), "--d", "6"), 2)
+
+
+def test_clique_budget_sec_is_wall_clock(tmp_path, capsys):
+    import random
+    import time
+    rng = random.Random(11)
+    n = 120
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if rng.random() < 0.9]
+    g = tmp_path / "dense.dimacs"
+    g.write_text(f"p edge {n} {len(edges)}\n"
+                 + "".join(f"e {i} {j}\n" for i, j in edges))
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "clique", "--graph", str(g), "--budget-sec", "0.3",
+                       "--format", "json")
+    assert code == 0 and time.monotonic() - t0 < 10
+    doc = json.loads(out)
+    assert not doc["certified"] and doc["size"] >= 2

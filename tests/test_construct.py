@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -154,6 +155,33 @@ def test_exact_budget_exhaustion_uncertified():
     adj = random_adj(rng, 40, 0.9)
     res = find_cliques(adj, budget=3, mode="exact")[0]
     assert not res.certified  # budget of 3 nodes cannot finish a 40-vertex graph
+
+
+def test_exact_time_budget_returns_best_so_far():
+    """seconds is wall-clock time: the search stops near it, uncertified."""
+    rng = random.Random(11)
+    adj = random_adj(rng, 120, 0.9)
+    t0 = time.monotonic()
+    res = find_cliques(adj, mode="exact", seconds=0.3)[0]
+    assert time.monotonic() - t0 < 5
+    assert not res.certified and res.size >= 2
+    assert all((adj[a] >> b) & 1 for a, b in itertools.combinations(res.vertices, 2))
+
+
+def test_time_budget_that_suffices_still_certifies():
+    rng = random.Random(2)
+    adj = random_adj(rng, 13, 0.5)
+    res = find_cliques(adj, mode="exact", seconds=60)[0]
+    assert res.certified and res.size == brute_max_clique(adj)
+
+
+def test_greedy_time_budget_stops_restarts():
+    rng = random.Random(5)
+    adj = random_adj(rng, 30, 0.6)
+    t0 = time.monotonic()
+    res = find_cliques(adj, mode="greedy", seconds=0.0, starts=10 ** 7)
+    assert time.monotonic() - t0 < 5
+    assert len(res) == 1 and not res[0].certified
 
 
 def test_edgeless_graph():

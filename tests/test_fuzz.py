@@ -1,0 +1,160 @@
+"""Hypothesis fuzzing of every file loader and of main() on the files they read.
+
+Random bytes, random JSON, and valid documents with one value replaced by
+random JSON (or removed) go to read_orbit_db, read_dimacs, load_code_file
+and Checkpoint.load: only OrbitCodesError subclasses may escape.  main() on
+the same kinds of file must return an exit code in {0, 2, 3, 4, 5}, print
+a one-line error whenever it is not 0, and never raise.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbitcodes import make_field
+from orbitcodes.cli import main
+from orbitcodes.codes import load_code_file
+from orbitcodes.construct import read_dimacs
+from orbitcodes.errors import OrbitCodesError
+from orbitcodes.orbits import Checkpoint, read_orbit_db
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+# one valid document of each kind, for F_2^4 (F_2^5 for the code file)
+DB_RECORD = {"q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "m": 1, "k": 2, "length": 15,
+             "min_dist": 2, "stab_degree": 1, "rep": [0, 1, 4]}
+CODE_DOC = {"field": {"q": 2, "n": 5, "poly": [1, 0, 1, 0, 0, 1]}, "m": 1,
+            "generators": [[0, 13, 14]],
+            "claimed": {"n": 5, "k": 2, "size": 31, "d": 2}}
+CK_HEADER = {"checkpoint": 1, "q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "k": 2}
+CK_RECORD = {"cand": 0, "rep_bits": "13", "length": 15, "stab_degree": 1,
+             "min_by_step": {"1": 2, "3": 2, "5": 4}}
+
+
+def mutated(doc):
+    """doc with one key set to random JSON or removed."""
+    keys = st.sampled_from(sorted(doc))
+    return (st.builds(lambda key, value: {**doc, key: value}, keys, json_values)
+            | st.builds(lambda key: {k: v for k, v in doc.items() if k != key}, keys))
+
+
+def jsonl(lines):
+    return st.lists(lines, max_size=4).map(
+        lambda docs: "".join(json.dumps(d) + "\n" for d in docs).encode())
+
+
+db_files = (st.binary(max_size=200)
+            | jsonl(json_values | mutated(DB_RECORD) | st.just(DB_RECORD)))
+code_files = (st.binary(max_size=200)
+              | json_values.map(lambda d: json.dumps(d).encode())
+              | mutated(CODE_DOC).map(lambda d: json.dumps(d).encode())
+              | mutated(CODE_DOC["field"]).map(
+                  lambda f: json.dumps({**CODE_DOC, "field": f}).encode()))
+checkpoint_files = (st.binary(max_size=200)
+                    | jsonl(json_values | mutated(CK_RECORD)).map(
+                        lambda body: (json.dumps(CK_HEADER) + "\n").encode() + body))
+
+
+def dimacs_files(vertices):
+    line = st.one_of(
+        st.text(alphabet="pe dgx0123456789-\n", max_size=20),
+        st.builds("p edge {} {}".format, vertices, st.integers(-1, 60)),
+        st.builds("e {} {}".format, st.integers(-1, 12), st.integers(-1, 12)))
+    return (st.binary(max_size=200)
+            | st.lists(line, max_size=8).map(lambda ls: "\n".join(ls).encode()))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def loads_or_refuses(load, path, data):
+    path.write_bytes(data)
+    try:
+        load(str(path))
+    except OrbitCodesError:
+        pass
+
+
+FUZZ = settings(max_examples=80, deadline=None)
+
+
+@FUZZ
+@given(db_files)
+def test_read_orbit_db_fuzz(workdir, data):
+    loads_or_refuses(read_orbit_db, workdir / "orbits.jsonl", data)
+
+
+@FUZZ
+@given(dimacs_files(st.integers()))
+def test_read_dimacs_fuzz(workdir, data):
+    loads_or_refuses(read_dimacs, workdir / "graph.dimacs", data)
+
+
+@FUZZ
+@given(code_files)
+def test_load_code_file_fuzz(workdir, data):
+    loads_or_refuses(load_code_file, workdir / "code.json", data)
+
+
+@FUZZ
+@given(checkpoint_files)
+def test_checkpoint_load_fuzz(workdir, data):
+    field = make_field(2, 4)
+    loads_or_refuses(lambda path: Checkpoint(path).load(field, 2, set()),
+                     workdir / "ckpt.jsonl", data)
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1
+    return code
+
+
+MAIN_FUZZ = settings(max_examples=40, deadline=None)
+
+
+@MAIN_FUZZ
+@given(db_files)
+def test_graph_command_fuzz(workdir, data):
+    (workdir / "db.jsonl").write_bytes(data)
+    run_main("graph", "--db", str(workdir / "db.jsonl"), "--d", "2",
+             "-o", str(workdir / "db.dimacs"))
+
+
+# the exact search's cost grows with the vertex count by design, so main()
+# gets small graphs; read_dimacs alone is fuzzed with any count above
+@MAIN_FUZZ
+@given(dimacs_files(st.integers(-1, 40)))
+def test_clique_command_fuzz(workdir, data):
+    (workdir / "in.dimacs").write_bytes(data)
+    run_main("clique", "--graph", str(workdir / "in.dimacs"))
+
+
+@MAIN_FUZZ
+@given(code_files)
+def test_verify_and_dualize_commands_fuzz(workdir, data):
+    (workdir / "in.json").write_bytes(data)
+    run_main("verify", str(workdir / "in.json"))
+    run_main("dualize", str(workdir / "in.json"), "-o", str(workdir / "dual.json"))
+
+
+@MAIN_FUZZ
+@given(checkpoint_files)
+def test_classify_checkpoint_fuzz(workdir, data):
+    (workdir / "ck.jsonl").write_bytes(data)
+    run_main("classify", "--n", "4", "--k", "2", "--checkpoint", str(workdir / "ck.jsonl"))

@@ -1,9 +1,12 @@
-"""The orbit_bits / stabilizer kernel against the per-step loops it replaced."""
+"""The orbit kernels (orbit_bits, stabilizer, gamma0_members, cyclic_overlaps)
+against the per-step loops they replaced."""
 
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes import (
     canonical_rotation,
@@ -17,11 +20,18 @@ from orbitcodes import (
     make_field,
     orbit_of,
     shift,
+    span,
 )
 from orbitcodes.codes import _min_distance_orbits
 from orbitcodes.errors import BadModulus
 from orbitcodes.orbits import _iter_candidates, _process_orbit, cyclic_orbit_data, divisors
-from orbitcodes.subspace import check_modulus, orbit_bits, rotate_bits, stabilizer
+from orbitcodes.subspace import (
+    check_modulus,
+    cyclic_overlaps,
+    orbit_bits,
+    rotate_bits,
+    stabilizer,
+)
 from tests import orbit_oracle as oracle
 from tests.conftest import data_path
 
@@ -35,9 +45,18 @@ FIELDS = {
     "F3^3": (3, 3, None), "F3^4": (3, 4, None), "F5^2": (5, 2, None),
 }
 
+# fields whose hyperplanes overlap in 255 elements (one-byte lanes, F_2^9)
+# or in more (two-byte lanes); each has one cyclic orbit of hyperplanes
+WIDE_FIELDS = {
+    "F2^9": (2, 9, None), "F2^10": (2, 10, None),
+    "F3^7": (3, 7, (1, 0, 0, 0, 0, 2, 0, 1)),       # x^7 + 2x^5 + 1
+    "F5^5": (5, 5, (2, 0, 0, 0, 3, 1)),             # x^5 + 3x^4 + 2
+}
+HYPERPLANE_LANES = {"F2^9": 1, "F2^10": 2, "F3^7": 2, "F5^5": 2}
+
 
 def field_of(name):
-    q, n, poly = FIELDS[name]
+    q, n, poly = FIELDS[name] if name in FIELDS else WIDE_FIELDS[name]
     return make_field(q, n, poly)
 
 
@@ -54,13 +73,19 @@ def assert_walk_matches(field, k, bits, visited, general=False):
         assert rec.min_dist_for_step(g) == oracle.min_dist_for_step(D, by_class, g)
 
 
-@pytest.mark.parametrize("name", list(FIELDS))
-def test_census_walk_matches_oracle(name):
-    """Every cyclic orbit of every G_q(n, k), 0 < k < n, in census order."""
+@pytest.mark.parametrize("name, only_k", [
+    *(pytest.param(name, None, id=name) for name in FIELDS),
+    *(pytest.param(name, WIDE_FIELDS[name][1] - 1, id=f"{name}-k{WIDE_FIELDS[name][1] - 1}")
+      for name in WIDE_FIELDS)])
+def test_census_walk_matches_oracle(name, only_k):
+    """Every cyclic orbit of every G_q(n, k), 0 < k < n, in census order.
+
+    The wide fields walk only their hyperplanes, k = n - 1.
+    """
     field = field_of(name)
     # on F_2^6 the oracle's general-q branch must agree on GF(2) too
     also_general = field.q == 2 and field.n == 6
-    for k in range(1, field.n):
+    for k in [only_k] if only_k else range(1, field.n):
         visited = set()
         for bits in _iter_candidates(field, k):
             if bits not in visited:
@@ -181,3 +206,69 @@ def test_every_modulus_check_raises_one_message():
                 call(m)
             messages.add(str(exc.value))
         assert messages == {f"modulus m={m} does not divide q^n-1 = 63"}
+
+
+# -- the correlation kernel --------------------------------------------------------
+
+
+def random_subspace(field, rng):
+    return span(field, rng.sample(range(field.group_order), rng.randint(1, field.n - 1)))
+
+
+@pytest.mark.parametrize("q, n", [(2, n) for n in range(4, 11)] + [(3, 3), (3, 4), (5, 2)],
+                         ids=lambda v: str(v))
+def test_cyclic_overlaps_match_rotation_loop(q, n):
+    """Seeded pairs of subspaces of every dimension, and of raw bitsets."""
+    field = make_field(q, n)
+    N = field.group_order
+    rng = random.Random(N)
+    for _ in range(10):
+        a, b = random_subspace(field, rng).bits, random_subspace(field, rng).bits
+        for x, y in ((a, b), (a, a), (rng.getrandbits(N), rng.getrandbits(N))):
+            assert list(cyclic_overlaps(field, x, y)) == oracle.cyclic_overlaps(field, x, y)
+
+
+@pytest.mark.parametrize("name", list(WIDE_FIELDS))
+def test_cyclic_overlaps_lane_width_edges(name):
+    """q^k - 1 = 255 still fits one-byte lanes; 511, 728 and 624 need two."""
+    field = field_of(name)
+    [rec] = cyclic_orbit_data(field, field.n - 1)
+    a = rec.rep_bits
+    b = rotate_bits(a, 5, field.group_order)
+    for x, y in ((a, a), (a, b), (b, a)):
+        overlap = cyclic_overlaps(field, x, y)
+        assert memoryview(overlap).itemsize == HYPERPLANE_LANES[name]
+        assert list(overlap) == oracle.cyclic_overlaps(field, x, y)
+    assert max(cyclic_overlaps(field, a, a)) == a.bit_count() > 254
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["F2^6", "F3^3", "F5^2", "F2^9", "F2^10"]), st.data())
+def test_cyclic_overlaps_random_pairs(name, data):
+    field = field_of(name)
+    bitsets = st.integers(0, (1 << field.group_order) - 1)
+    a, b = data.draw(bitsets), data.draw(bitsets)
+    assert list(cyclic_overlaps(field, a, b)) == oracle.cyclic_overlaps(field, a, b)
+
+
+@pytest.mark.parametrize("name", list(WIDE_FIELDS))
+def test_wide_lane_callers_match_oracle(name):
+    """orbit_of for every m | N, inter_orbit_distance and _min_distance_orbits
+    on the hyperplanes, whose overlaps fill one-byte or two-byte lanes."""
+    field = field_of(name)
+    N, k = field.group_order, field.n - 1
+    [rec] = cyclic_orbit_data(field, k)
+    V = from_bits(field, rotate_bits(rec.rep_bits, 4, N))
+    for m in divisors(N):
+        assert_orbit_of_matches(V, m)
+    rng = random.Random(N)
+    # moduli that split the hyperplane orbit, so distinct quasi orbits exist
+    for m in [m for m in divisors(N) if gcd(m, rec.length) > 1][:3]:
+        orbits = list(enumerate_orbits(field, k, m))
+        sample = rng.sample(orbits, min(len(orbits), 5))
+        for A, B in itertools.combinations(sample, 2):
+            assert inter_orbit_distance(A, B) == oracle.inter_orbit_distance(A, B)
+        gens = [shift(V, s) for s in rng.sample(range(N), 3)]
+        code = code_from_generators(field, m, gens)
+        if code.size >= 2:
+            assert _min_distance_orbits(code) == oracle.min_distance_orbits(code)

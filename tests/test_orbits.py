@@ -257,3 +257,37 @@ def test_checkpoint_tolerates_torn_last_line(tmp_path, f64):
     with open(path) as fh:
         assert [line for line in fh.read().split("\n") if line] == \
             [line.rstrip("\n") for line in lines]
+
+
+def test_checkpoint_is_written_after_a_cached_census(tmp_path, f32):
+    """A census already in the in-process cache still writes its checkpoint."""
+    from orbitcodes.orbits import cyclic_orbit_data
+    path = os.path.join(tmp_path, "ckpt.jsonl")
+    plain = classify(f32, 2)
+    checkpointed = classify(f32, 2, checkpoint=Checkpoint(path))
+    assert checkpointed.counts == plain.counts
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 1 + len(cyclic_orbit_data(f32, 2))
+
+
+def test_read_orbit_db_recomputes_every_record(tmp_path, f64):
+    import json
+    from orbitcodes.errors import ParseError
+    orbits = list(enumerate_orbits(f64, 3, 3))
+    path = os.path.join(tmp_path, "orbits.jsonl")
+    write_orbit_db(orbits, path)
+    with open(path) as fh:
+        good = [json.loads(line) for line in fh]
+    first = good[0]
+    assert first["length"] > 1
+    rep, N = first["rep"], f64.group_order
+    edits = [(key, first[key] + 1) for key in ("min_dist", "length", "stab_degree", "k")]
+    edits += [("rep", sorted((e + 3) % N for e in rep)),          # not canonical
+              ("rep", rep[:-1] + [(rep[-1] + 1) % N])]            # not a subspace
+    for key, value in edits:
+        bad = dict(first, **{key: value})
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in [bad] + good[1:])
+        with pytest.raises(ParseError, match="line 1"):
+            read_orbit_db(path)
