@@ -150,6 +150,7 @@ def cmd_verify(args) -> int:
         for note in report["notes"]:
             print("note:", note)
     if report["matches_claim"] is False:
+        print("error: the computed parameters contradict the claim", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 

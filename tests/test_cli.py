@@ -67,9 +67,10 @@ def test_verify_ok_and_mismatch(capsys):
     code, out, _ = run(capsys, "verify", data_path("example1_n10k5.json"))
     assert code == 0
     assert "[10, 5, 33, 10] OK" in out and "optimal" in out
-    code, out, _ = run(capsys, "verify", data_path("example3_n8k4.json"))
+    code, out, err = run(capsys, "verify", data_path("example3_n8k4.json"))
     assert code == 5
     assert "4505" in out and "duplicate" in out
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_parse_error(tmp_path, capsys):
