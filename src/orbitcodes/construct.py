@@ -5,7 +5,12 @@ joint minimum distance of two orbits meets the threshold; any clique's
 orbit union is a (quasi-)cyclic code with that minimum distance.  The
 self-dual search pairs every subspace with its orthogonal complement and
 reads off the connected components of that pairing at the quasi-orbit
-level: each component is a minimal self-dual m-quasi-cyclic code.
+level: each component is a self-dual m-quasi-cyclic code.  The minimal
+ones are all components at a maximal proper divisor (q^n-1)/p, so the
+union-find runs only at those moduli; a component's moduli are the
+divisors of those under whose shift its quasi orbits are closed, and it is
+minimal unless it holds all of a smaller component found at another
+maximal modulus, which one probe per component and modulus decides.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
@@ -25,7 +30,7 @@ from .errors import (
     SameOrbit,
     VerificationFailed,
 )
-from .gfext import FieldSpec
+from .gfext import FieldSpec, is_prime
 from .orbits import Orbit, cyclic_orbit_data, divisors
 from .subspace import (
     complement_bits,
@@ -109,8 +114,8 @@ def read_dimacs(path):
     """Read a DIMACS edge list; returns (n_vertices, adjacency bitmasks).
 
     A missing or unreadable file, a missing or repeated p line, a vertex
-    count above MAX_DIMACS_VERTICES, or an edge that is malformed or names
-    a vertex outside 1..n is a ParseError.
+    count above MAX_DIMACS_VERTICES, or an edge that is malformed, names
+    a vertex outside 1..n or is a self-loop is a ParseError.
     """
     n, adj = None, []
     try:
@@ -137,8 +142,8 @@ def read_dimacs(path):
             continue
         if n is None:
             raise ParseError(f"{where}: edge before the 'p' line")
-        if len(nums) != 2 or not all(1 <= v <= n for v in nums):
-            raise ParseError(f"{where}: edge must join two vertices in 1..{n}")
+        if len(nums) != 2 or not all(1 <= v <= n for v in nums) or nums[0] == nums[1]:
+            raise ParseError(f"{where}: edge must join two distinct vertices in 1..{n}")
         i, j = nums[0] - 1, nums[1] - 1
         adj[i] |= 1 << j
         adj[j] |= 1 << i
@@ -301,27 +306,33 @@ class SelfDualHit:
         return self.code.params()
 
 
-def _orbit_count(field: FieldSpec, bitset, m: int) -> int:
-    seen, count = set(), 0
-    for b in bitset:
-        if b not in seen:
-            count += 1
-            seen.update(orbit_bits(field, b, m))
-    return count
-
-
 def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
                      include_trivial: bool = False) -> list:
     """All minimal self-dual m-quasi-cyclic codes in P_q(n), every proper m.
 
-    Pairs each subspace with its orthogonal complement once, then for each
-    modulus m reads off connected components of the pairing at the
-    quasi-orbit level.  Every component is a self-dual m-quasi-cyclic code
-    and every minimal one arises this way.  Components are deduplicated
-    across moduli and filtered to the inclusion-minimal, nontrivial ones
-    (m = q^n-1 is excluded: the shift is the identity and every dual-closed
-    set would qualify; the {0, full-space} pair is likewise uninformative
-    unless include_trivial is set).
+    Pairs each subspace with its orthogonal complement once, then reads off
+    connected components of the pairing at the m-quasi-orbit level: every
+    component is a self-dual m-quasi-cyclic code and every minimal one
+    arises this way.  Three facts keep the work down while giving the same
+    hits as running every proper divisor m of N = q^n-1:
+
+    - maximal moduli: when m divides m', the m'-quasi orbits refine the
+      m-quasi orbits, so a component at m is a union of components at m'.
+      A minimal component is therefore a component at some N/p (p a prime
+      factor of N), and the union-find runs only at those moduli;
+    - closure: a minimal component K is a component at m exactly when it
+      is closed under the shift by gamma^m, and every such m divides a
+      maximal modulus K was found at; K's moduli are those divisors under
+      which its set of quasi orbits is closed;
+    - minimality: components at one modulus are disjoint, so K is not
+      minimal exactly when it strictly contains a component C found at
+      another maximal modulus.  One probe per C and modulus settles it:
+      the component there that holds one member of C, tested for holding
+      all of C.
+
+    m = q^n-1 is excluded (the shift is the identity and every dual-closed
+    set would qualify); the {0, full-space} pair is likewise uninformative
+    unless include_trivial is set.
     """
     from .codes import gaussian_coefficient, is_quasi_cyclic
 
@@ -330,76 +341,187 @@ def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
     if total > max_space:
         raise ResourceLimit(f"P_{q}({n}) has {total} subspaces > limit {max_space}")
 
-    # the cyclic orbits of every dimension, each as its list of members
-    # gamma^j V, plus a member -> (orbit, j) index
+    # the cyclic orbits of every dimension, each as its list of members gamma^j V
     orbit_base = [(0, [0])]      # (k, members)
     for k in range(1, n):
         orbit_base += [(k, orbit_bits(field, rec.rep_bits))
                        for rec in cyclic_orbit_data(field, k)]
     orbit_base.append((n, [(1 << N) - 1]))
-    index = {}
-    for oid, (_, members) in enumerate(orbit_base):
-        for j, b in enumerate(members):
-            index[b] = (oid, j)
 
-    # orthogonal-complement pairing at the member level (each pair once)
-    pairs = []
-    for oid, (k, members) in enumerate(orbit_base):
-        if 2 * k <= n:
-            pairs += [((oid, j), index[complement_bits(field, b, k)])
-                      for j, b in enumerate(members)]
-
-    moduli = [m for m in divisors(N) if m != N]
-    components = {}      # frozenset of word bits -> set of moduli
-    for m in moduli:
-        g = [gcd(m, len(members)) for (_, members) in orbit_base]
-        offset = [0, *accumulate(g)]
-        parent = list(range(offset[-1]))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for (o1, j1), (o2, j2) in pairs:
-            union(offset[o1] + j1 % g[o1], offset[o2] + j2 % g[o2])
-
-        # quasi orbit s of cyclic orbit oid is its members s, s+g, s+2g, ...
-        groups = {}
-        for oid, gi in enumerate(g):
-            for s in range(gi):
-                groups.setdefault(find(offset[oid] + s), []).append((oid, s))
-        for quasi in groups.values():
-            key = frozenset(b for oid, s in quasi
-                            for b in orbit_base[oid][1][s::g[oid]])
-            components.setdefault(key, set()).add(m)
-
-    # filter: nontrivial, inclusion-minimal across all moduli
     hits = []
-    keys = sorted(components, key=len)
-    kept = []
-    trivial_pair = frozenset({0, (1 << N) - 1})
-    for key in keys:
-        if not include_trivial and key == trivial_pair:
-            continue
-        if any(small < key for small in kept):
-            continue
-        kept.append(key)
-        words = frozenset(from_bits(field, b) for b in key)
-        code = SubspaceCode(field, words)
-        ms = tuple(sorted(components[key]))
-        hit = SelfDualHit(ms[0], ms, code, code.constant_dimension,
-                          _orbit_count(field, key, ms[0]))
+    for ms, orbit_count, first_quasi, bits in _minimal_components(
+            field, orbit_base, include_trivial):
+        code = SubspaceCode(field, frozenset(from_bits(field, b) for b in bits))
+        hit = SelfDualHit(ms[0], ms, code, code.constant_dimension, orbit_count)
         if not is_self_dual(code):
             raise VerificationFailed("component is not self-dual: internal error")
         if not is_quasi_cyclic(code, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
-        hits.append(hit)
-    hits.sort(key=lambda h: (not h.constant_dimension, h.code.size, h.m))
-    return hits
+        # ties in (dimension kind, size, m) keep the order of the components
+        # at m, i.e. of their first quasi orbit
+        hits.append((not hit.constant_dimension, code.size, hit.m, first_quasi, hit))
+    hits.sort(key=lambda entry: entry[:4])
+    return [entry[-1] for entry in hits]
+
+
+class _Component:
+    """A component of the pairing, one object for every maximal modulus it appears at."""
+
+    __slots__ = ("size", "first", "nodes", "contains_another")
+
+    def __init__(self, size: int, first: int):
+        self.size = size                 # number of members
+        self.first = first               # its smallest member id
+        self.nodes = {}                  # maximal modulus -> its node ids there
+        self.contains_another = False    # strictly contains another component
+
+
+class _Level:
+    """The quasi orbits at one maximal modulus M, numbered as union-find nodes.
+
+    Member j of cyclic orbit oid has id start[oid] + j; its quasi orbit s,
+    the members s, s+g, s+2g, ... with g = gcd(M, orbit size), is node
+    offset[oid] + s.
+    """
+
+    __slots__ = ("start", "g", "offset", "node_oid", "node_of", "component")
+
+    def __init__(self, start: list, g: list, offset: list, node_oid: list, node_of: list):
+        self.start, self.g, self.offset = start, g, offset
+        self.node_oid = node_oid         # node -> its cyclic orbit
+        self.node_of = node_of           # member id -> node
+        self.component = [None] * offset[-1]     # node -> _Component
+
+    def quasi_orbits(self, nodes) -> list:
+        """The nodes as (orbit, s) pairs."""
+        offset = self.offset
+        return [(o, x - offset[o]) for x, o in zip(nodes, map(self.node_oid.__getitem__, nodes))]
+
+    def members(self, nodes):
+        """The member ids of the nodes."""
+        start, g = self.start, self.g
+        return chain.from_iterable(range(start[o] + s, start[o + 1], g[o])
+                                   for o, s in self.quasi_orbits(nodes))
+
+    def holds(self, comp: _Component, members) -> bool:
+        """True iff every member id lies in comp at this modulus."""
+        component, node_of = self.component, self.node_of
+        return all(component[node_of[i]] is comp for i in members)
+
+
+def _complement_pairs(field: FieldSpec, orbit_base: list, words: list, start: list) -> tuple:
+    """The orthogonal-complement pairing as two flat lists of member ids.
+
+    Each pair appears once: V -> V-perp is an involution, so a member of the
+    middle dimension (2k = n) is complemented only if it is not the
+    complement of one already seen.
+    """
+    index = dict(zip(words, range(len(words))))
+    left, right = [], []
+    met = bytearray(len(words))
+    for oid, (k, members) in enumerate(orbit_base):
+        if 2 * k < field.n:
+            left += range(start[oid], start[oid + 1])
+            right += [index[complement_bits(field, b, k)] for b in members]
+        elif 2 * k == field.n:
+            for i in range(start[oid], start[oid + 1]):
+                if not met[i]:
+                    c = index[complement_bits(field, words[i], k)]
+                    met[c] = 1
+                    left.append(i)
+                    right.append(c)
+    return left, right
+
+
+def _components_at(M: int, sizes: list, start: list, left: list, right: list) -> tuple:
+    """The _Level of modulus M and its components, each as its ascending nodes.
+
+    Components come in the order of their smallest node.
+    """
+    g = [gcd(M, size) for size in sizes]
+    offset = [0, *accumulate(g)]
+    node_oid = [oid for oid, gi in enumerate(g) for _ in range(gi)]
+    node_of = []
+    for oid, size in enumerate(sizes):
+        node_of += list(range(offset[oid], offset[oid + 1])) * (size // g[oid])
+    # union-find that links the larger root under the smaller, so every
+    # parent precedes its child and one ascending pass finds all roots
+    parent = list(range(offset[-1]))
+    for a, b in zip(map(node_of.__getitem__, left), map(node_of.__getitem__, right)):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups = {}          # root (the smallest node) -> the component's nodes
+    for x, r in enumerate(parent):
+        parent[x] = r = parent[r]
+        groups.setdefault(r, []).append(x)
+    level = _Level(start, g, offset, node_oid, node_of)
+    return level, list(groups.values())
+
+
+def _minimal_components(field: FieldSpec, orbit_base: list, include_trivial: bool) -> list:
+    """(moduli, quasi-orbit count, first quasi orbit, word bits) of each minimal component."""
+    N = field.group_order
+    sizes = [len(members) for _, members in orbit_base]
+    start = [0, *accumulate(sizes)]
+    words = [b for _, members in orbit_base for b in members]     # by member id
+    left, right = _complement_pairs(field, orbit_base, words, start)
+
+    levels, components = {}, []
+    for M in (N // p for p in divisors(N) if is_prime(p)):
+        level, groups = _components_at(M, sizes, start, left, right)
+        for nodes in groups:
+            size = sum(sizes[o] // level.g[o] for o in map(level.node_oid.__getitem__, nodes))
+            # one object per member set: a component met again at a later
+            # modulus shares its flags and collects its nodes there
+            first = next(level.members(nodes[:1]))
+            for earlier in levels.values():
+                comp = earlier.component[earlier.node_of[first]]
+                if comp.size == size and earlier.holds(comp, level.members(nodes)):
+                    break
+            else:
+                comp = _Component(size, first)
+                components.append(comp)
+            comp.nodes[M] = nodes
+            for x in nodes:
+                level.component[x] = comp
+        levels[M] = level
+
+    # minimality: probe every other maximal modulus with one member of comp
+    for comp in components:
+        M, nodes = next(iter(comp.nodes.items()))
+        for other, level in levels.items():
+            if other not in comp.nodes:
+                outer = level.component[level.node_of[comp.first]]
+                if (not outer.contains_another and outer.size > comp.size
+                        and level.holds(outer, levels[M].members(nodes))):
+                    outer.contains_another = True
+
+    found = []
+    for comp in components:
+        # member 0 is the zero subspace, so its component is the {0, full-space} pair
+        if comp.contains_another or (comp.first == 0 and not include_trivial):
+            continue
+        quasi_at = {M: levels[M].quasi_orbits(nodes) for M, nodes in comp.nodes.items()}
+        # moduli: the divisors m of the maximal moduli comp was found at
+        # whose shift maps its quasi orbits (orbit, s) onto themselves
+        closed = {}
+        for M, quasi in quasi_at.items():
+            g, quasi_set = levels[M].g, set(quasi)
+            for m in divisors(M):
+                if m not in closed:
+                    closed[m] = all((o, (s + m) % g[o]) in quasi_set for o, s in quasi)
+        ms = tuple(sorted(m for m, ok in closed.items() if ok))
+        # the ms[0]-quasi orbits, (orbit, s mod gcd(ms[0], size)), read at a
+        # maximal modulus that ms[0] divides
+        M = next(M for M in quasi_at if M % ms[0] == 0)
+        g = levels[M].g
+        coarse = {(o, s % gcd(ms[0], g[o])) for o, s in quasi_at[M]}
+        bits = [words[i] for i in levels[M].members(comp.nodes[M])]
+        found.append((ms, len(coarse), min(coarse), bits))
+    return found

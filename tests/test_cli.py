@@ -222,8 +222,9 @@ def test_graph_odd_threshold_is_a_domain_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["p edge 2 1\ne 1 3\n", "e 1 2\n", "c no p line\n",
-                                  "p edge 2 1\ne 1 x\n"],
-                         ids=["edge-past-n", "edge-before-p", "no-p-line", "not-a-number"])
+                                  "p edge 2 1\ne 1 x\n", "p edge 3 2\ne 1 2\ne 2 2\n"],
+                         ids=["edge-past-n", "edge-before-p", "no-p-line", "not-a-number",
+                              "self-loop"])
 def test_bad_dimacs_is_a_parse_error(tmp_path, capsys, text):
     g = tmp_path / "bad.dimacs"
     g.write_text(text)

@@ -254,15 +254,27 @@ def test_self_dual_search_p2_6(f64):
                      (3, 9, 12, 22, 29, 30, 51)}
 
 
-def test_self_dual_search_results_genuine(f16):
+def test_self_dual_search_results_genuine():
     from orbitcodes import is_quasi_cyclic, is_self_dual
-    for h in self_dual_search(f16):
-        assert is_self_dual(h.code)
-        assert is_quasi_cyclic(h.code, h.m)
-        # minimality: no other hit's word set is strictly contained
-        for other in self_dual_search(f16):
-            if other is not h:
-                assert not (other.code.words < h.code.words)
+    from orbitcodes.orbits import divisors
+    from orbitcodes.subspace import orbit_bits
+    for q, n in ((2, 4), (2, 6), (3, 3)):
+        field = make_field(q, n)
+        N = field.group_order
+        hits = self_dual_search(field)
+        assert hits
+        for h in hits:
+            assert is_self_dual(h.code)
+            # the moduli are exactly the proper m whose shift fixes the word set
+            assert h.moduli == tuple(m for m in divisors(N)
+                                     if m != N and is_quasi_cyclic(h.code, m))
+            assert h.m == h.moduli[0]
+            quasi_orbits = {frozenset(orbit_bits(field, w.bits, h.m)) for w in h.code.words}
+            assert h.orbit_count == len(quasi_orbits)
+            # minimality: no other hit's word set is strictly contained
+            for other in hits:
+                if other is not h:
+                    assert not (other.code.words < h.code.words)
 
 
 def test_self_dual_search_budget_guard():

@@ -1,0 +1,58 @@
+"""self_dual_search against the per-modulus search it replaced, hit for hit."""
+
+import pytest
+
+from orbitcodes import make_field, self_dual_search
+from tests import selfdual_oracle as oracle
+
+# (q, n, poly): poly None takes the default; others are primitive, constant term first
+FIELDS = {
+    **{f"F2^{n}": (2, n, None) for n in range(1, 8)},
+    "F2^6-other": (2, 6, (1, 0, 0, 0, 0, 1, 1)),    # x^6 + x^5 + 1
+    **{f"F3^{n}": (3, n, None) for n in range(1, 5)},
+    "F3^5": (3, 5, (1, 2, 0, 0, 0, 1)),             # x^5 + 2x + 1
+    "F5^2": (5, 2, None),
+    "F5^3": (5, 3, (2, 0, 1, 1)),                   # x^3 + x^2 + 2
+    "F7^2": (7, 2, None),
+}
+# the oracle takes tens of seconds on each of these
+EXTENDED_FIELDS = {
+    "F2^8": (2, 8, None),
+    "F3^6-other": (3, 6, (2, 0, 0, 0, 0, 1, 1)),    # x^6 + x^5 + 2
+}
+
+
+def summary(hit):
+    return (hit.m, hit.moduli, sorted(w.bits for w in hit.code.words),
+            hit.constant_dimension, hit.orbit_count)
+
+
+def assert_same_hits(field, include_trivial):
+    expected = oracle.self_dual_search(field, include_trivial=include_trivial)
+    got = self_dual_search(field, include_trivial=include_trivial)
+    assert len(got) == len(expected)
+    for position, (h, ref) in enumerate(zip(got, expected)):
+        assert summary(h) == summary(ref), f"hit {position} differs"
+    return got
+
+
+@pytest.mark.parametrize("include_trivial", [False, True], ids=["minimal", "with-trivial"])
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_self_dual_search_matches_oracle(name, include_trivial):
+    assert_same_hits(make_field(*FIELDS[name]), include_trivial)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
+def test_self_dual_search_matches_oracle_extended(name):
+    assert_same_hits(make_field(*EXTENDED_FIELDS[name]), include_trivial=False)
+
+
+def test_differential_cases_reach_every_rule():
+    """The cases above include hits that only the less common paths produce."""
+    # found at both maximal moduli 24 and 16 of 48: one shared component
+    assert any({16, 24} <= set(h.moduli) for h in self_dual_search(make_field(7, 2)))
+    # smallest modulus 6, a non-maximal divisor of 24, found by the closure test
+    assert any(h.m == 6 for h in self_dual_search(make_field(5, 2)))
+    # minimal only at the second maximal modulus 9 of 63
+    assert any(h.moduli == (9,) for h in self_dual_search(make_field(*FIELDS["F2^6-other"])))
