@@ -235,7 +235,9 @@ def cmd_clique(args) -> int:
 def cmd_selfdual(args) -> int:
     field = _field_from_args(args)
     hits = self_dual_search(field)
-    primary = [h for h in hits if h.constant_dimension and h.single_generator]
+    primary, others = [], []
+    for h in hits:
+        (primary if h.constant_dimension and h.single_generator else others).append(h)
     payload = {
         "q": args.q, "n": args.n,
         "constant_dimension_single_generator": [
@@ -247,7 +249,7 @@ def cmd_selfdual(args) -> int:
             {"m": h.m, "size": h.code.size, "dims": list(h.code.dims),
              "orbit_count": h.orbit_count,
              "constant_dimension": h.constant_dimension}
-            for h in hits if h not in primary],
+            for h in others],
     }
     if args.format == "json":
         print(json.dumps(payload, indent=1))
@@ -256,7 +258,6 @@ def cmd_selfdual(args) -> int:
         for h in primary:
             print(f"  m={h.m}: {list(h.params())} (single-generator, "
                   f"constant dimension)")
-        others = payload["other_minimal"]
         print(f"  plus {len(others)} further minimal self-dual quasi-cyclic "
               f"codes (mixed-dimension or multi-orbit)")
     return EXIT_OK

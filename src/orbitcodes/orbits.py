@@ -1,12 +1,17 @@
 """Enumeration and classification of cyclic and m-quasi-cyclic orbits.
 
 The multiplicative group acts on subspaces by rotation of their
-characteristic bitsets.  Cyclic (m=1) orbits are enumerated once per
-(field, k) by walking only the subspaces that contain gamma^0 (every orbit
-has such a member) and deduplicating against the members of orbits already
-seen.  An m-quasi census is then derived without re-enumeration: a cyclic
-orbit of length D splits into g = gcd(m, D) quasi orbits of length D/g,
-all sharing the same internal minimum distance profile.
+characteristic bitsets, and every orbit is named by its smallest member as
+an integer.  Cyclic (m=1) orbits are enumerated once per (field, k) by
+orderly generation: the candidates are the subspaces that contain gamma^0
+(the smallest member of every cyclic orbit is one of them), and a candidate
+is kept exactly when it is its own orbit's smallest member
+(is_min_member, from subspace).  No state is shared between candidates, so
+the records come in the candidate order of their representatives and a
+resumed run needs only the index of the last candidate it reached.  An
+m-quasi census is then derived without re-enumeration: a cyclic orbit of
+length D splits into g = gcd(m, D) quasi orbits of length D/g, all sharing
+the same internal minimum distance profile.
 
 A cyclic orbit is walked without listing its D members.  Its overlaps
 |V & gamma^j V| for every j come from one correlation product
@@ -14,12 +19,7 @@ A cyclic orbit is walked without listing its D members.  Its overlaps
 the members j = g, 2g, ... of the cyclic orbit, so its internal minimum
 distance comes from the largest overlap among them, overlap[g:D:g].
 CyclicOrbitRecord.min_by_step keeps that distance for every g | D with
-g < D, and any m-quasi census reads it at g = gcd(m, D).  The candidates
-that the orbit accounts for are its members containing gamma^0, the |V|
-rotations of V by -e for e in V (gamma0_members); they go into the
-visited set, and the smallest of them is the orbit's canonical
-representative, so marking the orbit and naming it cost O(|V|) shifts
-instead of O(D).
+g < D, and any m-quasi census reads it at g = gcd(m, D).
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .subspace import (
     from_bits,
     from_exponents,
     full_space,
-    gamma0_members,
+    is_min_member,
     meet_dim,
+    min_member,
     orbit_bits,
     rotate_bits,
     stabilizer,
@@ -194,16 +195,14 @@ class CyclicOrbitRecord:
         return 0 if g >= self.length else self.min_by_step[g]
 
 
-def _process_orbit(field: FieldSpec, k: int, bits: int, visited: set) -> CyclicOrbitRecord:
-    """Walk one cyclic orbit: mark members containing gamma^0, collect distances."""
-    t, D = stabilizer(field, bits)
-    ones = gamma0_members(field, bits)
-    visited.update(ones)
-    overlap = cyclic_overlaps(field, bits, bits)
+def _process_orbit(field: FieldSpec, k: int, rep: int) -> CyclicOrbitRecord:
+    """Walk one cyclic orbit from its representative: (t, D) and the distances."""
+    t, D = stabilizer(field, rep)
+    overlap = cyclic_overlaps(field, rep, rep)
     q = field.q
     min_by_step = {g: 2 * k - 2 * meet_dim(q, overlap[g:D:g], k)
                    for g in divisors(D) if g < D}
-    return CyclicOrbitRecord(min(ones), D, t, min_by_step)
+    return CyclicOrbitRecord(rep, D, t, min_by_step)
 
 
 _CYCLIC_CACHE: dict = {}
@@ -211,27 +210,23 @@ _CYCLIC_CACHE: dict = {}
 
 def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
                       checkpoint=None, use_cache: bool = True) -> list:
-    """All m=1 orbit records for G_q(n,k), deterministic order."""
+    """All m=1 orbit records for G_q(n,k), in the candidate order of their reps."""
     key = (field, k)
     # a checkpointed run must write its file, so it never reads the cache
     if use_cache and budget is None and checkpoint is None and key in _CYCLIC_CACHE:
         return _CYCLIC_CACHE[key]
     clock = (budget or RunBudget()).start()
-    records = []
-    visited = set()
-    skip_below = 0
+    records, start = [], 0
     if checkpoint is not None:
-        records, skip_below = checkpoint.load(field, k, visited)
-    for idx, bits in enumerate(_iter_candidates(field, k)):
-        if idx < skip_below:
-            continue
+        records, start = checkpoint.load(field, k)
+    candidates = itertools.islice(enumerate(_iter_candidates(field, k)), start, None)
+    for idx, bits in candidates:
         clock.tick()
-        if bits in visited:
-            continue
-        rec = _process_orbit(field, k, bits, visited)
-        records.append(rec)
-        if checkpoint is not None:
-            checkpoint.record(field, k, idx, rec)
+        if is_min_member(field, bits):
+            rec = _process_orbit(field, k, bits)
+            records.append(rec)
+            if checkpoint is not None:
+                checkpoint.record(idx, rec)
     if checkpoint is not None:
         checkpoint.flush()
     if use_cache:
@@ -242,9 +237,12 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
 class Checkpoint:
     """Append-only JSONL checkpoint for long enumerations (n=10 scale).
 
-    The first line is a header naming the field (q, n, poly) and k; a file
-    written for any other field, polynomial or k is refused, never mixed in.
-    A torn last line, left by a run stopped mid-write, is cut off on load.
+    The first line is a header naming the format (2), the field (q, n, poly)
+    and k; a file written for any other field, polynomial or k, or in an
+    older format, is refused, never mixed in.  Each further line is one
+    cyclic orbit record with the candidate index of its representative, so
+    a resumed run starts after the last index.  A torn last line, left by a
+    run stopped mid-write, is cut off on load.
     """
 
     def __init__(self, path, flush_every: int = 256):
@@ -252,8 +250,9 @@ class Checkpoint:
         self.flush_every = flush_every
         self._buf = []
 
-    def load(self, field: FieldSpec, k: int, visited: set):
-        header = {"checkpoint": 1, "q": field.q, "n": field.n,
+    def load(self, field: FieldSpec, k: int) -> tuple:
+        """(records so far, index of the first candidate still to test)."""
+        header = {"checkpoint": 2, "q": field.q, "n": field.n,
                   "poly": list(field.poly), "k": k}
         try:
             with open(self.path, "rb") as fh:
@@ -272,9 +271,13 @@ class Checkpoint:
         where = f"checkpoint {self.path}"
         first = _json_line(lines[0], f"{where} line 1")
         if first != header:
-            what = ("holds records in the older min_by_class format"
-                    if isinstance(first, dict) and "min_by_class" in first
-                    else "was written for another field, polynomial or k")
+            if isinstance(first, dict) and "min_by_class" in first:
+                what = "holds records in the older min_by_class format"
+            elif isinstance(first, dict) and first.get("checkpoint") == 1:
+                what = ("is in the older checkpoint format 1, whose records "
+                        "are in another order")
+            else:
+                what = "was written for another field, polynomial or k"
             raise CheckpointMismatch(
                 f"{where} {what}, not for (q={field.q}, n={field.n}, "
                 f"poly={list(field.poly)}, k={k}); delete it to start over")
@@ -282,21 +285,22 @@ class Checkpoint:
         for lineno, line in enumerate(lines[1:], 2):
             rec = _json_line(line, f"{where} line {lineno}")
             try:
+                cand = rec["cand"]
                 r = CyclicOrbitRecord(
                     int(rec["rep_bits"], 16), rec["length"], rec["stab_degree"],
                     {int(g): d for g, d in rec["min_by_step"].items()})
-                last_idx = max(last_idx, rec["cand"])
             except (KeyError, TypeError, ValueError, AttributeError):
-                raise ParseError(f"{where} line {lineno} is not an orbit "
-                                 "record") from None
+                cand = None
+            if type(cand) is not int:
+                raise ParseError(f"{where} line {lineno} is not an orbit record")
             if not _plausible_record(field, k, r):
                 raise ParseError(f"{where} line {lineno} does not describe a "
-                                 "cyclic orbit of this field")
+                                 "cyclic orbit of this field by its smallest member")
             records.append(r)
-            visited.update(gamma0_members(field, r.rep_bits))
+            last_idx = max(last_idx, cand)
         return records, last_idx + 1
 
-    def record(self, field: FieldSpec, k: int, cand_idx: int, rec: CyclicOrbitRecord):
+    def record(self, cand_idx: int, rec: CyclicOrbitRecord):
         self._buf.append(json.dumps({
             "cand": cand_idx, "rep_bits": format(rec.rep_bits, "x"),
             "length": rec.length, "stab_degree": rec.stab_degree,
@@ -314,12 +318,14 @@ class Checkpoint:
 
 
 def _plausible_record(field: FieldSpec, k: int, r: CyclicOrbitRecord) -> bool:
-    """Whether a checkpointed record fits its rep: size, (t, D) and steps g | D.
+    """Whether a checkpointed record fits its rep: size, smallest member, (t, D)
+    and steps g | D.
 
     The distances are not recomputed, which would cost as much as the walk.
     """
     if not (0 < r.rep_bits < 1 << field.group_order
-            and r.rep_bits.bit_count() == field.q ** k - 1):
+            and r.rep_bits.bit_count() == field.q ** k - 1
+            and is_min_member(field, r.rep_bits)):
         return False
     try:
         t, D = stabilizer(field, r.rep_bits)
@@ -349,17 +355,17 @@ def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     """The m-quasi orbit of V."""
     field = V.field
     check_modulus(field, m)
-    t, _ = stabilizer(field, V.bits)
-    members = orbit_bits(field, V.bits, m)
-    # one more step of m must close the walk -- sanity-check the formula
-    if rotate_bits(members[-1], m, field.group_order) != V.bits:
+    t, D = stabilizer(field, V.bits)
+    L = D // gcd(m, D)
+    # L steps of m must close the walk -- sanity-check the formula
+    if rotate_bits(V.bits, L * m, field.group_order) != V.bits:
         raise VerificationFailed("orbit length formula disagrees with iteration")
-    L = len(members)
     md = 0
     if L > 1:
         overlap = cyclic_overlaps(field, V.bits, V.bits)
         md = 2 * V.dim - 2 * meet_dim(field.q, overlap[m:L * m:m], V.dim)
-    return Orbit(field, m, from_bits(field, min(members)), L, V.dim, md, t)
+    rep, _ = min_member(field, V.bits, m)
+    return Orbit(field, m, from_bits(field, rep), L, V.dim, md, t)
 
 
 def orbit_min_distance(O: Orbit) -> int:
@@ -486,17 +492,6 @@ def quasi_length_formula(field: FieldSpec, t: int, m: int) -> int:
     """Orbit length D/gcd(m, D) with D = (q^n-1)/(q^t-1)."""
     D = field.group_order // (field.q ** t - 1)
     return D // gcd(m, D)
-
-
-def naive_orbit_length(V: Subspace, m: int) -> int:
-    """Brute-force least l >= 1 with shift(V, l*m) = V."""
-    N = V.field.group_order
-    cur = rotate_bits(V.bits, m, N)
-    l = 1
-    while cur != V.bits:
-        cur = rotate_bits(cur, m, N)
-        l += 1
-    return l
 
 
 # -- orbit database ---------------------------------------------------------------

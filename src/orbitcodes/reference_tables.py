@@ -81,10 +81,6 @@ REFERENCE = {
 }
 
 
-def has_reference(q: int, n: int, m: int) -> bool:
-    return (q, n, m) in REFERENCE
-
-
 def compare_census(table) -> list:
     """Cell-by-cell diff of a computed CensusTable against the published values.
 

@@ -23,11 +23,13 @@ returns (t, D): F_{q^t} is the largest subfield whose nonzero elements fix
 the subspace, and D = (q^n-1)/(q^t-1) is its cyclic orbit length.
 orbit_bits(field, bits, m) returns the D/gcd(m, D) distinct rotations of
 bits by multiples of m, each one shift-and-mask of the doubled bitset
-bits | bits << (q^n-1).  gamma0_members(field, bits) lists only the members
-that contain gamma^0: the rotations of V by -e for e in V, |V| shifts of
-the doubled bitset instead of D.  The smallest member as an integer is
-among them (a member without gamma^0 halves when rotated down by one), so
-they give a cyclic orbit's canonical representative as well.
+bits | bits << (q^n-1).  An orbit is named by its smallest member as an
+integer, and min_member(field, bits, m) finds it without listing the
+orbit: that member has a set bit below m, so it is the rotation of V
+down by e - e % m for some exponent e of V, at most |V| shifts of the
+doubled bitset instead of D/gcd(m, D).  is_min_member(field, bits) asks
+the same of a cyclic orbit with an early exit, which is how a census
+keeps exactly one candidate per orbit.
 
 Every orbit distance comes from one correlation kernel.
 cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
@@ -127,21 +129,53 @@ def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
     return [(doubled >> s) & mask for s in range(N, N - D // gcd(m, D) * m, -m)]
 
 
-def gamma0_members(field: FieldSpec, bits: int) -> set:
-    """The members of bits' cyclic orbit that contain gamma^0.
+def min_member(field: FieldSpec, bits: int, m: int = 1) -> tuple:
+    """The smallest member of bits' m-quasi orbit and a shift s reaching it.
 
-    They are the rotations by -e for the exponents e of the subspace, so
-    they cost |V| shifts of the doubled bitset, not one per member.
+    s is a multiple of m in [0, q^n-1) with rotate_bits(bits, s, q^n-1)
+    equal to the member; m must divide q^n - 1.  The smallest member has a
+    set bit below m, or rotating it down by m would make it smaller, so it
+    is the rotation of bits down by e - e % m for an exponent e of bits:
+    one shift of the doubled bitset per distinct e - e % m, not one per
+    member.
     """
     N = field.group_order
     doubled = bits | bits << N
     mask = (1 << N) - 1
-    out = set()
-    while bits:
-        low = bits & -bits
-        out.add((doubled >> (low.bit_length() - 1)) & mask)
-        bits ^= low
-    return out
+    best, down = bits, 0
+    rest = bits
+    while rest:
+        e = (rest & -rest).bit_length() - 1
+        s = e - e % m
+        member = (doubled >> s) & mask
+        if member < best:
+            best, down = member, s
+        rest &= -1 << (s + m)       # drop the exponents with the same e - e % m
+    return best, -down % N
+
+
+def is_min_member(field: FieldSpec, bits: int) -> bool:
+    """Whether bits is the smallest member of its cyclic orbit.
+
+    The same shifts as min_member with m = 1, stopped at the first smaller
+    rotation.  A member without gamma^0 is never the smallest (it halves
+    when rotated down by one).  With gamma^0 in V, top its highest exponent
+    and N = q^n-1, the rotation of V down by e has its highest bit at
+    N - (e - e'), e' the exponent of V below e; that exceeds top unless
+    e - e' >= N - top, so only the exponents e >= N - top are tried.
+    """
+    if not bits & 1:
+        return bits == 0
+    N = field.group_order
+    doubled = bits | bits << N
+    mask = (1 << N) - 1
+    rest = bits & -1 << (N - bits.bit_length() + 1)
+    while rest:
+        low = rest & -rest
+        if (doubled >> (low.bit_length() - 1)) & mask < bits:
+            return False
+        rest ^= low
+    return True
 
 
 _BITS_TO_LANES = bytes.maketrans(b"01", b"\x00\x01")
@@ -319,16 +353,6 @@ def _reduce_against(field: FieldSpec, v: int, echelon: list) -> int:
     return v
 
 
-def rank_of_packed(field: FieldSpec, vectors) -> int:
-    """Rank of a set of packed coordinate vectors over F_q."""
-    echelon = []
-    for v in vectors:
-        red = _reduce_against(field, v, echelon)
-        if red:
-            echelon.append(_normalize_row(field, red))
-    return len(echelon)
-
-
 def from_exponents(field: FieldSpec, exps) -> Subspace:
     """Build a Subspace from the exponents of its nonzero elements, validating closure."""
     seen = set()
@@ -419,34 +443,6 @@ def shift(V: Subspace, e: int) -> Subspace:
     return Subspace(V.field, rotate_bits(V.bits, e, V.field.group_order), V.dim)
 
 
-def basis_matrix(V: Subspace) -> list:
-    """RREF basis of V as a list of coordinate tuples (rows)."""
-    field = V.field
-    rows = _rref(field, _greedy_basis_packed(field, V.bits, k_hint=V.dim))
-    return [field.unpack_coords(r) for r in rows]
-
-
-def _rref(field: FieldSpec, rows: list) -> list:
-    """Row-reduce packed vectors to the unique RREF (packed rows, by pivot)."""
-    q, n = field.q, field.n
-    mat = [list(field.unpack_coords(r)) for r in rows]
-    ri = 0
-    for col in range(n):
-        pr = next((i for i in range(ri, len(mat)) if mat[i][col]), None)
-        if pr is None:
-            continue
-        mat[ri], mat[pr] = mat[pr], mat[ri]
-        inv = pow(mat[ri][col], q - 2, q) if q != 2 else 1
-        if inv != 1:
-            mat[ri] = [(x * inv) % q for x in mat[ri]]
-        for i in range(len(mat)):
-            if i != ri and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], mat[ri])]
-        ri += 1
-    return [field.pack_coords(row) for row in mat[:ri] if any(row)]
-
-
 def orthogonal_complement(V: Subspace) -> Subspace:
     """V-perp under the coordinate dot product in the polynomial basis.
 
@@ -485,10 +481,12 @@ def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
     """Canonical representative of V's m-quasi orbit and the rotation reaching it.
 
     The representative is the rotation of V by a multiple of m with the
-    smallest bitset integer value; it is shared by every orbit member.
+    smallest bitset integer value; it is shared by every orbit member.  The
+    rotation is the least one, so it is below lcm(m, D), the span of the
+    orbit's m-steps, D its cyclic orbit length.
     """
     field = V.field
     check_modulus(field, m)
-    members = orbit_bits(field, V.bits, m)
-    best = min(members)
-    return Subspace(field, best, V.dim), members.index(best) * m
+    best, s = min_member(field, V.bits, m)
+    _, D = stabilizer(field, V.bits)
+    return Subspace(field, best, V.dim), s % (m * D // gcd(m, D))

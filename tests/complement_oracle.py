@@ -3,9 +3,16 @@
 V-perp is found the old way: a basis of V by greedy row reduction, the
 nullspace of that basis under the coordinate dot product by Gaussian
 elimination, and the span of the nullspace turned back into a bitset.
+The rank and RREF helpers, which only tests use, live here as well.
 """
 
-from orbitcodes.subspace import _bits_from_packed, _greedy_basis_packed, _span_packed
+from orbitcodes.subspace import (
+    _bits_from_packed,
+    _greedy_basis_packed,
+    _normalize_row,
+    _reduce_against,
+    _span_packed,
+)
 
 
 def nullspace_packed(field, rows: list) -> list:
@@ -76,3 +83,41 @@ def oracle_complement_bits(field, bits: int, dim: int) -> int:
         return 0
     rows = _greedy_basis_packed(field, bits, k_hint=dim)
     return _bits_from_packed(field, _span_packed(field, nullspace_packed(field, rows)))
+
+
+def rank_of_packed(field, vectors) -> int:
+    """Rank of a set of packed coordinate vectors over F_q."""
+    echelon = []
+    for v in vectors:
+        red = _reduce_against(field, v, echelon)
+        if red:
+            echelon.append(_normalize_row(field, red))
+    return len(echelon)
+
+
+def basis_matrix(V) -> list:
+    """RREF basis of V as a list of coordinate tuples (rows)."""
+    field = V.field
+    rows = rref(field, _greedy_basis_packed(field, V.bits, k_hint=V.dim))
+    return [field.unpack_coords(r) for r in rows]
+
+
+def rref(field, rows: list) -> list:
+    """Row-reduce packed vectors to the unique RREF (packed rows, by pivot)."""
+    q, n = field.q, field.n
+    mat = [list(field.unpack_coords(r)) for r in rows]
+    ri = 0
+    for col in range(n):
+        pr = next((i for i in range(ri, len(mat)) if mat[i][col]), None)
+        if pr is None:
+            continue
+        mat[ri], mat[pr] = mat[pr], mat[ri]
+        inv = pow(mat[ri][col], q - 2, q) if q != 2 else 1
+        if inv != 1:
+            mat[ri] = [(x * inv) % q for x in mat[ri]]
+        for i in range(len(mat)):
+            if i != ri and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], mat[ri])]
+        ri += 1
+    return [field.pack_coords(row) for row in mat[:ri] if any(row)]

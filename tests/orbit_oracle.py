@@ -5,13 +5,73 @@ every member's overlap to a distance, as the code did before the orbit_bits
 and cyclic_overlaps kernels.  process_orbit keeps both of its branches: the
 GF(2) one with the inlined rotation and bit-length dimension, and the
 general-q one.
+
+visited_census is the census as it was before orderly generation: it keeps
+a set of every member containing gamma^0 of the orbits met so far, skips
+the candidates in it, and names each orbit by the least of those members.
 """
 
 from math import gcd
 
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
-from orbitcodes.orbits import divisors
-from orbitcodes.subspace import Subspace, dimension_from_popcount, rotate_bits
+from orbitcodes.orbits import _iter_candidates, divisors
+from orbitcodes.subspace import (
+    Subspace,
+    cyclic_overlaps as overlap_kernel,
+    dimension_from_popcount,
+    meet_dim,
+    rotate_bits,
+    stabilizer,
+)
+
+
+def gamma0_members(field, bits: int) -> set:
+    """The members of bits' cyclic orbit that contain gamma^0.
+
+    They are the rotations by -e for the exponents e of the subspace, so
+    they cost |V| shifts of the doubled bitset, not one per member.
+    """
+    N = field.group_order
+    doubled = bits | bits << N
+    mask = (1 << N) - 1
+    out = set()
+    while bits:
+        low = bits & -bits
+        out.add((doubled >> (low.bit_length() - 1)) & mask)
+        bits ^= low
+    return out
+
+
+def visited_census(field, k: int) -> list:
+    """(rep, D, t, min_by_step) of every cyclic orbit of G_q(n, k), first met first.
+
+    Each orbit's walk uses the kernels (stabilizer, cyclic_overlaps), which
+    test_orbit_kernel checks against the per-step loops on their own.
+    """
+    visited = set()
+    records = []
+    for bits in _iter_candidates(field, k):
+        if bits in visited:
+            continue
+        ones = gamma0_members(field, bits)
+        visited.update(ones)
+        t, D = stabilizer(field, bits)
+        overlap = overlap_kernel(field, bits, bits)
+        min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k)
+                       for g in divisors(D) if g < D}
+        records.append((min(ones), D, t, min_by_step))
+    return records
+
+
+def naive_orbit_length(V: Subspace, m: int) -> int:
+    """Brute-force least l >= 1 with shift(V, l*m) = V."""
+    N = V.field.group_order
+    cur = rotate_bits(V.bits, m, N)
+    l = 1
+    while cur != V.bits:
+        cur = rotate_bits(cur, m, N)
+        l += 1
+    return l
 
 
 def cyclic_overlaps(field, a: int, b: int) -> list:

@@ -8,7 +8,11 @@ opt-in: add ``-m extended`` (or set RUN_EXTENDED=1) to include it.
 import itertools
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -37,8 +41,9 @@ from orbitcodes import (
     verify_code_file,
 )
 from orbitcodes.codes import gaussian_coefficient
-from orbitcodes.orbits import divisors, naive_orbit_length, quasi_length_formula
+from orbitcodes.orbits import divisors, quasi_length_formula
 from tests.conftest import data_path
+from tests.orbit_oracle import naive_orbit_length
 
 
 class criterion:
@@ -132,6 +137,30 @@ def test_criterion_05_census_n10_extended():
         f = make_field(2, 10)
         for k in (1, 2, 3, 4, 5):
             census_ok(f, k)
+
+
+@pytest.mark.extended
+def test_census_n10_k4_through_the_cli_extended():
+    """classify --n 10 --k 4 --extended in its own process: mass and published
+    table, with the run's wall time and peak RSS printed."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcodes.cli", "classify", "--n", "10", "--k", "4",
+         "--extended", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=3600)
+    wall = time.perf_counter() - t0
+    # on Linux a child's ru_maxrss also counts the memory of the process that
+    # started it, so this is the census's own peak only when the test runs alone
+    rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(f"classify --n 10 --k 4 --extended: {wall:.1f}s wall, "
+          f"{rss_mb:.0f} MB peak RSS")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["mass_ok"] and doc["mass"] == gaussian_coefficient(10, 4, 2)
+    assert doc["diffs"] == []
 
 
 # Every cell where a computed n=8 quasi-cyclic census deviates from the

@@ -246,6 +246,68 @@ def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
     assert open(ck).read() == before
 
 
+def _checkpoint_lines(path):
+    from orbitcodes import make_field
+    from orbitcodes.orbits import Checkpoint, cyclic_orbit_data
+    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(str(path)),
+                      use_cache=False)
+    return path.read_text().splitlines()
+
+
+def test_checkpoint_in_format_1_is_refused(tmp_path, capsys):
+    """A format-1 file lists its orbits in another order, so it is not resumed."""
+    ck = tmp_path / "ck.jsonl"
+    header, *records = _checkpoint_lines(ck)
+    assert json.loads(header)["checkpoint"] == 2
+    ck.write_text("\n".join([json.dumps({**json.loads(header), "checkpoint": 1}),
+                             *records]) + "\n")
+    before = ck.read_text()
+    result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
+    assert_one_line_error(result, 3)
+    assert "format 1" in result[2]
+    assert ck.read_text() == before
+
+
+def test_checkpoint_rep_that_is_not_the_smallest_member_is_refused(tmp_path, capsys):
+    from orbitcodes.subspace import rotate_bits
+    ck = tmp_path / "ck.jsonl"
+    header, first, *records = _checkpoint_lines(ck)
+    rec = json.loads(first)
+    # another member of the same orbit, so its size, t and D still fit
+    rec["rep_bits"] = format(rotate_bits(int(rec["rep_bits"], 16), 1, 63), "x")
+    ck.write_text("\n".join([header, json.dumps(rec), *records]) + "\n")
+    result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
+    assert_one_line_error(result, 2)
+    assert "line 2" in result[2]
+
+
+def test_selfdual_other_minimal_is_every_non_primary_hit(capsys, monkeypatch):
+    """F_3^6 under x^6+x^5+2 has 28,315 hits; listing them takes linear time."""
+    import time
+    from orbitcodes import cli
+    hits = []
+    search = cli.self_dual_search
+
+    def recording_search(field):
+        hits.extend(search(field))
+        return hits
+
+    monkeypatch.setattr(cli, "self_dual_search", recording_search)
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "selfdual", "--q", "3", "--n", "6",
+                       "--poly", "2,0,0,0,0,1,1", "--format", "json")
+    # the search takes a few seconds; a quadratic filter took minutes
+    assert code == 0 and time.monotonic() - t0 < 60
+    doc = json.loads(out)
+    others = [h for h in hits if not (h.constant_dimension and h.single_generator)]
+    assert len(doc["constant_dimension_single_generator"]) == 16940
+    assert len(others) == 11375 == len(hits) - 16940
+    assert doc["other_minimal"] == [
+        {"m": h.m, "size": h.code.size, "dims": list(h.code.dims),
+         "orbit_count": h.orbit_count, "constant_dimension": h.constant_dimension}
+        for h in others]
+
+
 def test_graph_refuses_a_db_with_forged_distances(tmp_path, capsys):
     """A stored min_dist is checked, not trusted: 2 -> 6 no longer passes."""
     db = tmp_path / "orbits.jsonl"

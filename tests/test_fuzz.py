@@ -34,7 +34,7 @@ DB_RECORD = {"q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "m": 1, "k": 2, "length": 
 CODE_DOC = {"field": {"q": 2, "n": 5, "poly": [1, 0, 1, 0, 0, 1]}, "m": 1,
             "generators": [[0, 13, 14]],
             "claimed": {"n": 5, "k": 2, "size": 31, "d": 2}}
-CK_HEADER = {"checkpoint": 1, "q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "k": 2}
+CK_HEADER = {"checkpoint": 2, "q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "k": 2}
 CK_RECORD = {"cand": 0, "rep_bits": "13", "length": 15, "stab_degree": 1,
              "min_by_step": {"1": 2, "3": 2, "5": 4}}
 
@@ -110,7 +110,7 @@ def test_load_code_file_fuzz(workdir, data):
 @given(checkpoint_files)
 def test_checkpoint_load_fuzz(workdir, data):
     field = make_field(2, 4)
-    loads_or_refuses(lambda path: Checkpoint(path).load(field, 2, set()),
+    loads_or_refuses(lambda path: Checkpoint(path).load(field, 2),
                      workdir / "ckpt.jsonl", data)
 
 

@@ -1,5 +1,6 @@
-"""The orbit kernels (orbit_bits, stabilizer, gamma0_members, cyclic_overlaps)
-against the per-step loops they replaced."""
+"""The orbit kernels (orbit_bits, stabilizer, min_member, cyclic_overlaps)
+against the per-step loops they replaced, and the census against the
+visited-set census it replaced."""
 
 import itertools
 import random
@@ -28,6 +29,8 @@ from orbitcodes.orbits import _iter_candidates, _process_orbit, cyclic_orbit_dat
 from orbitcodes.subspace import (
     check_modulus,
     cyclic_overlaps,
+    is_min_member,
+    min_member,
     orbit_bits,
     rotate_bits,
     stabilizer,
@@ -60,15 +63,10 @@ def field_of(name):
     return make_field(q, n, poly)
 
 
-def assert_walk_matches(field, k, bits, visited, general=False):
-    """One cyclic orbit, walked by _process_orbit and by the oracle loop."""
-    before = set(visited)
-    rec = _process_orbit(field, k, bits, visited)
-    old_visited = set(before)
-    rep, D, t, by_class = oracle.process_orbit(field, k, bits, old_visited, general)
+def assert_walk_matches(field, k, rec, start, general=False):
+    """A cyclic orbit record against the oracle loop walking its orbit from start."""
+    rep, D, t, by_class = oracle.process_orbit(field, k, start, set(), general)
     assert (rec.rep_bits, rec.length, rec.stab_degree) == (rep, D, t)
-    # the kernel also marks the walk's start, a candidate never met again
-    assert visited == old_visited | {bits}
     for g in divisors(D):
         assert rec.min_dist_for_step(g) == oracle.min_dist_for_step(D, by_class, g)
 
@@ -78,20 +76,50 @@ def assert_walk_matches(field, k, bits, visited, general=False):
     *(pytest.param(name, WIDE_FIELDS[name][1] - 1, id=f"{name}-k{WIDE_FIELDS[name][1] - 1}")
       for name in WIDE_FIELDS)])
 def test_census_walk_matches_oracle(name, only_k):
-    """Every cyclic orbit of every G_q(n, k), 0 < k < n, in census order.
+    """Every cyclic orbit of every G_q(n, k), 0 < k < n, walked from a member
+    a few steps past its representative.
 
     The wide fields walk only their hyperplanes, k = n - 1.
     """
     field = field_of(name)
+    N = field.group_order
     # on F_2^6 the oracle's general-q branch must agree on GF(2) too
     also_general = field.q == 2 and field.n == 6
     for k in [only_k] if only_k else range(1, field.n):
-        visited = set()
-        for bits in _iter_candidates(field, k):
-            if bits not in visited:
-                assert_walk_matches(field, k, bits, visited)
-                if also_general:
-                    assert_walk_matches(field, k, bits, set(), general=True)
+        for i, rec in enumerate(cyclic_orbit_data(field, k)):
+            start = rotate_bits(rec.rep_bits, i % 5, N)
+            assert_walk_matches(field, k, rec, start)
+            if also_general:
+                assert_walk_matches(field, k, rec, start, general=True)
+
+
+CENSUS_CASES = [
+    *(pytest.param(name, k, id=f"{name}-k{k}")
+      for name, (_, n, _) in FIELDS.items() for k in range(1, n)),
+    pytest.param("F2^9", 4, id="F2^9-k4"),
+    pytest.param("F2^10", 3, id="F2^10-k3"),
+]
+
+
+@pytest.mark.parametrize("name, k", CENSUS_CASES)
+def test_census_matches_visited_set_oracle(name, k):
+    """The same records as the visited-set census, in the candidate order of their reps."""
+    field = field_of(name)
+    index = {bits: i for i, bits in enumerate(_iter_candidates(field, k))}
+    expected = sorted(oracle.visited_census(field, k), key=lambda rec: index[rec[0]])
+    got = [(rec.rep_bits, rec.length, rec.stab_degree, rec.min_by_step)
+           for rec in cyclic_orbit_data(field, k, use_cache=False)]
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["F2^6", "F3^3", "F5^2", "F2^9"]), st.data())
+def test_is_min_member_random_bitsets(name, data):
+    """The early-exit test agrees with min_member on any bitset, subspace or not."""
+    field = field_of(name)
+    bits = data.draw(st.integers(0, (1 << field.group_order) - 1))
+    for b in (bits, bits | 1):
+        assert is_min_member(field, b) == (min_member(field, b)[0] == b)
 
 
 def test_f1024_sampled_walks_match_oracle():
@@ -100,7 +128,8 @@ def test_f1024_sampled_walks_match_oracle():
     cands = list(_iter_candidates(field, 3))
     sample = rng.sample(cands, 40)
     for bits in sample:
-        assert_walk_matches(field, 3, bits, set())
+        rec = _process_orbit(field, 3, min_member(field, bits)[0])
+        assert_walk_matches(field, 3, rec, bits)
     orbits = [orbit_of(from_bits(field, b), m)
               for b in sample[:8] for m in (1, 3, 11, 33)]
     for V in (from_bits(field, b) for b in sample[:8]):
@@ -112,16 +141,21 @@ def test_f1024_sampled_walks_match_oracle():
 
 
 def assert_orbit_of_matches(V, m):
+    field, N = V.field, V.field.group_order
     O = orbit_of(V, m)
     assert (O.rep.bits, O.length, O.min_dist, O.stab_degree) == oracle.orbit_of(V, m)
     rep, off = canonical_rotation(V, m)
     assert (rep.bits, off) == oracle.canonical_rotation(V, m)
     assert shift(V, off).bits == rep.bits
+    best, s = min_member(field, V.bits, m)
+    assert best == min(orbit_bits(field, V.bits, m)) == rep.bits
+    assert 0 <= s < N and s % m == 0 and rotate_bits(V.bits, s, N) == best
 
 
 @pytest.mark.parametrize("name", ["F2^6", "F2^6-other", "F2^8", "F3^3", "F3^4", "F5^2"])
 def test_orbit_of_every_modulus_matches_oracle(name):
-    """orbit_of and canonical_rotation on a shifted member of each cyclic orbit.
+    """orbit_of, canonical_rotation and min_member on a shifted member of each
+    cyclic orbit.
 
     F_2^8 takes every third orbit, to keep the test short.
     """

@@ -27,12 +27,11 @@ from orbitcodes.errors import (
     NotASubspace,
 )
 from orbitcodes.subspace import (
-    basis_matrix,
     canonical_rotation,
     dimension_from_popcount,
-    rank_of_packed,
     rotate_bits,
 )
+from tests.complement_oracle import basis_matrix, rank_of_packed
 
 
 def all_subspaces(field, k):
