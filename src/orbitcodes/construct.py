@@ -336,17 +336,14 @@ def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
     """
     from .codes import gaussian_coefficient, is_quasi_cyclic
 
-    n, q, N = field.n, field.q, field.group_order
+    n, q = field.n, field.q
     total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
     if total > max_space:
         raise ResourceLimit(f"P_{q}({n}) has {total} subspaces > limit {max_space}")
 
     # the cyclic orbits of every dimension, each as its list of members gamma^j V
-    orbit_base = [(0, [0])]      # (k, members)
-    for k in range(1, n):
-        orbit_base += [(k, orbit_bits(field, rec.rep_bits))
-                       for rec in cyclic_orbit_data(field, k)]
-    orbit_base.append((n, [(1 << N) - 1]))
+    orbit_base = [(k, orbit_bits(field, rec.rep_bits))       # (k, members)
+                  for k in range(n + 1) for rec in cyclic_orbit_data(field, k)]
 
     hits = []
     for ms, orbit_count, first_quasi, bits in _minimal_components(

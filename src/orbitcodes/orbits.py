@@ -13,6 +13,14 @@ m-quasi census is then derived without re-enumeration: a cyclic orbit of
 length D splits into g = gcd(m, D) quasi orbits of length D/g, all sharing
 the same internal minimum distance profile.
 
+The candidates come in one order for every q (_iter_candidates).  Each is
+gamma^0 plus the rows of a reduced echelon matrix over coordinates 1..n-1:
+the pivot patterns go in lexicographic order, and within one pattern row 0
+varies fastest, then row 1, and so on, each row's choices in increasing
+value as packed base-q digits.  So the span of gamma^0 and the later rows is
+built once for every choice of the rows below them.  A checkpoint counts
+candidates in this order.
+
 A cyclic orbit is walked without listing its D members.  Its overlaps
 |V & gamma^j V| for every j come from one correlation product
 (cyclic_overlaps, from subspace).  A quasi orbit stepping by g | D holds
@@ -42,18 +50,18 @@ from .errors import (
 from .gfext import FieldSpec, make_field
 from .subspace import (
     Subspace,
+    _bits_from_packed,
+    _span_step,
     check_modulus,
     cyclic_overlaps,
     from_bits,
     from_exponents,
-    full_space,
     is_min_member,
     meet_dim,
     min_member,
     orbit_bits,
     rotate_bits,
     stabilizer,
-    zero_subspace,
 )
 
 
@@ -108,74 +116,44 @@ def divisors(n: int) -> list:
 def _iter_candidates(field: FieldSpec, k: int):
     """Bitsets of all k-dim subspaces containing gamma^0, each exactly once.
 
-    Subspaces containing a fixed nonzero vector v correspond to the
-    (k-1)-subspaces of the quotient by v; with v = 1 = (1,0,...,0) in the
-    polynomial basis the quotient is coordinates 1..n-1, so we enumerate
-    RREF (k-1) x (n-1) matrices and adjoin v.
+    With gamma^0 = 1 = (1,0,...,0) in the polynomial basis, such a subspace
+    is gamma^0 plus the rows of one reduced echelon (k-1) x (n-1) matrix over
+    coordinates 1..n-1, rows packed as base-q vectors.  The pivot patterns
+    come in lexicographic order.  For each, row i is its pivot digit plus
+    any digits in the non-pivot coordinates above it, its choices in
+    increasing packed value, and row 0 varies fastest, then row 1, and so
+    on.  k = 0 gives the zero subspace, the one candidate without gamma^0,
+    and k = n the full space.
     """
     n, q = field.n, field.q
-    if k == 0 or k > n:
+    if k == 0:
+        yield 0
         return
-    if k == n:
-        yield (1 << field.group_order) - 1
-        return
-    log = field.log
-    if q == 2:
-        for rows in _iter_rref_gf2(n - 1, k - 1):
-            # lift quotient rows to coords 1..n-1 and adjoin the vector 1
-            elts = [0, 1]
-            for r in rows:
-                b = r << 1
-                elts += [e ^ b for e in elts]
-            bits = 0
-            for p in elts:
-                if p:
-                    bits |= 1 << log[p]
-            yield bits
-    else:
-        from .subspace import _bits_from_packed, _span_packed
-        for rows in _iter_rref_generic(n - 1, k - 1, q):
-            basis = [1] + [field.pack_coords([0] + list(r)) for r in rows]
-            yield _bits_from_packed(field, _span_packed(field, basis))
+    for pivots in itertools.combinations(range(1, n), k - 1):
+        rows = []
+        for p in pivots:
+            row = [q ** p]
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    row = [r + d * q ** c for d in range(q) for r in row]
+            rows.append(row)
+        yield from _walk_rows(field, [*rows, [1]], [0], 0)     # gamma^0 outermost
 
 
-def _iter_rref_gf2(ncols: int, nrows: int):
-    """All RREF matrices over GF(2), rows as ints (bit i = column i)."""
-    if nrows == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(ncols), nrows):
-        pivot_set = set(pivots)
-        free = [(i, c) for i in range(nrows)
-                for c in range(pivots[i] + 1, ncols) if c not in pivot_set]
-        base = tuple(1 << p for p in pivots)
-        nfree = len(free)
-        for mask in range(1 << nfree):
-            rows = list(base)
-            mm = mask
-            for (i, c) in free:
-                if mm & 1:
-                    rows[i] |= 1 << c
-                mm >>= 1
-            yield rows
+def _walk_rows(field: FieldSpec, rows: list, elts: list, bits: int):
+    """The bitset of the span of elts and one choice from each of rows, for
+    every choice, the last row outermost.
 
-
-def _iter_rref_generic(ncols: int, nrows: int, q: int):
-    """All RREF matrices over F_q, rows as digit tuples."""
-    if nrows == 0:
-        yield ()
+    elts is a span and bits its bitset; each choice of the last row extends
+    them once for every choice of the rows before it.
+    """
+    if not rows:
+        yield bits
         return
-    for pivots in itertools.combinations(range(ncols), nrows):
-        pivot_set = set(pivots)
-        free = [(i, c) for i in range(nrows)
-                for c in range(pivots[i] + 1, ncols) if c not in pivot_set]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * ncols for _ in range(nrows)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, c), v in zip(free, values):
-                rows[i][c] = v
-            yield [tuple(r) for r in rows]
+    for v in rows[-1]:
+        new = _span_step(field, elts, v)
+        yield from _walk_rows(field, rows[:-1], elts + new,
+                              bits | _bits_from_packed(field, new))
 
 
 # -- cyclic orbit data ----------------------------------------------------------
@@ -198,10 +176,11 @@ class CyclicOrbitRecord:
 def _process_orbit(field: FieldSpec, k: int, rep: int) -> CyclicOrbitRecord:
     """Walk one cyclic orbit from its representative: (t, D) and the distances."""
     t, D = stabilizer(field, rep)
-    overlap = cyclic_overlaps(field, rep, rep)
-    q = field.q
-    min_by_step = {g: 2 * k - 2 * meet_dim(q, overlap[g:D:g], k)
-                   for g in divisors(D) if g < D}
+    min_by_step = {}
+    if D > 1:           # D = 1 (the zero subspace and the full space) has no steps
+        overlap = cyclic_overlaps(field, rep, rep)
+        min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k)
+                       for g in divisors(D) if g < D}
     return CyclicOrbitRecord(rep, D, t, min_by_step)
 
 
@@ -234,14 +213,19 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     return records
 
 
+CHECKPOINT_FORMAT = 3
+
+
 class Checkpoint:
     """Append-only JSONL checkpoint for long enumerations (n=10 scale).
 
-    The first line is a header naming the format (2), the field (q, n, poly)
+    The first line is a header naming the format (3), the field (q, n, poly)
     and k; a file written for any other field, polynomial or k, or in an
     older format, is refused, never mixed in.  Each further line is one
-    cyclic orbit record with the candidate index of its representative, so
-    a resumed run starts after the last index.  A torn last line, left by a
+    cyclic orbit record with the candidate index of its representative, in
+    strictly increasing order, so a resumed run starts after the last index.
+    Format 2 numbered the candidates of q > 2 in another order, and format 1
+    listed the orbits in another order.  A torn last line, left by a
     run stopped mid-write, is cut off on load.
     """
 
@@ -252,7 +236,7 @@ class Checkpoint:
 
     def load(self, field: FieldSpec, k: int) -> tuple:
         """(records so far, index of the first candidate still to test)."""
-        header = {"checkpoint": 2, "q": field.q, "n": field.n,
+        header = {"checkpoint": CHECKPOINT_FORMAT, "q": field.q, "n": field.n,
                   "poly": list(field.poly), "k": k}
         try:
             with open(self.path, "rb") as fh:
@@ -271,11 +255,12 @@ class Checkpoint:
         where = f"checkpoint {self.path}"
         first = _json_line(lines[0], f"{where} line 1")
         if first != header:
+            old = first.get("checkpoint") if isinstance(first, dict) else None
             if isinstance(first, dict) and "min_by_class" in first:
                 what = "holds records in the older min_by_class format"
-            elif isinstance(first, dict) and first.get("checkpoint") == 1:
-                what = ("is in the older checkpoint format 1, whose records "
-                        "are in another order")
+            elif type(old) is int and 0 < old < CHECKPOINT_FORMAT:
+                what = (f"is in the older checkpoint format {old}, whose "
+                        "candidates or records come in another order")
             else:
                 what = "was written for another field, polynomial or k"
             raise CheckpointMismatch(
@@ -293,11 +278,14 @@ class Checkpoint:
                 cand = None
             if type(cand) is not int:
                 raise ParseError(f"{where} line {lineno} is not an orbit record")
+            if cand <= last_idx:
+                raise ParseError(f"{where} line {lineno}: candidate index {cand} is "
+                                 "negative or not above the previous record's")
             if not _plausible_record(field, k, r):
                 raise ParseError(f"{where} line {lineno} does not describe a "
                                  "cyclic orbit of this field by its smallest member")
             records.append(r)
-            last_idx = max(last_idx, cand)
+            last_idx = cand
         return records, last_idx + 1
 
     def record(self, cand_idx: int, rec: CyclicOrbitRecord):
@@ -323,7 +311,7 @@ def _plausible_record(field: FieldSpec, k: int, r: CyclicOrbitRecord) -> bool:
 
     The distances are not recomputed, which would cost as much as the walk.
     """
-    if not (0 < r.rep_bits < 1 << field.group_order
+    if not (0 <= r.rep_bits < 1 << field.group_order
             and r.rep_bits.bit_count() == field.q ** k - 1
             and is_min_member(field, r.rep_bits)):
         return False
@@ -382,12 +370,6 @@ def enumerate_orbits(field: FieldSpec, k: int, m: int = 1,
                      budget: RunBudget | None = None, checkpoint=None):
     """Yield every m-quasi orbit of G_q(n,k) exactly once."""
     check_modulus(field, m)
-    if k == 0:
-        yield Orbit(field, m, zero_subspace(field), 1, 0, 0, field.n)
-        return
-    if k == field.n:
-        yield Orbit(field, m, full_space(field), 1, field.n, 0, field.n)
-        return
     for rec in cyclic_orbit_data(field, k, budget=budget, checkpoint=checkpoint):
         g = gcd(m, rec.length)
         md = rec.min_dist_for_step(g)
@@ -443,13 +425,10 @@ def classify(field: FieldSpec, k: int, m: int = 1,
     """Census of all m-quasi orbits of G_q(n,k); the mass check is enforced."""
     check_modulus(field, m)
     counts = {}
-    if k == 0 or k == field.n:
-        counts[(1, 0)] = 1
-    else:
-        for rec in cyclic_orbit_data(field, k, budget=budget, checkpoint=checkpoint):
-            g = gcd(m, rec.length)
-            key = (rec.length // g, rec.min_dist_for_step(g))
-            counts[key] = counts.get(key, 0) + g
+    for rec in cyclic_orbit_data(field, k, budget=budget, checkpoint=checkpoint):
+        g = gcd(m, rec.length)
+        key = (rec.length // g, rec.min_dist_for_step(g))
+        counts[key] = counts.get(key, 0) + g
     table = CensusTable(field.q, field.n, k, m, counts)
     if table.mass != table.expected_mass:
         raise VerificationFailed(

@@ -162,7 +162,10 @@ def is_min_member(field: FieldSpec, bits: int) -> bool:
     when rotated down by one).  With gamma^0 in V, top its highest exponent
     and N = q^n-1, the rotation of V down by e has its highest bit at
     N - (e - e'), e' the exponent of V below e; that exceeds top unless
-    e - e' >= N - top, so only the exponents e >= N - top are tried.
+    e - e' >= N - top, so only the exponents e >= N - top are tried.  The
+    first of them whose rotation is V itself is the orbit length D, and the
+    rotation by any later e is that by e mod D, one tried already or one
+    whose highest bit exceeds top, so the test stops there.
     """
     if not bits & 1:
         return bits == 0
@@ -172,8 +175,9 @@ def is_min_member(field: FieldSpec, bits: int) -> bool:
     rest = bits & -1 << (N - bits.bit_length() + 1)
     while rest:
         low = rest & -rest
-        if (doubled >> (low.bit_length() - 1)) & mask < bits:
-            return False
+        member = (doubled >> (low.bit_length() - 1)) & mask
+        if member <= bits:
+            return member == bits
         rest ^= low
     return True
 
@@ -268,19 +272,26 @@ class Subspace:
 # -- construction ------------------------------------------------------------
 
 
+def _span_step(field: FieldSpec, elts: list, v: int) -> list:
+    """The packed vectors c*v + e, c = 1..q-1 (c outermost), for each e of elts.
+
+    When elts is a span without v, these are the vectors the span gains by
+    adjoining v.
+    """
+    if field.q == 2:
+        return [e ^ v for e in elts]
+    new = []
+    for c in range(1, field.q):
+        cv = field.coord_scale(v, c)
+        new += [field.coord_add(e, cv) for e in elts]
+    return new
+
+
 def _span_packed(field: FieldSpec, basis_packed: list) -> list:
     """All packed coordinate vectors in the span of the given basis (incl. 0)."""
-    q = field.q
     elts = [0]
     for b in basis_packed:
-        if q == 2:
-            elts += [e ^ b for e in elts]
-        else:
-            new = []
-            for s in range(1, q):
-                sb = field.coord_scale(b, s)
-                new += [field.coord_add(e, sb) for e in elts]
-            elts += new
+        elts += _span_step(field, elts, b)
     return elts
 
 
@@ -383,26 +394,19 @@ def from_bits(field: FieldSpec, bits: int) -> Subspace:
 
 def span(field: FieldSpec, vectors) -> Subspace:
     """Smallest subspace containing the given field elements."""
-    packed = []
+    bits = 0
     for v in vectors:
         if isinstance(v, FieldElement):
-            if not v.is_zero:
-                packed.append(field.antilog[v.exp])
-        else:
-            if not 0 <= v < field.group_order:
-                raise ExponentOutOfRange(f"exponent {v} out of range")
-            packed.append(field.antilog[v])
-    if not packed:
+            if v.is_zero:
+                continue
+            v = v.exp
+        elif not 0 <= v < field.group_order:
+            raise ExponentOutOfRange(f"exponent {v} out of range")
+        bits |= 1 << v
+    if not bits:
         raise AllZero("span needs at least one nonzero vector")
-    echelon = []
-    basis = []
-    for v in packed:
-        red = _reduce_against(field, v, echelon)
-        if red:
-            basis.append(v)
-            echelon.append(_normalize_row(field, red))
-    bits = _bits_from_packed(field, _span_packed(field, basis))
-    return Subspace(field, bits, len(basis))
+    basis = _greedy_basis_packed(field, bits)
+    return Subspace(field, _bits_from_packed(field, _span_packed(field, basis)), len(basis))
 
 
 def zero_subspace(field: FieldSpec) -> Subspace:

@@ -9,8 +9,13 @@ general-q one.
 visited_census is the census as it was before orderly generation: it keeps
 a set of every member containing gamma^0 of the orbits met so far, skips
 the candidates in it, and names each orbit by the least of those members.
+
+rref_candidates is the candidate walk before the rows shared their spans:
+one counter over all free digits of a pivot pattern, and every basis
+spanned from scratch.
 """
 
+import itertools
 from math import gcd
 
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
@@ -61,6 +66,39 @@ def visited_census(field, k: int) -> list:
                        for g in divisors(D) if g < D}
         records.append((min(ones), D, t, min_by_step))
     return records
+
+
+def rref_candidates(field, k: int):
+    """The bitsets of the k-subspaces containing gamma^0, in _iter_candidates' order.
+
+    For each pivot pattern of a reduced echelon (k-1) x (n-1) matrix, in
+    lexicographic order, a base-q counter runs over the free digits (row i,
+    column c > pivot i, c not a pivot), the first free position least
+    significant.  Quotient column c is coordinate c+1, and the span of
+    gamma^0 and the rows is built from scratch with the field's packed
+    arithmetic.  k = 0 gives the zero subspace.
+    """
+    n, q = field.n, field.q
+    if k == 0:
+        yield 0
+        return
+    for pivots in itertools.combinations(range(n - 1), k - 1):
+        free = [(i, c) for i in range(k - 1)
+                for c in range(pivots[i] + 1, n - 1) if c not in pivots]
+        for count in range(q ** len(free)):
+            rows = [q ** (p + 1) for p in pivots]
+            for i, c in free:
+                count, digit = divmod(count, q)
+                rows[i] += digit * q ** (c + 1)
+            elts = [0]
+            for row in [1, *rows]:
+                elts = [field.coord_add(e, field.coord_scale(row, a))
+                        for a in range(q) for e in elts]
+            bits = 0
+            for p in elts:
+                if p:
+                    bits |= 1 << field.log[p]
+            yield bits
 
 
 def naive_orbit_length(V: Subspace, m: int) -> int:

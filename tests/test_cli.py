@@ -254,18 +254,59 @@ def _checkpoint_lines(path):
     return path.read_text().splitlines()
 
 
-def test_checkpoint_in_format_1_is_refused(tmp_path, capsys):
-    """A format-1 file lists its orbits in another order, so it is not resumed."""
+def _assert_older_format_is_refused(tmp_path, capsys, fmt):
     ck = tmp_path / "ck.jsonl"
     header, *records = _checkpoint_lines(ck)
-    assert json.loads(header)["checkpoint"] == 2
-    ck.write_text("\n".join([json.dumps({**json.loads(header), "checkpoint": 1}),
+    assert json.loads(header)["checkpoint"] == 3
+    ck.write_text("\n".join([json.dumps({**json.loads(header), "checkpoint": fmt}),
                              *records]) + "\n")
     before = ck.read_text()
     result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
     assert_one_line_error(result, 3)
-    assert "format 1" in result[2]
+    assert f"format {fmt}" in result[2]
     assert ck.read_text() == before
+
+
+def test_checkpoint_in_format_1_is_refused(tmp_path, capsys):
+    """A format-1 file lists its orbits in another order, so it is not resumed."""
+    _assert_older_format_is_refused(tmp_path, capsys, 1)
+
+
+def test_checkpoint_in_format_2_is_refused(tmp_path, capsys):
+    """Format 2 numbered the candidates of q > 2 in another order."""
+    _assert_older_format_is_refused(tmp_path, capsys, 2)
+
+
+@pytest.mark.parametrize("edit", ["negative", "repeated", "decreasing"])
+def test_checkpoint_cand_that_does_not_increase_is_refused(tmp_path, capsys, edit):
+    """Records come in increasing candidate order; a resumed run that trusted
+    a repeated index would walk an orbit twice and fail the mass check."""
+    ck = tmp_path / "ck.jsonl"
+    header, *records = _checkpoint_lines(ck)
+    records = [json.loads(line) for line in records[:5]]
+    if edit == "negative":
+        records[0]["cand"] = -1
+    elif edit == "repeated":
+        records[4]["cand"] = records[3]["cand"]
+    else:
+        records[4]["cand"] = records[2]["cand"]
+    ck.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
+    assert_one_line_error(result, 2)
+    assert ("line 2" if edit == "negative" else "line 6") in result[2]
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_checkpoint_of_the_zero_subspace_and_the_full_space(tmp_path, capsys, k):
+    """k = 0 and k = n write a checkpoint like any other k, and resume from it."""
+    ck = str(tmp_path / "ck.jsonl")
+    argv = ("classify", "--n", "6", "--k", str(k), "--checkpoint", ck)
+    first = run(capsys, *argv)
+    assert first[0] == 0 and "mass 1 = " in first[1]
+    lines = open(ck).read().splitlines()
+    assert len(lines) == 2 and json.loads(lines[1])["cand"] == 0
+    assert run(capsys, *argv) == first
+    assert open(ck).read().splitlines() == lines
 
 
 def test_checkpoint_rep_that_is_not_the_smallest_member_is_refused(tmp_path, capsys):

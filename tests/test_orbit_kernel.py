@@ -112,13 +112,38 @@ def test_census_matches_visited_set_oracle(name, k):
     assert got == expected
 
 
+CANDIDATE_CASES = [
+    *(pytest.param(name, k, id=f"{name}-k{k}")
+      for name, (_, n, _) in FIELDS.items() for k in range(n + 2)),
+    *(pytest.param(name, k, id=f"{name}-k{k}")
+      for name, (_, n, _) in WIDE_FIELDS.items() for k in (0, 1, 2, n - 1, n, n + 1)),
+    pytest.param("F2^9", 4, id="F2^9-k4"),
+    pytest.param("F2^10", 3, id="F2^10-k3"),
+]
+
+
+@pytest.mark.parametrize("name, k", CANDIDATE_CASES)
+def test_candidates_match_rref_oracle(name, k):
+    """The same candidates in the same order as one counter over all free
+    digits with every span built from scratch.
+
+    The wide fields take only the k whose spans or counts are small.
+    """
+    field = field_of(name)
+    assert list(_iter_candidates(field, k)) == list(oracle.rref_candidates(field, k))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["F2^6", "F3^3", "F5^2", "F2^9"]), st.data())
 def test_is_min_member_random_bitsets(name, data):
-    """The early-exit test agrees with min_member on any bitset, subspace or not."""
+    """The early-exit test agrees with min_member on any bitset, subspace or not,
+    and on bitsets fixed by a rotation, where it stops at the period."""
     field = field_of(name)
-    bits = data.draw(st.integers(0, (1 << field.group_order) - 1))
-    for b in (bits, bits | 1):
+    N = field.group_order
+    bits = data.draw(st.integers(0, (1 << N) - 1))
+    period = data.draw(st.sampled_from(divisors(N)))
+    periodic = sum((bits & ((1 << period) - 1)) << j for j in range(0, N, period))
+    for b in (bits, bits | 1, periodic, periodic | sum(1 << j for j in range(0, N, period))):
         assert is_min_member(field, b) == (min_member(field, b)[0] == b)
 
 

@@ -14,6 +14,7 @@ from orbitcodes import (
     distance,
     enumerate_orbits,
     from_exponents,
+    full_space,
     make_field,
     orbit_members,
     orbit_of,
@@ -22,10 +23,12 @@ from orbitcodes import (
     span,
     stabilizer_degree,
     write_orbit_db,
+    zero_subspace,
 )
 from orbitcodes.codes import gaussian_coefficient
 from orbitcodes.errors import BadModulus, ResourceLimit, VerificationFailed
 from orbitcodes.orbits import (
+    Orbit,
     _iter_candidates,
     divisors,
     quasi_length_formula,
@@ -117,7 +120,7 @@ def test_bad_modulus(f16):
 
 
 def test_enumerate_orbits_partitions_grassmannian(f16):
-    for k in (1, 2, 3):
+    for k in range(5):
         for m in (1, 3, 5):
             orbits = list(enumerate_orbits(f16, k, m))
             seen = set()
@@ -127,6 +130,19 @@ def test_enumerate_orbits_partitions_grassmannian(f16):
                 assert not (ms & seen)
                 seen |= ms
             assert len(seen) == gaussian_coefficient(4, k, 2)
+
+
+@pytest.mark.parametrize("q, n, ms", [(2, 6, (1, 3, 7, 9, 21, 63)),
+                                      (3, 3, (1, 2, 13, 26))])
+def test_zero_and_full_space_through_the_candidate_walk(q, n, ms):
+    """k = 0 and k = n each have one orbit, of length 1, for every m."""
+    field = make_field(q, n)
+    for k, V in ((0, zero_subspace(field)), (n, full_space(field))):
+        for m in ms:
+            assert list(enumerate_orbits(field, k, m)) == [Orbit(field, m, V, 1, k, 0, n)]
+            table = classify(field, k, m)
+            assert table.counts == {(1, 0): 1}
+            assert table.mass == table.expected_mass == 1
 
 
 def test_quasi_orbits_refine_cyclic_orbits(f64):
