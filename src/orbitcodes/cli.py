@@ -35,6 +35,7 @@ from .gfext import make_field
 from .orbits import (
     Checkpoint,
     RunBudget,
+    candidate_count,
     classify,
     conjecture_check,
     enumerate_orbits,
@@ -48,9 +49,12 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 EXIT_MISMATCH = 5
 
-# classify runs larger than this many candidate subspaces need --extended
-# (gates n=10, k >= 4 over F_2 while leaving all of n <= 9 unrestricted)
-EXTENDED_THRESHOLD = 500_000
+# classify runs that span more vectors than this need --extended.  Each
+# candidate is a span of q^k vectors, so the work is candidates x q^k: over
+# F_2 all of n <= 9 stays ungated (at most 6.4M, at n=9, k=5), as do n=10 at
+# k <= 3 and k >= 8 (at most 11.1M, at k=8), while n=10 at k = 4..7 (12.6M
+# and up) is gated.
+EXTENDED_THRESHOLD = 12_000_000
 
 
 def _field_from_args(args):
@@ -106,13 +110,15 @@ def _census_payload(table) -> dict:
 
 
 def cmd_classify(args) -> int:
-    from .codes import gaussian_coefficient
     field = _field_from_args(args)
-    size = gaussian_coefficient(args.n - 1, args.k - 1, args.q)
-    if size > EXTENDED_THRESHOLD and not args.extended:
+    candidates = candidate_count(field, args.k)
+    # k > n has no candidates, and its q^k is not worth computing
+    work = candidates * args.q ** args.k if candidates else 0
+    if work > EXTENDED_THRESHOLD and not args.extended:
         raise ResourceLimit(
-            f"{size} candidate subspaces; pass --extended to run (and "
-            f"--checkpoint to make the run resumable)")
+            f"{candidates} candidate subspaces of {args.q ** args.k} vectors "
+            f"each; pass --extended to run (and --checkpoint to make the run "
+            f"resumable)")
     checkpoint = Checkpoint(args.checkpoint) if args.checkpoint else None
     table = classify(field, args.k, args.m, budget=_budget_from_args(args),
                      checkpoint=checkpoint)

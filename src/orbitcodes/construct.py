@@ -2,7 +2,16 @@
 
 Orbits become vertices of a compatibility graph with an edge whenever the
 joint minimum distance of two orbits meets the threshold; any clique's
-orbit union is a (quasi-)cyclic code with that minimum distance.  The
+orbit union is a (quasi-)cyclic code with that minimum distance.  The graph
+comes from incidences, not from pairwise distances (the Kramer-Mesner
+method with the Singer cycle as the prescribed group): words of dimensions
+kA and kB are closer than d exactly when they share a t-subspace,
+t = (kA + kB - d) // 2 + 1, and the t-subspaces an m-quasi orbit covers are
+the m-quasi orbits of its rep's t-subspaces.  So each orbit is keyed by the
+smallest members of those t-orbits, an index from key to vertices gives
+every conflict at O(orbits x [k, t]_q) cost, and the graph is the
+complement of the conflicts.  inter_orbit_distance reads the distance of
+one pair from a correlation instead.  The
 self-dual search pairs every subspace with its orthogonal complement and
 reads off the connected components of that pairing at the quasi-orbit
 level: each component is a self-dual m-quasi-cyclic code.  The minimal
@@ -18,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import gcd
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
@@ -37,7 +46,9 @@ from .subspace import (
     cyclic_overlaps,
     from_bits,
     meet_dim,
+    min_member,
     orbit_bits,
+    subspaces_of,
 )
 
 
@@ -80,18 +91,60 @@ class CompatGraph:
 
 
 def build_graph(orbits, d: int) -> CompatGraph:
-    """Graph over orbits whose internal minimum distance meets the threshold d."""
+    """Graph over orbits whose internal minimum distance meets the threshold d.
+
+    Two words U, W of dimensions kA, kB are closer than d exactly when they
+    share a t-subspace, t = (kA + kB - d) // 2 + 1, which is at least 1,
+    since an included orbit has d <= min_dist <= 2k.  The t-subspaces an
+    m-quasi orbit covers are the m-quasi orbits of its rep's t-subspaces, so
+    each included orbit gets one key per t-subspace of its rep, that
+    subspace's smallest m-quasi-orbit member, and two orbits conflict exactly
+    when their keys meet.  An index from key to the bitmask of vertices
+    holding it gives each vertex its conflicts, one index per pair of
+    dimensions at that pair's t; a pair of dimensions with t above the
+    smaller one has no t-subspace in common and never conflicts.
+
+    The included orbits must share one field and modulus (FieldMismatch)
+    and be distinct orbits (SameOrbit).
+    """
     if d < 2 or d % 2 != 0:
         raise OddDistance(f"threshold d={d} must be even and >= 2")
     included = [o for o in orbits if o.min_dist >= d]
     excluded = [o for o in orbits if o.min_dist < d]
-    n = len(included)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inter_orbit_distance(included[i], included[j]) >= d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    seen = set()
+    for o in included:
+        if (o.field, o.m) != (included[0].field, included[0].m):
+            raise FieldMismatch("orbits must share a field and modulus")
+        if o.rep.bits in seen:
+            raise SameOrbit("orbits are identical")
+        seen.add(o.rep.bits)
+
+    by_dim = {}                          # k -> vertices of dimension k
+    for v, o in enumerate(included):
+        by_dim.setdefault(o.k, []).append(v)
+    indexes = {}                         # (k, t) -> (key -> vertex mask, keys of each vertex)
+
+    def index_at(k, t):
+        if (k, t) not in indexes:
+            masks, keys = {}, []
+            for v in by_dim[k]:
+                o = included[v]
+                keys.append({min_member(o.field, T, o.m)[0]
+                             for T in subspaces_of(o.field, o.rep.bits, t)})
+                for key in keys[-1]:
+                    masks[key] = masks.get(key, 0) | 1 << v
+            indexes[k, t] = masks, keys
+        return indexes[k, t]
+
+    conflict = [0] * len(included)
+    for ka, kb in product(by_dim, repeat=2):
+        t = (ka + kb - d) // 2 + 1
+        masks = index_at(kb, t)[0]
+        for v, keys in zip(by_dim[ka], index_at(ka, t)[1]):
+            for key in keys:
+                conflict[v] |= masks.get(key, 0)
+    everyone = (1 << len(included)) - 1
+    adj = [everyone & ~c & ~(1 << v) for v, c in enumerate(conflict)]
     return CompatGraph(included, d, adj, excluded)
 
 

@@ -50,8 +50,8 @@ from .errors import (
 from .gfext import FieldSpec, make_field
 from .subspace import (
     Subspace,
-    _bits_from_packed,
-    _span_step,
+    _echelon_rows,
+    _walk_rows,
     check_modulus,
     cyclic_overlaps,
     from_bits,
@@ -130,30 +130,13 @@ def _iter_candidates(field: FieldSpec, k: int):
         yield 0
         return
     for pivots in itertools.combinations(range(1, n), k - 1):
-        rows = []
-        for p in pivots:
-            row = [q ** p]
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    row = [r + d * q ** c for d in range(q) for r in row]
-            rows.append(row)
+        rows = _echelon_rows(q, pivots, n)
         yield from _walk_rows(field, [*rows, [1]], [0], 0)     # gamma^0 outermost
 
 
-def _walk_rows(field: FieldSpec, rows: list, elts: list, bits: int):
-    """The bitset of the span of elts and one choice from each of rows, for
-    every choice, the last row outermost.
-
-    elts is a span and bits its bitset; each choice of the last row extends
-    them once for every choice of the rows before it.
-    """
-    if not rows:
-        yield bits
-        return
-    for v in rows[-1]:
-        new = _span_step(field, elts, v)
-        yield from _walk_rows(field, rows[:-1], elts + new,
-                              bits | _bits_from_packed(field, new))
+def candidate_count(field: FieldSpec, k: int) -> int:
+    """How many candidates _iter_candidates yields: [n-1, k-1]_q, 1 at k = 0."""
+    return 1 if k == 0 else gaussian_coefficient(field.n - 1, k - 1, field.q)
 
 
 # -- cyclic orbit data ----------------------------------------------------------
@@ -223,7 +206,8 @@ class Checkpoint:
     and k; a file written for any other field, polynomial or k, or in an
     older format, is refused, never mixed in.  Each further line is one
     cyclic orbit record with the candidate index of its representative, in
-    strictly increasing order, so a resumed run starts after the last index.
+    strictly increasing order and below candidate_count, so a resumed run
+    starts after the last index.
     Format 2 numbered the candidates of q > 2 in another order, and format 1
     listed the orbits in another order.  A torn last line, left by a
     run stopped mid-write, is cut off on load.
@@ -266,7 +250,7 @@ class Checkpoint:
             raise CheckpointMismatch(
                 f"{where} {what}, not for (q={field.q}, n={field.n}, "
                 f"poly={list(field.poly)}, k={k}); delete it to start over")
-        records, last_idx = [], -1
+        records, last_idx, end = [], -1, candidate_count(field, k)
         for lineno, line in enumerate(lines[1:], 2):
             rec = _json_line(line, f"{where} line {lineno}")
             try:
@@ -281,6 +265,9 @@ class Checkpoint:
             if cand <= last_idx:
                 raise ParseError(f"{where} line {lineno}: candidate index {cand} is "
                                  "negative or not above the previous record's")
+            if cand >= end:
+                raise ParseError(f"{where} line {lineno}: candidate index {cand} is "
+                                 f"past the last candidate, {end - 1}")
             if not _plausible_record(field, k, r):
                 raise ParseError(f"{where} line {lineno} does not describe a "
                                  "cyclic orbit of this field by its smallest member")

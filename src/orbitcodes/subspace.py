@@ -31,6 +31,12 @@ doubled bitset instead of D/gcd(m, D).  is_min_member(field, bits) asks
 the same of a cyclic orbit with an early exit, which is how a census
 keeps exactly one candidate per orbit.
 
+The subspaces are spanned by walking the rows of reduced echelon matrices
+(_echelon_rows, _walk_rows): each choice of a row extends the span of the
+rows after it once for every choice of the rows before it.  The census
+walks them over the coordinates of F_q^n, and subspaces_of(field, bits, t)
+over a subspace's own basis, listing each of its t-subspaces once.
+
 Every orbit distance comes from one correlation kernel.
 cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
 |a & rot(b, j)|, j = 0..N-1, from a single big-int product (Kronecker
@@ -52,6 +58,7 @@ top-1, ..., for membership in the slice.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from math import gcd
@@ -302,6 +309,56 @@ def _bits_from_packed(field: FieldSpec, packed_elts) -> int:
         if p:
             bits |= 1 << log[p]
     return bits
+
+
+def _echelon_rows(q: int, pivots, ncols: int) -> list:
+    """The choices of each row of a reduced echelon matrix with these pivots.
+
+    Row i is q^pivot plus any digits in the non-pivot columns above its
+    pivot, as packed base-q integers (column c is digit c), its choices in
+    increasing value.
+    """
+    rows = []
+    for p in pivots:
+        row = [q ** p]
+        for c in range(p + 1, ncols):
+            if c not in pivots:
+                row = [r + d * q ** c for d in range(q) for r in row]
+        rows.append(row)
+    return rows
+
+
+def _walk_rows(field: FieldSpec, rows: list, elts: list, bits: int):
+    """The bitset of the span of elts and one choice from each of rows, for
+    every choice, the last row outermost.
+
+    elts is a span and bits its bitset; each choice of the last row extends
+    them once for every choice of the rows before it.
+    """
+    if not rows:
+        yield bits
+        return
+    for v in rows[-1]:
+        new = _span_step(field, elts, v)
+        yield from _walk_rows(field, rows[:-1], elts + new,
+                              bits | _bits_from_packed(field, new))
+
+
+def subspaces_of(field: FieldSpec, bits: int, t: int):
+    """The bitsets of the t-dimensional subspaces of the subspace bits, each once.
+
+    They are the row spaces of the reduced echelon t x k matrices over the
+    subspace's own basis b_0..b_{k-1}: the span of that basis, listed by
+    _span_packed, holds sum c_i b_i at the packed index sum c_i q^i, so an
+    echelon row in those coordinates indexes its vector.  No t-subspace is
+    met twice, and there are none when t > k.
+    """
+    basis = _greedy_basis_packed(field, bits)
+    vectors = _span_packed(field, basis)
+    for pivots in itertools.combinations(range(len(basis)), t):
+        rows = [[vectors[c] for c in row]
+                for row in _echelon_rows(field.q, pivots, len(basis))]
+        yield from _walk_rows(field, rows, [0], 0)
 
 
 def _greedy_basis_packed(field: FieldSpec, bits: int, k_hint: int | None = None) -> list:

@@ -13,11 +13,16 @@ the candidates in it, and names each orbit by the least of those members.
 rref_candidates is the candidate walk before the rows shared their spans:
 one counter over all free digits of a pivot pattern, and every basis
 spanned from scratch.
+
+pairwise_graph is the compatibility graph as it was built before the
+t-subspace index: one correlation (inter_orbit_distance) per pair of
+included orbits.
 """
 
 import itertools
 from math import gcd
 
+from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
 from orbitcodes.orbits import _iter_candidates, divisors
 from orbitcodes.subspace import (
@@ -280,3 +285,21 @@ def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
         if cur < best:
             best, best_off = cur, j * m
     return best, best_off
+
+
+def pairwise_graph(orbits, d: int):
+    """The compatibility graph from one inter_orbit_distance call per pair.
+
+    The included orbits are those with min_dist >= d, in the input order,
+    and an edge joins two of them whose distance meets d.
+    """
+    included = [o for o in orbits if o.min_dist >= d]
+    excluded = [o for o in orbits if o.min_dist < d]
+    n = len(included)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kernel_inter_orbit_distance(included[i], included[j]) >= d:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return CompatGraph(included, d, adj, excluded)

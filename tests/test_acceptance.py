@@ -25,6 +25,7 @@ from orbitcodes import (
     code_from_words,
     distance,
     dualize,
+    enumerate_orbits,
     etzion_vardy_bound,
     find_cliques,
     from_exponents,
@@ -161,6 +162,28 @@ def test_census_n10_k4_through_the_cli_extended():
     doc = json.loads(proc.stdout)
     assert doc["mass_ok"] and doc["mass"] == gaussian_coefficient(10, 4, 2)
     assert doc["diffs"] == []
+
+
+@pytest.mark.extended
+def test_code_n10_k3_d4_rebuilt_from_the_orbits_extended():
+    """The paper's F_{2^10} code from scratch: every orbit of G_2(10, 3) under
+    example2_n10k3.json's polynomial, the d = 4 graph, a clique search cut at
+    200,000 nodes, and the assembled code, against verify on the shipped file."""
+    field = load_code_file(data_path("example2_n10k3.json")).field
+    t0 = time.perf_counter()
+    G = build_graph(list(enumerate_orbits(field, 3)), 4)
+    t1 = time.perf_counter()
+    assert G.n_vertices == 5950
+    assert sum(a.bit_count() for a in G.adj) // 2 == 13_015_380
+    best = find_cliques(G, budget=200_000)[0]
+    t2 = time.perf_counter()
+    print(f"n=10 k=3 d=4: graph {t1 - t0:.1f}s, clique of {best.size} "
+          f"({'certified' if best.certified else 'uncertified'}) in {t2 - t1:.1f}s")
+    assert best.size >= 21
+    code = assemble_code(G, best)
+    shipped = verify_code_file(data_path("example2_n10k3.json"))
+    assert code.size == shipped["size"] == 21_483
+    assert min_distance(code) == shipped["min_dist"] == 4
 
 
 # Every cell where a computed n=8 quasi-cyclic census deviates from the

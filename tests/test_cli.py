@@ -53,9 +53,28 @@ def test_classify_quasi_diff_report(capsys):
     assert "degenerate:17" in out
 
 
-def test_classify_extended_gate(capsys):
-    code, _, err = run(capsys, "classify", "--n", "10", "--k", "4")
-    assert code == 4 and "--extended" in err
+def test_classify_extended_gate(capsys, monkeypatch):
+    """The gate counts candidates x q^k, the vectors the walk spans: every
+    n <= 9 runs, n = 10 only at k <= 3 and k >= 8, and n = 16 at k = 15
+    (32,767 candidates of 32,768 vectors each) needs --extended."""
+    from orbitcodes import cli
+
+    class Ran(Exception):
+        pass
+
+    def census(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr(cli, "classify", census)
+    ungated = [(9, k) for k in range(10)] + [(10, k) for k in (0, 1, 2, 3, 8, 9, 10)]
+    for n, k in ungated:
+        with pytest.raises(Ran):
+            main(["classify", "--n", str(n), "--k", str(k)])
+    for n, k in [(10, 4), (10, 5), (10, 6), (10, 7), (16, 15)]:
+        code, _, err = run(capsys, "classify", "--n", str(n), "--k", str(k))
+        assert code == 4 and "--extended" in err and err.count("\n") == 1
+        with pytest.raises(Ran):
+            main(["classify", "--n", str(n), "--k", str(k), "--extended"])
 
 
 def test_classify_invalid_modulus(capsys):
@@ -277,10 +296,12 @@ def test_checkpoint_in_format_2_is_refused(tmp_path, capsys):
     _assert_older_format_is_refused(tmp_path, capsys, 2)
 
 
-@pytest.mark.parametrize("edit", ["negative", "repeated", "decreasing"])
+@pytest.mark.parametrize("edit", ["negative", "repeated", "decreasing", "past-end"])
 def test_checkpoint_cand_that_does_not_increase_is_refused(tmp_path, capsys, edit):
-    """Records come in increasing candidate order; a resumed run that trusted
-    a repeated index would walk an orbit twice and fail the mass check."""
+    """Records come in increasing candidate order, below the candidate count
+    ([5, 2]_2 = 155 here); a resumed run that trusted a repeated index would
+    walk an orbit twice, and one past the end would skip the rest, and each
+    would fail the mass check."""
     ck = tmp_path / "ck.jsonl"
     header, *records = _checkpoint_lines(ck)
     records = [json.loads(line) for line in records[:5]]
@@ -288,6 +309,8 @@ def test_checkpoint_cand_that_does_not_increase_is_refused(tmp_path, capsys, edi
         records[0]["cand"] = -1
     elif edit == "repeated":
         records[4]["cand"] = records[3]["cand"]
+    elif edit == "past-end":
+        records[4]["cand"] = 10 ** 6
     else:
         records[4]["cand"] = records[2]["cand"]
     ck.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
@@ -378,3 +401,41 @@ def test_clique_budget_sec_is_wall_clock(tmp_path, capsys):
     assert code == 0 and time.monotonic() - t0 < 10
     doc = json.loads(out)
     assert not doc["certified"] and doc["size"] >= 2
+
+
+def _db(tmp_path, capsys, name, *argv):
+    path = tmp_path / name
+    assert run(capsys, "classify", "--n", "6", *argv, "--db", str(path))[0] == 0
+    return path.read_text()
+
+
+def test_graph_of_orbits_under_two_moduli_is_a_domain_error(tmp_path, capsys):
+    db = tmp_path / "mixed.jsonl"
+    db.write_text(_db(tmp_path, capsys, "m1.jsonl", "--k", "3")
+                  + _db(tmp_path, capsys, "m3.jsonl", "--k", "3", "--m", "3"))
+    result = run(capsys, "graph", "--db", str(db), "--d", "4")
+    assert_one_line_error(result, 3)
+    assert "orbits must share a field and modulus" in result[2]
+
+
+def test_graph_of_a_repeated_orbit_is_a_domain_error(tmp_path, capsys):
+    db = tmp_path / "twice.jsonl"
+    db.write_text(2 * _db(tmp_path, capsys, "once.jsonl", "--k", "3"))
+    result = run(capsys, "graph", "--db", str(db), "--d", "4")
+    assert_one_line_error(result, 3)
+    assert "orbits are identical" in result[2]
+
+
+def test_graph_of_a_mixed_dimension_db_matches_the_pairwise_oracle(tmp_path, capsys):
+    from orbitcodes.construct import write_dimacs
+    from orbitcodes.orbits import read_orbit_db
+    from tests.orbit_oracle import pairwise_graph
+    db = tmp_path / "k2k3.jsonl"
+    db.write_text(_db(tmp_path, capsys, "k2.jsonl", "--k", "2")
+                  + _db(tmp_path, capsys, "k3.jsonl", "--k", "3"))
+    g, expected = tmp_path / "g.dimacs", tmp_path / "oracle.dimacs"
+    assert run(capsys, "graph", "--db", str(db), "--d", "4", "-o", str(g))[0] == 0
+    oracle = pairwise_graph(read_orbit_db(str(db)), 4)
+    assert {o.k for o in oracle.orbits} == {2, 3}
+    write_dimacs(oracle, str(expected))
+    assert g.read_text() == expected.read_text()

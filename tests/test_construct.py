@@ -1,5 +1,6 @@
 """Compatibility graphs, clique search, assembly, and the self-dual search."""
 
+import functools
 import itertools
 import random
 import time
@@ -27,7 +28,9 @@ from orbitcodes import (
 )
 from orbitcodes.construct import CliqueResult
 from orbitcodes.errors import FieldMismatch, ResourceLimit, SameOrbit, VerificationFailed
+from orbitcodes.orbits import divisors
 from tests.conftest import data_path
+from tests.orbit_oracle import pairwise_graph
 
 
 def random_adj(rng, n, p=0.5):
@@ -107,6 +110,63 @@ def test_graph_degrees_match_distance_matrix(f64):
             1 for j, B in enumerate(G.orbits)
             if j != i and inter_orbit_distance(A, B) >= 4)
         assert G.adj[i].bit_count() == expected
+
+
+# x^8 + x^6 + x^5 + x^4 + 1, constant term first
+F256_OTHER_POLY = (1, 0, 0, 0, 1, 1, 1, 0, 1)
+ORACLE_SAMPLE = 40
+
+
+def _orbits(q, n, poly, k, m):
+    return list(enumerate_orbits(make_field(q, n, poly), k, m))
+
+
+@functools.lru_cache(maxsize=1)
+def _f256_included(poly, k, m):
+    """The m-quasi orbits of G_2(8, k) with min_dist >= 4, the least d tested."""
+    return [o for o in enumerate_orbits(make_field(2, 8, poly), k, m) if o.min_dist >= 4]
+
+
+def _oracle_sample(poly, k, m, d):
+    """The m-quasi orbits of G_2(8, k) with min_dist >= d, all of them when
+    the pairwise oracle can afford them, else a seeded sample: a run of
+    consecutive orbits, siblings of a few cyclic orbits, and as many drawn
+    from the rest."""
+    orbits = [o for o in _f256_included(poly, k, m) if o.min_dist >= d]
+    if len(orbits) <= 10 * ORACLE_SAMPLE:
+        return orbits
+    rng = random.Random(f"{poly}-{k}-{m}-{d}")
+    start = rng.randrange(len(orbits) - ORACLE_SAMPLE)
+    rest = orbits[:start] + orbits[start + ORACLE_SAMPLE:]
+    return orbits[start:start + ORACLE_SAMPLE] + rng.sample(rest, ORACLE_SAMPLE)
+
+
+# (k, d) varies fastest, so each orbit list is enumerated once
+@pytest.mark.parametrize("k,d", [(3, 4), (4, 4), (4, 6)])
+@pytest.mark.parametrize("m", divisors(255))
+@pytest.mark.parametrize("poly", [None, F256_OTHER_POLY], ids=["default", "other"])
+def test_graph_matches_pairwise_oracle_f256(poly, m, k, d):
+    orbits = _oracle_sample(poly, k, m, d)
+    G, oracle = build_graph(orbits, d), pairwise_graph(orbits, d)
+    assert G.orbits == oracle.orbits and G.adj == oracle.adj
+
+
+@pytest.mark.parametrize("m", divisors(80))
+@pytest.mark.parametrize("k", [2, 3])
+def test_graph_matches_pairwise_oracle_f81(k, m):
+    orbits = _orbits(3, 4, None, k, m)
+    for d in (2, 4):
+        assert build_graph(orbits, d).adj == pairwise_graph(orbits, d).adj
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_graph_of_mixed_dimensions_matches_pairwise_oracle(m):
+    """Dimensions 1..5 of F_2^6 together: t = (kA + kB - d) // 2 + 1 per pair,
+    above the smaller dimension for some pairs."""
+    orbits = [o for k in range(1, 6) for o in _orbits(2, 6, None, k, m)]
+    for d in (2, 4, 6):
+        G, oracle = build_graph(orbits, d), pairwise_graph(orbits, d)
+        assert G.orbits == oracle.orbits and G.adj == oracle.adj
 
 
 def test_threshold_above_distance_cap_gives_empty_edges(f64):

@@ -30,6 +30,7 @@ from orbitcodes.subspace import (
     canonical_rotation,
     dimension_from_popcount,
     rotate_bits,
+    subspaces_of,
 )
 from tests.complement_oracle import basis_matrix, rank_of_packed
 
@@ -175,6 +176,27 @@ def test_orthogonal_complement_nonbinary(f9):
         C = orthogonal_complement(U)
         assert C.dim == 1
         assert orthogonal_complement(C).bits == U.bits
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (5, 2)])
+def test_subspaces_of_lists_every_t_subspace_once(q, n):
+    """Against the spans of every t elements: [k, t]_q distinct t-subspaces."""
+    import random
+    field = make_field(q, n)
+    rng = random.Random(q * 100 + n)
+    for size in range(n + 1):
+        V = span(field, rng.sample(range(field.group_order), size)) if size \
+            else zero_subspace(field)
+        k, exps = V.dim, V.exponents
+        for t in range(k + 2):
+            listed = list(subspaces_of(field, V.bits, t))
+            assert len(listed) == len(set(listed)) == gaussian_coefficient(k, t, q)
+            if 0 < t < k:
+                spans = {span(field, c).bits for c in itertools.combinations(exps, t)}
+                assert set(listed) == {b for b in spans
+                                       if dimension_from_popcount(b.bit_count(), q) == t}
+            else:
+                assert listed == ([0] if t == 0 else [V.bits] if t == k else [])
 
 
 def test_canonical_rotation(f16):
