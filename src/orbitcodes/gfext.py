@@ -195,6 +195,7 @@ class FieldSpec:
         self.poly = poly
         self.order = order
         self.group_order = order - 1
+        self._poly_low = self.pack_coords(poly[:n])
 
         # antilog[e] = packed coordinates of gamma^e; log[packed] = e.
         antilog = [0] * self.group_order
@@ -215,27 +216,13 @@ class FieldSpec:
         self._hash = hash((q, n, poly))
 
     def _mul_by_x(self, packed: int) -> int:
-        """Multiply a packed coordinate vector by x, reducing mod poly."""
-        q, n = self.q, self.n
-        if q == 2:
-            packed <<= 1
-            if packed >> n:
-                packed ^= self._packed_poly_gf2()
-            return packed
-        digits = self.unpack_coords(packed)
-        top = digits[-1]
-        shifted = [0] + list(digits[:-1])
-        if top:
-            for i in range(n):
-                shifted[i] = (shifted[i] - top * self.poly[i]) % q
-        return self.pack_coords(shifted)
+        """Multiply a packed coordinate vector by x, reducing mod poly.
 
-    def _packed_poly_gf2(self) -> int:
-        val = 0
-        for i, c in enumerate(self.poly):
-            if c:
-                val |= 1 << i
-        return val
+        Scaling by q shifts the digits up one place; the digit pushed out,
+        top, stands for top * x^n = -top * (p_0 + ... + p_{n-1} x^{n-1}).
+        """
+        top, rest = divmod(packed * self.q, self.order)
+        return self.coord_add(rest, self.coord_scale(self._poly_low, -top % self.q))
 
     # -- coordinate packing ------------------------------------------------
 
@@ -250,7 +237,7 @@ class FieldSpec:
         q = self.q
         out = []
         for _ in range(self.n):
-            packed, d = divmod(packed, q) if q != 2 else (packed >> 1, packed & 1)
+            packed, d = divmod(packed, q)
             out.append(d)
         return tuple(out)
 

@@ -171,11 +171,13 @@ _CYCLIC_CACHE: dict = {}
 
 
 def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
-                      checkpoint=None, use_cache: bool = True) -> list:
+                      checkpoint=None) -> list:
     """All m=1 orbit records for G_q(n,k), in the candidate order of their reps."""
+    if not 0 <= k <= field.n:
+        raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{field.n}")
     key = (field, k)
     # a checkpointed run must write its file, so it never reads the cache
-    if use_cache and budget is None and checkpoint is None and key in _CYCLIC_CACHE:
+    if budget is None and checkpoint is None and key in _CYCLIC_CACHE:
         return _CYCLIC_CACHE[key]
     clock = (budget or RunBudget()).start()
     records, start = [], 0
@@ -191,8 +193,7 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
                 checkpoint.record(idx, rec)
     if checkpoint is not None:
         checkpoint.flush()
-    if use_cache:
-        _CYCLIC_CACHE[key] = records
+    _CYCLIC_CACHE[key] = records
     return records
 
 

@@ -31,11 +31,16 @@ doubled bitset instead of D/gcd(m, D).  is_min_member(field, bits) asks
 the same of a cyclic orbit with an early exit, which is how a census
 keeps exactly one candidate per orbit.
 
-The subspaces are spanned by walking the rows of reduced echelon matrices
-(_echelon_rows, _walk_rows): each choice of a row extends the span of the
-rows after it once for every choice of the rows before it.  The census
-walks them over the coordinates of F_q^n, and subspaces_of(field, bits, t)
-over a subspace's own basis, listing each of its t-subspaces once.
+Every basis, closure check and span comes from _span_step, which adds one
+vector to a span; src/ does no elimination.  _basis_span takes the lowest
+exponent not yet spanned as the next basis vector, so from_exponents checks
+closure in at most k steps, and span and subspaces_of get a basis and its
+span in one pass.  The subspaces are spanned by walking the rows of reduced
+echelon matrices (_echelon_rows, _walk_rows): each choice of a row extends
+the span of the rows after it once for every choice of the rows before it.
+The census walks them over the coordinates of F_q^n, and
+subspaces_of(field, bits, t) over a subspace's own basis, listing each of
+its t-subspaces once.
 
 Every orbit distance comes from one correlation kernel.
 cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
@@ -294,14 +299,6 @@ def _span_step(field: FieldSpec, elts: list, v: int) -> list:
     return new
 
 
-def _span_packed(field: FieldSpec, basis_packed: list) -> list:
-    """All packed coordinate vectors in the span of the given basis (incl. 0)."""
-    elts = [0]
-    for b in basis_packed:
-        elts += _span_step(field, elts, b)
-    return elts
-
-
 def _bits_from_packed(field: FieldSpec, packed_elts) -> int:
     log = field.log
     bits = 0
@@ -309,6 +306,29 @@ def _bits_from_packed(field: FieldSpec, packed_elts) -> int:
         if p:
             bits |= 1 << log[p]
     return bits
+
+
+def _basis_span(field: FieldSpec, bits: int, limit: int | None = None) -> tuple:
+    """(basis, vectors, span bits) for the span of the exponents in bits.
+
+    Each basis vector is the lowest exponent of bits outside the span of the
+    ones before it; _span_step adds what it brings, and the exponents the
+    span now covers are dropped.  vectors is the span in packed coordinates,
+    sum c_i b_i at index sum c_i q^i, starting with 0.  At most limit basis
+    vectors are taken, so a set that is not closed costs at most q^limit
+    vectors however large the span it generates.
+    """
+    antilog = field.antilog
+    basis, vectors, have = [], [0], 0
+    rest = bits
+    while rest and len(basis) != limit:
+        v = antilog[(rest & -rest).bit_length() - 1]
+        new = _span_step(field, vectors, v)
+        basis.append(v)
+        vectors += new
+        have |= _bits_from_packed(field, new)
+        rest &= ~have
+    return basis, vectors, have
 
 
 def _echelon_rows(q: int, pivots, ncols: int) -> list:
@@ -349,76 +369,15 @@ def subspaces_of(field: FieldSpec, bits: int, t: int):
 
     They are the row spaces of the reduced echelon t x k matrices over the
     subspace's own basis b_0..b_{k-1}: the span of that basis, listed by
-    _span_packed, holds sum c_i b_i at the packed index sum c_i q^i, so an
+    _basis_span, holds sum c_i b_i at the packed index sum c_i q^i, so an
     echelon row in those coordinates indexes its vector.  No t-subspace is
     met twice, and there are none when t > k.
     """
-    basis = _greedy_basis_packed(field, bits)
-    vectors = _span_packed(field, basis)
+    basis, vectors, _ = _basis_span(field, bits)
     for pivots in itertools.combinations(range(len(basis)), t):
         rows = [[vectors[c] for c in row]
                 for row in _echelon_rows(field.q, pivots, len(basis))]
         yield from _walk_rows(field, rows, [0], 0)
-
-
-def _greedy_basis_packed(field: FieldSpec, bits: int, k_hint: int | None = None) -> list:
-    """Extract a basis (packed coords) from a subspace bitset by row reduction."""
-    basis = []          # packed vectors
-    echelon = []        # row-reduced copies used for the independence test
-    q, n = field.q, field.n
-    antilog = field.antilog
-    e = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        e = low.bit_length() - 1
-        rest ^= low
-        v = antilog[e]
-        red = _reduce_against(field, v, echelon)
-        if red:
-            basis.append(v)
-            echelon.append(_normalize_row(field, red))
-            if k_hint is not None and len(basis) == k_hint:
-                break
-    return basis
-
-
-def _leading_index(field: FieldSpec, packed: int) -> int:
-    """Index of the highest nonzero coordinate digit."""
-    if field.q == 2:
-        return packed.bit_length() - 1
-    digits = field.unpack_coords(packed)
-    for i in range(field.n - 1, -1, -1):
-        if digits[i]:
-            return i
-    return -1
-
-
-def _normalize_row(field: FieldSpec, packed: int) -> int:
-    """Scale a row so its leading digit is 1."""
-    q = field.q
-    if q == 2 or packed == 0:
-        return packed
-    lead = field.unpack_coords(packed)[_leading_index(field, packed)]
-    inv = pow(lead, q - 2, q)
-    return field.coord_scale(packed, inv)
-
-
-def _reduce_against(field: FieldSpec, v: int, echelon: list) -> int:
-    """Reduce v against normalized echelon rows; 0 means dependent."""
-    q = field.q
-    for row in echelon:
-        li = _leading_index(field, row)
-        if q == 2:
-            if (v >> li) & 1:
-                v ^= row
-        else:
-            c = field.unpack_coords(v)[li]
-            if c:
-                v = field.coord_add(v, field.coord_scale(row, q - c))
-        if v == 0:
-            return 0
-    return v
 
 
 def from_exponents(field: FieldSpec, exps) -> Subspace:
@@ -438,8 +397,9 @@ def from_exponents(field: FieldSpec, exps) -> Subspace:
     except NotASubspace:
         raise NotASubspace(
             f"{pc} nonzero elements is not q^k-1 for q={field.q}") from None
-    basis = _greedy_basis_packed(field, bits, k_hint=k)
-    if len(basis) != k or _bits_from_packed(field, _span_packed(field, basis)) != bits:
+    # bits holds q^k - 1 exponents, so it is closed exactly when the span
+    # of its first k independent ones is bits itself
+    if _basis_span(field, bits, limit=k)[2] != bits:
         raise NotASubspace("element set is not closed under addition")
     return Subspace(field, bits, k)
 
@@ -462,8 +422,8 @@ def span(field: FieldSpec, vectors) -> Subspace:
         bits |= 1 << v
     if not bits:
         raise AllZero("span needs at least one nonzero vector")
-    basis = _greedy_basis_packed(field, bits)
-    return Subspace(field, _bits_from_packed(field, _span_packed(field, basis)), len(basis))
+    basis, _, bits = _basis_span(field, bits)
+    return Subspace(field, bits, len(basis))
 
 
 def zero_subspace(field: FieldSpec) -> Subspace:

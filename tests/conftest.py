@@ -11,6 +11,14 @@ def pytest_collection_modifyitems(config, items):
         config.option.markexpr = ""
 
 
+@pytest.fixture
+def fresh_census_cache(monkeypatch):
+    """An empty census cache for one test, so its censuses walk afresh and
+    leave nothing behind for other tests."""
+    from orbitcodes import orbits
+    monkeypatch.setattr(orbits, "_CYCLIC_CACHE", {})
+
+
 @pytest.fixture(scope="session")
 def f16():
     return make_field(2, 4)

@@ -177,6 +177,17 @@ def test_conjecture_check(capsys):
     assert code == 0 and "yes" in out
 
 
+@pytest.mark.parametrize("k", ["-1", "7"])
+def test_k_outside_0_to_n_is_a_domain_error(tmp_path, capsys, k):
+    db = tmp_path / "orbits.db"
+    code, _, err = run(capsys, "classify", "--n", "6", "--k", k, "--db", str(db))
+    assert_one_line_error((code, "", err), 3)
+    assert "0..6" in err and not db.exists()
+    code, _, err = run(capsys, "conjecture-check", "--n", "6", "--k", k)
+    assert_one_line_error((code, "", err), 3)
+    assert "0..6" in err
+
+
 def test_custom_poly_flag(capsys):
     code, out, _ = run(capsys, "classify", "--n", "4", "--k", "2",
                        "--poly", "x^4+x+1")
@@ -254,11 +265,12 @@ def test_clique_needs_a_graph(capsys):
     assert_one_line_error(run(capsys, "clique"), 2)
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
     from orbitcodes import make_field
     from orbitcodes.orbits import Checkpoint, cyclic_orbit_data
     ck = str(tmp_path / "ck.jsonl")
-    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(ck), use_cache=False)
+    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(ck))
     before = open(ck).read()
     assert_one_line_error(run(capsys, "classify", "--n", "6", "--k", "3",
                               "--checkpoint", ck, "--poly", "x^6+x+1"), 3)
@@ -268,8 +280,7 @@ def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
 def _checkpoint_lines(path):
     from orbitcodes import make_field
     from orbitcodes.orbits import Checkpoint, cyclic_orbit_data
-    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(str(path)),
-                      use_cache=False)
+    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(str(path)))
     return path.read_text().splitlines()
 
 
@@ -286,16 +297,19 @@ def _assert_older_format_is_refused(tmp_path, capsys, fmt):
     assert ck.read_text() == before
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_in_format_1_is_refused(tmp_path, capsys):
     """A format-1 file lists its orbits in another order, so it is not resumed."""
     _assert_older_format_is_refused(tmp_path, capsys, 1)
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_in_format_2_is_refused(tmp_path, capsys):
     """Format 2 numbered the candidates of q > 2 in another order."""
     _assert_older_format_is_refused(tmp_path, capsys, 2)
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 @pytest.mark.parametrize("edit", ["negative", "repeated", "decreasing", "past-end"])
 def test_checkpoint_cand_that_does_not_increase_is_refused(tmp_path, capsys, edit):
     """Records come in increasing candidate order, below the candidate count
@@ -332,6 +346,7 @@ def test_checkpoint_of_the_zero_subspace_and_the_full_space(tmp_path, capsys, k)
     assert open(ck).read().splitlines() == lines
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_rep_that_is_not_the_smallest_member_is_refused(tmp_path, capsys):
     from orbitcodes.subspace import rotate_bits
     ck = tmp_path / "ck.jsonl"

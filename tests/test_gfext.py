@@ -103,3 +103,30 @@ def test_coords_round_trip(f16, f9):
         for e in range(f.group_order):
             elt = f.element(e)
             assert f.from_coords(elt.coords).exp == e
+
+
+def _times_x(digits, poly, q):
+    """x * a(x) mod the monic poly(x), both digit lists with the constant first."""
+    top = digits[-1]
+    return [(d - top * c) % q for d, c in zip([0] + digits[:-1], poly)]
+
+
+TABLE_CASES = [
+    *(pytest.param(q, n, poly, id=f"F{q}^{n}") for (q, n), poly in DEFAULT_POLYS.items()),
+    pytest.param(2, 6, "x^6+x^5+1", id="F2^6-x^6+x^5+1"),
+    pytest.param(3, 5, "x^5+2x+1", id="F3^5-x^5+2x+1"),
+    pytest.param(3, 6, "x^6+x^5+2", id="F3^6-x^6+x^5+2"),
+    pytest.param(5, 3, "x^3+x^2+2", id="F5^3-x^3+x^2+2"),
+]
+
+
+@pytest.mark.parametrize("q,n,poly", TABLE_CASES)
+def test_antilog_steps_multiply_by_x(q, n, poly):
+    """antilog[e + 1] is x * antilog[e] mod p, by digit-list arithmetic."""
+    field = make_field(q, n, poly)
+    digits, expected = [1] + [0] * (n - 1), []
+    for _ in range(field.group_order):
+        expected.append(int("".join(map(str, reversed(digits))), q))
+        digits = _times_x(digits, field.poly, q)
+    assert field.antilog == expected
+    assert digits == [1] + [0] * (n - 1)

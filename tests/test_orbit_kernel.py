@@ -101,6 +101,7 @@ CENSUS_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 @pytest.mark.parametrize("name, k", CENSUS_CASES)
 def test_census_matches_visited_set_oracle(name, k):
     """The same records as the visited-set census, in the candidate order of their reps."""
@@ -108,7 +109,7 @@ def test_census_matches_visited_set_oracle(name, k):
     index = {bits: i for i, bits in enumerate(_iter_candidates(field, k))}
     expected = sorted(oracle.visited_census(field, k), key=lambda rec: index[rec[0]])
     got = [(rec.rep_bits, rec.length, rec.stab_degree, rec.min_by_step)
-           for rec in cyclic_orbit_data(field, k, use_cache=False)]
+           for rec in cyclic_orbit_data(field, k)]
     assert got == expected
 
 

@@ -218,30 +218,33 @@ def test_orbit_db_round_trip(tmp_path, f64):
            [(o.rep.bits, o.length, o.min_dist, o.k, o.m) for o in orbits]
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_resume(tmp_path, f64):
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "ckpt.jsonl")
-    full = cyclic_orbit_data(f64, 3, use_cache=False)
+    full = cyclic_orbit_data(f64, 3)
     # run once with a checkpoint, then resume from the file: same records
     ck = Checkpoint(path, flush_every=4)
-    first = cyclic_orbit_data(f64, 3, checkpoint=ck, use_cache=False)
+    first = cyclic_orbit_data(f64, 3, checkpoint=ck)
     ck2 = Checkpoint(path)
-    resumed = cyclic_orbit_data(f64, 3, checkpoint=ck2, use_cache=False)
+    resumed = cyclic_orbit_data(f64, 3, checkpoint=ck2)
     key = lambda recs: sorted((r.rep_bits, r.length, r.stab_degree) for r in recs)
     assert key(first) == key(full) == key(resumed)
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_refuses_another_field_or_k(tmp_path, f64):
     from orbitcodes.errors import CheckpointMismatch
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "ckpt.jsonl")
-    cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path), use_cache=False)
+    cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path))
     other = make_field(2, 6, (1, 1, 0, 0, 0, 0, 1))    # x^6 + x + 1
     for field, k in ((other, 3), (f64, 2), (make_field(2, 5), 3)):
         with pytest.raises(CheckpointMismatch):
-            cyclic_orbit_data(field, k, checkpoint=Checkpoint(path), use_cache=False)
+            cyclic_orbit_data(field, k, checkpoint=Checkpoint(path))
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_refuses_min_by_class_records(tmp_path, f64):
     """A file in the older header-less min_by_class format is not misread."""
     from orbitcodes.errors import CheckpointMismatch
@@ -251,21 +254,21 @@ def test_checkpoint_refuses_min_by_class_records(tmp_path, f64):
         fh.write('{"q": 2, "n": 6, "k": 3, "cand": 0, "rep_bits": "7", '
                  '"length": 63, "stab_degree": 1, "min_by_class": {"1": 2}}\n')
     with pytest.raises(CheckpointMismatch, match="min_by_class"):
-        cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path), use_cache=False)
+        cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path))
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_tolerates_torn_last_line(tmp_path, f64):
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "ckpt.jsonl")
-    full = cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path, flush_every=4),
-                             use_cache=False)
+    full = cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path, flush_every=4))
     with open(path) as fh:
         lines = fh.readlines()
     # keep the header and five records, then half of the sixth record
     with open(path, "w") as fh:
         fh.writelines(lines[:6])
         fh.write(lines[6][:len(lines[6]) // 2])
-    resumed = cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path), use_cache=False)
+    resumed = cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path))
     key = lambda recs: [(r.rep_bits, r.length, r.stab_degree, r.min_by_step)
                         for r in recs]
     assert key(resumed) == key(full)

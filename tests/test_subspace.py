@@ -1,6 +1,7 @@
 """Bitset subspaces: construction, metric axioms, shifts, complements."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from orbitcodes import (
     span,
     zero_subspace,
 )
+from orbitcodes import subspace
 from orbitcodes.codes import gaussian_coefficient
 from orbitcodes.errors import (
     AllZero,
@@ -27,12 +29,20 @@ from orbitcodes.errors import (
     NotASubspace,
 )
 from orbitcodes.subspace import (
+    _basis_span,
     canonical_rotation,
     dimension_from_popcount,
     rotate_bits,
     subspaces_of,
 )
-from tests.complement_oracle import basis_matrix, rank_of_packed
+from tests.complement_oracle import (
+    basis_matrix,
+    basis_of,
+    exponents_of,
+    rank_of_packed,
+    span_bits,
+    span_vectors,
+)
 
 
 def all_subspaces(field, k):
@@ -106,10 +116,8 @@ def test_metric_axioms_exhaustive_g24():
 def test_distance_against_rank_oracle(f32):
     """d(U,V) = rank[U;V] * 2 - dim U - dim V via coordinate matrices."""
     subs = all_subspaces(f32, 2)[:40]
-    from orbitcodes.subspace import _greedy_basis_packed
     for U, V in itertools.combinations(subs, 2):
-        rows = (_greedy_basis_packed(f32, U.bits, U.dim)
-                + _greedy_basis_packed(f32, V.bits, V.dim))
+        rows = basis_of(f32, U.bits) + basis_of(f32, V.bits)
         r = rank_of_packed(f32, rows)
         assert distance(U, V) == 2 * r - U.dim - V.dim
 
@@ -163,9 +171,8 @@ def test_orthogonal_complement_properties(f32):
         assert C.dim == f32.n - U.dim
         assert orthogonal_complement(C).bits == U.bits  # involution
         # complementarity of the bilinear form: every pair is orthogonal
-        from orbitcodes.subspace import _greedy_basis_packed
-        for u in _greedy_basis_packed(f32, U.bits, U.dim):
-            for c in _greedy_basis_packed(f32, C.bits, C.dim):
+        for u in basis_of(f32, U.bits):
+            for c in basis_of(f32, C.bits):
                 assert (u & c).bit_count() % 2 == 0
 
 
@@ -181,7 +188,6 @@ def test_orthogonal_complement_nonbinary(f9):
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (5, 2)])
 def test_subspaces_of_lists_every_t_subspace_once(q, n):
     """Against the spans of every t elements: [k, t]_q distinct t-subspaces."""
-    import random
     field = make_field(q, n)
     rng = random.Random(q * 100 + n)
     for size in range(n + 1):
@@ -232,3 +238,70 @@ def test_span_idempotent_f32(exps):
     V = span(f, exps)
     assert span(f, V.exponents).bits == V.bits
     assert all(V.contains_exp(e) for e in exps)
+
+
+# -- _basis_span and its callers against the RREF oracle ---------------------
+
+
+def oracle_greedy_basis(field, exps):
+    """The lowest exponent that raises the rank, one after another."""
+    basis = []
+    for e in sorted(exps):
+        v = field.antilog[e]
+        if rank_of_packed(field, basis + [v]) > len(basis):
+            basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 6), (3, 3), (3, 4), (5, 2)])
+def test_basis_span_and_its_callers_match_rref_oracle(q, n):
+    field = make_field(q, n)
+    N = field.group_order
+    rng = random.Random(q * 100 + n)
+    for _ in range(60):
+        exps = rng.sample(range(N), rng.randint(1, n + 1))
+        basis = oracle_greedy_basis(field, exps)
+        expected = span_bits(field, basis)
+        got = _basis_span(field, sum(1 << e for e in exps))
+        assert got == (basis, span_vectors(field, basis), expected)
+        V = span(field, exps)
+        assert (V.bits, V.dim) == (expected, len(basis))
+        members = exponents_of(expected)
+        rng.shuffle(members)
+        W = from_exponents(field, members)
+        assert (W.bits, W.dim) == (expected, len(basis))
+        t = rng.randint(0, len(basis))
+        listed = list(subspaces_of(field, expected, t))
+        assert len(set(listed)) == len(listed) == gaussian_coefficient(len(basis), t, q)
+        for T in listed:
+            rows = basis_of(field, T)
+            assert len(rows) == t and span_bits(field, rows) == T and not T & ~expected
+    # sets of q^k - 1 exponents that are not closed are refused
+    refused = 0
+    for k in range(1, n):
+        for _ in range(40):
+            exps = rng.sample(range(N), q ** k - 1)
+            bits = sum(1 << e for e in exps)
+            if span_bits(field, basis_of(field, bits)) == bits:
+                continue
+            with pytest.raises(NotASubspace,
+                               match="^element set is not closed under addition$"):
+                from_exponents(field, exps)
+            refused += 1
+    assert refused > 0
+
+
+def test_from_exponents_spans_at_most_k_vectors(monkeypatch):
+    """7 = 2^3 - 1 exponents of F_2^16 that are not closed cost three span
+    steps, not the up to 2^7 vectors their span could hold."""
+    field = make_field(2, 16)
+    step, calls = subspace._span_step, []
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(subspace, "_span_step", counting)
+    with pytest.raises(NotASubspace):
+        from_exponents(field, [0, 1, 2, 3, 4, 5, 6])
+    assert 0 < len(calls) <= 3
