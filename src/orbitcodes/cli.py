@@ -42,6 +42,7 @@ from .orbits import (
     read_orbit_db,
     write_orbit_db,
 )
+from .subspace import exponents_of
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -244,21 +245,19 @@ def cmd_selfdual(args) -> int:
     primary, others = [], []
     for h in hits:
         (primary if h.constant_dimension and h.single_generator else others).append(h)
-    payload = {
-        "q": args.q, "n": args.n,
-        "constant_dimension_single_generator": [
-            {"m": h.m, "params": list(h.params()),
-             "words": [sorted(w.exponents) for w in sorted(
-                 h.code.words, key=lambda w: w.bits)]}
-            for h in primary],
-        "other_minimal": [
-            {"m": h.m, "size": h.code.size, "dims": list(h.code.dims),
-             "orbit_count": h.orbit_count,
-             "constant_dimension": h.constant_dimension}
-            for h in others],
-    }
     if args.format == "json":
-        print(json.dumps(payload, indent=1))
+        print(json.dumps({
+            "q": args.q, "n": args.n,
+            "constant_dimension_single_generator": [
+                {"m": h.m, "params": list(h.params()),
+                 "words": [list(exponents_of(b)) for b in h.words]}
+                for h in primary],
+            "other_minimal": [
+                {"m": h.m, "size": h.size, "dims": list(h.dims),
+                 "orbit_count": h.orbit_count,
+                 "constant_dimension": h.constant_dimension}
+                for h in others],
+        }, indent=1))
     else:
         print(f"self-dual quasi-cyclic codes in P_{args.q}({args.n}):")
         for h in primary:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     FieldMismatch,
@@ -67,6 +67,11 @@ class SubspaceCode:
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def bitsets(self) -> frozenset:
+        """The words' bitsets, which is_self_dual and is_quasi_cyclic read."""
+        return frozenset(w.bits for w in self.words)
 
     @property
     def dims(self) -> tuple:
@@ -199,11 +204,15 @@ def dualize(C: SubspaceCode) -> SubspaceCode:
     return SubspaceCode(C.field, frozenset(orthogonal_complement(w) for w in C.words))
 
 
-def is_quasi_cyclic(C: SubspaceCode, m: int) -> bool:
-    """True iff the word set is closed under the shift by gamma^m."""
+def is_quasi_cyclic(C, m: int) -> bool:
+    """True iff the word set is closed under the shift by gamma^m.
+
+    C is a SubspaceCode or a SelfDualHit: anything with a field and the
+    frozenset of its words' bitsets as bitsets.
+    """
     check_modulus(C.field, m)
     N = C.field.group_order
-    bitset = {w.bits for w in C.words}
+    bitset = C.bitsets
     return all(rotate_bits(b, m, N) in bitset for b in bitset)
 
 
@@ -211,8 +220,13 @@ def is_cyclic(C: SubspaceCode) -> bool:
     return is_quasi_cyclic(C, 1)
 
 
-def is_self_dual(C: SubspaceCode) -> bool:
-    bitset = {w.bits for w in C.words}
+def is_self_dual(C) -> bool:
+    """True iff the orthogonal complement of every word is a word.
+
+    C is read as in is_quasi_cyclic, through its field and bitsets; every
+    word's complement is computed.
+    """
+    bitset = C.bitsets
     from .subspace import complement_bits
     return all(complement_bits(C.field, b, dimension_from_popcount(
         b.bit_count(), C.field.q)) in bitset for b in bitset)

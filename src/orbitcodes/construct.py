@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import accumulate, chain, product
 from math import gcd
 
@@ -44,6 +45,7 @@ from .orbits import Orbit, cyclic_orbit_data, divisors
 from .subspace import (
     complement_bits,
     cyclic_overlaps,
+    dimension_from_popcount,
     from_bits,
     meet_dim,
     min_member,
@@ -338,13 +340,30 @@ def assemble_code(G: CompatGraph, clique: CliqueResult) -> SubspaceCode:
 
 @dataclass
 class SelfDualHit:
-    """One minimal self-dual m-quasi-cyclic code."""
+    """One minimal self-dual m-quasi-cyclic code, as its word bitsets.
 
+    The SubspaceCode of the same words is built the first time code is read.
+    """
+
+    field: FieldSpec
     m: int                    # smallest modulus exhibiting the quasi-cyclic closure
     moduli: tuple             # all proper divisors m of q^n-1 that work
-    code: SubspaceCode
-    constant_dimension: bool
+    words: tuple              # the word bitsets, ascending
     orbit_count: int          # number of m-quasi orbits the word set splits into
+
+    @property
+    def size(self) -> int:
+        return len(self.words)
+
+    @cached_property
+    def dims(self) -> tuple:
+        q = self.field.q
+        return tuple(sorted(dimension_from_popcount(c, q)
+                            for c in {b.bit_count() for b in self.words}))
+
+    @property
+    def constant_dimension(self) -> bool:
+        return len(self.dims) == 1
 
     @property
     def single_generator(self) -> bool:
@@ -355,11 +374,28 @@ class SelfDualHit:
         """
         return self.orbit_count <= 2
 
+    @property
+    def bitsets(self) -> frozenset:
+        """The words as a set for is_self_dual and is_quasi_cyclic, built on each read."""
+        return frozenset(self.words)
+
+    @cached_property
+    def code(self) -> SubspaceCode:
+        return SubspaceCode(self.field, frozenset(from_bits(self.field, b)
+                                                  for b in self.words))
+
     def params(self) -> tuple:
         return self.code.params()
 
 
-def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
+# Bytes self_dual_search holds per subspace besides its bitset: peak RSS grew
+# by 687 per subspace over F_3^6 under x^6+x^5+2 (91 of them the bitset, and
+# most of the rest its 28,315 hits) and by 213 over F_2^8 (32), on CPython 3.11.
+SELFDUAL_WORD_OVERHEAD = 600
+SELFDUAL_MAX_BYTES = 500_000_000
+
+
+def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
                      include_trivial: bool = False) -> list:
     """All minimal self-dual m-quasi-cyclic codes in P_q(n), every proper m.
 
@@ -386,13 +422,22 @@ def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
     m = q^n-1 is excluded (the shift is the identity and every dual-closed
     set would qualify); the {0, full-space} pair is likewise uninformative
     unless include_trivial is set.
+
+    Before any work, the memory the search would hold is estimated as
+    subspaces x (ceil((q^n-1)/8) + SELFDUAL_WORD_OVERHEAD) bytes, and a
+    ResourceLimit is raised when that exceeds max_space, 500 MB by
+    default.  P_2(8) is estimated at 264 MB and P_3(6) at 39 MB; P_2(9)
+    (5.5 GB) and P_3(7) (1.8 GB) are refused.
     """
     from .codes import gaussian_coefficient, is_quasi_cyclic
 
     n, q = field.n, field.q
     total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
-    if total > max_space:
-        raise ResourceLimit(f"P_{q}({n}) has {total} subspaces > limit {max_space}")
+    need = total * ((field.group_order + 7) // 8 + SELFDUAL_WORD_OVERHEAD)
+    if need > max_space:
+        raise ResourceLimit(
+            f"P_{q}({n}) has {total} subspaces, an estimated {need / 1e6:.1f} MB "
+            f"to search, over the limit of {max_space / 1e6:.1f} MB")
 
     # the cyclic orbits of every dimension, each as its list of members gamma^j V
     orbit_base = [(k, orbit_bits(field, rec.rep_bits))       # (k, members)
@@ -401,15 +446,14 @@ def self_dual_search(field: FieldSpec, max_space: int = 1 << 21,
     hits = []
     for ms, orbit_count, first_quasi, bits in _minimal_components(
             field, orbit_base, include_trivial):
-        code = SubspaceCode(field, frozenset(from_bits(field, b) for b in bits))
-        hit = SelfDualHit(ms[0], ms, code, code.constant_dimension, orbit_count)
-        if not is_self_dual(code):
+        hit = SelfDualHit(field, ms[0], ms, tuple(sorted(bits)), orbit_count)
+        if not is_self_dual(hit):
             raise VerificationFailed("component is not self-dual: internal error")
-        if not is_quasi_cyclic(code, hit.m):
+        if not is_quasi_cyclic(hit, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
         # ties in (dimension kind, size, m) keep the order of the components
         # at m, i.e. of their first quasi orbit
-        hits.append((not hit.constant_dimension, code.size, hit.m, first_quasi, hit))
+        hits.append((not hit.constant_dimension, hit.size, hit.m, first_quasi, hit))
     hits.sort(key=lambda entry: entry[:4])
     return [entry[-1] for entry in hits]
 

@@ -254,6 +254,17 @@ class FieldSpec:
             return a if s & 1 else 0
         return self.pack_coords((x * s) % self.q for x in self.unpack_coords(a))
 
+    @cached_property
+    def zech(self) -> list:
+        """zech[i] = log(1 + gamma^i), the Zech logarithm; -1 where 1 + gamma^i = 0.
+
+        gamma^a + gamma^b = gamma^(b + zech[a - b]) whenever the sum is not
+        zero, so one lookup adds two elements given by their exponents.
+        Adding 1 to a packed vector changes only its digit 0.
+        """
+        q, log = self.q, self.log
+        return [log[a - a % q + (a + 1) % q] for a in self.antilog]
+
     # -- dot-product hyperplanes ------------------------------------------
 
     @cached_property

@@ -32,7 +32,8 @@ the same of a cyclic orbit with an early exit, which is how a census
 keeps exactly one candidate per orbit.
 
 Every basis, closure check and span comes from _span_step, which adds one
-vector to a span; src/ does no elimination.  _basis_span takes the lowest
+vector to a span (by XOR over F_2, by Zech logarithms over larger q); src/
+does no elimination.  _basis_span takes the lowest
 exponent not yet spanned as the next basis vector, so from_exponents checks
 closure in at most k steps, and span and subspaces_of get a basis and its
 span in one pass.  The subspaces are spanned by walking the rows of reduced
@@ -244,7 +245,17 @@ def meet_dim(q: int, overlaps, top: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+def exponents_of(bits: int) -> tuple:
+    """The set bits of a bitset, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of F_{q^n} as a characteristic bitset over exponents."""
 
@@ -260,12 +271,7 @@ class Subspace:
     @property
     def exponents(self) -> tuple:
         """Sorted exponents of the nonzero elements."""
-        bits, out, j = self.bits, [], 0
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return exponents_of(self.bits)
 
     def contains_exp(self, e: int) -> bool:
         return bool((self.bits >> e) & 1)
@@ -287,15 +293,21 @@ class Subspace:
 def _span_step(field: FieldSpec, elts: list, v: int) -> list:
     """The packed vectors c*v + e, c = 1..q-1 (c outermost), for each e of elts.
 
-    When elts is a span without v, these are the vectors the span gains by
-    adjoining v.
+    When elts is a span without v, listed from 0, these are the vectors the
+    span gains by adjoining v.  Over q > 2 none of the sums is 0, so each
+    is gamma^w (1 + gamma^(log e - w)) for c*v = gamma^w: a Zech-logarithm
+    lookup and an antilog lookup, the logs of elts taken once for every c
+    and negative indexes standing in for the reductions mod q^n - 1.
     """
     if field.q == 2:
         return [e ^ v for e in elts]
+    log, antilog, zech, N = field.log, field.antilog, field.zech, field.group_order
+    logs = [log[e] for e in elts[1:]]
     new = []
     for c in range(1, field.q):
-        cv = field.coord_scale(v, c)
-        new += [field.coord_add(e, cv) for e in elts]
+        w = (log[c] + log[v]) % N
+        new.append(antilog[w])
+        new += [antilog[w - N + zech[x - w]] for x in logs]
     return new
 
 

@@ -5,16 +5,43 @@ divisor m of q^n - 1, deduplicates the component word sets across moduli
 in a dict, keeps the inclusion-minimal ones by a scan over the sets kept
 so far, and counts each hit's quasi orbits by rotating its words, as the
 code did before the search ran the union-find only at the maximal moduli.
+Its hits are OracleHit records, each holding the SubspaceCode it checked.
 """
 
+from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
 from orbitcodes.codes import SubspaceCode, gaussian_coefficient, is_quasi_cyclic, is_self_dual
-from orbitcodes.construct import SelfDualHit
 from orbitcodes.errors import ResourceLimit, VerificationFailed
 from orbitcodes.orbits import cyclic_orbit_data, divisors
 from orbitcodes.subspace import complement_bits, from_bits, orbit_bits
+
+
+@dataclass
+class OracleHit:
+    """One minimal self-dual m-quasi-cyclic code found by the oracle."""
+
+    m: int
+    moduli: tuple
+    code: SubspaceCode
+    orbit_count: int
+
+    @property
+    def words(self) -> tuple:
+        return tuple(sorted(w.bits for w in self.code.words))
+
+    @property
+    def dims(self) -> tuple:
+        return self.code.dims
+
+    @property
+    def size(self) -> int:
+        return self.code.size
+
+    @property
+    def constant_dimension(self) -> bool:
+        return self.code.constant_dimension
 
 
 def _orbit_count(field, bitset, m: int) -> int:
@@ -108,8 +135,7 @@ def self_dual_search(field, max_space: int = 1 << 21,
         words = frozenset(from_bits(field, b) for b in key)
         code = SubspaceCode(field, words)
         ms = tuple(sorted(components[key]))
-        hit = SelfDualHit(ms[0], ms, code, code.constant_dimension,
-                          _orbit_count(field, key, ms[0]))
+        hit = OracleHit(ms[0], ms, code, _orbit_count(field, key, ms[0]))
         if not is_self_dual(code):
             raise VerificationFailed("component is not self-dual: internal error")
         if not is_quasi_cyclic(code, hit.m):

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 
@@ -385,6 +386,40 @@ def test_selfdual_other_minimal_is_every_non_primary_hit(capsys, monkeypatch):
         {"m": h.m, "size": h.code.size, "dims": list(h.code.dims),
          "orbit_count": h.orbit_count, "constant_dimension": h.constant_dimension}
         for h in others]
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFDUAL_STDOUT_SHA256["q3n6", "json"]
+
+
+# sha256 of `selfdual` stdout, taken from the CLI as it was before
+# SelfDualHit held word bitsets (each hit then held its SubspaceCode)
+SELFDUAL_STDOUT_SHA256 = {
+    ("4", "json"): "dc135468e3bf0fff7115dbb15cb5f95d48a18d99993691bb814dc5166d8dfb12",
+    ("4", "text"): "5a6b5fa0c52e4b59d1799f5c007e16ae76a0e2182aac46f07192a849818a191a",
+    ("6", "json"): "bac6e9641bcf2627a836e39bac382f3881fec849a317325f78ce94ce0d8b644e",
+    ("6", "text"): "e4be9ceae1c9fbfdf8e423dd7e21e555fe912ef28f039266b558c552cce5314c",
+    ("8", "json"): "8ed588173144198bb48fa6cd241ad3b82a537b2f5a9e9819e47d655948d52bcf",
+    ("8", "text"): "b3954c408474a54432772d0a7bc9977e50c9c575ed391a7ac3a3c2231dba8043",
+    # --q 3 --n 6 --poly 2,0,0,0,0,1,1
+    ("q3n6", "json"): "ca23855fc3832a3fb5c25009c10ee2973e6b150512dd3d7186d78f3b0be28609",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("n", ["4", "6", pytest.param("8", marks=pytest.mark.extended)])
+def test_selfdual_stdout_is_pinned(capsys, n, fmt):
+    code, out, _ = run(capsys, "selfdual", "--n", n, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFDUAL_STDOUT_SHA256[n, fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "9"],
+    ["--q", "3", "--n", "7", "--poly", "1,0,0,0,0,2,0,1"],     # x^7 + 2x^5 + 1
+], ids=["P2(9)", "P3(7)"])
+def test_selfdual_refuses_a_space_over_the_memory_estimate(capsys, argv):
+    """The estimate is checked before any work, so the refusal is instant."""
+    result = run(capsys, "selfdual", *argv)
+    assert_one_line_error(result, 4)
+    assert "estimated" in result[2]
 
 
 def test_graph_refuses_a_db_with_forged_distances(tmp_path, capsys):

@@ -130,3 +130,14 @@ def test_antilog_steps_multiply_by_x(q, n, poly):
         digits = _times_x(digits, field.poly, q)
     assert field.antilog == expected
     assert digits == [1] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("q,n,poly", TABLE_CASES)
+def test_zech_logarithm_adds_one(q, n, poly):
+    """antilog[zech[i]] is gamma^i + 1 by digit-list arithmetic; -1 marks a zero sum."""
+    field = make_field(q, n, poly)
+    for i, z in enumerate(field.zech):
+        digits = list(field.unpack_coords(field.antilog[i]))
+        digits[0] = (digits[0] + 1) % q
+        total = int("".join(map(str, reversed(digits))), q)
+        assert z == -1 if total == 0 else field.antilog[z] == total

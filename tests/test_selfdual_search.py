@@ -2,7 +2,7 @@
 
 import pytest
 
-from orbitcodes import make_field, self_dual_search
+from orbitcodes import from_bits, make_field, self_dual_search
 from tests import selfdual_oracle as oracle
 
 # (q, n, poly): poly None takes the default; others are primitive, constant term first
@@ -23,7 +23,7 @@ EXTENDED_FIELDS = {
 
 
 def summary(hit):
-    return (hit.m, hit.moduli, sorted(w.bits for w in hit.code.words),
+    return (hit.m, hit.moduli, sorted(hit.words), hit.dims, hit.size,
             hit.constant_dimension, hit.orbit_count)
 
 
@@ -56,3 +56,16 @@ def test_differential_cases_reach_every_rule():
     assert any(h.m == 6 for h in self_dual_search(make_field(5, 2)))
     # minimal only at the second maximal modulus 9 of 63
     assert any(h.moduli == (9,) for h in self_dual_search(make_field(*FIELDS["F2^6-other"])))
+
+
+@pytest.mark.parametrize("name", ["F2^6", "F3^4"])
+def test_lazy_code_holds_the_hit_words(name):
+    """hit.code, built on first access, is the code of the hit's bitsets."""
+    field = make_field(*FIELDS[name])
+    for hit in self_dual_search(field):
+        assert list(hit.words) == sorted(hit.words)
+        code = hit.code
+        assert code.words == {from_bits(field, b) for b in hit.words}
+        assert (code.size, code.dims) == (hit.size, hit.dims)
+        assert code.constant_dimension == hit.constant_dimension
+        assert hit.code is code
