@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 argument/parse errors, 3 domain validation errors,
 4 resource-budget exhaustion, 5 verification mismatches (a computed value
 contradicts a claim or an internal cross-check).
+
+Each command imports the modules it uses when it runs, so a call loads only
+what its command needs: verify, dualize, bound and spread never load the
+orbit census or the construction modules.
 """
 
 from __future__ import annotations
@@ -11,38 +15,7 @@ import argparse
 import json
 import sys
 
-from .codes import (
-    code_from_generators,
-    dualize,
-    dump_code_file,
-    etzion_vardy_bound,
-    is_cyclic,
-    load_code_file,
-    spread_code,
-    verify_code_file,
-)
-from .construct import (
-    assemble_code,
-    build_graph,
-    find_cliques,
-    read_dimacs,
-    self_dual_search,
-    write_dimacs,
-    CompatGraph,
-)
 from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
-from .gfext import make_field
-from .orbits import (
-    Checkpoint,
-    RunBudget,
-    candidate_count,
-    classify,
-    conjecture_check,
-    enumerate_orbits,
-    read_orbit_db,
-    write_orbit_db,
-)
-from .subspace import exponents_of
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -59,10 +32,12 @@ EXTENDED_THRESHOLD = 12_000_000
 
 
 def _field_from_args(args):
+    from .gfext import make_field
     return make_field(args.q, args.n, args.poly or None)
 
 
 def _budget_from_args(args):
+    from .orbits import RunBudget
     if args.budget_sec:
         return RunBudget(max_seconds=args.budget_sec)
     return None
@@ -73,6 +48,26 @@ def _emit(args, payload: dict, text: str):
         print(json.dumps(payload, indent=1))
     else:
         print(text)
+
+
+def _stream_json(head: dict, lists: dict):
+    """Print head followed by lists, as print(json.dumps(..., indent=1)) would.
+
+    head is a non-empty dict; each value of lists is an iterable of dicts,
+    each built, written and dropped in turn, so the document is never held
+    whole.
+    """
+    write = sys.stdout.write
+    write(json.dumps(head, indent=1)[:-2])          # all but the closing "\n}"
+    for key, items in lists.items():
+        write(f",\n {json.dumps(key)}: ")
+        sep = "[\n  "
+        for item in items:
+            # an item sits two levels down; its strings hold no newline
+            write(sep + json.dumps(item, indent=1).replace("\n", "\n  "))
+            sep = ",\n  "
+        write("[]" if sep == "[\n  " else "\n ]")
+    write("\n}\n")
 
 
 # -- classify ---------------------------------------------------------------------
@@ -111,6 +106,7 @@ def _census_payload(table) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .orbits import Checkpoint, candidate_count, classify, enumerate_orbits, write_orbit_db
     field = _field_from_args(args)
     candidates = candidate_count(field, args.k)
     # k > n has no candidates, and its q^k is not worth computing
@@ -139,6 +135,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .codes import verify_code_file
     report = verify_code_file(args.file)
     if args.format == "json":
         print(json.dumps(report, indent=1))
@@ -163,30 +160,33 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from .codes import code_from_generators, dualize, dump_code_file, is_cyclic, load_code_file
     cf = load_code_file(args.file)
     code = code_from_generators(cf.field, cf.m, cf.generators)
     dual = dualize(code)
     # dual words need not form orbits; emit each word as its own generator
     # under the identity shift m = q^n - 1
-    words = sorted(dual.words, key=lambda w: w.bits)
+    words = sorted(dual.bitsets)
     out = args.output or (args.file + ".dual.json")
     dump_code_file(out, cf.field, cf.field.group_order, words)
     print(f"wrote {len(words)} dual words to {out}", file=sys.stderr)
-    if args.format == "text":
-        print(f"dual code: size {dual.size}, dims {list(dual.dims)}, "
-              f"cyclic: {is_cyclic(dual)}")
+    payload = {"size": dual.size, "dims": list(dual.dims), "cyclic": is_cyclic(dual)}
+    _emit(args, payload, f"dual code: size {payload['size']}, dims {payload['dims']}, "
+                         f"cyclic: {payload['cyclic']}")
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
+    from .codes import etzion_vardy_bound
     print(etzion_vardy_bound(args.n, args.d, args.k, args.q))
     return EXIT_OK
 
 
 def cmd_spread(args) -> int:
+    from .codes import dump_code_file, spread_code
     field = _field_from_args(args)
     code = spread_code(field, args.t)
-    gen = min(code.words, key=lambda w: w.bits)
+    gen = min(code.bitsets)
     out = args.output or f"spread_n{args.n}t{args.t}q{args.q}.json"
     n, k, size, d = code.params()
     dump_code_file(out, field, 1, [gen],
@@ -199,6 +199,8 @@ def cmd_spread(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .construct import build_graph, write_dimacs
+    from .orbits import read_orbit_db
     orbits = read_orbit_db(args.db)
     G = build_graph(orbits, args.d)
     out = args.output or (args.db + f".d{args.d}.dimacs")
@@ -209,6 +211,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_clique(args) -> int:
+    from .construct import CompatGraph, assemble_code, build_graph, find_cliques, read_dimacs
+    from .orbits import read_orbit_db
     if not (args.db or args.graph):
         raise ParseError("clique needs --graph or --db")
     if args.db:
@@ -240,24 +244,25 @@ def cmd_clique(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
+    from .construct import self_dual_search
+    from .subspace import exponents_of
     field = _field_from_args(args)
     hits = self_dual_search(field)
     primary, others = [], []
     for h in hits:
         (primary if h.constant_dimension and h.single_generator else others).append(h)
     if args.format == "json":
-        print(json.dumps({
-            "q": args.q, "n": args.n,
-            "constant_dimension_single_generator": [
+        _stream_json({"q": args.q, "n": args.n}, {
+            "constant_dimension_single_generator": (
                 {"m": h.m, "params": list(h.params()),
                  "words": [list(exponents_of(b)) for b in h.words]}
-                for h in primary],
-            "other_minimal": [
+                for h in primary),
+            "other_minimal": (
                 {"m": h.m, "size": h.size, "dims": list(h.dims),
                  "orbit_count": h.orbit_count,
                  "constant_dimension": h.constant_dimension}
-                for h in others],
-        }, indent=1))
+                for h in others),
+        })
     else:
         print(f"self-dual quasi-cyclic codes in P_{args.q}({args.n}):")
         for h in primary:
@@ -269,6 +274,7 @@ def cmd_selfdual(args) -> int:
 
 
 def cmd_conjecture_check(args) -> int:
+    from .orbits import conjecture_check
     field = _field_from_args(args)
     verdict = conjecture_check(field, args.k, budget=_budget_from_args(args))
     payload = {"n": verdict.n, "k": verdict.k, "applicable": verdict.applicable,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -15,15 +15,18 @@ from .errors import (
     VerificationFailed,
 )
 from .gfext import FieldSpec, make_field
+from .records import Record
 from .subspace import (
     check_modulus,
     cyclic_overlaps,
     dimension_from_popcount,
+    exponents_of,
     from_bits,
     from_exponents,
     meet_dim,
+    min_member,
     orbit_bits,
-    orthogonal_complement,
+    orbit_length,
     rotate_bits,
 )
 
@@ -55,27 +58,48 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
 # -- code objects ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspaceCode:
-    """A set of subspaces, possibly of mixed dimension."""
+def word_dims(field: FieldSpec, bitsets) -> tuple:
+    """The distinct dimensions of the words with these bitsets, ascending."""
+    return tuple(sorted(dimension_from_popcount(c, field.q)
+                        for c in {b.bit_count() for b in bitsets}))
 
-    field: FieldSpec
-    words: frozenset                  # of Subspace
-    provenance: tuple = None          # ((generator Subspace, m), ...) or None
-    duplicate_generators: tuple = ()  # indices of generators whose orbit repeated
+
+class SubspaceCode(Record):
+    """A set of subspaces, possibly of mixed dimension, held as their bitsets.
+
+    words, the same set as Subspace objects, is built the first time it is
+    read; size, dims, the distances and the duality checks read bitsets.
+    """
+
+    _fields = ("field", "words", "provenance", "duplicate_generators")
+
+    def __init__(self, field: FieldSpec, bitsets, provenance: tuple = None,
+                 duplicate_generators: tuple = ()):
+        self.field = field
+        self.bitsets = frozenset(bitsets)          # of word bitsets
+        self.provenance = provenance               # ((generator Subspace, m), ...) or None
+        self.duplicate_generators = duplicate_generators  # generators whose orbit repeated
+
+    def _astuple(self) -> tuple:
+        # the bitsets stand for the words, which need not be built to compare
+        return (self.field, self.bitsets, self.provenance, self.duplicate_generators)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    @cached_property
+    def words(self) -> frozenset:
+        """The words as Subspace objects."""
+        field = self.field
+        return frozenset(from_bits(field, b) for b in self.bitsets)
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.bitsets)
 
     @cached_property
-    def bitsets(self) -> frozenset:
-        """The words' bitsets, which is_self_dual and is_quasi_cyclic read."""
-        return frozenset(w.bits for w in self.words)
-
-    @property
     def dims(self) -> tuple:
-        return tuple(sorted({w.dim for w in self.words}))
+        return word_dims(self.field, self.bitsets)
 
     @property
     def constant_dimension(self) -> bool:
@@ -93,24 +117,23 @@ class SubspaceCode:
 def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
     """Union of the m-quasi orbits of the generators; duplicate orbits are merged."""
     check_modulus(field, m)
-    words = {}
+    bitsets = set()
     duplicates = []
     provenance = []
     for idx, gen in enumerate(generators):
         if gen.field != field:
             raise FieldMismatch("generator belongs to a different field")
         members = orbit_bits(field, gen.bits, m)
-        if any(b in words for b in members):
+        if not bitsets.isdisjoint(members):
             duplicates.append(idx)
-        for b in members:
-            words[b] = gen.dim
+        bitsets.update(members)
         provenance.append((gen, m))
-    wordset = frozenset(from_bits(field, b) for b in words)
-    return SubspaceCode(field, wordset, tuple(provenance), tuple(duplicates))
+    return SubspaceCode(field, bitsets, tuple(provenance), tuple(duplicates))
 
 
 def code_from_words(field: FieldSpec, words) -> SubspaceCode:
-    return SubspaceCode(field, frozenset(words))
+    """The code of these Subspace words."""
+    return SubspaceCode(field, (w.bits for w in words))
 
 
 def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
@@ -124,15 +147,15 @@ def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
     # spread properties: trivial pairwise intersections, exact cover
     total = 0
     union = 0
-    for w in code.words:
-        total += w.bits.bit_count()
-        union |= w.bits
+    for b in code.bitsets:
+        total += b.bit_count()
+        union |= b
     if union != (1 << N) - 1 or total != N:
         raise VerificationFailed("spread cover property failed")
-    words = list(code.words)
+    words = list(code.bitsets)
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
-            if words[i].bits & words[j].bits:
+            if words[i] & words[j]:
                 raise VerificationFailed("spread members intersect nontrivially")
     return code
 
@@ -151,7 +174,7 @@ def min_distance(C: SubspaceCode) -> int:
 
 def _min_distance_all_pairs(C: SubspaceCode) -> int:
     q = C.field.q
-    ws = [(w.dim, w.bits) for w in C.words]
+    ws = [(dimension_from_popcount(b.bit_count(), q), b) for b in C.bitsets]
     best = None
     for i in range(len(ws)):
         ka, a = ws[i]
@@ -177,11 +200,11 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
     orbits = []
     seen = set()
     for gen, m in C.provenance:
-        members = orbit_bits(field, gen.bits, m)
-        if members[0] in seen:
+        name = min_member(field, gen.bits, m)[0]
+        if name in seen:
             continue  # duplicate orbit
-        seen.update(members)
-        orbits.append((gen.dim, gen.bits, m, len(members)))
+        seen.add(name)
+        orbits.append((gen.dim, gen.bits, m, orbit_length(field, gen.bits, m)))
     dists = []
     for i, (ka, a, m, length) in enumerate(orbits):
         if length > 1:
@@ -201,7 +224,11 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
 
 def dualize(C: SubspaceCode) -> SubspaceCode:
     """The code of orthogonal complements (provenance does not survive)."""
-    return SubspaceCode(C.field, frozenset(orthogonal_complement(w) for w in C.words))
+    from .subspace import complement_bits
+    field = C.field
+    q = field.q
+    return SubspaceCode(field, (complement_bits(
+        field, b, dimension_from_popcount(b.bit_count(), q)) for b in C.bitsets))
 
 
 def is_quasi_cyclic(C, m: int) -> bool:
@@ -235,14 +262,11 @@ def is_self_dual(C) -> bool:
 # -- code files -----------------------------------------------------------------
 
 
-@dataclass
-class CodeFile:
-    """Parsed code file: field, shift modulus, generators, optional claim."""
+class CodeFile(namedtuple("CodeFile", "field m generators claimed")):
+    """Parsed code file: field, shift modulus, generators (a list of Subspace)
+    and the claim, a dict or None."""
 
-    field: FieldSpec
-    m: int
-    generators: list         # of Subspace
-    claimed: dict | None
+    __slots__ = ()
 
 
 def _is_int_list(value) -> bool:
@@ -282,16 +306,23 @@ def load_code_file(path) -> CodeFile:
 
 def dump_code_file(path, field: FieldSpec, m: int, generators,
                    claimed: dict | None = None) -> None:
-    doc = {
-        "field": {"q": field.q, "n": field.n, "poly": list(field.poly)},
-        "m": m,
-        "generators": [list(g.exponents) for g in generators],
-    }
+    """Write a code file as json.dump(doc, indent=1) lays it out, plus a newline.
+
+    generators are Subspaces or their bitsets.  Their exponent lists, nearly
+    all of the file, are joined here directly; json.dump with an indent
+    would run its pure-Python encoder over them.
+    """
+    doc = {"field": {"q": field.q, "n": field.n, "poly": list(field.poly)},
+           "m": m, "generators": []}
     if claimed:
         doc["claimed"] = claimed
+    head, tail = json.dumps(doc, indent=1).split('"generators": []', 1)
+    lists = ["[\n   " + ",\n   ".join(map(str, exps)) + "\n  ]" if exps else "[]"
+             for exps in (exponents_of(g) if isinstance(g, int) else g.exponents
+                          for g in generators)]
+    body = "[\n  " + ",\n  ".join(lists) + "\n ]" if lists else "[]"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{head}"generators": {body}{tail}\n')
 
 
 def verify_code_file(path) -> dict:
@@ -299,7 +330,7 @@ def verify_code_file(path) -> dict:
     cf = load_code_file(path)
     field = cf.field
     code = code_from_generators(field, cf.m, cf.generators)
-    orbit_sizes = [len(orbit_bits(field, g.bits, cf.m)) for g in cf.generators]
+    orbit_sizes = [orbit_length(field, g.bits, cf.m) for g in cf.generators]
     d = min_distance(code) if code.size >= 2 else None
     report = {
         "field": {"q": field.q, "n": field.n, "poly": list(field.poly)},

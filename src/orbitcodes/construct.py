@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import gcd
 
-from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
+from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance, word_dims
 from .errors import (
     FieldMismatch,
     OddDistance,
@@ -42,11 +42,10 @@ from .errors import (
 )
 from .gfext import FieldSpec, is_prime
 from .orbits import Orbit, cyclic_orbit_data, divisors
+from .records import Record
 from .subspace import (
     complement_bits,
     cyclic_overlaps,
-    dimension_from_popcount,
-    from_bits,
     meet_dim,
     min_member,
     orbit_bits,
@@ -73,14 +72,17 @@ def inter_orbit_distance(A: Orbit, B: Orbit) -> int:
     return A.k + B.k - 2 * meet_dim(A.field.q, overlap[::A.m], min(A.k, B.k))
 
 
-@dataclass
-class CompatGraph:
+class CompatGraph(Record):
     """Orbit compatibility graph at a distance threshold."""
 
-    orbits: list                       # included orbits, one per vertex
-    threshold: int
-    adj: list                          # adjacency bitmasks over vertex indices
-    excluded: list = dc_field(default_factory=list)  # orbits with internal d < threshold
+    _fields = ("orbits", "threshold", "adj", "excluded")
+
+    def __init__(self, orbits: list, threshold: int, adj: list,
+                 excluded: list | None = None):
+        self.orbits = orbits            # included orbits, one per vertex
+        self.threshold = threshold
+        self.adj = adj                  # adjacency bitmasks over vertex indices
+        self.excluded = [] if excluded is None else excluded  # internal d < threshold
 
     @property
     def n_vertices(self) -> int:
@@ -210,10 +212,8 @@ def read_dimacs(path):
 # -- clique search ----------------------------------------------------------------
 
 
-@dataclass
-class CliqueResult:
-    vertices: tuple
-    certified: bool
+class CliqueResult(namedtuple("CliqueResult", "vertices certified")):
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -338,18 +338,21 @@ def assemble_code(G: CompatGraph, clique: CliqueResult) -> SubspaceCode:
 # -- self-dual quasi-cyclic search -------------------------------------------------
 
 
-@dataclass
-class SelfDualHit:
+class SelfDualHit(Record):
     """One minimal self-dual m-quasi-cyclic code, as its word bitsets.
 
     The SubspaceCode of the same words is built the first time code is read.
     """
 
-    field: FieldSpec
-    m: int                    # smallest modulus exhibiting the quasi-cyclic closure
-    moduli: tuple             # all proper divisors m of q^n-1 that work
-    words: tuple              # the word bitsets, ascending
-    orbit_count: int          # number of m-quasi orbits the word set splits into
+    _fields = ("field", "m", "moduli", "words", "orbit_count")
+
+    def __init__(self, field: FieldSpec, m: int, moduli: tuple, words: tuple,
+                 orbit_count: int):
+        self.field = field
+        self.m = m                      # smallest modulus exhibiting the quasi-cyclic closure
+        self.moduli = moduli            # all proper divisors m of q^n-1 that work
+        self.words = words              # the word bitsets, ascending
+        self.orbit_count = orbit_count  # number of m-quasi orbits the word set splits into
 
     @property
     def size(self) -> int:
@@ -357,9 +360,7 @@ class SelfDualHit:
 
     @cached_property
     def dims(self) -> tuple:
-        q = self.field.q
-        return tuple(sorted(dimension_from_popcount(c, q)
-                            for c in {b.bit_count() for b in self.words}))
+        return word_dims(self.field, self.words)
 
     @property
     def constant_dimension(self) -> bool:
@@ -381,11 +382,11 @@ class SelfDualHit:
 
     @cached_property
     def code(self) -> SubspaceCode:
-        return SubspaceCode(self.field, frozenset(from_bits(self.field, b)
-                                                  for b in self.words))
+        return SubspaceCode(self.field, self.words)
 
     def params(self) -> tuple:
-        return self.code.params()
+        # from a code of its own, so that the hit keeps no second set of its words
+        return SubspaceCode(self.field, self.words).params()
 
 
 # Bytes self_dual_search holds per subspace besides its bitset: peak RSS grew

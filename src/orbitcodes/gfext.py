@@ -11,7 +11,7 @@ the coefficient of x^i (base-q digits, so plain bits when q = 2).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -145,12 +145,10 @@ def poly_str(poly: tuple) -> str:
     return "+".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(namedtuple("FieldElement", "field exp")):
     """Either zero (exp is None) or gamma^exp."""
 
-    field: "FieldSpec"
-    exp: int | None
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:

@@ -36,7 +36,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .codes import gaussian_coefficient
@@ -48,6 +48,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gfext import FieldSpec, make_field
+from .records import Record
 from .subspace import (
     Subspace,
     _echelon_rows,
@@ -65,25 +66,22 @@ from .subspace import (
 )
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """One m-quasi orbit: canonical representative plus derived parameters."""
+class Orbit(namedtuple("Orbit", "field m rep length k min_dist stab_degree")):
+    """One m-quasi orbit: canonical representative (a Subspace) plus derived
+    parameters."""
 
-    field: FieldSpec
-    m: int
-    rep: Subspace
-    length: int
-    k: int
-    min_dist: int
-    stab_degree: int
+    __slots__ = ()
 
 
-@dataclass
-class RunBudget:
+class RunBudget(Record):
     """Work limits for enumeration; exceeded budgets raise ResourceLimit."""
 
-    max_seconds: float | None = None
-    max_candidates: int | None = None
+    _fields = ("max_seconds", "max_candidates")
+
+    def __init__(self, max_seconds: float | None = None,
+                 max_candidates: int | None = None):
+        self.max_seconds = max_seconds
+        self.max_candidates = max_candidates
 
     def start(self):
         return _BudgetClock(self)
@@ -142,14 +140,16 @@ def candidate_count(field: FieldSpec, k: int) -> int:
 # -- cyclic orbit data ----------------------------------------------------------
 
 
-@dataclass
-class CyclicOrbitRecord:
+class CyclicOrbitRecord(Record):
     """Raw m=1 orbit data from which every quasi census is derived."""
 
-    rep_bits: int
-    length: int          # D, the cyclic orbit length
-    stab_degree: int     # t with D = (q^n-1)/(q^t-1)
-    min_by_step: dict    # g | D, g < D -> min distance d(V, gamma^j V) over g | j
+    __slots__ = _fields = ("rep_bits", "length", "stab_degree", "min_by_step")
+
+    def __init__(self, rep_bits: int, length: int, stab_degree: int, min_by_step: dict):
+        self.rep_bits = rep_bits
+        self.length = length            # D, the cyclic orbit length
+        self.stab_degree = stab_degree  # t with D = (q^n-1)/(q^t-1)
+        self.min_by_step = min_by_step  # g | D, g < D -> min d(V, gamma^j V) over g | j
 
     def min_dist_for_step(self, g: int) -> int:
         """Internal minimum distance of a quasi orbit stepping by g (g | D)."""
@@ -371,16 +371,16 @@ def enumerate_orbits(field: FieldSpec, k: int, m: int = 1,
 # -- census ---------------------------------------------------------------------
 
 
-@dataclass
-class CensusTable:
+class CensusTable(Record):
     """Aggregated orbit counts for one (q, n, k, m), keyed by (length, min_dist)."""
 
-    q: int
-    n: int
-    k: int
-    m: int
-    counts: dict                      # (length, min_dist) -> number of orbits
-    diffs: list = dc_field(default_factory=list)   # vs the embedded reference tables
+    _fields = ("q", "n", "k", "m", "counts", "diffs")
+
+    def __init__(self, q: int, n: int, k: int, m: int, counts: dict,
+                 diffs: list | None = None):
+        self.q, self.n, self.k, self.m = q, n, k, m
+        self.counts = counts                               # (length, min_dist) -> orbits
+        self.diffs = [] if diffs is None else diffs        # vs the embedded reference tables
 
     @property
     def full_length(self) -> int:
@@ -430,15 +430,14 @@ def classify(field: FieldSpec, k: int, m: int = 1,
 # -- length-law and conjecture checks ---------------------------------------------
 
 
-@dataclass
-class ConjectureVerdict:
-    """Existence of a full-length orbit at distance >= 2k-2 for (n, k)."""
+class ConjectureVerdict(namedtuple("ConjectureVerdict", (
+        "n", "k", "applicable", "satisfied", "full_length_count_at_target"))):
+    """Existence of a full-length orbit at distance >= 2k-2 for (n, k).
 
-    n: int
-    k: int
-    applicable: bool          # the statement is posed for k < n/2
-    satisfied: bool
-    full_length_count_at_target: int
+    applicable: the statement is posed for k < n/2.
+    """
+
+    __slots__ = ()
 
     @property
     def target_distance(self) -> int:
@@ -453,12 +452,6 @@ def conjecture_check(field: FieldSpec, k: int,
     count = sum(c for (ln, d), c in table.counts.items()
                 if ln == full and d >= target)
     return ConjectureVerdict(field.n, k, k < field.n / 2, count > 0, count)
-
-
-def quasi_length_formula(field: FieldSpec, t: int, m: int) -> int:
-    """Orbit length D/gcd(m, D) with D = (q^n-1)/(q^t-1)."""
-    D = field.group_order // (field.q ** t - 1)
-    return D // gcd(m, D)
 
 
 # -- orbit database ---------------------------------------------------------------

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import (
@@ -140,6 +140,12 @@ def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
     doubled = bits | bits << N
     mask = (1 << N) - 1
     return [(doubled >> s) & mask for s in range(N, N - D // gcd(m, D) * m, -m)]
+
+
+def orbit_length(field: FieldSpec, bits: int, m: int = 1) -> int:
+    """How many members orbit_bits(field, bits, m) lists: D/gcd(m, D)."""
+    _, D = stabilizer(field, bits)
+    return D // gcd(m, D)
 
 
 def min_member(field: FieldSpec, bits: int, m: int = 1) -> tuple:
@@ -255,18 +261,16 @@ def exponents_of(bits: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "field bits dim")):
     """A subspace of F_{q^n} as a characteristic bitset over exponents."""
 
-    field: FieldSpec
-    bits: int
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        pc = self.bits.bit_count()
-        if dimension_from_popcount(pc, self.field.q) != self.dim:
-            raise NotASubspace(f"popcount {pc} inconsistent with dim {self.dim}")
+    def __new__(cls, field: FieldSpec, bits: int, dim: int):
+        pc = bits.bit_count()
+        if dimension_from_popcount(pc, field.q) != dim:
+            raise NotASubspace(f"popcount {pc} inconsistent with dim {dim}")
+        return tuple.__new__(cls, (field, bits, dim))
 
     @property
     def exponents(self) -> tuple:

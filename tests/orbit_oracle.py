@@ -80,30 +80,42 @@ def rref_candidates(field, k: int):
     lexicographic order, a base-q counter runs over the free digits (row i,
     column c > pivot i, c not a pivot), the first free position least
     significant.  Quotient column c is coordinate c+1, and the span of
-    gamma^0 and the rows is built from scratch with the field's packed
-    arithmetic.  k = 0 gives the zero subspace.
+    gamma^0 and the rows is built from scratch: each vector holds coordinate
+    i in byte i of an integer, so a linear combination is one integer sum
+    whose bytes are reduced mod q at the end, and a table from reduced bytes
+    to exponents (built from field.log) names its element.  A byte holds at
+    most k (q-1)^2, the largest sum of k rows before the reduction.  k = 0
+    gives the zero subspace.
     """
     n, q = field.n, field.q
     if k == 0:
         yield 0
         return
+    assert k * (q - 1) ** 2 < 256, "a coordinate sum must fit in a byte"
+    mod_q = bytes(d % q for d in range(256))
+    exponent = {bytes((p // q ** i) % q for i in range(n)): field.log[p]
+                for p in range(1, q ** n)}
     for pivots in itertools.combinations(range(n - 1), k - 1):
         free = [(i, c) for i in range(k - 1)
                 for c in range(pivots[i] + 1, n - 1) if c not in pivots]
         for count in range(q ** len(free)):
-            rows = [q ** (p + 1) for p in pivots]
+            rows = [1 << 8 * (p + 1) for p in pivots]
             for i, c in free:
                 count, digit = divmod(count, q)
-                rows[i] += digit * q ** (c + 1)
+                rows[i] += digit << 8 * (c + 1)
             elts = [0]
             for row in [1, *rows]:
-                elts = [field.coord_add(e, field.coord_scale(row, a))
-                        for a in range(q) for e in elts]
+                elts = [e + a * row for a in range(q) for e in elts]
             bits = 0
-            for p in elts:
-                if p:
-                    bits |= 1 << field.log[p]
+            for v in elts[1:]:
+                bits |= 1 << exponent[v.to_bytes(n, "little").translate(mod_q)]
             yield bits
+
+
+def quasi_length_formula(field, t: int, m: int) -> int:
+    """Orbit length D/gcd(m, D) with D = (q^n-1)/(q^t-1)."""
+    D = field.group_order // (field.q ** t - 1)
+    return D // gcd(m, D)
 
 
 def naive_orbit_length(V: Subspace, m: int) -> int:

@@ -15,7 +15,7 @@ from math import gcd
 from orbitcodes.codes import SubspaceCode, gaussian_coefficient, is_quasi_cyclic, is_self_dual
 from orbitcodes.errors import ResourceLimit, VerificationFailed
 from orbitcodes.orbits import cyclic_orbit_data, divisors
-from orbitcodes.subspace import complement_bits, from_bits, orbit_bits
+from orbitcodes.subspace import complement_bits, orbit_bits
 
 
 @dataclass
@@ -29,7 +29,7 @@ class OracleHit:
 
     @property
     def words(self) -> tuple:
-        return tuple(sorted(w.bits for w in self.code.words))
+        return tuple(sorted(self.code.bitsets))
 
     @property
     def dims(self) -> tuple:
@@ -132,8 +132,7 @@ def self_dual_search(field, max_space: int = 1 << 21,
         if any(small < key for small in kept):
             continue
         kept.append(key)
-        words = frozenset(from_bits(field, b) for b in key)
-        code = SubspaceCode(field, words)
+        code = SubspaceCode(field, key)
         ms = tuple(sorted(components[key]))
         hit = OracleHit(ms[0], ms, code, _orbit_count(field, key, ms[0]))
         if not is_self_dual(code):

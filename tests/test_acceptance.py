@@ -42,9 +42,9 @@ from orbitcodes import (
     verify_code_file,
 )
 from orbitcodes.codes import gaussian_coefficient
-from orbitcodes.orbits import divisors, quasi_length_formula
+from orbitcodes.orbits import divisors
 from tests.conftest import data_path
-from tests.orbit_oracle import naive_orbit_length
+from tests.orbit_oracle import naive_orbit_length, quasi_length_formula
 
 
 class criterion:

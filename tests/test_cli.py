@@ -58,7 +58,7 @@ def test_classify_extended_gate(capsys, monkeypatch):
     """The gate counts candidates x q^k, the vectors the walk spans: every
     n <= 9 runs, n = 10 only at k <= 3 and k >= 8, and n = 16 at k = 15
     (32,767 candidates of 32,768 vectors each) needs --extended."""
-    from orbitcodes import cli
+    from orbitcodes import orbits
 
     class Ran(Exception):
         pass
@@ -66,7 +66,7 @@ def test_classify_extended_gate(capsys, monkeypatch):
     def census(*args, **kwargs):
         raise Ran
 
-    monkeypatch.setattr(cli, "classify", census)
+    monkeypatch.setattr(orbits, "classify", census)
     ungated = [(9, k) for k in range(10)] + [(10, k) for k in (0, 1, 2, 3, 8, 9, 10)]
     for n, k in ungated:
         with pytest.raises(Ran):
@@ -132,6 +132,40 @@ def test_dualize_round_trip(tmp_path, capsys):
         f, orig["m"], [from_exponents(f, g) for g in orig["generators"]])
     back_words = {tuple(sorted(g)) for g in back["generators"]}
     assert back_words == {w.exponents for w in orig_code.words}
+
+
+def test_dualize_json(tmp_path, capsys):
+    """--format json prints the text line's three facts; the text line stays."""
+    out = str(tmp_path / "dual.json")
+    code, text, err = run(capsys, "dualize", data_path("cyclic_n5k2.json"), "-o", out,
+                          "--format", "json")
+    assert code == 0 and err == f"wrote 31 dual words to {out}\n"
+    assert text == json.dumps({"size": 31, "dims": [3], "cyclic": False}, indent=1) + "\n"
+    code, text, _ = run(capsys, "dualize", data_path("cyclic_n5k2.json"), "-o", out)
+    assert code == 0 and text == "dual code: size 31, dims [3], cyclic: False\n"
+
+
+# sha256 of the files dualize and spread write, taken from the CLI as it was
+# before dump_code_file laid out the exponent lists itself
+WRITTEN_SHA256 = {
+    "example3_n8k4": "492c07dbe694f2dd846bc4401169b004b06c8ae95da93d97a3ad2cc773e77f23",
+    "quasi3_n8k4": "231d6ea65f8d5d99854aecd3e77ee56219f04acea5021209090e4c2c3b483500",
+    "cyclic_n5k2": "42d0ea43155bd9a0c32f162245ae52afd8ac9e3df3504716022528572ec11fd0",
+    "spread --n 6 --t 3": "2c8a65bc039eb0922cab1f2e62422a545ecf8d007c1491137c3ade755267e939",
+}
+
+
+@pytest.mark.parametrize("name", ["example3_n8k4", "quasi3_n8k4", "cyclic_n5k2"])
+def test_dualize_file_is_pinned(tmp_path, capsys, name):
+    out = tmp_path / "dual.json"
+    assert run(capsys, "dualize", data_path(name + ".json"), "-o", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITTEN_SHA256[name]
+
+
+def test_spread_file_is_pinned(tmp_path, capsys):
+    out = tmp_path / "spread.json"
+    assert run(capsys, "spread", "--n", "6", "--t", "3", "-o", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITTEN_SHA256["spread --n 6 --t 3"]
 
 
 def test_spread(tmp_path, capsys, monkeypatch):
@@ -364,15 +398,15 @@ def test_checkpoint_rep_that_is_not_the_smallest_member_is_refused(tmp_path, cap
 def test_selfdual_other_minimal_is_every_non_primary_hit(capsys, monkeypatch):
     """F_3^6 under x^6+x^5+2 has 28,315 hits; listing them takes linear time."""
     import time
-    from orbitcodes import cli
+    from orbitcodes import construct
     hits = []
-    search = cli.self_dual_search
+    search = construct.self_dual_search
 
     def recording_search(field):
         hits.extend(search(field))
         return hits
 
-    monkeypatch.setattr(cli, "self_dual_search", recording_search)
+    monkeypatch.setattr(construct, "self_dual_search", recording_search)
     t0 = time.monotonic()
     code, out, _ = run(capsys, "selfdual", "--q", "3", "--n", "6",
                        "--poly", "2,0,0,0,0,1,1", "--format", "json")

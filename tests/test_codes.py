@@ -278,3 +278,34 @@ def test_constant_dimension_codes_respect_bound():
         k = r["dims"][0]
         assert r["size"] <= etzion_vardy_bound(r["field"]["n"], r["min_dist"],
                                                k, r["field"]["q"])
+
+
+# -- words held as bitsets ----------------------------------------------------------
+
+
+def test_verify_builds_no_word_subspace(monkeypatch):
+    """verify reads bitsets: of the 21,483 words of the F_{2^10} code only the
+    21 generators read from the file become Subspace objects, and the words
+    read later are the set built member by member."""
+    from orbitcodes import subspace
+    from orbitcodes.subspace import from_bits, orbit_bits
+    built = []
+
+    class Counted(subspace.Subspace):
+        __slots__ = ()
+
+        def __new__(cls, field, bits, dim):
+            built.append(bits)
+            return super().__new__(cls, field, bits, dim)
+
+    monkeypatch.setattr(subspace, "Subspace", Counted)
+    path = data_path("example2_n10k3.json")
+    report = verify_code_file(path)
+    assert report["size"] == 21483 and report["min_dist"] == 4
+    assert len(built) == report["generators"] == 21
+    cf = load_code_file(path)
+    code = code_from_generators(cf.field, cf.m, cf.generators)
+    assert len(built) == 42
+    eager = {from_bits(cf.field, b) for g in cf.generators
+             for b in orbit_bits(cf.field, g.bits, cf.m)}
+    assert code.words == eager and len(built) == 42 + 2 * 21483

@@ -31,9 +31,8 @@ from orbitcodes.orbits import (
     Orbit,
     _iter_candidates,
     divisors,
-    quasi_length_formula,
 )
-from tests.orbit_oracle import naive_orbit_length
+from tests.orbit_oracle import naive_orbit_length, quasi_length_formula
 
 
 def brute_subspaces(field, k):
