@@ -53,9 +53,9 @@ def _emit(args, payload: dict, text: str):
 def _stream_json(head: dict, lists: dict):
     """Print head followed by lists, as print(json.dumps(..., indent=1)) would.
 
-    head is a non-empty dict; each value of lists is an iterable of dicts,
+    head is a non-empty dict; each value of lists is an iterable of items,
     each built, written and dropped in turn, so the document is never held
-    whole.
+    whole.  An item is a dict or a string already laid out two levels down.
     """
     write = sys.stdout.write
     write(json.dumps(head, indent=1)[:-2])          # all but the closing "\n}"
@@ -64,7 +64,9 @@ def _stream_json(head: dict, lists: dict):
         sep = "[\n  "
         for item in items:
             # an item sits two levels down; its strings hold no newline
-            write(sep + json.dumps(item, indent=1).replace("\n", "\n  "))
+            if not isinstance(item, str):
+                item = json.dumps(item, indent=1).replace("\n", "\n  ")
+            write(sep + item)
             sep = ",\n  "
         write("[]" if sep == "[\n  " else "\n ]")
     write("\n}\n")
@@ -243,9 +245,17 @@ def cmd_clique(args) -> int:
 # -- self-dual / conjecture -----------------------------------------------------------
 
 
+def _primary_hit_json(hit) -> str:
+    """A primary hit as _stream_json lays it out, its words written directly."""
+    from .codes import exponent_lists_json
+    from .subspace import exponents_of
+    head = json.dumps({"m": hit.m, "params": list(hit.params()), "words": []}, indent=1)
+    words = exponent_lists_json(map(exponents_of, hit.words), 3)
+    return head.replace("\n", "\n  ").replace('"words": []', f'"words": {words}')
+
+
 def cmd_selfdual(args) -> int:
     from .construct import self_dual_search
-    from .subspace import exponents_of
     field = _field_from_args(args)
     hits = self_dual_search(field)
     primary, others = [], []
@@ -253,10 +263,7 @@ def cmd_selfdual(args) -> int:
         (primary if h.constant_dimension and h.single_generator else others).append(h)
     if args.format == "json":
         _stream_json({"q": args.q, "n": args.n}, {
-            "constant_dimension_single_generator": (
-                {"m": h.m, "params": list(h.params()),
-                 "words": [list(exponents_of(b)) for b in h.words]}
-                for h in primary),
+            "constant_dimension_single_generator": map(_primary_hit_json, primary),
             "other_minimal": (
                 {"m": h.m, "size": h.size, "dims": list(h.dims),
                  "orbit_count": h.orbit_count,
@@ -292,69 +299,67 @@ def cmd_conjecture_check(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="orbitcodes",
-        description="cyclic and quasi-cyclic subspace codes: classify, "
-                    "verify, bound, construct")
-    sub = p.add_subparsers(dest="command", required=True)
+# each subcommand takes only the options it reads
 
-    # each subcommand takes only the options it reads
-    def field_args(sp, k=False):
-        sp.add_argument("--q", type=int, default=2, help="field characteristic")
-        sp.add_argument("--n", type=int, required=True, help="extension degree")
-        sp.add_argument("--poly", help="primitive polynomial, e.g. 'x^4+x+1' or '1,1,0,0,1'")
-        if k:
-            sp.add_argument("--k", type=int, required=True, help="subspace dimension")
 
-    def format_arg(sp, *choices):
-        sp.add_argument("--format", choices=("text", "json") + choices, default="text")
+def _field_args(sp, k=False):
+    sp.add_argument("--q", type=int, default=2, help="field characteristic")
+    sp.add_argument("--n", type=int, required=True, help="extension degree")
+    sp.add_argument("--poly", help="primitive polynomial, e.g. 'x^4+x+1' or '1,1,0,0,1'")
+    if k:
+        sp.add_argument("--k", type=int, required=True, help="subspace dimension")
 
-    def budget_arg(sp):
-        sp.add_argument("--budget-sec", type=float, help="soft time budget")
 
-    sp = sub.add_parser("classify", help="census of m-quasi orbits of G_q(n,k)")
-    field_args(sp, k=True)
+def _format_arg(sp, *choices):
+    sp.add_argument("--format", choices=("text", "json") + choices, default="text")
+
+
+def _budget_arg(sp):
+    sp.add_argument("--budget-sec", type=float, help="soft time budget")
+
+
+def _classify_args(sp):
+    _field_args(sp, k=True)
     sp.add_argument("--m", type=int, default=1, help="quasi-cyclic shift modulus")
-    format_arg(sp, "csv")
-    budget_arg(sp)
+    _format_arg(sp, "csv")
+    _budget_arg(sp)
     sp.add_argument("--db", help="write the orbit database (JSON lines) here")
     sp.add_argument("--extended", action="store_true",
                     help="allow long enumerations (n=10 scale)")
     sp.add_argument("--checkpoint", help="checkpoint file for resumable runs")
-    sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("verify", help="verify a code file against its claim")
+
+def _verify_args(sp):
     sp.add_argument("file")
-    format_arg(sp)
-    sp.set_defaults(func=cmd_verify)
+    _format_arg(sp)
 
-    sp = sub.add_parser("dualize", help="write the dual of a code file")
+
+def _dualize_args(sp):
     sp.add_argument("file")
     sp.add_argument("-o", "--output")
-    format_arg(sp)
-    sp.set_defaults(func=cmd_dualize)
+    _format_arg(sp)
 
-    sp = sub.add_parser("bound", help="packing upper bound for (n, d, k, q)")
+
+def _bound_args(sp):
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=cmd_bound)
 
-    sp = sub.add_parser("spread", help="build the subfield spread code")
-    field_args(sp)
+
+def _spread_args(sp):
+    _field_args(sp)
     sp.add_argument("--t", type=int, required=True, help="subfield degree (t | n)")
     sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_spread)
 
-    sp = sub.add_parser("graph", help="orbit compatibility graph from an orbit db")
+
+def _graph_args(sp):
     sp.add_argument("--db", required=True)
     sp.add_argument("--d", type=int, required=True, help="distance threshold")
     sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_graph)
 
-    sp = sub.add_parser("clique", help="find cliques in a compatibility graph")
+
+def _clique_args(sp):
     sp.add_argument("--graph", help="DIMACS graph file")
     sp.add_argument("--db", help="orbit db (builds the graph, enables code assembly)")
     sp.add_argument("--d", type=int, default=4, help="threshold when using --db")
@@ -362,27 +367,59 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget-sec", type=float,
                     help="wall-clock limit on the search; a search it stops is not certified")
     sp.add_argument("--seed", type=int, default=0)
-    format_arg(sp)
-    sp.set_defaults(func=cmd_clique)
+    _format_arg(sp)
 
-    sp = sub.add_parser("selfdual", help="all minimal self-dual quasi-cyclic codes")
-    field_args(sp)
-    format_arg(sp)
-    sp.set_defaults(func=cmd_selfdual)
 
-    sp = sub.add_parser("conjecture-check",
-                        help="full-length orbit with d >= 2k-2 exists?")
-    field_args(sp, k=True)
-    format_arg(sp)
-    budget_arg(sp)
-    sp.set_defaults(func=cmd_conjecture_check)
+def _selfdual_args(sp):
+    _field_args(sp)
+    _format_arg(sp)
 
+
+def _conjecture_check_args(sp):
+    _field_args(sp, k=True)
+    _format_arg(sp)
+    _budget_arg(sp)
+
+
+# name -> (help, the function adding its arguments, the function running it)
+COMMANDS = {
+    "classify": ("census of m-quasi orbits of G_q(n,k)", _classify_args, cmd_classify),
+    "verify": ("verify a code file against its claim", _verify_args, cmd_verify),
+    "dualize": ("write the dual of a code file", _dualize_args, cmd_dualize),
+    "bound": ("packing upper bound for (n, d, k, q)", _bound_args, cmd_bound),
+    "spread": ("build the subfield spread code", _spread_args, cmd_spread),
+    "graph": ("orbit compatibility graph from an orbit db", _graph_args, cmd_graph),
+    "clique": ("find cliques in a compatibility graph", _clique_args, cmd_clique),
+    "selfdual": ("all minimal self-dual quasi-cyclic codes", _selfdual_args, cmd_selfdual),
+    "conjecture-check": ("full-length orbit with d >= 2k-2 exists?",
+                         _conjecture_check_args, cmd_conjecture_check),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with command, only that one gets its arguments.
+
+    Every subcommand is registered either way, so the top-level help and
+    the error for an unknown command are the same.
+    """
+    p = argparse.ArgumentParser(
+        prog="orbitcodes",
+        description="cyclic and quasi-cyclic subspace codes: classify, "
+                    "verify, bound, construct")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (summary, add_args, func) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_args(sp)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option but -h, so the first other word names the command
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -304,23 +304,33 @@ def load_code_file(path) -> CodeFile:
     return CodeFile(field, m, generators, claimed)
 
 
+def exponent_lists_json(exponent_lists, indent: int) -> str:
+    """A list of exponent lists as json.dumps(..., indent=1) lays it out.
+
+    indent is how far in the list's closing bracket sits.  The lists are
+    joined here directly; json.dumps with an indent would run its
+    pure-Python encoder over every exponent.
+    """
+    pad = "\n" + " " * indent
+    lists = [f"[{pad}  " + f",{pad}  ".join(map(str, exps)) + f"{pad} ]" if exps else "[]"
+             for exps in exponent_lists]
+    return f"[{pad} " + f",{pad} ".join(lists) + f"{pad}]" if lists else "[]"
+
+
 def dump_code_file(path, field: FieldSpec, m: int, generators,
                    claimed: dict | None = None) -> None:
     """Write a code file as json.dump(doc, indent=1) lays it out, plus a newline.
 
-    generators are Subspaces or their bitsets.  Their exponent lists, nearly
-    all of the file, are joined here directly; json.dump with an indent
-    would run its pure-Python encoder over them.
+    generators are Subspaces or their bitsets; their exponent lists, nearly
+    all of the file, are written by exponent_lists_json.
     """
     doc = {"field": {"q": field.q, "n": field.n, "poly": list(field.poly)},
            "m": m, "generators": []}
     if claimed:
         doc["claimed"] = claimed
     head, tail = json.dumps(doc, indent=1).split('"generators": []', 1)
-    lists = ["[\n   " + ",\n   ".join(map(str, exps)) + "\n  ]" if exps else "[]"
-             for exps in (exponents_of(g) if isinstance(g, int) else g.exponents
-                          for g in generators)]
-    body = "[\n  " + ",\n  ".join(lists) + "\n ]" if lists else "[]"
+    body = exponent_lists_json((exponents_of(g) if isinstance(g, int) else g.exponents
+                                for g in generators), 1)
     with open(path, "w") as fh:
         fh.write(f'{head}"generators": {body}{tail}\n')
 

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import gcd
 
-from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance, word_dims
+from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
 from .errors import (
     FieldMismatch,
     OddDistance,
@@ -48,7 +50,6 @@ from .subspace import (
     cyclic_overlaps,
     meet_dim,
     min_member,
-    orbit_bits,
     subspaces_of,
 )
 
@@ -338,29 +339,89 @@ def assemble_code(G: CompatGraph, clique: CliqueResult) -> SubspaceCode:
 # -- self-dual quasi-cyclic search -------------------------------------------------
 
 
-class SelfDualHit(Record):
-    """One minimal self-dual m-quasi-cyclic code, as its word bitsets.
+class _OrbitTable:
+    """The cyclic orbits of P_q(n), each held as its representative only.
 
-    The SubspaceCode of the same words is built the first time code is read.
+    Orbit oid has dimension dims[oid] and length D = lengths[oid]; its
+    member j < D, the representative rotated by j, has the member id
+    start[oid] + j.  A member's bitset is one shift of the doubled
+    representative, made when it is read.
+    """
+
+    __slots__ = ("N", "dims", "lengths", "start", "doubled")
+
+    def __init__(self, field: FieldSpec):
+        N = self.N = field.group_order
+        records = [(k, rec) for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
+        self.dims = [k for k, _ in records]
+        self.lengths = [rec.length for _, rec in records]
+        self.start = [0, *accumulate(self.lengths)]
+        self.doubled = [rec.rep_bits | rec.rep_bits << N for _, rec in records]
+
+    def words(self, ids):
+        """The bitsets of the members with these ids, in their order."""
+        N, start, doubled = self.N, self.start, self.doubled
+        mask = (1 << N) - 1
+        for i in ids:
+            oid = bisect_right(start, i) - 1
+            yield (doubled[oid] >> (N - i + start[oid])) & mask
+
+    def member_finder(self):
+        """A function from a nonzero member's bitset to its id.
+
+        It looks the member up in an orbit index: each representative rotated
+        down by each of its exponents e < D, mapped to (oid, e).  A member
+        rotated down to its lowest exponent a is one of these keys, and it is
+        member (a - e) mod D of orbit oid: rotation by D fixes the
+        representative, so each of its exponents is congruent to one below D.
+        """
+        N, start, lengths = self.N, self.start, self.lengths
+        mask = (1 << N) - 1
+        index = {}
+        for oid, (doubled, D) in enumerate(zip(self.doubled, lengths)):
+            rest = doubled & ((1 << D) - 1)
+            while rest:
+                e = (rest & -rest).bit_length() - 1
+                index[(doubled >> e) & mask] = (oid, e)
+                rest &= rest - 1
+
+        def member_id(bits: int) -> int:
+            a = (bits & -bits).bit_length() - 1
+            oid, e = index[bits >> a]
+            return start[oid] + (a - e) % lengths[oid]
+
+        return member_id
+
+
+class SelfDualHit(Record):
+    """One minimal self-dual m-quasi-cyclic code, held as its member ids.
+
+    The ids number the members of the cyclic orbits of P_q(n) as
+    _OrbitTable does.  words, bitsets and params() rotate the orbit
+    representatives on each read; the SubspaceCode of the same words is
+    built the first time code is read.
     """
 
     _fields = ("field", "m", "moduli", "words", "orbit_count")
 
-    def __init__(self, field: FieldSpec, m: int, moduli: tuple, words: tuple,
-                 orbit_count: int):
+    def __init__(self, field: FieldSpec, m: int, moduli: tuple, orbit_count: int,
+                 dims: tuple, members, orbits: _OrbitTable):
         self.field = field
         self.m = m                      # smallest modulus exhibiting the quasi-cyclic closure
         self.moduli = moduli            # all proper divisors m of q^n-1 that work
-        self.words = words              # the word bitsets, ascending
         self.orbit_count = orbit_count  # number of m-quasi orbits the word set splits into
+        self.dims = dims                # the distinct word dimensions, ascending
+        self.members = members          # array('i') of the words' member ids
+        self._orbits = orbits
+
+    @property
+    def words(self) -> tuple:
+        """The word bitsets, ascending."""
+        return tuple(sorted(self._orbits.words(self.members)))
 
     @property
     def size(self) -> int:
-        return len(self.words)
-
-    @cached_property
-    def dims(self) -> tuple:
-        return word_dims(self.field, self.words)
+        return len(self.members)
 
     @property
     def constant_dimension(self) -> bool:
@@ -377,22 +438,28 @@ class SelfDualHit(Record):
 
     @property
     def bitsets(self) -> frozenset:
-        """The words as a set for is_self_dual and is_quasi_cyclic, built on each read."""
-        return frozenset(self.words)
+        """The words as a set for is_self_dual and is_quasi_cyclic."""
+        return frozenset(self._orbits.words(self.members))
 
     @cached_property
     def code(self) -> SubspaceCode:
-        return SubspaceCode(self.field, self.words)
+        return SubspaceCode(self.field, self._orbits.words(self.members))
 
     def params(self) -> tuple:
-        # from a code of its own, so that the hit keeps no second set of its words
-        return SubspaceCode(self.field, self.words).params()
+        # from a code of its own, so that the hit keeps no set of its words
+        return SubspaceCode(self.field, self._orbits.words(self.members)).params()
 
 
-# Bytes self_dual_search holds per subspace besides its bitset: peak RSS grew
-# by 687 per subspace over F_3^6 under x^6+x^5+2 (91 of them the bitset, and
-# most of the rest its 28,315 hits) and by 213 over F_2^8 (32), on CPython 3.11.
-SELFDUAL_WORD_OVERHEAD = 600
+# self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, about what the
+# interpreter and the package hold before it starts (16.3 MB), plus, for each
+# subspace, its bitset and SELFDUAL_WORD_OVERHEAD bytes.  On CPython 3.11 a
+# `selfdual` call's own peak (VmHWM) was 42.7 MB over F_2^8 (417,199
+# subspaces, estimated at 221 MB) and 48.1 MB over F_3^6 under x^6+x^5+2
+# (56,632 subspaces, estimated at 50.6 MB).  Per subspace the peak grew by 58
+# bytes over F_2^8, 32 of them the bitset, and by 483 over F_3^6, 91 of them
+# the bitset and most of the rest the components and records of its 28,315 hits.
+SELFDUAL_BASE_BYTES = 20_000_000
+SELFDUAL_WORD_OVERHEAD = 450
 SELFDUAL_MAX_BYTES = 500_000_000
 
 
@@ -424,34 +491,41 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     set would qualify); the {0, full-space} pair is likewise uninformative
     unless include_trivial is set.
 
+    The search holds each cyclic orbit as its representative, the pairing
+    and the union-find levels as arrays of member ids, and each hit as the
+    member ids of its words.  Words are rotated out of the representatives
+    when they are checked or read: both checks run on one code per hit,
+    dropped after them.
+
     Before any work, the memory the search would hold is estimated as
-    subspaces x (ceil((q^n-1)/8) + SELFDUAL_WORD_OVERHEAD) bytes, and a
-    ResourceLimit is raised when that exceeds max_space, 500 MB by
-    default.  P_2(8) is estimated at 264 MB and P_3(6) at 39 MB; P_2(9)
-    (5.5 GB) and P_3(7) (1.8 GB) are refused.
+    SELFDUAL_BASE_BYTES + subspaces x (ceil((q^n-1)/8) +
+    SELFDUAL_WORD_OVERHEAD) bytes, and a ResourceLimit is raised when that
+    exceeds max_space, 500 MB by default.  P_2(8) is estimated at 221 MB
+    and P_3(6) at 51 MB; P_2(9) (4.3 GB) and P_3(7) (1.5 GB) are refused.
     """
     from .codes import gaussian_coefficient, is_quasi_cyclic
 
     n, q = field.n, field.q
     total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
-    need = total * ((field.group_order + 7) // 8 + SELFDUAL_WORD_OVERHEAD)
+    need = SELFDUAL_BASE_BYTES + total * ((field.group_order + 7) // 8
+                                          + SELFDUAL_WORD_OVERHEAD)
     if need > max_space:
         raise ResourceLimit(
             f"P_{q}({n}) has {total} subspaces, an estimated {need / 1e6:.1f} MB "
             f"to search, over the limit of {max_space / 1e6:.1f} MB")
 
-    # the cyclic orbits of every dimension, each as its list of members gamma^j V
-    orbit_base = [(k, orbit_bits(field, rec.rep_bits))       # (k, members)
-                  for k in range(n + 1) for rec in cyclic_orbit_data(field, k)]
-
+    orbits = _OrbitTable(field)
     hits = []
-    for ms, orbit_count, first_quasi, bits in _minimal_components(
-            field, orbit_base, include_trivial):
-        hit = SelfDualHit(field, ms[0], ms, tuple(sorted(bits)), orbit_count)
-        if not is_self_dual(hit):
+    for ms, orbit_count, first_quasi, dims, members in _minimal_components(
+            field, orbits, include_trivial):
+        hit = SelfDualHit(field, ms[0], ms, orbit_count, dims, members, orbits)
+        # both checks read one code of freshly rotated words, dropped after them
+        check = SubspaceCode(field, orbits.words(members))
+        if not is_self_dual(check):
             raise VerificationFailed("component is not self-dual: internal error")
-        if not is_quasi_cyclic(hit, hit.m):
+        if not is_quasi_cyclic(check, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
+        del check
         # ties in (dimension kind, size, m) keep the order of the components
         # at m, i.e. of their first quasi orbit
         hits.append((not hit.constant_dimension, hit.size, hit.m, first_quasi, hit))
@@ -481,10 +555,10 @@ class _Level:
 
     __slots__ = ("start", "g", "offset", "node_oid", "node_of", "component")
 
-    def __init__(self, start: list, g: list, offset: list, node_oid: list, node_of: list):
+    def __init__(self, start: list, g: list, offset: list, node_oid: array, node_of: array):
         self.start, self.g, self.offset = start, g, offset
-        self.node_oid = node_oid         # node -> its cyclic orbit
-        self.node_of = node_of           # member id -> node
+        self.node_oid = node_oid         # node -> its cyclic orbit, array('i')
+        self.node_of = node_of           # member id -> node, array('i')
         self.component = [None] * offset[-1]     # node -> _Component
 
     def quasi_orbits(self, nodes) -> list:
@@ -504,41 +578,45 @@ class _Level:
         return all(component[node_of[i]] is comp for i in members)
 
 
-def _complement_pairs(field: FieldSpec, orbit_base: list, words: list, start: list) -> tuple:
-    """The orthogonal-complement pairing as two flat lists of member ids.
+def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> tuple:
+    """The orthogonal-complement pairing as two arrays of member ids.
 
-    Each pair appears once: V -> V-perp is an involution, so a member of the
-    middle dimension (2k = n) is complemented only if it is not the
-    complement of one already seen.
+    Each complement is rotated out of its orbit's representative and its
+    id found by orbits.member_finder(), so no word set is held.  Each pair
+    appears once: V -> V-perp is an involution, so a member of the middle
+    dimension (2k = n) is complemented only if it is not the complement of
+    one already seen.
     """
-    index = dict(zip(words, range(len(words))))
-    left, right = [], []
-    met = bytearray(len(words))
-    for oid, (k, members) in enumerate(orbit_base):
-        if 2 * k < field.n:
-            left += range(start[oid], start[oid + 1])
-            right += [index[complement_bits(field, b, k)] for b in members]
-        elif 2 * k == field.n:
-            for i in range(start[oid], start[oid + 1]):
-                if not met[i]:
-                    c = index[complement_bits(field, words[i], k)]
-                    met[c] = 1
-                    left.append(i)
-                    right.append(c)
+    n, N = field.n, orbits.N
+    mask = (1 << N) - 1
+    start = orbits.start
+    member_id = orbits.member_finder()
+    left, right = array("i"), array("i")
+    met = bytearray(start[-1])
+    for oid, (k, doubled) in enumerate(zip(orbits.dims, orbits.doubled)):
+        if 2 * k > n:
+            continue
+        for j in range(orbits.lengths[oid]):
+            i = start[oid] + j
+            if not met[i]:
+                c = member_id(complement_bits(field, (doubled >> (N - j)) & mask, k))
+                met[c] = 1
+                left.append(i)
+                right.append(c)
     return left, right
 
 
-def _components_at(M: int, sizes: list, start: list, left: list, right: list) -> tuple:
+def _components_at(M: int, sizes: list, start: list, left: array, right: array) -> tuple:
     """The _Level of modulus M and its components, each as its ascending nodes.
 
     Components come in the order of their smallest node.
     """
     g = [gcd(M, size) for size in sizes]
     offset = [0, *accumulate(g)]
-    node_oid = [oid for oid, gi in enumerate(g) for _ in range(gi)]
-    node_of = []
+    node_oid = array("i", [oid for oid, gi in enumerate(g) for _ in range(gi)])
+    node_of = array("i")
     for oid, size in enumerate(sizes):
-        node_of += list(range(offset[oid], offset[oid + 1])) * (size // g[oid])
+        node_of += array("i", range(offset[oid], offset[oid + 1])) * (size // g[oid])
     # union-find that links the larger root under the smaller, so every
     # parent precedes its child and one ascending pass finds all roots
     parent = list(range(offset[-1]))
@@ -559,13 +637,11 @@ def _components_at(M: int, sizes: list, start: list, left: list, right: list) ->
     return level, list(groups.values())
 
 
-def _minimal_components(field: FieldSpec, orbit_base: list, include_trivial: bool) -> list:
-    """(moduli, quasi-orbit count, first quasi orbit, word bits) of each minimal component."""
+def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: bool) -> list:
+    """(moduli, quasi-orbit count, first quasi orbit, dims, member ids) of each minimal component."""
     N = field.group_order
-    sizes = [len(members) for _, members in orbit_base]
-    start = [0, *accumulate(sizes)]
-    words = [b for _, members in orbit_base for b in members]     # by member id
-    left, right = _complement_pairs(field, orbit_base, words, start)
+    sizes, start = orbits.lengths, orbits.start
+    left, right = _complement_pairs(field, orbits)
 
     levels, components = {}, []
     for M in (N // p for p in divisors(N) if is_prime(p)):
@@ -617,6 +693,7 @@ def _minimal_components(field: FieldSpec, orbit_base: list, include_trivial: boo
         M = next(M for M in quasi_at if M % ms[0] == 0)
         g = levels[M].g
         coarse = {(o, s % gcd(ms[0], g[o])) for o, s in quasi_at[M]}
-        bits = [words[i] for i in levels[M].members(comp.nodes[M])]
-        found.append((ms, len(coarse), min(coarse), bits))
+        dims = tuple(sorted({orbits.dims[o] for o, _ in quasi_at[M]}))
+        members = array("i", levels[M].members(comp.nodes[M]))
+        found.append((ms, len(coarse), min(coarse), dims, members))
     return found

@@ -6,10 +6,14 @@ in a dict, keeps the inclusion-minimal ones by a scan over the sets kept
 so far, and counts each hit's quasi orbits by rotating its words, as the
 code did before the search ran the union-find only at the maximal moduli.
 Its hits are OracleHit records, each holding the SubspaceCode it checked.
+
+complement_pairs is the pairing self_dual_search made while it held every
+subspace's bitset: each word found its complement's member id in a dict
+from bitset to id.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 
 from orbitcodes.codes import SubspaceCode, gaussian_coefficient, is_quasi_cyclic, is_self_dual
@@ -51,6 +55,37 @@ def _orbit_count(field, bitset, m: int) -> int:
             count += 1
             seen.update(orbit_bits(field, b, m))
     return count
+
+
+def complement_pairs(field) -> tuple:
+    """The orthogonal-complement pairing as two lists of member ids.
+
+    Member j of the cyclic orbit oid, orbit_bits(field, rep)[j] with the
+    orbits of dimensions 0..n in cyclic_orbit_data order, has id
+    start[oid] + j.  Each pair appears once: a member of the middle
+    dimension (2k = n) is complemented only if it is not the complement of
+    one already seen.
+    """
+    n = field.n
+    orbit_base = [(k, orbit_bits(field, rec.rep_bits))
+                  for k in range(n + 1) for rec in cyclic_orbit_data(field, k)]
+    words = list(chain.from_iterable(members for _, members in orbit_base))
+    start = [0, *accumulate(len(members) for _, members in orbit_base)]
+    index = dict(zip(words, range(len(words))))
+    left, right = [], []
+    met = bytearray(len(words))
+    for oid, (k, members) in enumerate(orbit_base):
+        if 2 * k < n:
+            left += range(start[oid], start[oid + 1])
+            right += [index[complement_bits(field, b, k)] for b in members]
+        elif 2 * k == n:
+            for i in range(start[oid], start[oid + 1]):
+                if not met[i]:
+                    c = index[complement_bits(field, words[i], k)]
+                    met[c] = 1
+                    left.append(i)
+                    right.append(c)
+    return left, right
 
 
 def self_dual_search(field, max_space: int = 1 << 21,

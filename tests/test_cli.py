@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,6 +197,69 @@ def test_graph_and_clique_pipeline(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["params"][0] == 8 and doc["params"][3] >= 4
     assert len(doc["representatives"]) == doc["size"]
+
+
+# sha256 of the help texts (stdout) and of the unknown-command error
+# (stderr), taken at 80 columns from the CLI as it was when main gave every
+# subcommand its arguments; argparse's layout differs between Python versions
+HELP_SHA256 = {
+    "": "ed5c5b4465c774490519163efd92ddd833976a627ae10ba47db8a00876f1f0b8",
+    "classify": "fb37b8aab12ef0fb963939ea00f0a34ce5d49dddb2dbb46bcfb57d96575d37bd",
+    "verify": "282dee9641baba6c4ce233be7ffb8a5b6def717d99126847c86d8491f46b6e97",
+    "dualize": "26a47f7a2cf56abad67c94e405c8602addc806723b17069c8d77268fb22a0fb4",
+    "bound": "200736c62b8ec1ac945a72c7414ab299885b99da0f28fe6971b616584147a89a",
+    "spread": "1fefa06551fcc65cacc3172d1b73fa74846a37a359451a86ce6e08880b99f2c8",
+    "graph": "68c52d4828552b10da1a172f71ab4340e6eaa6ed4d2adadcd7d0113244a3452b",
+    "clique": "603dd4f0376dc0a1c087093d0ad3fdfcf0867ef18482c0359bd61b22aec16f7d",
+    "selfdual": "cabb503e451aefe8bdb6ae1ef6799e470a47a6c086d79e4de1b82919cb6a7d8a",
+    "conjecture-check": "4db1fcc01a712eccf7d5881fd227e6f27262b536016c9c2d2ee0b82a5efca774",
+    "bogus": "097ce2a01fb5b1edfd7b3a2643695f7b6a76ee648828f69dfbaa6ba99050c137",
+}
+HELP_CASES = [([command, "--help"] if command else ["--help"], 0)
+              for command in HELP_SHA256 if command != "bogus"] + [(["bogus"], 2)]
+
+
+def exit_output(capsys, monkeypatch, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests are of CPython 3.11's argparse layout")
+@pytest.mark.parametrize("argv, code", HELP_CASES, ids=[" ".join(a) for a, _ in HELP_CASES])
+def test_help_and_unknown_command_are_pinned(capsys, monkeypatch, argv, code):
+    got, out, err = exit_output(capsys, monkeypatch, main, argv)
+    key = "" if argv == ["--help"] else argv[0]
+    assert got == code
+    assert hashlib.sha256((out or err).encode()).hexdigest() == HELP_SHA256[key]
+
+
+@pytest.mark.parametrize("argv, code", HELP_CASES, ids=[" ".join(a) for a, _ in HELP_CASES])
+def test_help_matches_the_parser_with_every_argument(capsys, monkeypatch, argv, code):
+    """main gives arguments only to the command it runs; what it prints is unchanged."""
+    from orbitcodes.cli import build_parser
+    full = exit_output(capsys, monkeypatch, build_parser().parse_args, argv)
+    assert exit_output(capsys, monkeypatch, main, argv) == full
+    assert full[0] == code
+
+
+def test_main_gives_arguments_only_to_the_chosen_command(monkeypatch):
+    from orbitcodes import cli
+    built, build = [], cli.build_parser
+
+    def recording_build(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build)
+    assert main(["bound", "--n", "10", "--d", "4", "--k", "3"]) == 0
+    assert built == ["bound"]
+    # verify is registered, but without the file argument it requires
+    assert build("bound").parse_args(["verify"]).func is cli.cmd_verify
 
 
 def test_selfdual(capsys):
@@ -437,12 +502,51 @@ SELFDUAL_STDOUT_SHA256 = {
 }
 
 
+# Bound on the peak resident set of a child running `selfdual --n 8`, read
+# from its own VmHWM.  The child peaked at about 104 MB while the search held
+# every subspace's bitset and a dict over them, and at about 40 MB since it
+# holds member ids (CPython 3.11, either format).
+SELFDUAL_N8_PEAK_MB = 70
+
+# runs the CLI, then reports its own peak from /proc/self/status on stderr;
+# ru_maxrss would not do, as a child's starts at its parent's high-water mark
+PEAK_CHILD = """\
+import os, sys
+from orbitcodes.cli import main
+code = main(sys.argv[1:])
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        sys.stderr.writelines(line for line in fh if line.startswith("VmHWM:"))
+sys.exit(code)
+"""
+
+
+def run_child_with_peak(*argv):
+    """(exit code, stdout, peak RSS in MB or None) of the CLI in a child process."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", PEAK_CHILD, *argv], env=env,
+                           capture_output=True, text=True)
+    peaks = [int(line.split()[1]) / 1024 for line in child.stderr.splitlines()
+             if line.startswith("VmHWM:")]
+    return child.returncode, child.stdout, peaks[0] if peaks else None
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("n", ["4", "6", pytest.param("8", marks=pytest.mark.extended)])
 def test_selfdual_stdout_is_pinned(capsys, n, fmt):
-    code, out, _ = run(capsys, "selfdual", "--n", n, "--format", fmt)
+    argv = ("selfdual", "--n", n, "--format", fmt)
+    if n == "8":         # in a child of its own, whose peak is then measured
+        code, out, peak_mb = run_child_with_peak(*argv)
+    else:
+        code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SELFDUAL_STDOUT_SHA256[n, fmt]
+    if n != "8":
+        return
+    if peak_mb is None:
+        pytest.skip("no /proc/self/status: the child's peak RSS is not measured")
+    assert peak_mb < SELFDUAL_N8_PEAK_MB
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,9 @@
 import pytest
 
 from orbitcodes import from_bits, make_field, self_dual_search
+from orbitcodes.construct import _complement_pairs, _OrbitTable
+from orbitcodes.orbits import cyclic_orbit_data
+from orbitcodes.subspace import orbit_bits
 from tests import selfdual_oracle as oracle
 
 # (q, n, poly): poly None takes the default; others are primitive, constant term first
@@ -34,6 +37,40 @@ def assert_same_hits(field, include_trivial):
     for position, (h, ref) in enumerate(zip(got, expected)):
         assert summary(h) == summary(ref), f"hit {position} differs"
     return got
+
+
+def assert_same_pairs(field):
+    left, right = _complement_pairs(field, _OrbitTable(field))
+    expected = oracle.complement_pairs(field)
+    assert len(left) == len(right) == len(expected[0])
+    assert sorted(zip(left, right)) == sorted(zip(*expected))
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_complement_pairs_matches_oracle(name):
+    assert_same_pairs(make_field(*FIELDS[name]))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
+def test_complement_pairs_matches_oracle_extended(name):
+    assert_same_pairs(make_field(*EXTENDED_FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_orbit_index_finds_every_member_as_orbit_bits_lists_it(name):
+    """Member j of orbit oid is orbit_bits' j-th rotation, and its id is start[oid] + j."""
+    field = make_field(*FIELDS[name])
+    orbits = _OrbitTable(field)
+    member_id = orbits.member_finder()
+    reps = [rec.rep_bits for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
+    assert len(reps) == len(orbits.lengths)
+    for oid, rep in enumerate(reps):
+        ids = range(orbits.start[oid], orbits.start[oid + 1])
+        members = orbit_bits(field, rep)
+        assert list(orbits.words(ids)) == members
+        if rep:      # the zero subspace has no exponent to rotate down to
+            assert [member_id(b) for b in members] == list(ids)
 
 
 @pytest.mark.parametrize("include_trivial", [False, True], ids=["minimal", "with-trivial"])
