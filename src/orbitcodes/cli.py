@@ -54,8 +54,8 @@ def _stream_json(head: dict, lists: dict):
     """Print head followed by lists, as print(json.dumps(..., indent=1)) would.
 
     head is a non-empty dict; each value of lists is an iterable of items,
-    each built, written and dropped in turn, so the document is never held
-    whole.  An item is a dict or a string already laid out two levels down.
+    each a string already laid out two levels down, built, written and
+    dropped in turn, so the document is never held whole.
     """
     write = sys.stdout.write
     write(json.dumps(head, indent=1)[:-2])          # all but the closing "\n}"
@@ -63,9 +63,6 @@ def _stream_json(head: dict, lists: dict):
         write(f",\n {json.dumps(key)}: ")
         sep = "[\n  "
         for item in items:
-            # an item sits two levels down; its strings hold no newline
-            if not isinstance(item, str):
-                item = json.dumps(item, indent=1).replace("\n", "\n  ")
             write(sep + item)
             sep = ",\n  "
         write("[]" if sep == "[\n  " else "\n ]")
@@ -245,13 +242,28 @@ def cmd_clique(args) -> int:
 # -- self-dual / conjecture -----------------------------------------------------------
 
 
+# the layout json.dumps(..., indent=1) gives the items of cmd_selfdual's two
+# lists, two levels down; their lists are written by codes.json_list
+_PRIMARY_HIT_JSON = '{{\n   "m": {},\n   "params": {},\n   "words": {}\n  }}'
+_OTHER_HIT_JSON = ('{{\n   "m": {},\n   "size": {},\n   "dims": {},\n'
+                   '   "orbit_count": {},\n   "constant_dimension": {}\n  }}')
+
+
 def _primary_hit_json(hit) -> str:
-    """A primary hit as _stream_json lays it out, its words written directly."""
-    from .codes import exponent_lists_json
+    """A primary hit as _stream_json lays it out: m, params and its words."""
+    from .codes import exponent_lists_json, json_list
     from .subspace import exponents_of
-    head = json.dumps({"m": hit.m, "params": list(hit.params()), "words": []}, indent=1)
+    params = json_list(("null" if p is None else str(p) for p in hit.params()), 3)
     words = exponent_lists_json(map(exponents_of, hit.words), 3)
-    return head.replace("\n", "\n  ").replace('"words": []', f'"words": {words}')
+    return _PRIMARY_HIT_JSON.format(hit.m, params, words)
+
+
+def _other_hit_json(hit) -> str:
+    """A further minimal hit as _stream_json lays it out, without its words."""
+    from .codes import json_list
+    return _OTHER_HIT_JSON.format(hit.m, hit.size, json_list(map(str, hit.dims), 3),
+                                  hit.orbit_count,
+                                  "true" if hit.constant_dimension else "false")
 
 
 def cmd_selfdual(args) -> int:
@@ -264,11 +276,7 @@ def cmd_selfdual(args) -> int:
     if args.format == "json":
         _stream_json({"q": args.q, "n": args.n}, {
             "constant_dimension_single_generator": map(_primary_hit_json, primary),
-            "other_minimal": (
-                {"m": h.m, "size": h.size, "dims": list(h.dims),
-                 "orbit_count": h.orbit_count,
-                 "constant_dimension": h.constant_dimension}
-                for h in others),
+            "other_minimal": map(_other_hit_json, others),
         })
     else:
         print(f"self-dual quasi-cyclic codes in P_{args.q}({args.n}):")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 from .errors import (
     FieldMismatch,
@@ -69,6 +70,8 @@ class SubspaceCode(Record):
 
     words, the same set as Subspace objects, is built the first time it is
     read; size, dims, the distances and the duality checks read bitsets.
+    is_self_dual and is_quasi_cyclic read a code through word_keys,
+    complement_keys and shifted_keys, which name its words by bitset.
     """
 
     _fields = ("field", "words", "provenance", "duplicate_generators")
@@ -112,6 +115,21 @@ class SubspaceCode(Record):
         if self.constant_dimension:
             return (n, self.dims[0], self.size, d)
         return (n, self.size, d)
+
+    def word_keys(self) -> frozenset:
+        """The word bitsets."""
+        return self.bitsets
+
+    def complement_keys(self):
+        """The bitset of each word's orthogonal complement, computed afresh."""
+        from .subspace import complement_bits
+        field, q = self.field, self.field.q
+        return (complement_bits(field, b, dimension_from_popcount(b.bit_count(), q))
+                for b in self.bitsets)
+
+    def shifted_keys(self, m: int):
+        """The bitset of each word times gamma^m."""
+        return map(rotate_bits, self.bitsets, repeat(m), repeat(self.field.group_order))
 
 
 def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
@@ -234,13 +252,12 @@ def dualize(C: SubspaceCode) -> SubspaceCode:
 def is_quasi_cyclic(C, m: int) -> bool:
     """True iff the word set is closed under the shift by gamma^m.
 
-    C is a SubspaceCode or a SelfDualHit: anything with a field and the
-    frozenset of its words' bitsets as bitsets.
+    C is a SubspaceCode or a SelfDualHit: anything with a field that names
+    its words by keys, word_keys() the set of them and shifted_keys(m) the
+    key of each word times gamma^m.
     """
     check_modulus(C.field, m)
-    N = C.field.group_order
-    bitset = C.bitsets
-    return all(rotate_bits(b, m, N) in bitset for b in bitset)
+    return C.word_keys().issuperset(C.shifted_keys(m))
 
 
 def is_cyclic(C: SubspaceCode) -> bool:
@@ -250,13 +267,10 @@ def is_cyclic(C: SubspaceCode) -> bool:
 def is_self_dual(C) -> bool:
     """True iff the orthogonal complement of every word is a word.
 
-    C is read as in is_quasi_cyclic, through its field and bitsets; every
-    word's complement is computed.
+    C is read as in is_quasi_cyclic, complement_keys() giving the key of
+    each word's complement.
     """
-    bitset = C.bitsets
-    from .subspace import complement_bits
-    return all(complement_bits(C.field, b, dimension_from_popcount(
-        b.bit_count(), C.field.q)) in bitset for b in bitset)
+    return C.word_keys().issuperset(C.complement_keys())
 
 
 # -- code files -----------------------------------------------------------------
@@ -304,6 +318,17 @@ def load_code_file(path) -> CodeFile:
     return CodeFile(field, m, generators, claimed)
 
 
+def json_list(items, indent: int) -> str:
+    """A JSON list of items as json.dumps(..., indent=1) lays it out.
+
+    items are the elements already written as JSON, each laid out for a
+    list whose closing bracket sits indent spaces in.
+    """
+    pad = "\n" + " " * indent
+    items = list(items)
+    return f"[{pad} " + f",{pad} ".join(items) + f"{pad}]" if items else "[]"
+
+
 def exponent_lists_json(exponent_lists, indent: int) -> str:
     """A list of exponent lists as json.dumps(..., indent=1) lays it out.
 
@@ -311,10 +336,8 @@ def exponent_lists_json(exponent_lists, indent: int) -> str:
     joined here directly; json.dumps with an indent would run its
     pure-Python encoder over every exponent.
     """
-    pad = "\n" + " " * indent
-    lists = [f"[{pad}  " + f",{pad}  ".join(map(str, exps)) + f"{pad} ]" if exps else "[]"
-             for exps in exponent_lists]
-    return f"[{pad} " + f",{pad} ".join(lists) + f"{pad}]" if lists else "[]"
+    return json_list((json_list(map(str, exps), indent + 1) for exps in exponent_lists),
+                     indent)
 
 
 def dump_code_file(path, field: FieldSpec, m: int, generators,

@@ -30,8 +30,9 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, product, repeat
 from math import gcd
+from operator import add, and_, eq, is_, le, mod, neg, rshift, sub
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
 from .errors import (
@@ -46,10 +47,10 @@ from .gfext import FieldSpec, is_prime
 from .orbits import Orbit, cyclic_orbit_data, divisors
 from .records import Record
 from .subspace import (
-    complement_bits,
     cyclic_overlaps,
     meet_dim,
     min_member,
+    orbit_complements,
     subspaces_of,
 )
 
@@ -345,10 +346,11 @@ class _OrbitTable:
     Orbit oid has dimension dims[oid] and length D = lengths[oid]; its
     member j < D, the representative rotated by j, has the member id
     start[oid] + j.  A member's bitset is one shift of the doubled
-    representative, made when it is read.
+    representative, made when it is read.  perp_id, once the search sets
+    it, maps each member id to the id of its orthogonal complement.
     """
 
-    __slots__ = ("N", "dims", "lengths", "start", "doubled")
+    __slots__ = ("N", "dims", "lengths", "start", "doubled", "perp_id", "_tops", "_shift")
 
     def __init__(self, field: FieldSpec):
         N = self.N = field.group_order
@@ -357,40 +359,81 @@ class _OrbitTable:
         self.lengths = [rec.length for _, rec in records]
         self.start = [0, *accumulate(self.lengths)]
         self.doubled = [rec.rep_bits | rec.rep_bits << N for _, rec in records]
+        self._tops = [s + N for s in self.start]
+        self._shift = None
 
-    def words(self, ids):
-        """The bitsets of the members with these ids, in their order."""
-        N, start, doubled = self.N, self.start, self.doubled
-        mask = (1 << N) - 1
-        for i in ids:
-            oid = bisect_right(start, i) - 1
-            yield (doubled[oid] >> (N - i + start[oid])) & mask
+    def orbit_of_ids(self) -> array:
+        """An array from each member id to its orbit."""
+        return array("i", chain.from_iterable(map(repeat, range(len(self.lengths)),
+                                                  self.lengths)))
+
+    def words(self, ids, orbit_of: array | None = None):
+        """The bitsets of the members with these ids, in their order.
+
+        ids is a sequence, read twice.  Member i of orbit oid is the doubled
+        representative shifted down by start[oid] + N - i.  oid is read from
+        orbit_of, an orbit_of_ids() array, when one is given, and otherwise
+        is the number of orbits that start at or below i, less one.
+        """
+        if orbit_of is None:
+            oids = list(map(sub, map(bisect_right, repeat(self.start), ids), repeat(1)))
+        else:
+            oids = list(map(orbit_of.__getitem__, ids))
+        return map(and_, map(rshift, map(self.doubled.__getitem__, oids),
+                             map(sub, map(self._tops.__getitem__, oids), ids)),
+                   repeat((1 << self.N) - 1))
 
     def member_finder(self):
-        """A function from a nonzero member's bitset to its id.
+        """A function from a list of members' bitsets to an array('i') of their ids.
 
-        It looks the member up in an orbit index: each representative rotated
-        down by each of its exponents e < D, mapped to (oid, e).  A member
-        rotated down to its lowest exponent a is one of these keys, and it is
-        member (a - e) mod D of orbit oid: rotation by D fixes the
-        representative, so each of its exponents is congruent to one below D.
+        It looks each nonzero member up in an orbit index: each
+        representative rotated down by each of its exponents e < D, keyed
+        without its bit 0, which is always set.  A member rotated down to
+        its lowest exponent a is one of these words, and it is member
+        (a - e) mod D of orbit oid: rotation by D fixes the representative,
+        so each of its exponents is congruent to one below D.  The index
+        holds (e + 1, D, start[oid]), and the members are looked up with
+        C-level maps; [0], the zero subspace alone, is id 0.
         """
-        N, start, lengths = self.N, self.start, self.lengths
-        mask = (1 << N) - 1
+        start = self.start
+        mask = (1 << (self.N - 1)) - 1      # the N - 1 bits above bit 0
         index = {}
-        for oid, (doubled, D) in enumerate(zip(self.doubled, lengths)):
+        for oid, (doubled, D) in enumerate(zip(self.doubled, self.lengths)):
             rest = doubled & ((1 << D) - 1)
             while rest:
-                e = (rest & -rest).bit_length() - 1
-                index[(doubled >> e) & mask] = (oid, e)
+                e = (rest & -rest).bit_length()         # the exponent plus one
+                index[(doubled >> e) & mask] = (e, D, start[oid])
                 rest &= rest - 1
 
-        def member_id(bits: int) -> int:
-            a = (bits & -bits).bit_length() - 1
-            oid, e = index[bits >> a]
-            return start[oid] + (a - e) % lengths[oid]
+        def member_ids(words: list) -> array:
+            if words == [0]:
+                return array("i", [0])      # the zero subspace, the first orbit
+            # a + 1 for the lowest exponent a of each member
+            low = list(map(int.bit_length, map(and_, words, map(neg, words))))
+            e, D, base = zip(*map(index.__getitem__, map(rshift, words, low)))
+            return array("i", map(add, base, map(mod, map(sub, low, e), D)))
 
-        return member_id
+        return member_ids
+
+    def shift_map(self, m: int) -> array:
+        """An array from each member id to the id of gamma^m times that member.
+
+        Member j of orbit oid goes to member (j + m) mod D, so each orbit's
+        run of ids is rotated down by m mod D.  The last map built is kept
+        for the next call with the same m until drop_shift_map().
+        """
+        if self._shift is None or self._shift[0] != m:
+            self._shift = None          # the old map goes before the new one is built
+            shift = array("i")
+            for b, end, D in zip(self.start, self.start[1:], self.lengths):
+                s = b + m % D
+                shift += array("i", range(s, end))
+                shift += array("i", range(b, s))
+            self._shift = m, shift
+        return self._shift[1]
+
+    def drop_shift_map(self) -> None:
+        self._shift = None
 
 
 class SelfDualHit(Record):
@@ -399,7 +442,9 @@ class SelfDualHit(Record):
     The ids number the members of the cyclic orbits of P_q(n) as
     _OrbitTable does.  words, bitsets and params() rotate the orbit
     representatives on each read; the SubspaceCode of the same words is
-    built the first time code is read.
+    built the first time code is read.  is_self_dual and is_quasi_cyclic
+    read a hit through word_keys, complement_keys and shifted_keys, which
+    name its words by member id.
     """
 
     _fields = ("field", "m", "moduli", "words", "orbit_count")
@@ -438,7 +483,7 @@ class SelfDualHit(Record):
 
     @property
     def bitsets(self) -> frozenset:
-        """The words as a set for is_self_dual and is_quasi_cyclic."""
+        """The word bitsets as a frozenset."""
         return frozenset(self._orbits.words(self.members))
 
     @cached_property
@@ -449,18 +494,47 @@ class SelfDualHit(Record):
         # from a code of its own, so that the hit keeps no set of its words
         return SubspaceCode(self.field, self._orbits.words(self.members)).params()
 
+    def word_keys(self) -> set:
+        """The member ids of the words."""
+        return set(self.members)
+
+    def complement_keys(self):
+        """The member id of each word's orthogonal complement."""
+        return map(self._orbits.perp_id.__getitem__, self.members)
+
+    def shifted_keys(self, m: int):
+        """The member id of each word times gamma^m."""
+        return map(self._orbits.shift_map(m).__getitem__, self.members)
+
 
 # self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, about what the
-# interpreter and the package hold before it starts (16.3 MB), plus, for each
-# subspace, its bitset and SELFDUAL_WORD_OVERHEAD bytes.  On CPython 3.11 a
-# `selfdual` call's own peak (VmHWM) was 42.7 MB over F_2^8 (417,199
-# subspaces, estimated at 221 MB) and 48.1 MB over F_3^6 under x^6+x^5+2
-# (56,632 subspaces, estimated at 50.6 MB).  Per subspace the peak grew by 58
-# bytes over F_2^8, 32 of them the bitset, and by 483 over F_3^6, 91 of them
-# the bitset and most of the rest the components and records of its 28,315 hits.
+# interpreter and the package hold before it starts (16.5 MB), plus, for each
+# subspace, its bitset and SELFDUAL_WORD_OVERHEAD bytes, plus, when q is odd,
+# SELFDUAL_HIT_OVERHEAD bytes for each complement pair.  For odd q, -1 fixes
+# every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
+# is a component of its own, and each is a minimal hit: about one hit per two
+# subspaces, where over F_2^n the hits are few and large.  On CPython 3.11 a
+# `selfdual` call's own peak (VmHWM) was 31.4 MB over F_2^8 (417,199
+# subspaces, estimated at 41.7 MB) and 40.5 MB over F_3^6 under x^6+x^5+2
+# (56,632 subspaces and 28,315 hits, estimated at 48.9 MB).  The peak grew by
+# 37 bytes per subspace over F_2^8; over F_3^6 it grew by 25 MB, most of it
+# the components and records of the hits.
 SELFDUAL_BASE_BYTES = 20_000_000
-SELFDUAL_WORD_OVERHEAD = 450
+SELFDUAL_WORD_OVERHEAD = 20
+SELFDUAL_HIT_OVERHEAD = 800
 SELFDUAL_MAX_BYTES = 500_000_000
+
+
+def _space_needed(field: FieldSpec) -> tuple:
+    """(subspaces of P_q(n), the bytes self_dual_search estimates it needs)."""
+    from .codes import gaussian_coefficient
+    n, q = field.n, field.q
+    total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
+    need = SELFDUAL_BASE_BYTES + total * ((field.group_order + 7) // 8
+                                          + SELFDUAL_WORD_OVERHEAD)
+    if q % 2:
+        need += total // 2 * SELFDUAL_HIT_OVERHEAD
+    return total, need
 
 
 def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
@@ -491,44 +565,50 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     set would qualify); the {0, full-space} pair is likewise uninformative
     unless include_trivial is set.
 
-    The search holds each cyclic orbit as its representative, the pairing
-    and the union-find levels as arrays of member ids, and each hit as the
-    member ids of its words.  Words are rotated out of the representatives
-    when they are checked or read: both checks run on one code per hit,
-    dropped after them.
+    The search holds each cyclic orbit as its representative, and the
+    pairing, the union-find levels and each hit as arrays of member ids.
+    The pairing is one map perp_id from each member to its complement:
+    orbit_complements complements each orbit's D members at once, and the
+    orbit index names each complement's member.  Before any union-find the
+    map is checked, the word of every id found against the complement just
+    computed, bit for bit, and for being an involution.  Both checks of a
+    hit then run on its member ids: it is self-dual when its id set holds
+    perp_id of every id, and m-quasi-cyclic when it holds member
+    (j + m) mod D of orbit oid for each member j of oid.  No hit builds a
+    set of its words.
 
     Before any work, the memory the search would hold is estimated as
     SELFDUAL_BASE_BYTES + subspaces x (ceil((q^n-1)/8) +
-    SELFDUAL_WORD_OVERHEAD) bytes, and a ResourceLimit is raised when that
-    exceeds max_space, 500 MB by default.  P_2(8) is estimated at 221 MB
-    and P_3(6) at 51 MB; P_2(9) (4.3 GB) and P_3(7) (1.5 GB) are refused.
+    SELFDUAL_WORD_OVERHEAD) bytes, plus subspaces / 2 x SELFDUAL_HIT_OVERHEAD
+    when q is odd, and a ResourceLimit is raised when that exceeds
+    max_space, 500 MB by default.  P_2(8) is estimated at 42 MB and P_3(6)
+    at 49 MB; P_2(9) (716 MB) and P_3(7) (1.4 GB) are refused.
     """
-    from .codes import gaussian_coefficient, is_quasi_cyclic
+    from .codes import is_quasi_cyclic
 
-    n, q = field.n, field.q
-    total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
-    need = SELFDUAL_BASE_BYTES + total * ((field.group_order + 7) // 8
-                                          + SELFDUAL_WORD_OVERHEAD)
+    total, need = _space_needed(field)
     if need > max_space:
         raise ResourceLimit(
-            f"P_{q}({n}) has {total} subspaces, an estimated {need / 1e6:.1f} MB "
-            f"to search, over the limit of {max_space / 1e6:.1f} MB")
+            f"P_{field.q}({field.n}) has {total} subspaces, an estimated "
+            f"{need / 1e6:.1f} MB to search, over the limit of {max_space / 1e6:.1f} MB")
 
     orbits = _OrbitTable(field)
+    orbits.perp_id = _complement_pairs(field, orbits)
     hits = []
     for ms, orbit_count, first_quasi, dims, members in _minimal_components(
             field, orbits, include_trivial):
         hit = SelfDualHit(field, ms[0], ms, orbit_count, dims, members, orbits)
-        # both checks read one code of freshly rotated words, dropped after them
-        check = SubspaceCode(field, orbits.words(members))
-        if not is_self_dual(check):
-            raise VerificationFailed("component is not self-dual: internal error")
-        if not is_quasi_cyclic(check, hit.m):
-            raise VerificationFailed("component is not quasi-cyclic: internal error")
-        del check
         # ties in (dimension kind, size, m) keep the order of the components
         # at m, i.e. of their first quasi orbit
         hits.append((not hit.constant_dimension, hit.size, hit.m, first_quasi, hit))
+    # both checks read the hit's member ids, through the verified perp_id and
+    # a shift map; grouped by m, so that each shift map is built once
+    for *_, hit in sorted(hits, key=lambda entry: entry[2]):
+        if not is_self_dual(hit):
+            raise VerificationFailed("component is not self-dual: internal error")
+        if not is_quasi_cyclic(hit, hit.m):
+            raise VerificationFailed("component is not quasi-cyclic: internal error")
+    orbits.drop_shift_map()
     hits.sort(key=lambda entry: entry[:4])
     return [entry[-1] for entry in hits]
 
@@ -550,66 +630,72 @@ class _Level:
 
     Member j of cyclic orbit oid has id start[oid] + j; its quasi orbit s,
     the members s, s+g, s+2g, ... with g = gcd(M, orbit size), is node
-    offset[oid] + s.
+    offset[oid] + s.  Nodes are read with C-level maps over these lists.
     """
 
-    __slots__ = ("start", "g", "offset", "node_oid", "node_of", "component")
+    __slots__ = ("start", "g", "offset", "node_oid", "node_of", "component", "node_size")
 
-    def __init__(self, start: list, g: list, offset: list, node_oid: array, node_of: array):
+    def __init__(self, sizes: list, start: list, g: list, offset: list,
+                 node_oid: array, node_of: array):
         self.start, self.g, self.offset = start, g, offset
         self.node_oid = node_oid         # node -> its cyclic orbit, array('i')
         self.node_of = node_of           # member id -> node, array('i')
         self.component = [None] * offset[-1]     # node -> _Component
+        self.node_size = [size // gi for size, gi in zip(sizes, g)]  # orbit -> members per node
 
-    def quasi_orbits(self, nodes) -> list:
-        """The nodes as (orbit, s) pairs."""
-        offset = self.offset
-        return [(o, x - offset[o]) for x, o in zip(nodes, map(self.node_oid.__getitem__, nodes))]
+    def quasi_orbits(self, nodes) -> tuple:
+        """The nodes as two lists, their orbits and their s."""
+        oids = list(map(self.node_oid.__getitem__, nodes))
+        return oids, list(map(sub, nodes, map(self.offset.__getitem__, oids)))
 
     def members(self, nodes):
         """The member ids of the nodes."""
-        start, g = self.start, self.g
-        return chain.from_iterable(range(start[o] + s, start[o + 1], g[o])
-                                   for o, s in self.quasi_orbits(nodes))
+        oids, ss = self.quasi_orbits(nodes)
+        start = self.start
+        return chain.from_iterable(map(range, map(add, map(start.__getitem__, oids), ss),
+                                       map(start.__getitem__, map(add, oids, repeat(1))),
+                                       map(self.g.__getitem__, oids)))
+
+    def size(self, nodes) -> int:
+        """The number of members of the nodes."""
+        return sum(map(self.node_size.__getitem__, map(self.node_oid.__getitem__, nodes)))
 
     def holds(self, comp: _Component, members) -> bool:
         """True iff every member id lies in comp at this modulus."""
-        component, node_of = self.component, self.node_of
-        return all(component[node_of[i]] is comp for i in members)
+        comps = map(self.component.__getitem__, map(self.node_of.__getitem__, members))
+        return all(map(is_, comps, repeat(comp)))
 
 
-def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> tuple:
-    """The orthogonal-complement pairing as two arrays of member ids.
+def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
+    """The orthogonal-complement pairing as one map perp_id, an array('i').
 
-    Each complement is rotated out of its orbit's representative and its
-    id found by orbits.member_finder(), so no word set is held.  Each pair
-    appears once: V -> V-perp is an involution, so a member of the middle
-    dimension (2k = n) is complemented only if it is not the complement of
-    one already seen.
+    perp_id[i] is the member id of the complement of member i.  Each
+    orbit's complements come from orbit_complements, and their ids from
+    orbits.member_finder(), so no word set is held.  The map is checked
+    before it is returned: the word of each id found must be the
+    complement just computed, bit for bit, and the map an involution;
+    either failure raises VerificationFailed.
     """
-    n, N = field.n, orbits.N
-    mask = (1 << N) - 1
-    start = orbits.start
-    member_id = orbits.member_finder()
-    left, right = array("i"), array("i")
-    met = bytearray(start[-1])
-    for oid, (k, doubled) in enumerate(zip(orbits.dims, orbits.doubled)):
-        if 2 * k > n:
-            continue
-        for j in range(orbits.lengths[oid]):
-            i = start[oid] + j
-            if not met[i]:
-                c = member_id(complement_bits(field, (doubled >> (N - j)) & mask, k))
-                met[c] = 1
-                left.append(i)
-                right.append(c)
-    return left, right
+    mask = (1 << orbits.N) - 1
+    member_ids = orbits.member_finder()
+    orbit_of = orbits.orbit_of_ids()
+    perp_id = array("i")
+    for k, doubled, D in zip(orbits.dims, orbits.doubled, orbits.lengths):
+        comps = orbit_complements(field, doubled & mask, k, D)
+        ids = member_ids(comps)
+        if not all(map(eq, orbits.words(ids, orbit_of), comps)):
+            raise VerificationFailed("a complement's id names another word: internal error")
+        perp_id += ids
+    if not all(map(eq, map(perp_id.__getitem__, perp_id), range(len(perp_id)))):
+        raise VerificationFailed("the complement pairing is not an involution: internal error")
+    return perp_id
 
 
-def _components_at(M: int, sizes: list, start: list, left: array, right: array) -> tuple:
-    """The _Level of modulus M and its components, each as its ascending nodes.
+def _components_at(M: int, sizes: list, start: list, perp_id: array) -> tuple:
+    """The _Level of modulus M and its components.
 
-    Components come in the order of their smallest node.
+    Each component is an array('i') of its ascending nodes, and components
+    come in the order of their smallest node.
     """
     g = [gcd(M, size) for size in sizes]
     offset = [0, *accumulate(g)]
@@ -618,7 +704,11 @@ def _components_at(M: int, sizes: list, start: list, left: array, right: array) 
     for oid, size in enumerate(sizes):
         node_of += array("i", range(offset[oid], offset[oid + 1])) * (size // g[oid])
     # union-find that links the larger root under the smaller, so every
-    # parent precedes its child and one ascending pass finds all roots
+    # parent precedes its child and one ascending pass finds all roots;
+    # each pair (i, perp_id[i]) is read once, at i <= perp_id[i]
+    ids = range(len(perp_id))
+    left = compress(ids, map(le, ids, perp_id))
+    right = compress(perp_id, map(le, ids, perp_id))
     parent = list(range(offset[-1]))
     for a, b in zip(map(node_of.__getitem__, left), map(node_of.__getitem__, right)):
         while parent[a] != a:
@@ -629,11 +719,14 @@ def _components_at(M: int, sizes: list, start: list, left: array, right: array) 
             parent[b] = a
         elif b < a:
             parent[a] = b
-    groups = {}          # root (the smallest node) -> the component's nodes
+    groups = {}          # root (the smallest node) -> the component's nodes, array('i')
     for x, r in enumerate(parent):
         parent[x] = r = parent[r]
-        groups.setdefault(r, []).append(x)
-    level = _Level(start, g, offset, node_oid, node_of)
+        if r == x:
+            groups[x] = array("i", (x,))
+        else:
+            groups[r].append(x)
+    level = _Level(sizes, start, g, offset, node_oid, node_of)
     return level, list(groups.values())
 
 
@@ -641,13 +734,12 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
     """(moduli, quasi-orbit count, first quasi orbit, dims, member ids) of each minimal component."""
     N = field.group_order
     sizes, start = orbits.lengths, orbits.start
-    left, right = _complement_pairs(field, orbits)
 
     levels, components = {}, []
     for M in (N // p for p in divisors(N) if is_prime(p)):
-        level, groups = _components_at(M, sizes, start, left, right)
+        level, groups = _components_at(M, sizes, start, orbits.perp_id)
         for nodes in groups:
-            size = sum(sizes[o] // level.g[o] for o in map(level.node_oid.__getitem__, nodes))
+            size = level.size(nodes)
             # one object per member set: a component met again at a later
             # modulus shares its flags and collects its nodes there
             first = next(level.members(nodes[:1]))
@@ -678,22 +770,28 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
         # member 0 is the zero subspace, so its component is the {0, full-space} pair
         if comp.contains_another or (comp.first == 0 and not include_trivial):
             continue
-        quasi_at = {M: levels[M].quasi_orbits(nodes) for M, nodes in comp.nodes.items()}
+        # each level's quasi orbits (orbit, s) as the lists oids, ss, and the
+        # g of each one's orbit
+        quasi_at = {}
+        for M, nodes in comp.nodes.items():
+            oids, ss = levels[M].quasi_orbits(nodes)
+            quasi_at[M] = oids, ss, list(map(levels[M].g.__getitem__, oids))
         # moduli: the divisors m of the maximal moduli comp was found at
         # whose shift maps its quasi orbits (orbit, s) onto themselves
         closed = {}
-        for M, quasi in quasi_at.items():
-            g, quasi_set = levels[M].g, set(quasi)
+        for M, (oids, ss, gs) in quasi_at.items():
+            quasi_set = set(zip(oids, ss))
             for m in divisors(M):
                 if m not in closed:
-                    closed[m] = all((o, (s + m) % g[o]) in quasi_set for o, s in quasi)
+                    closed[m] = quasi_set.issuperset(
+                        zip(oids, map(mod, map(add, ss, repeat(m)), gs)))
         ms = tuple(sorted(m for m, ok in closed.items() if ok))
         # the ms[0]-quasi orbits, (orbit, s mod gcd(ms[0], size)), read at a
         # maximal modulus that ms[0] divides
         M = next(M for M in quasi_at if M % ms[0] == 0)
-        g = levels[M].g
-        coarse = {(o, s % gcd(ms[0], g[o])) for o, s in quasi_at[M]}
-        dims = tuple(sorted({orbits.dims[o] for o, _ in quasi_at[M]}))
+        oids, ss, gs = quasi_at[M]
+        coarse = set(zip(oids, map(mod, ss, map(gcd, repeat(ms[0]), gs))))
+        dims = tuple(sorted(set(map(orbits.dims.__getitem__, oids))))
         members = array("i", levels[M].members(comp.nodes[M]))
         found.append((ms, len(coarse), min(coarse), dims, members))
     return found

@@ -28,8 +28,8 @@ from .errors import (
 DEFAULT_MAX_GROUP_ORDER = 1 << 24
 
 # Fields with at most this many vectors keep every perp mask once the first
-# orthogonal complement asks for one: q^n masks of q^n - 1 bits, about 2 MB
-# at the cap.  Larger fields compute each mask when it is needed.
+# orthogonal complement asks for one: q^n - 1 masks of q^n - 1 bits, about
+# 2 MB at the cap.  Larger fields compute each mask when it is needed.
 PERP_TABLE_MAX_ORDER = 1 << 12
 
 # Primitive polynomials, constant term first.  The (2,4), (2,5), (2,6),
@@ -311,10 +311,16 @@ class FieldSpec:
 
     @cached_property
     def perp_masks(self):
-        """perp_mask(r) for every packed vector r; None above PERP_TABLE_MAX_ORDER."""
+        """perp_mask(antilog[e mod (q^n-1)]) for each exponent e < 2(q^n-1).
+
+        Indexed by exponent and doubled, so that the masks of the exponents
+        b, b+1, ..., b+D-1 are one slice for any b < q^n-1 and D <= q^n-1;
+        both halves hold the same ints.  None above PERP_TABLE_MAX_ORDER.
+        """
         if self.order > PERP_TABLE_MAX_ORDER:
             return None
-        return [self.perp_mask(r) for r in range(self.order)]
+        masks = [self.perp_mask(r) for r in self.antilog]
+        return masks + masks
 
     # -- elements ----------------------------------------------------------
 

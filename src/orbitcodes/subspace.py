@@ -9,14 +9,19 @@ The orthogonal complement (under the coordinate dot product in the
 polynomial basis) needs no elimination.  perp[r] is the bitset of exponents
 e with antilog[e] . r = 0 (mod q), the hyperplane orthogonal to the packed
 vector r, and V-perp is the AND of perp[antilog[e]] over the set bits e of
-V, taken in increasing order.  The loop stops once the popcount reaches
-q^(n-dim V) - 1: the AND over any subset S of V is S-perp, which contains
-V-perp, and the two are equal exactly when their sizes match.  The masks
-are FieldSpec.perp_mask: each is a rotation of the one bitset of exponents
-with trace 0, so a field's masks cost one pass over its exponents, made on
-the first complement and memoised on the FieldSpec.  Fields with at most
-PERP_TABLE_MAX_ORDER vectors keep all q^n masks (about 2 MB at the cap);
-larger ones rotate each mask when it is needed.
+V, taken in increasing order.  The AND over any subset S of V is S-perp,
+which shrinks exactly when the next vector lies outside the span of S, so
+the exponents that shrink it are a basis of V and the loop stops after
+dim V of them.  The masks are FieldSpec.perp_mask: each is a rotation of
+the one bitset of exponents with trace 0, so a field's masks cost one pass
+over its exponents, made on the first complement and memoised on the
+FieldSpec as FieldSpec.perp_masks, indexed by exponent and doubled.  Fields
+with at most PERP_TABLE_MAX_ORDER vectors keep all q^n - 1 masks (about
+2 MB at the cap); larger ones rotate each mask when it is needed.
+orbit_complements complements a whole cyclic orbit at once: member j,
+the rotation by j, has the basis exponents b + j, so its complement is the
+AND of the masks at b + j over the basis found for the representative,
+one C-level pass over a slice of perp_masks per basis exponent.
 
 Every orbit walk goes through two functions.  stabilizer(field, bits)
 returns (t, D): F_{q^t} is the largest subfield whose nonzero elements fix
@@ -68,6 +73,7 @@ import itertools
 import sys
 from collections import namedtuple
 from math import gcd
+from operator import and_
 
 from .errors import (
     AllZero,
@@ -485,33 +491,70 @@ def orthogonal_complement(V: Subspace) -> Subspace:
 
     perp[r] is the bitset of exponents e with antilog[e] . r = 0 (mod q).
     V-perp is the AND of perp[antilog[e]] over the set bits e of V, in
-    increasing order, stopped as soon as its popcount is q^(n-dim V) - 1:
-    the AND over the elements taken so far is their complement, which
-    contains V-perp and equals it exactly when the sizes match.  The masks
-    come from FieldSpec.perp_masks, made on the first complement in a field
-    and memoised on it; a field with more than PERP_TABLE_MAX_ORDER vectors
+    increasing order, stopped as soon as dim V of them have shrunk it: the
+    AND over the elements taken so far is their complement, which shrinks
+    exactly when the next element is outside their span.  The masks come
+    from FieldSpec.perp_masks, made on the first complement in a field and
+    memoised on it; a field with more than PERP_TABLE_MAX_ORDER vectors
     keeps no table and computes each mask with FieldSpec.perp_mask instead.
     """
     field = V.field
     return Subspace(field, complement_bits(field, V.bits, V.dim), field.n - V.dim)
 
 
-def complement_bits(field: FieldSpec, bits: int, dim: int) -> int:
-    """orthogonal_complement on raw bitsets (hot path for the duality search)."""
+def _complement_scan(field: FieldSpec, bits: int, dim: int) -> tuple:
+    """(basis exponents, complement bits) of the dim-dimensional subspace bits.
+
+    The basis is the exponents, in increasing order, whose masks shrank the
+    AND; the scan stops after dim of them.
+    """
     out = (1 << field.group_order) - 1
+    basis = []
     if dim == 0:
-        return out
-    target = field.q ** (field.n - dim) - 1
-    perp = field.perp_masks
-    antilog = field.antilog
+        return basis, out
+    masks, antilog = field.perp_masks, field.antilog
     while bits:
         low = bits & -bits
-        r = antilog[low.bit_length() - 1]
-        out &= perp[r] if perp is not None else field.perp_mask(r)
-        if out.bit_count() == target:
-            break
+        e = low.bit_length() - 1
+        cut = out & (masks[e] if masks is not None else field.perp_mask(antilog[e]))
+        if cut != out:
+            out = cut
+            basis.append(e)
+            if len(basis) == dim:
+                break
         bits ^= low
-    return out
+    return basis, out
+
+
+def complement_bits(field: FieldSpec, bits: int, dim: int) -> int:
+    """orthogonal_complement on raw bitsets."""
+    return _complement_scan(field, bits, dim)[1]
+
+
+def _masks_from(field: FieldSpec, b: int, D: int) -> list:
+    """The perp masks of the exponents b, b+1, ..., b+D-1 (mod q^n-1)."""
+    masks = field.perp_masks
+    if masks is not None:
+        return masks[b:b + D]
+    N, antilog = field.group_order, field.antilog
+    return [field.perp_mask(antilog[(b + j) % N]) for j in range(D)]
+
+
+def orbit_complements(field: FieldSpec, bits: int, dim: int, D: int) -> list:
+    """complement_bits of the rotations of bits by 0, 1, ..., D-1, in order.
+
+    The scan complement_bits runs finds a basis of bits once; the rotation
+    by j has the basis exponents b + j, so its complement is the AND of
+    their masks.  Each basis exponent is one map(and_, ...) over a slice of
+    the doubled, exponent-indexed perp_masks, D members at a time.
+    """
+    basis, out = _complement_scan(field, bits, dim)
+    if not basis:
+        return [out] * D
+    comps = _masks_from(field, basis[0], D)
+    for b in basis[1:]:
+        comps = list(map(and_, comps, _masks_from(field, b, D)))
+    return comps
 
 
 def canonical_rotation(V: Subspace, m: int = 1) -> tuple:

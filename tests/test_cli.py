@@ -504,8 +504,9 @@ SELFDUAL_STDOUT_SHA256 = {
 
 # Bound on the peak resident set of a child running `selfdual --n 8`, read
 # from its own VmHWM.  The child peaked at about 104 MB while the search held
-# every subspace's bitset and a dict over them, and at about 40 MB since it
-# holds member ids (CPython 3.11, either format).
+# every subspace's bitset and a dict over them, at about 40 MB once it held
+# member ids, and at about 31 MB since components hold their nodes as arrays
+# (CPython 3.11, either format).
 SELFDUAL_N8_PEAK_MB = 70
 
 # runs the CLI, then reports its own peak from /proc/self/status on stderr;
@@ -547,6 +548,54 @@ def test_selfdual_stdout_is_pinned(capsys, n, fmt):
     if peak_mb is None:
         pytest.skip("no /proc/self/status: the child's peak RSS is not measured")
     assert peak_mb < SELFDUAL_N8_PEAK_MB
+
+
+class FakeHit:
+    """What cmd_selfdual's JSON items read of a hit."""
+
+    def __init__(self, m, params, words, size, dims, orbit_count, constant_dimension):
+        self.m, self._params, self.words = m, params, words
+        self.size, self.dims, self.orbit_count = size, dims, orbit_count
+        self.constant_dimension = constant_dimension
+
+    def params(self):
+        return self._params
+
+
+@pytest.mark.parametrize("hit", [
+    FakeHit(5, (4, 2, 2, 4), (0b11, 0b1100), 2, (2,), 1, True),
+    FakeHit(1, (3, 1, 1, None), (0b1,), 1, (1,), 1, True),
+    FakeHit(21, (6, 14, 2), (0b1, 0b11 << 40, 1 << 62), 14, (1, 3, 5), 3, False),
+], ids=["two-words", "no-distance", "mixed"])
+def test_selfdual_json_items_are_laid_out_as_json_dumps(hit):
+    """The templates give what json.dumps(item, indent=1) gave, two levels down."""
+    from orbitcodes.cli import _other_hit_json, _primary_hit_json
+    from orbitcodes.subspace import exponents_of
+
+    def nested(item):
+        return json.dumps(item, indent=1).replace("\n", "\n  ")
+    assert _primary_hit_json(hit) == nested(
+        {"m": hit.m, "params": list(hit.params()),
+         "words": [list(exponents_of(w)) for w in hit.words]})
+    assert _other_hit_json(hit) == nested(
+        {"m": hit.m, "size": hit.size, "dims": list(hit.dims),
+         "orbit_count": hit.orbit_count, "constant_dimension": hit.constant_dimension})
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("q,n,poly", [(2, 8, None), (3, 6, "2,0,0,0,0,1,1")],
+                         ids=["P2(8)", "P3(6)"])
+def test_selfdual_estimate_covers_the_peak(q, n, poly):
+    """The memory estimate is at least the child's peak, and within twice it."""
+    from orbitcodes import make_field
+    from orbitcodes.construct import _space_needed
+    argv = ["selfdual", "--q", str(q), "--n", str(n)] + (["--poly", poly] if poly else [])
+    code, _, peak_mb = run_child_with_peak(*argv)
+    assert code == 0
+    if peak_mb is None:
+        pytest.skip("no /proc/self/status: the child's peak RSS is not measured")
+    _, need = _space_needed(make_field(q, n, poly))
+    assert peak_mb * 2 ** 20 <= need < 2 * peak_mb * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,15 @@ from hypothesis import given, settings, strategies as st
 from orbitcodes import from_bits, make_field, orthogonal_complement, span
 from orbitcodes.gfext import PERP_TABLE_MAX_ORDER
 from orbitcodes.orbits import cyclic_orbit_data
-from orbitcodes.subspace import canonical_rotation, complement_bits, rotate_bits
+from orbitcodes.subspace import (
+    canonical_rotation,
+    complement_bits,
+    orbit_complements,
+    rotate_bits,
+    stabilizer,
+)
 from tests.complement_oracle import oracle_complement_bits
+from tests.test_selfdual_search import EXTENDED_FIELDS, FIELDS as SELFDUAL_FIELDS
 
 # x^8 + x^6 + x^5 + x^4 + 1, a primitive polynomial other than the default
 F256_OTHER_POLY = (1, 0, 0, 0, 1, 1, 1, 0, 1)
@@ -93,3 +100,65 @@ def test_complement_is_an_involution(data):
     C = orthogonal_complement(V)
     assert V.dim + C.dim == field.n
     assert orthogonal_complement(C).bits == V.bits
+
+
+def assert_orbit_complements_match(field, bits, dim, oracle=False):
+    """orbit_complements gives complement_bits of every member, in order."""
+    N = field.group_order
+    _, D = stabilizer(field, bits)
+    members = [rotate_bits(bits, j, N) for j in range(D)]
+    got = orbit_complements(field, bits, dim, D)
+    assert got == [complement_bits(field, b, dim) for b in members]
+    if oracle:
+        assert got == [oracle_complement_bits(field, b, dim) for b in members]
+    return D
+
+
+def orbit_reps(field):
+    """(rep bits, k) of every cyclic orbit, k = 0 and k = n included."""
+    return [(rec.rep_bits, k) for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
+
+
+# fields small enough for the elimination oracle on every member
+ORACLE_MAX_ORDER = 64
+
+
+@pytest.mark.parametrize("name", list(SELFDUAL_FIELDS))
+def test_orbit_complements_match_complement_bits(name):
+    field = make_field(*SELFDUAL_FIELDS[name])
+    for bits, k in orbit_reps(field):
+        assert_orbit_complements_match(field, bits, k, oracle=field.order <= ORACLE_MAX_ORDER)
+
+
+def test_orbit_complement_fields_reach_every_kind_of_orbit():
+    """The fields above hold q = 2, 3, 5, 7 and orbits shorter than q^n - 1."""
+    fields = [make_field(*spec) for spec in SELFDUAL_FIELDS.values()]
+    assert {f.q for f in fields} == {2, 3, 5, 7}
+    short = [(f, k) for f in fields for bits, k in orbit_reps(f)
+             if 0 < k < f.n and stabilizer(f, bits)[1] < f.group_order]
+    assert {f.q for f, _ in short} == {2, 3, 5, 7}
+
+
+def test_orbit_complements_above_table_cap():
+    """A sample of orbits of F_3^8 (x^8 + x^3 + 2): masks on demand, no table."""
+    field = make_field(3, 8, (2, 0, 0, 1, 0, 0, 0, 0, 1))
+    N = field.group_order
+    assert field.order > PERP_TABLE_MAX_ORDER
+    rng = random.Random(38)
+    samples = [(0, 0), ((1 << N) - 1, 8)]
+    # the subfields F_9 and F_81, whose orbits are shorter than q^n - 1
+    for t in (2, 4):
+        samples.append((span(field, range(0, N, N // (3 ** t - 1))).bits, t))
+    for k in (1, 3, 6, 7):
+        samples.append((random_subspace(field, k, rng).bits, k))
+    lengths = [assert_orbit_complements_match(field, bits, k) for bits, k in samples]
+    assert lengths[2:4] == [82 * 10, 82]
+    assert field.perp_masks is None
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
+def test_orbit_complements_match_complement_bits_extended(name):
+    field = make_field(*EXTENDED_FIELDS[name])
+    for bits, k in orbit_reps(field):
+        assert_orbit_complements_match(field, bits, k)

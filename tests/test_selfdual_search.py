@@ -1,9 +1,13 @@
 """self_dual_search against the per-modulus search it replaced, hit for hit."""
 
+from array import array
+from bisect import bisect_right
+
 import pytest
 
-from orbitcodes import from_bits, make_field, self_dual_search
+from orbitcodes import codes, construct, from_bits, make_field, self_dual_search
 from orbitcodes.construct import _complement_pairs, _OrbitTable
+from orbitcodes.errors import VerificationFailed
 from orbitcodes.orbits import cyclic_orbit_data
 from orbitcodes.subspace import orbit_bits
 from tests import selfdual_oracle as oracle
@@ -40,10 +44,15 @@ def assert_same_hits(field, include_trivial):
 
 
 def assert_same_pairs(field):
-    left, right = _complement_pairs(field, _OrbitTable(field))
-    expected = oracle.complement_pairs(field)
-    assert len(left) == len(right) == len(expected[0])
-    assert sorted(zip(left, right)) == sorted(zip(*expected))
+    """perp_id covers every member, is an involution, and pairs as the oracle does."""
+    perp_id = _complement_pairs(field, _OrbitTable(field))
+    left, right = oracle.complement_pairs(field)
+    members = range(len(perp_id))
+    assert set(left) | set(right) == set(members)
+    assert [perp_id[c] for c in perp_id] == list(members)
+    expected = {frozenset(pair) for pair in zip(left, right)}
+    assert len(expected) == len(left)       # the oracle lists each pair once
+    assert {frozenset(pair) for pair in enumerate(perp_id)} == expected
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -62,15 +71,16 @@ def test_orbit_index_finds_every_member_as_orbit_bits_lists_it(name):
     """Member j of orbit oid is orbit_bits' j-th rotation, and its id is start[oid] + j."""
     field = make_field(*FIELDS[name])
     orbits = _OrbitTable(field)
-    member_id = orbits.member_finder()
+    member_ids = orbits.member_finder()
+    orbit_of = orbits.orbit_of_ids()
     reps = [rec.rep_bits for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
     assert len(reps) == len(orbits.lengths)
     for oid, rep in enumerate(reps):
         ids = range(orbits.start[oid], orbits.start[oid + 1])
         members = orbit_bits(field, rep)
         assert list(orbits.words(ids)) == members
-        if rep:      # the zero subspace has no exponent to rotate down to
-            assert [member_id(b) for b in members] == list(ids)
+        assert list(orbits.words(ids, orbit_of)) == members
+        assert list(member_ids(members)) == list(ids)
 
 
 @pytest.mark.parametrize("include_trivial", [False, True], ids=["minimal", "with-trivial"])
@@ -106,3 +116,78 @@ def test_lazy_code_holds_the_hit_words(name):
         assert (code.size, code.dims) == (hit.size, hit.dims)
         assert code.constant_dimension == hit.constant_dimension
         assert hit.code is code
+
+
+# -- the checks inside the search still fire ------------------------------------
+
+
+def corrupt_first_component(monkeypatch, change):
+    """Make the search see the first component's member ids through change."""
+    components = construct._minimal_components
+
+    def corrupted(field, orbits, include_trivial):
+        found = components(field, orbits, include_trivial)
+        *head, members = found[0]
+        found[0] = (*head, change(orbits, members))
+        return found
+
+    monkeypatch.setattr(construct, "_minimal_components", corrupted)
+
+
+def drop_last(orbits, members):
+    return members[:-1]
+
+
+def orbit_neighbour_of_first(orbits, members):
+    """The first member replaced by the next member of its cyclic orbit."""
+    i = members[0]
+    oid = bisect_right(orbits.start, i) - 1
+    start, D = orbits.start[oid], orbits.lengths[oid]
+    assert D > 1
+    out = array("i", members)
+    out[0] = start + (i - start + 1) % D
+    return out
+
+
+@pytest.mark.parametrize("change", [drop_last, orbit_neighbour_of_first],
+                         ids=["member-dropped", "orbit-neighbour"])
+@pytest.mark.parametrize("name", ["F2^6", "F3^3"])
+def test_a_corrupted_hit_is_refused(monkeypatch, name, change):
+    corrupt_first_component(monkeypatch, change)
+    with pytest.raises(VerificationFailed, match="not self-dual|not quasi-cyclic"):
+        self_dual_search(make_field(*FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", ["F2^6", "F3^3"])
+def test_an_off_by_one_orbit_index_is_refused(monkeypatch, name):
+    finder = _OrbitTable.member_finder
+
+    def off_by_one(orbits):
+        member_ids = finder(orbits)
+        total = orbits.start[-1]
+        return lambda words: array("i", [(i + 1) % total for i in member_ids(words)])
+
+    monkeypatch.setattr(_OrbitTable, "member_finder", off_by_one)
+    with pytest.raises(VerificationFailed, match="names another word"):
+        self_dual_search(make_field(*FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", ["F2^6", "F3^3"])
+def test_each_hit_is_checked_once(monkeypatch, name):
+    """is_self_dual and is_quasi_cyclic run exactly once per hit, on the hit."""
+    calls = {"is_self_dual": [], "is_quasi_cyclic": []}
+
+    def counted(module, fn_name):
+        fn = getattr(module, fn_name)
+
+        def count(C, *args):
+            calls[fn_name].append(C)
+            return fn(C, *args)
+        monkeypatch.setattr(module, fn_name, count)
+
+    counted(construct, "is_self_dual")
+    counted(codes, "is_quasi_cyclic")
+    hits = self_dual_search(make_field(*FIELDS[name]))
+    assert hits
+    for checked in calls.values():
+        assert sorted(map(id, checked)) == sorted(map(id, hits))
