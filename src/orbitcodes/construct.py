@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 import time
 from array import array
-from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, compress, product, repeat
@@ -345,12 +344,13 @@ class _OrbitTable:
 
     Orbit oid has dimension dims[oid] and length D = lengths[oid]; its
     member j < D, the representative rotated by j, has the member id
-    start[oid] + j.  A member's bitset is one shift of the doubled
-    representative, made when it is read.  perp_id, once the search sets
-    it, maps each member id to the id of its orthogonal complement.
+    start[oid] + j, and orbit_of maps each member id to its oid.  A
+    member's bitset is one shift of the doubled representative, made when
+    it is read.  perp_id, once the search sets it, maps each member id to
+    the id of its orthogonal complement.
     """
 
-    __slots__ = ("N", "dims", "lengths", "start", "doubled", "perp_id", "_tops", "_shift")
+    __slots__ = ("N", "dims", "lengths", "start", "orbit_of", "doubled", "perp_id", "_tops")
 
     def __init__(self, field: FieldSpec):
         N = self.N = field.group_order
@@ -358,30 +358,32 @@ class _OrbitTable:
         self.dims = [k for k, _ in records]
         self.lengths = [rec.length for _, rec in records]
         self.start = [0, *accumulate(self.lengths)]
+        self.orbit_of = array("i", chain.from_iterable(map(repeat, range(len(records)),
+                                                           self.lengths)))
         self.doubled = [rec.rep_bits | rec.rep_bits << N for _, rec in records]
         self._tops = [s + N for s in self.start]
-        self._shift = None
 
-    def orbit_of_ids(self) -> array:
-        """An array from each member id to its orbit."""
-        return array("i", chain.from_iterable(map(repeat, range(len(self.lengths)),
-                                                  self.lengths)))
-
-    def words(self, ids, orbit_of: array | None = None):
+    def words(self, ids):
         """The bitsets of the members with these ids, in their order.
 
         ids is a sequence, read twice.  Member i of orbit oid is the doubled
-        representative shifted down by start[oid] + N - i.  oid is read from
-        orbit_of, an orbit_of_ids() array, when one is given, and otherwise
-        is the number of orbits that start at or below i, less one.
+        representative shifted down by start[oid] + N - i.
         """
-        if orbit_of is None:
-            oids = list(map(sub, map(bisect_right, repeat(self.start), ids), repeat(1)))
-        else:
-            oids = list(map(orbit_of.__getitem__, ids))
+        oids = list(map(self.orbit_of.__getitem__, ids))
         return map(and_, map(rshift, map(self.doubled.__getitem__, oids),
                              map(sub, map(self._tops.__getitem__, oids), ids)),
                    repeat((1 << self.N) - 1))
+
+    def shifted(self, ids, m: int):
+        """The id of gamma^m times each member, in their order.
+
+        ids is a sequence, read twice.  Member i of orbit oid, which starts
+        at b = start[oid], goes to b + (i - b + m) mod D.
+        """
+        oids = list(map(self.orbit_of.__getitem__, ids))
+        base = list(map(self.start.__getitem__, oids))
+        return map(add, base, map(mod, map(add, map(sub, ids, base), repeat(m)),
+                                  map(self.lengths.__getitem__, oids)))
 
     def member_finder(self):
         """A function from a list of members' bitsets to an array('i') of their ids.
@@ -414,26 +416,6 @@ class _OrbitTable:
             return array("i", map(add, base, map(mod, map(sub, low, e), D)))
 
         return member_ids
-
-    def shift_map(self, m: int) -> array:
-        """An array from each member id to the id of gamma^m times that member.
-
-        Member j of orbit oid goes to member (j + m) mod D, so each orbit's
-        run of ids is rotated down by m mod D.  The last map built is kept
-        for the next call with the same m until drop_shift_map().
-        """
-        if self._shift is None or self._shift[0] != m:
-            self._shift = None          # the old map goes before the new one is built
-            shift = array("i")
-            for b, end, D in zip(self.start, self.start[1:], self.lengths):
-                s = b + m % D
-                shift += array("i", range(s, end))
-                shift += array("i", range(b, s))
-            self._shift = m, shift
-        return self._shift[1]
-
-    def drop_shift_map(self) -> None:
-        self._shift = None
 
 
 class SelfDualHit(Record):
@@ -504,7 +486,7 @@ class SelfDualHit(Record):
 
     def shifted_keys(self, m: int):
         """The member id of each word times gamma^m."""
-        return map(self._orbits.shift_map(m).__getitem__, self.members)
+        return self._orbits.shifted(self.members, m)
 
 
 # self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, about what the
@@ -514,10 +496,10 @@ class SelfDualHit(Record):
 # every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
 # is a component of its own, and each is a minimal hit: about one hit per two
 # subspaces, where over F_2^n the hits are few and large.  On CPython 3.11 a
-# `selfdual` call's own peak (VmHWM) was 31.4 MB over F_2^8 (417,199
-# subspaces, estimated at 41.7 MB) and 40.5 MB over F_3^6 under x^6+x^5+2
+# `selfdual` call's own peak (VmHWM) was 33.0 MB over F_2^8 (417,199
+# subspaces, estimated at 41.7 MB) and 40.6 MB over F_3^6 under x^6+x^5+2
 # (56,632 subspaces and 28,315 hits, estimated at 48.9 MB).  The peak grew by
-# 37 bytes per subspace over F_2^8; over F_3^6 it grew by 25 MB, most of it
+# 41 bytes per subspace over F_2^8; over F_3^6 it grew by 25 MB, most of it
 # the components and records of the hits.
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
@@ -598,17 +580,14 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     for ms, orbit_count, first_quasi, dims, members in _minimal_components(
             field, orbits, include_trivial):
         hit = SelfDualHit(field, ms[0], ms, orbit_count, dims, members, orbits)
-        # ties in (dimension kind, size, m) keep the order of the components
-        # at m, i.e. of their first quasi orbit
-        hits.append((not hit.constant_dimension, hit.size, hit.m, first_quasi, hit))
-    # both checks read the hit's member ids, through the verified perp_id and
-    # a shift map; grouped by m, so that each shift map is built once
-    for *_, hit in sorted(hits, key=lambda entry: entry[2]):
+        # both checks read the hit's member ids, through the verified perp_id
         if not is_self_dual(hit):
             raise VerificationFailed("component is not self-dual: internal error")
         if not is_quasi_cyclic(hit, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
-    orbits.drop_shift_map()
+        # ties in (dimension kind, size, m) keep the order of the components
+        # at m, i.e. of their first quasi orbit
+        hits.append((not hit.constant_dimension, hit.size, hit.m, first_quasi, hit))
     hits.sort(key=lambda entry: entry[:4])
     return [entry[-1] for entry in hits]
 
@@ -678,12 +657,11 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
     """
     mask = (1 << orbits.N) - 1
     member_ids = orbits.member_finder()
-    orbit_of = orbits.orbit_of_ids()
     perp_id = array("i")
     for k, doubled, D in zip(orbits.dims, orbits.doubled, orbits.lengths):
         comps = orbit_complements(field, doubled & mask, k, D)
         ids = member_ids(comps)
-        if not all(map(eq, orbits.words(ids, orbit_of), comps)):
+        if not all(map(eq, orbits.words(ids), comps)):
             raise VerificationFailed("a complement's id names another word: internal error")
         perp_id += ids
     if not all(map(eq, map(perp_id.__getitem__, perp_id), range(len(perp_id)))):

@@ -505,9 +505,11 @@ SELFDUAL_STDOUT_SHA256 = {
 # Bound on the peak resident set of a child running `selfdual --n 8`, read
 # from its own VmHWM.  The child peaked at about 104 MB while the search held
 # every subspace's bitset and a dict over them, at about 40 MB once it held
-# member ids, and at about 31 MB since components hold their nodes as arrays
-# (CPython 3.11, either format).
-SELFDUAL_N8_PEAK_MB = 70
+# member ids, and at about 33 MB since components hold their nodes as arrays
+# (CPython 3.11, either format).  The bound leaves about 12 MB for run-to-run
+# noise and the interpreter versions the tests run on (only 3.11 measured),
+# so it fails on a return to word sets, not on a rise of a few MB.
+SELFDUAL_N8_PEAK_MB = 45
 
 # runs the CLI, then reports its own peak from /proc/self/status on stderr;
 # ru_maxrss would not do, as a child's starts at its parent's high-water mark

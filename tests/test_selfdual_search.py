@@ -68,19 +68,22 @@ def test_complement_pairs_matches_oracle_extended(name):
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_orbit_index_finds_every_member_as_orbit_bits_lists_it(name):
-    """Member j of orbit oid is orbit_bits' j-th rotation, and its id is start[oid] + j."""
+    """Member j of orbit oid is orbit_bits' j-th rotation, its id is start[oid] + j,
+    and shifted moves it to member (j + m) mod D."""
     field = make_field(*FIELDS[name])
     orbits = _OrbitTable(field)
     member_ids = orbits.member_finder()
-    orbit_of = orbits.orbit_of_ids()
     reps = [rec.rep_bits for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
     assert len(reps) == len(orbits.lengths)
     for oid, rep in enumerate(reps):
         ids = range(orbits.start[oid], orbits.start[oid + 1])
         members = orbit_bits(field, rep)
         assert list(orbits.words(ids)) == members
-        assert list(orbits.words(ids, orbit_of)) == members
         assert list(member_ids(members)) == list(ids)
+        for m in (1, len(ids) + 2):
+            # gamma^m moves member j to member (j + m) mod D
+            assert list(orbits.shifted(ids, m)) == [ids[(j + m) % len(ids)]
+                                                     for j in range(len(ids))]
 
 
 @pytest.mark.parametrize("include_trivial", [False, True], ids=["minimal", "with-trivial"])
