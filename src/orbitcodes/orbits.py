@@ -37,6 +37,7 @@ import json
 import os
 import time
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .codes import gaussian_coefficient
@@ -108,6 +109,15 @@ def divisors(n: int) -> list:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+@lru_cache(maxsize=None)
+def _steps(D: int) -> tuple:
+    """The steps g | D with g < D of a cyclic orbit of length D.
+
+    A census meets only the few lengths (q^n-1)/(q^t-1), t | n, of its field.
+    """
+    return tuple(g for g in divisors(D) if g < D)
+
+
 # -- candidate enumeration -----------------------------------------------------
 
 
@@ -163,7 +173,7 @@ def _process_orbit(field: FieldSpec, k: int, rep: int) -> CyclicOrbitRecord:
     if D > 1:           # D = 1 (the zero subspace and the full space) has no steps
         overlap = cyclic_overlaps(field, rep, rep)
         min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k)
-                       for g in divisors(D) if g < D}
+                       for g in _steps(D)}
     return CyclicOrbitRecord(rep, D, t, min_by_step)
 
 
@@ -308,7 +318,7 @@ def _plausible_record(field: FieldSpec, k: int, r: CyclicOrbitRecord) -> bool:
     except OrbitCodesError:
         return False
     return ((t, D) == (r.stab_degree, r.length)
-            and set(r.min_by_step) == {g for g in divisors(D) if g < D}
+            and set(r.min_by_step) == set(_steps(D))
             and all(type(d) is int for d in r.min_by_step.values()))
 
 

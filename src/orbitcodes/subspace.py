@@ -43,7 +43,8 @@ exponent not yet spanned as the next basis vector, so from_exponents checks
 closure in at most k steps, and span and subspaces_of get a basis and its
 span in one pass.  The subspaces are spanned by walking the rows of reduced
 echelon matrices (_echelon_rows, _walk_rows): each choice of a row extends
-the span of the rows after it once for every choice of the rows before it.
+the span of the rows after it once for every choice of the rows before it,
+and each choice of the last row left only ORs the exponents it adds.
 The census walks them over the coordinates of F_q^n, and
 subspaces_of(field, bits, t) over a subspace's own basis, listing each of
 its t-subspaces once.
@@ -51,15 +52,21 @@ its t-subspaces once.
 Every orbit distance comes from one correlation kernel.
 cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
 |a & rot(b, j)|, j = 0..N-1, from a single big-int product (Kronecker
-substitution): a is spread into N lanes of W bytes, lane i holding bit i,
-b into N lanes in reverse order, and lane N-1+j of the product is the
-linear correlation at shift j; the wrapped part, lane j-1, is added back
-in with one shift.  No lane can carry into the next, because every lane
-is at most min(|a|, |b|), so W is the smallest of 1, 2, 4 and 8 bytes that
-holds that bound, q^k - 1 for k-dimensional subspaces.  The lanes come out
-with to_bytes, as bytes when W = 1 and as a memoryview cast to W-byte
-ints otherwise, so the slices callers take (overlap[::m], overlap[g:D:g])
-and the searches over them run in C.  A distance between a subspace and
+substitution): a is spread into N lanes, lane i holding bit i, b into N
+lanes in reverse order, and lane N-1+j of the product is the linear
+correlation at shift j; the wrapped part, lane j-1, is added back in with
+one shift.  No lane can carry into the next, because every lane is at most
+top = min(|a|, |b|), q^k - 1 for k-dimensional subspaces, so the lanes are
+as narrow as top allows, which keeps the product short.  Below 8 a lane is
+3 bits and below 16 it is 4: the binary string of a, read as an octal or
+hex numeral, puts bit i in digit i, and the product's octal or hex
+numeral, reversed and translated, gives the overlaps as bytes.  Over F_2
+every subspace of dimension at most 4 takes these.  A wider top takes
+lanes of W bytes, the smallest of 1, 2, 4 and 8 that holds it, spread by
+translating the binary string to bytes and read back with to_bytes, as
+bytes when W = 1 and as a memoryview cast to W-byte ints otherwise.
+Either way the slices callers take (overlap[::m], overlap[g:D:g]) and the
+searches over them run in C.  A distance between a subspace and
 an orbit is read from the largest overlap: d = dim U + dim V -
 2 dim(U meet V) is smallest where the popcount of U & V is largest.  Every
 overlap of two subspaces is the size q^w - 1 of their meet, so
@@ -208,6 +215,7 @@ def is_min_member(field: FieldSpec, bits: int) -> bool:
 
 
 _BITS_TO_LANES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS_TO_LANES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -229,15 +237,26 @@ def cyclic_overlaps(field: FieldSpec, a: int, b: int):
 
     One product of a's lanes with b's reversed lanes gives the linear
     correlation; lane N-1+j holds the overlaps that do not wrap and lane
-    j-1 those that do, and one shift adds the two.  The result is bytes
-    when every overlap fits in a byte, else a memoryview of W-byte ints.
+    j-1 those that do, and one shift adds the two.  Lanes of 3 or 4 bits
+    are the octal or hex digits of the binary string, lanes of W bytes its
+    bytes.  The result is bytes when every overlap fits in a byte, else a
+    memoryview of W-byte ints.
     """
     N = field.group_order
     top = min(a.bit_count(), b.bit_count())
-    W = next(w for w in _LANE_FORMATS if top < 1 << 8 * w)
-    lane = 8 * W
-    linear = _lanes(a, N, W, "big") * _lanes(b, N, W, "little")
+    if top < 16:
+        lane = 3 if top < 8 else 4
+        x = int(format(a, f"0{N}b"), 1 << lane)
+        y = int(format(b, f"0{N}b")[::-1], 1 << lane)
+    else:
+        W = next(w for w in _LANE_FORMATS if top < 1 << 8 * w)
+        lane = 8 * W
+        x, y = _lanes(a, N, W, "big"), _lanes(b, N, W, "little")
+    linear = x * y
     cyclic = (linear >> lane * (N - 1)) + ((linear << lane) & ((1 << lane * N) - 1))
+    if lane < 8:
+        digits = format(cyclic, f"0{N}{'o' if lane == 3 else 'x'}")
+        return digits[::-1].encode().translate(_DIGITS_TO_LANES)
     if W == 1:
         return cyclic.to_bytes(N, "little")
     lanes = memoryview(cyclic.to_bytes(W * N, sys.byteorder)).cast(_LANE_FORMATS[W])
@@ -375,15 +394,23 @@ def _walk_rows(field: FieldSpec, rows: list, elts: list, bits: int):
     every choice, the last row outermost.
 
     elts is a span and bits its bitset; each choice of the last row extends
-    them once for every choice of the rows before it.
+    them once for every choice of the rows before it.  When one row is left,
+    each of its choices only ORs the exponents it adds into bits.
     """
-    if not rows:
+    if len(rows) > 1:
+        for v in rows[-1]:
+            new = _span_step(field, elts, v)
+            yield from _walk_rows(field, rows[:-1], elts + new,
+                                  bits | _bits_from_packed(field, new))
+    elif rows:
+        log = field.log
+        for v in rows[0]:
+            out = bits
+            for p in _span_step(field, elts, v):
+                out |= 1 << log[p]
+            yield out
+    else:
         yield bits
-        return
-    for v in rows[-1]:
-        new = _span_step(field, elts, v)
-        yield from _walk_rows(field, rows[:-1], elts + new,
-                              bits | _bits_from_packed(field, new))
 
 
 def subspaces_of(field: FieldSpec, bits: int, t: int):

@@ -56,6 +56,46 @@ def test_classify_quasi_diff_report(capsys):
     assert "degenerate:17" in out
 
 
+# sha256 of `classify --n N --k K --m M --format json` stdout and of the files
+# `classify --n 8 --k 3` writes, taken from the CLI as it was before the
+# correlation kernel had lanes of 3 and 4 bits and the walk a flat last row
+CLASSIFY_JSON_SHA256 = {
+    (9, 1, 1): "1b713149ec211fd344379a75f2d15acda8e0121062b070ef317395eac900f833",
+    (9, 2, 1): "f934693c5c7c34bc5f1f04570cf7dd4edfdb9dbcef7b23a93d2a476270d59d19",
+    (9, 3, 1): "cd5e261b180fe9541e1f9e2389cad4c14e7c5b16f08634dc307dd829e3e8751f",
+    (9, 4, 1): "da6ac9c56ca4c4d83713a2386c08c8f34ab4104f55d4b1a65e583976910e27cf",
+    (10, 3, 1): "3345494f3642a822d04c97810c105d8484c2409c6aeefbbc89475072814cac27",
+    (8, 4, 3): "211ef59498cc2df3dcc11c0cc840cca8a33111eb538e7c79e03de6df0e518653",
+    (8, 4, 5): "040aa2519dfa7548c8782de5c63cadc34b52b93fdb77454168f4168bd7b6e58f",
+    (8, 4, 15): "006b255e134f4430c9e22b31deddcfcd857c33ccb1c9edee220cebe57670d003",
+    (8, 4, 17): "6c1e87c7bf40aa98187e9187df3cb9d75ecd4035d2f797eb11385fdf1cdb9361",
+    (8, 4, 51): "9a44b2ab635c99e0cc91290b889daf6b313ad6e484fd01ec92769e46c10f8ea2",
+    (8, 4, 85): "55e5cea894bc95db26d53269e5ea59d189df6e5fbbcde04a016ef20c39abe47e",
+}
+CLASSIFY_N8K3_FILE_SHA256 = {
+    "--db": "c9c72c96f0f639e46873584af274490b985a7c42f3eec181ddcbc036feedcda0",
+    "--checkpoint": "7cddc3e61edf41de783809d06b74ca517d32c75dfc4de955cdf7f4182b4c6dad",
+}
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("n, k, m", list(CLASSIFY_JSON_SHA256))
+def test_classify_json_is_pinned(capsys, n, k, m):
+    code, out, _ = run(capsys, "classify", "--n", str(n), "--k", str(k), "--m", str(m),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[n, k, m]
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("flag", list(CLASSIFY_N8K3_FILE_SHA256))
+def test_classify_file_is_pinned(tmp_path, capsys, flag):
+    path = tmp_path / "out"
+    code, _, _ = run(capsys, "classify", "--n", "8", "--k", "3", flag, str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CLASSIFY_N8K3_FILE_SHA256[flag]
+
+
 def test_classify_extended_gate(capsys, monkeypatch):
     """The gate counts candidates x q^k, the vectors the walk spans: every
     n <= 9 runs, n = 10 only at k <= 3 and k >= 8, and n = 16 at k = 15

@@ -29,6 +29,7 @@ from orbitcodes.orbits import _iter_candidates, _process_orbit, cyclic_orbit_dat
 from orbitcodes.subspace import (
     check_modulus,
     cyclic_overlaps,
+    exponents_of,
     is_min_member,
     min_member,
     orbit_bits,
@@ -41,11 +42,13 @@ from tests.conftest import data_path
 # primitive polynomials other than the defaults, constant term first
 F64_OTHER_POLY = (1, 1, 0, 0, 0, 0, 1)              # x^6 + x + 1
 F256_OTHER_POLY = (1, 0, 0, 0, 1, 1, 1, 0, 1)       # x^8 + x^6 + x^5 + x^4 + 1
+F125_POLY = (2, 0, 1, 1)                            # x^3 + x^2 + 2, no default
 
 FIELDS = {
     "F2^6": (2, 6, None), "F2^6-other": (2, 6, F64_OTHER_POLY),
     "F2^8": (2, 8, None), "F2^8-other": (2, 8, F256_OTHER_POLY),
     "F3^3": (3, 3, None), "F3^4": (3, 4, None), "F5^2": (5, 2, None),
+    "F5^3": (5, 3, F125_POLY),
 }
 
 # fields whose hyperplanes overlap in 255 elements (one-byte lanes, F_2^9)
@@ -302,13 +305,79 @@ def test_cyclic_overlaps_lane_width_edges(name):
     assert max(cyclic_overlaps(field, a, a)) == a.bit_count() > 254
 
 
-@settings(max_examples=60, deadline=None)
+def sparse_bitsets(N):
+    """Bitsets of at most 20 of the exponents 0..N-1: their overlaps fit lanes
+    of 3 bits, 4 bits or a byte, where dense bitsets always need a byte."""
+    return st.frozensets(st.integers(0, N - 1), max_size=20).map(
+        lambda exps: sum(1 << e for e in exps))
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from(["F2^6", "F3^3", "F5^2", "F2^9", "F2^10"]), st.data())
 def test_cyclic_overlaps_random_pairs(name, data):
     field = field_of(name)
-    bitsets = st.integers(0, (1 << field.group_order) - 1)
+    N = field.group_order
+    bitsets = st.one_of(st.integers(0, (1 << N) - 1), sparse_bitsets(N))
     a, b = data.draw(bitsets), data.draw(bitsets)
-    assert list(cyclic_overlaps(field, a, b)) == oracle.cyclic_overlaps(field, a, b)
+    for x, y in ((a, b), (a, a)):
+        assert list(cyclic_overlaps(field, x, y)) == oracle.cyclic_overlaps(field, x, y)
+
+
+@pytest.mark.parametrize("top", [7, 8, 15, 16])
+@pytest.mark.parametrize("name", ["F2^6", "F3^4", "F2^9", "F2^10"])
+def test_cyclic_overlaps_at_lane_edges(name, top):
+    """Bitsets whose smaller popcount is the largest overlap a 3-bit lane
+    holds (7), the smallest a 4-bit lane needs (8), the largest it holds (15)
+    and the smallest a byte lane needs (16), against larger ones."""
+    field = field_of(name)
+    N = field.group_order
+    rng = random.Random(N * top)
+    for _ in range(8):
+        a = sum(1 << e for e in rng.sample(range(N), top))
+        b = sum(1 << e for e in rng.sample(range(N), rng.randint(top + 1, N)))
+        for x, y in ((a, a), (a, b), (b, a)):
+            overlap = cyclic_overlaps(field, x, y)
+            assert type(overlap) is bytes
+            assert list(overlap) == oracle.cyclic_overlaps(field, x, y)
+        assert max(cyclic_overlaps(field, a, a)) == top
+
+
+@pytest.mark.parametrize("name, k, size", [("F2^9", 3, 7), ("F3^4", 2, 8), ("F2^8", 4, 15)])
+def test_cyclic_overlaps_of_subspaces_at_lane_tops(name, k, size):
+    """k-subspaces of q^k - 1 = 7, 8 or 15 elements: the orbits shorter than
+    q^n - 1 and a seeded sample of the others, each against itself, a
+    rotated rep and a (k+1)-subspace through that rep."""
+    field = field_of(name)
+    N = field.group_order
+    recs = cyclic_orbit_data(field, k)
+    rng = random.Random(N * k)
+    short = [rec.rep_bits for rec in recs if rec.length < N]
+    reps = short + [rec.rep_bits for rec in rng.sample(recs, min(len(recs), 12))]
+    assert short and {bits.bit_count() for bits in reps} == {size}
+    for a in reps:
+        b = rotate_bits(rng.choice(reps), rng.randrange(N), N)
+        outside = rng.choice([e for e in range(N) if not b >> e & 1])
+        c = span(field, [*exponents_of(b), outside]).bits
+        assert c.bit_count() == field.q ** (k + 1) - 1
+        for x, y in ((a, a), (a, b), (a, c), (c, a)):
+            overlap = cyclic_overlaps(field, x, y)
+            assert type(overlap) is bytes
+            assert list(overlap) == oracle.cyclic_overlaps(field, x, y)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name, k", [("F2^10", 3), ("F2^9", 4)])
+def test_cyclic_overlaps_of_every_census_rep_extended(name, k):
+    """Every cyclic orbit rep of the census, with itself and with a seeded
+    rotated rep, against the rotation loop."""
+    field = field_of(name)
+    N = field.group_order
+    reps = [rec.rep_bits for rec in cyclic_orbit_data(field, k)]
+    rng = random.Random(N * k)
+    for a in reps:
+        b = rotate_bits(rng.choice(reps), rng.randrange(N), N)
+        for x, y in ((a, a), (a, b)):
+            assert list(cyclic_overlaps(field, x, y)) == oracle.cyclic_overlaps(field, x, y)
 
 
 @pytest.mark.parametrize("name", list(WIDE_FIELDS))

@@ -185,10 +185,13 @@ def test_orthogonal_complement_nonbinary(f9):
         assert orthogonal_complement(C).bits == U.bits
 
 
-@pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (5, 2)])
-def test_subspaces_of_lists_every_t_subspace_once(q, n):
+@pytest.mark.parametrize("q,n,poly", [
+    pytest.param(q, n, poly, id=f"{q}-{n}")
+    for q, n, poly in [(2, 4, None), (2, 5, None), (3, 3, None), (5, 2, None),
+                       (5, 3, (2, 0, 1, 1))]])    # x^3 + x^2 + 2: F_5^3 has no default
+def test_subspaces_of_lists_every_t_subspace_once(q, n, poly):
     """Against the spans of every t elements: [k, t]_q distinct t-subspaces."""
-    field = make_field(q, n)
+    field = make_field(q, n, poly)
     rng = random.Random(q * 100 + n)
     for size in range(n + 1):
         V = span(field, rng.sample(range(field.group_order), size)) if size \
