@@ -17,9 +17,9 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "codes": (
         "SubspaceCode", "code_from_generators", "code_from_words", "dualize",
-        "dump_code_file", "etzion_vardy_bound", "gaussian_coefficient",
-        "is_cyclic", "is_quasi_cyclic", "is_self_dual", "load_code_file",
-        "min_distance", "spread_code", "verify_code_file",
+        "dump_code_file", "etzion_vardy_bound", "is_cyclic", "is_quasi_cyclic",
+        "is_self_dual", "load_code_file", "min_distance", "spread_code",
+        "verify_code_file",
     ),
     "construct": (
         "CliqueResult", "CompatGraph", "SelfDualHit", "assemble_code",
@@ -27,7 +27,8 @@ _EXPORTS = {
         "self_dual_search", "write_dimacs",
     ),
     "errors": ("OrbitCodesError", "ResourceLimit"),
-    "gfext": ("FieldElement", "FieldSpec", "default_poly", "make_field", "parse_poly"),
+    "gfext": ("FieldElement", "FieldSpec", "default_poly", "gaussian_coefficient",
+              "make_field", "parse_poly"),
     "orbits": (
         "CensusTable", "Checkpoint", "ConjectureVerdict", "Orbit", "RunBudget",
         "classify", "conjecture_check", "enumerate_orbits", "orbit_members",

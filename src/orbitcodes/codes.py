@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     TooSmall,
     VerificationFailed,
 )
-from .gfext import FieldSpec, make_field
+from .gfext import FieldSpec, gaussian_coefficient, make_field
 from .records import Record
 from .subspace import (
     check_modulus,
@@ -33,19 +33,6 @@ from .subspace import (
 
 
 # -- exact counting and bounds --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def gaussian_coefficient(n: int, k: int, q: int) -> int:
-    """Number of k-dim subspaces of F_q^n (exact integer)."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
 
 
 def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:

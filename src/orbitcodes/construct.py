@@ -42,7 +42,7 @@ from .errors import (
     SameOrbit,
     VerificationFailed,
 )
-from .gfext import FieldSpec, is_prime
+from .gfext import FieldSpec, gaussian_coefficient, is_prime
 from .orbits import Orbit, cyclic_orbit_data, divisors
 from .records import Record
 from .subspace import (
@@ -509,7 +509,6 @@ SELFDUAL_MAX_BYTES = 500_000_000
 
 def _space_needed(field: FieldSpec) -> tuple:
     """(subspaces of P_q(n), the bytes self_dual_search estimates it needs)."""
-    from .codes import gaussian_coefficient
     n, q = field.n, field.q
     total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
     need = SELFDUAL_BASE_BYTES + total * ((field.group_order + 7) // 8

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     DegreeMismatch,
@@ -61,6 +61,19 @@ DEFAULT_POLYS = {
     (7, 1): (4, 1),                                  # x + 4
     (7, 2): (3, 1, 1),                               # x^2 + x + 3
 }
+
+
+@lru_cache(maxsize=None)
+def gaussian_coefficient(n: int, k: int, q: int) -> int:
+    """Number of k-dim subspaces of F_q^n (exact integer)."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
 
 
 def is_prime(q: int) -> bool:

@@ -21,6 +21,18 @@ value as packed base-q digits.  So the span of gamma^0 and the later rows is
 built once for every choice of the rows below them.  A checkpoint counts
 candidates in this order.
 
+Most candidates are ruled out before they are spanned in full, by the
+wrap-gap bound.  A k-dim subspace has s = q^k - 1 exponents, and its s
+cyclic gaps sum to N = q^n - 1.  If a candidate's highest exponent top has
+s (N - top) < N, its wrap gap N - top is below the mean gap, so some gap G
+is larger; rotating down to the exponent that ends G gives a member whose
+highest exponent is N - G < top, a smaller integer, so the candidate is not
+its orbit's smallest member.  A partial span's top only grows as rows are
+added, so once a walk node fails the bound the walk skips its subtree, and
+is_min_member never sees a leaf that fails it.  The skipped candidates keep
+their place in the order: a candidate's index, in checkpoints and budgets,
+is the one it had when every candidate was walked.
+
 A cyclic orbit is walked without listing its D members.  Its overlaps
 |V & gamma^j V| for every j come from one correlation product
 (cyclic_overlaps, from subspace).  A quasi orbit stepping by g | D holds
@@ -38,9 +50,8 @@ import os
 import time
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .codes import gaussian_coefficient
 from .errors import (
     CheckpointMismatch,
     OrbitCodesError,
@@ -48,7 +59,7 @@ from .errors import (
     ResourceLimit,
     VerificationFailed,
 )
-from .gfext import FieldSpec, make_field
+from .gfext import FieldSpec, gaussian_coefficient, make_field
 from .records import Record
 from .subspace import (
     Subspace,
@@ -95,11 +106,14 @@ class _BudgetClock:
         self.candidates = 0
 
     def tick(self, n: int = 1):
+        """Count n more candidates; the clock is read each time the count
+        passes a multiple of 1024, however far one tick moves it."""
+        before = self.candidates
         self.candidates += n
         b = self.budget
         if b.max_candidates is not None and self.candidates > b.max_candidates:
             raise ResourceLimit(f"candidate budget {b.max_candidates} exceeded")
-        if b.max_seconds is not None and (self.candidates & 0x3FF) == 0:
+        if b.max_seconds is not None and before >> 10 != self.candidates >> 10:
             if time.monotonic() - self.t0 > b.max_seconds:
                 raise ResourceLimit(f"time budget {b.max_seconds}s exceeded")
 
@@ -122,7 +136,8 @@ def _steps(D: int) -> tuple:
 
 
 def _iter_candidates(field: FieldSpec, k: int):
-    """Bitsets of all k-dim subspaces containing gamma^0, each exactly once.
+    """(index, bitset) of the k-dim subspaces containing gamma^0 that pass the
+    wrap-gap bound, each once; the index counts the skipped ones too.
 
     With gamma^0 = 1 = (1,0,...,0) in the polynomial basis, such a subspace
     is gamma^0 plus the rows of one reduced echelon (k-1) x (n-1) matrix over
@@ -130,20 +145,35 @@ def _iter_candidates(field: FieldSpec, k: int):
     come in lexicographic order.  For each, row i is its pivot digit plus
     any digits in the non-pivot coordinates above it, its choices in
     increasing packed value, and row 0 varies fastest, then row 1, and so
-    on.  k = 0 gives the zero subspace, the one candidate without gamma^0,
-    and k = n the full space.
+    on.  The index is the position in this order.
+
+    The bound: with s = q^k - 1 exponents and N = q^n - 1, a candidate whose
+    highest exponent top has s (N - top) < N has a wrap gap N - top below
+    the mean of its s cyclic gaps, so rotating it down past a larger gap G
+    gives a member with highest exponent N - G < top, a smaller integer.
+    So a kept candidate has top <= N - ceil(N/s), that is
+    bits < 1 << N - (N-1)//s, and since a partial span's top only grows
+    with its rows, a walk node above that skips its subtree (_walk_rows).
+    k = 0 gives the zero subspace, the one candidate without gamma^0, and
+    k = n the full space.
     """
-    n, q = field.n, field.q
+    n, q, N = field.n, field.q, field.group_order
     if k == 0:
-        yield 0
+        yield 0, 0
         return
+    bit_of = [0] * field.order
+    for e, v in enumerate(field.antilog):
+        bit_of[v] = 1 << e
+    cap = 1 << N - (N - 1) // (q ** k - 1)
+    index = 0
     for pivots in itertools.combinations(range(1, n), k - 1):
         rows = _echelon_rows(q, pivots, n)
-        yield from _walk_rows(field, [*rows, [1]], [0], 0)     # gamma^0 outermost
+        yield from _walk_rows(field, [*rows, [1]], bit_of, cap, index)  # gamma^0 outermost
+        index += prod(map(len, rows))
 
 
 def candidate_count(field: FieldSpec, k: int) -> int:
-    """How many candidates _iter_candidates yields: [n-1, k-1]_q, 1 at k = 0."""
+    """How many candidates _iter_candidates numbers: [n-1, k-1]_q, 1 at k = 0."""
     return 1 if k == 0 else gaussian_coefficient(field.n - 1, k - 1, field.q)
 
 
@@ -193,9 +223,12 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     records, start = [], 0
     if checkpoint is not None:
         records, start = checkpoint.load(field, k)
-    candidates = itertools.islice(enumerate(_iter_candidates(field, k)), start, None)
-    for idx, bits in candidates:
-        clock.tick()
+    last = start - 1
+    for idx, bits in _iter_candidates(field, k):
+        if idx < start:
+            continue
+        clock.tick(idx - last)      # the candidates the bound skipped count too
+        last = idx
         if is_min_member(field, bits):
             rec = _process_orbit(field, k, bits)
             records.append(rec)

@@ -45,9 +45,11 @@ span in one pass.  The subspaces are spanned by walking the rows of reduced
 echelon matrices (_echelon_rows, _walk_rows): each choice of a row extends
 the span of the rows after it once for every choice of the rows before it,
 and each choice of the last row left only ORs the exponents it adds.
-The census walks them over the coordinates of F_q^n, and
-subspaces_of(field, bits, t) over a subspace's own basis, listing each of
-its t-subspaces once.
+Each span is numbered by its place in the walk.  The census walks them
+over the coordinates of F_q^n with a cap, skipping every node whose bitset
+is not below it together with the spans under it (the wrap-gap bound, see
+orbits), and subspaces_of(field, bits, t) over a subspace's own basis with
+none, listing each of its t-subspaces once.
 
 Every orbit distance comes from one correlation kernel.
 cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
@@ -79,8 +81,9 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import namedtuple
-from math import gcd
-from operator import and_
+from itertools import repeat
+from math import gcd, prod
+from operator import and_, itemgetter, xor
 
 from .errors import (
     AllZero,
@@ -389,28 +392,46 @@ def _echelon_rows(q: int, pivots, ncols: int) -> list:
     return rows
 
 
-def _walk_rows(field: FieldSpec, rows: list, elts: list, bits: int):
-    """The bitset of the span of elts and one choice from each of rows, for
-    every choice, the last row outermost.
+def _walk_rows(field: FieldSpec, rows: list, bit_of, cap: int | None = None,
+               index: int = 0):
+    """(index, bitset) of the span of one choice from each of rows, for every
+    choice whose bitset is below cap, the last row outermost.
 
-    elts is a span and bits its bitset; each choice of the last row extends
-    them once for every choice of the rows before it.  When one row is left,
-    each of its choices only ORs the exponents it adds into bits.
+    index numbers every choice in this order from the given start, those
+    skipped included.  bit_of maps each packed vector the walk can reach to
+    1 << its exponent.  Each choice of the last row extends the span of the
+    rows after it once for every choice of the rows before it; a bitset only
+    grows as rows are added, so a choice whose partial bitset is not below
+    cap skips every choice of the rows before it, and the index moves past
+    them.  When one row is left, each of its choices only ORs the exponents
+    it adds: over F_2 those of the coset elts ^ v, whose bits are distinct,
+    so their sum is their OR.
     """
-    if len(rows) > 1:
-        for v in rows[-1]:
-            new = _span_step(field, elts, v)
-            yield from _walk_rows(field, rows[:-1], elts + new,
-                                  bits | _bits_from_packed(field, new))
-    elif rows:
-        log = field.log
-        for v in rows[0]:
-            out = bits
-            for p in _span_step(field, elts, v):
-                out |= 1 << log[p]
-            yield out
-    else:
-        yield bits
+    if cap is None:
+        cap = 1 << field.group_order
+    get = bit_of.__getitem__
+
+    def walk(rows, elts, bits, index):
+        if len(rows) > 1:
+            below = prod(map(len, rows[:-1]))
+            for v in rows[-1]:
+                new = _span_step(field, elts, v)
+                out = bits | sum(map(get, new))
+                if out < cap:
+                    yield from walk(rows[:-1], elts + new, out, index)
+                index += below
+        elif rows:
+            if field.q == 2:
+                outs = [bits | sum(map(get, map(xor, elts, repeat(v)))) for v in rows[0]]
+            else:
+                outs = [bits | sum(map(get, _span_step(field, elts, v))) for v in rows[0]]
+            for i, out in enumerate(outs, index):
+                if out < cap:
+                    yield i, out
+        else:
+            yield index, bits
+
+    return walk(rows, [0], 0, index)
 
 
 def subspaces_of(field: FieldSpec, bits: int, t: int):
@@ -423,10 +444,12 @@ def subspaces_of(field: FieldSpec, bits: int, t: int):
     met twice, and there are none when t > k.
     """
     basis, vectors, _ = _basis_span(field, bits)
+    log = field.log
+    bit_of = {v: 1 << log[v] for v in vectors[1:]}
     for pivots in itertools.combinations(range(len(basis)), t):
         rows = [[vectors[c] for c in row]
                 for row in _echelon_rows(field.q, pivots, len(basis))]
-        yield from _walk_rows(field, rows, [0], 0)
+        yield from map(itemgetter(1), _walk_rows(field, rows, bit_of))
 
 
 def from_exponents(field: FieldSpec, exps) -> Subspace:

@@ -9,10 +9,13 @@ general-q one.
 visited_census is the census as it was before orderly generation: it keeps
 a set of every member containing gamma^0 of the orbits met so far, skips
 the candidates in it, and names each orbit by the least of those members.
+It walks every candidate, those the wrap-gap bound skips too.
 
-rref_candidates is the candidate walk before the rows shared their spans:
-one counter over all free digits of a pivot pattern, and every basis
-spanned from scratch.
+rref_candidates is the candidate walk before the rows shared their spans
+and before the wrap-gap bound skipped any: one counter over all free digits
+of a pivot pattern, and every basis spanned from scratch.
+bounded_candidates numbers it and keeps the candidates that pass the bound
+(passes_wrap_gap_bound), as the census walk does.
 
 pairwise_graph is the compatibility graph as it was built before the
 t-subspace index: one correlation (inter_orbit_distance) per pair of
@@ -24,7 +27,7 @@ from math import gcd
 
 from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
-from orbitcodes.orbits import _iter_candidates, divisors
+from orbitcodes.orbits import divisors
 from orbitcodes.subspace import (
     Subspace,
     cyclic_overlaps as overlap_kernel,
@@ -60,7 +63,7 @@ def visited_census(field, k: int) -> list:
     """
     visited = set()
     records = []
-    for bits in _iter_candidates(field, k):
+    for bits in rref_candidates(field, k):
         if bits in visited:
             continue
         ones = gamma0_members(field, bits)
@@ -110,6 +113,23 @@ def rref_candidates(field, k: int):
             for v in elts[1:]:
                 bits |= 1 << exponent[v.to_bytes(n, "little").translate(mod_q)]
             yield bits
+
+
+def passes_wrap_gap_bound(field, k: int, bits: int) -> bool:
+    """Whether the census walk tests this candidate of G_q(n, k).
+
+    The s = q^k - 1 exponents of a subspace cut the N = q^n - 1 exponents
+    into s cyclic gaps; the wrap gap N - top, top the highest exponent, must
+    be at least their mean N / s.  The zero subspace has no gaps and passes.
+    """
+    N, s = field.group_order, field.q ** k - 1
+    return bits == 0 or s * (N - (bits.bit_length() - 1)) >= N
+
+
+def bounded_candidates(field, k: int) -> list:
+    """(index in rref_candidates, bits) of the candidates that pass the bound."""
+    return [(i, bits) for i, bits in enumerate(rref_candidates(field, k))
+            if passes_wrap_gap_bound(field, k, bits)]
 
 
 def quasi_length_formula(field, t: int, m: int) -> int:

@@ -56,6 +56,7 @@ COMMANDS = {
 }
 WITHOUT_CENSUS = {"verify", "dualize", "bound", "spread"}
 WITHOUT_CONSTRUCTION = WITHOUT_CENSUS | {"classify", "conjecture-check"}
+WITHOUT_CODES = {"classify", "conjecture-check"}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -64,6 +65,19 @@ def test_command_loads_only_what_it_uses(tmp_path, db, command):
     assert "dataclasses" not in modules
     assert ("orbitcodes.orbits" in modules) == (command not in WITHOUT_CENSUS)
     assert ("orbitcodes.construct" in modules) == (command not in WITHOUT_CONSTRUCTION)
+    assert ("orbitcodes.codes" in modules) == (command not in WITHOUT_CODES)
+
+
+def test_gaussian_coefficient_loads_only_gfext():
+    """It lives in gfext; codes re-exports the same function."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, orbitcodes; orbitcodes.gaussian_coefficient; "
+         "print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
+    loaded = [m for m in json.loads(proc.stdout) if m.startswith("orbitcodes")]
+    assert loaded == ["orbitcodes", "orbitcodes.errors", "orbitcodes.gfext"]
+    from orbitcodes import codes, gfext
+    assert codes.gaussian_coefficient is gfext.gaussian_coefficient
 
 
 def test_import_loads_no_submodule():

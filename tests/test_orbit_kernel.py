@@ -25,7 +25,13 @@ from orbitcodes import (
 )
 from orbitcodes.codes import _min_distance_orbits
 from orbitcodes.errors import BadModulus
-from orbitcodes.orbits import _iter_candidates, _process_orbit, cyclic_orbit_data, divisors
+from orbitcodes.orbits import (
+    Checkpoint,
+    _iter_candidates,
+    _process_orbit,
+    cyclic_orbit_data,
+    divisors,
+)
 from orbitcodes.subspace import (
     check_modulus,
     cyclic_overlaps,
@@ -109,7 +115,7 @@ CENSUS_CASES = [
 def test_census_matches_visited_set_oracle(name, k):
     """The same records as the visited-set census, in the candidate order of their reps."""
     field = field_of(name)
-    index = {bits: i for i, bits in enumerate(_iter_candidates(field, k))}
+    index = {bits: i for i, bits in _iter_candidates(field, k)}
     expected = sorted(oracle.visited_census(field, k), key=lambda rec: index[rec[0]])
     got = [(rec.rep_bits, rec.length, rec.stab_degree, rec.min_by_step)
            for rec in cyclic_orbit_data(field, k)]
@@ -128,13 +134,61 @@ CANDIDATE_CASES = [
 
 @pytest.mark.parametrize("name, k", CANDIDATE_CASES)
 def test_candidates_match_rref_oracle(name, k):
-    """The same candidates in the same order as one counter over all free
-    digits with every span built from scratch.
+    """The same candidates under the same indices as one counter over all
+    free digits with every span built from scratch, numbered before the
+    wrap-gap bound drops the candidates that fail it.
 
     The wide fields take only the k whose spans or counts are small.
     """
     field = field_of(name)
-    assert list(_iter_candidates(field, k)) == list(oracle.rref_candidates(field, k))
+    assert list(_iter_candidates(field, k)) == oracle.bounded_candidates(field, k)
+
+
+def assert_bound_keeps_every_smallest_member(field, k):
+    """The census keeps the same candidates under the same indices from the
+    walk the bound prunes as from the unpruned oracle walk."""
+    def smallest(candidates):
+        return [(i, bits) for i, bits in candidates if min_member(field, bits)[0] == bits]
+    expected = smallest(enumerate(oracle.rref_candidates(field, k)))
+    assert all(oracle.passes_wrap_gap_bound(field, k, bits) for _, bits in expected)
+    assert smallest(_iter_candidates(field, k)) == expected
+
+
+@pytest.mark.parametrize("name, k", [
+    pytest.param(name, k, id=f"{name}-k{k}")
+    for name, (_, n, _) in FIELDS.items() for k in range(n + 1)])
+def test_bound_keeps_every_smallest_member(name, k):
+    assert_bound_keeps_every_smallest_member(field_of(name), k)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name, k", [("F2^9", 4), ("F2^10", 3)])
+def test_bound_keeps_every_smallest_member_extended(name, k):
+    """The paper's F_2^9, k = 4 and F_2^10, k = 3 censuses, about 5 s."""
+    assert_bound_keeps_every_smallest_member(field_of(name), k)
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("name, k", [("F2^6", 3), ("F2^8", 4), ("F3^4", 2)])
+def test_checkpoint_numbered_by_the_unpruned_walk_resumes(tmp_path, name, k):
+    """A checkpoint whose records carry their indices in the unpruned walk,
+    cut after any number of records, resumes to the records and the file of
+    one checkpointed run."""
+    field = field_of(name)
+    whole = tmp_path / "whole.jsonl"
+    records = cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(whole)))
+    reps = [i for i, bits in enumerate(oracle.rref_candidates(field, k))
+            if min_member(field, bits)[0] == bits]
+    assert len(reps) == len(records) > 2
+    for cut in sorted({0, 1, len(records) // 2, len(records) - 1, len(records)}):
+        path = tmp_path / f"cut{cut}.jsonl"
+        ck = Checkpoint(str(path))
+        ck.load(field, k)
+        for i, rec in zip(reps[:cut], records):
+            ck.record(i, rec)
+        ck.flush()
+        assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
+        assert path.read_bytes() == whole.read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +208,7 @@ def test_is_min_member_random_bitsets(name, data):
 def test_f1024_sampled_walks_match_oracle():
     field = make_field(2, 10)
     rng = random.Random(1024)
-    cands = list(_iter_candidates(field, 3))
+    cands = list(oracle.rref_candidates(field, 3))
     sample = rng.sample(cands, 40)
     for bits in sample:
         rec = _process_orbit(field, 3, min_member(field, bits)[0])

@@ -30,9 +30,16 @@ from orbitcodes.errors import BadModulus, ResourceLimit, VerificationFailed
 from orbitcodes.orbits import (
     Orbit,
     _iter_candidates,
+    candidate_count,
+    cyclic_orbit_data,
     divisors,
 )
-from tests.orbit_oracle import naive_orbit_length, quasi_length_formula
+from tests.orbit_oracle import (
+    naive_orbit_length,
+    passes_wrap_gap_bound,
+    quasi_length_formula,
+    rref_candidates,
+)
 
 
 def brute_subspaces(field, k):
@@ -50,18 +57,24 @@ def brute_subspaces(field, k):
 @pytest.mark.parametrize("q,n,k", [(2, 4, 1), (2, 4, 2), (2, 4, 3),
                                    (2, 5, 2), (2, 6, 3), (3, 2, 1)])
 def test_candidates_count_and_uniqueness(q, n, k):
-    """Subspaces containing gamma^0 are counted by [n-1 k-1]_q, no repeats."""
+    """Subspaces containing gamma^0 are counted by [n-1 k-1]_q, no repeats;
+    the walk numbers them all and yields those that pass the bound."""
     f = make_field(q, n)
-    cands = list(_iter_candidates(f, k))
-    assert len(cands) == len(set(cands)) == gaussian_coefficient(n - 1, k - 1, q)
+    assert len(list(rref_candidates(f, k))) == gaussian_coefficient(n - 1, k - 1, q)
+    indices, cands = zip(*_iter_candidates(f, k))
+    assert list(indices) == sorted(set(indices))
+    assert 0 <= indices[0] and indices[-1] < candidate_count(f, k)
+    assert len(cands) == len(set(cands))
     for bits in cands:
         assert bits & 1  # contains gamma^0
+        assert passes_wrap_gap_bound(f, k, bits)
 
 
 def test_candidates_cover_brute_force():
     f = make_field(2, 5)
-    expected = {V.bits for V in brute_subspaces(f, 2) if V.contains_exp(0)}
-    assert set(_iter_candidates(f, 2)) == expected
+    expected = {V.bits for V in brute_subspaces(f, 2)
+                if V.contains_exp(0) and passes_wrap_gap_bound(f, 2, V.bits)}
+    assert {bits for _, bits in _iter_candidates(f, 2)} == expected
 
 
 # -- orbit length law --------------------------------------------------------------
@@ -195,6 +208,25 @@ def test_quasi_census_diff_reports_paper_omissions(f256):
 def test_budget_enforced(f64):
     with pytest.raises(ResourceLimit):
         classify(f64, 3, 1, budget=RunBudget(max_candidates=10))
+
+
+def test_time_budget_is_read_when_a_tick_passes_a_multiple_of_1024():
+    clock = RunBudget(max_seconds=1).start()
+    clock.t0 -= 10                      # as if 10 s had gone by
+    clock.tick(1000)
+    with pytest.raises(ResourceLimit, match="time budget"):
+        clock.tick(1000)                # 2000: passes 1024 without landing on it
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("budget", [RunBudget(max_seconds=0), RunBudget(max_candidates=10)],
+                         ids=["seconds", "candidates"])
+def test_budgets_stop_a_walk_that_skips_subtrees(budget):
+    """F_2^8, k = 4: the bound skips more than half of its 11,811 candidates."""
+    field = make_field(2, 8)
+    assert sum(1 for _ in _iter_candidates(field, 4)) < candidate_count(field, 4) // 2
+    with pytest.raises(ResourceLimit):
+        cyclic_orbit_data(field, 4, budget=budget)
 
 
 def test_conjecture_check_small(f64):

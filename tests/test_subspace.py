@@ -208,6 +208,44 @@ def test_subspaces_of_lists_every_t_subspace_once(q, n, poly):
                 assert listed == ([0] if t == 0 else [V.bits] if t == k else [])
 
 
+def echelon_row_spaces(field, basis, t):
+    """The bitsets of the row spaces of the reduced echelon t x k matrices
+    over basis, k = len(basis), each spanned from scratch.
+
+    The pivot patterns come in lexicographic order, and for each one base-q
+    counter runs over the free digits (row i, column c > pivot i, c not a
+    pivot), row 0's lowest column least significant.
+    """
+    q, k = field.q, len(basis)
+    vectors = span_vectors(field, basis)        # sum c_i b_i at index sum c_i q^i
+    for pivots in itertools.combinations(range(k), t):
+        free = [(i, c) for i in range(t)
+                for c in range(pivots[i] + 1, k) if c not in pivots]
+        for count in range(q ** len(free)):
+            rows = [q ** p for p in pivots]
+            for i, c in free:
+                count, digit = divmod(count, q)
+                rows[i] += digit * q ** c
+            yield span_bits(field, [vectors[r] for r in rows])
+
+
+@pytest.mark.parametrize("q,n,poly", [
+    pytest.param(q, n, poly, id=f"{q}-{n}")
+    for q, n, poly in [(2, 5, None), (3, 3, None), (5, 3, (2, 0, 1, 1))]])
+def test_subspaces_of_order_matches_echelon_oracle(q, n, poly):
+    """The walker lists the t-subspaces in the echelon counter's order."""
+    field = make_field(q, n, poly)
+    rng = random.Random(q * 1000 + n)
+    for size in range(1, n + 1):
+        exps = rng.sample(range(field.group_order), size)
+        V = span(field, exps)
+        basis = _basis_span(field, V.bits)[0]
+        assert span_bits(field, basis) == V.bits
+        for t in range(V.dim + 1):
+            assert list(subspaces_of(field, V.bits, t)) == \
+                list(echelon_row_spaces(field, basis, t))
+
+
 def test_canonical_rotation(f16):
     U = from_exponents(f16, [3, 4, 7])
     rep1, off1 = canonical_rotation(U, 1)
