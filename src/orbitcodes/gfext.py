@@ -158,6 +158,20 @@ def poly_str(poly: tuple) -> str:
     return "+".join(terms) if terms else "0"
 
 
+class _ExpBits(dict):
+    """Packed vector -> 1 << its exponent, each entry made on first lookup."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, log: list):
+        super().__init__()
+        self.log = log
+
+    def __missing__(self, v: int) -> int:
+        bit = self[v] = 1 << self.log[v]
+        return bit
+
+
 class FieldElement(namedtuple("FieldElement", "field exp")):
     """Either zero (exp is None) or gamma^exp."""
 
@@ -275,6 +289,16 @@ class FieldSpec:
         """
         q, log = self.q, self.log
         return [log[a - a % q + (a + 1) % q] for a in self.antilog]
+
+    @cached_property
+    def exp_bits(self) -> dict:
+        """exp_bits[v] = 1 << log[v], the bit of a nonzero packed vector v in
+        a bitset of exponents.
+
+        Filled on first lookup of each vector, so it holds only the vectors
+        looked up, not one int per field element.
+        """
+        return _ExpBits(self.log)
 
     # -- dot-product hyperplanes ------------------------------------------
 

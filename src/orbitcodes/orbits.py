@@ -161,14 +161,11 @@ def _iter_candidates(field: FieldSpec, k: int):
     if k == 0:
         yield 0, 0
         return
-    bit_of = [0] * field.order
-    for e, v in enumerate(field.antilog):
-        bit_of[v] = 1 << e
     cap = 1 << N - (N - 1) // (q ** k - 1)
     index = 0
     for pivots in itertools.combinations(range(1, n), k - 1):
         rows = _echelon_rows(q, pivots, n)
-        yield from _walk_rows(field, [*rows, [1]], bit_of, cap, index)  # gamma^0 outermost
+        yield from _walk_rows(field, [*rows, [1]], cap, index)  # gamma^0 outermost
         index += prod(map(len, rows))
 
 
@@ -234,6 +231,7 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
             records.append(rec)
             if checkpoint is not None:
                 checkpoint.record(idx, rec)
+    clock.tick(candidate_count(field, k) - 1 - last)   # and those after the last one yielded
     if checkpoint is not None:
         checkpoint.flush()
     _CYCLIC_CACHE[key] = records

@@ -81,9 +81,8 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import namedtuple
-from itertools import repeat
 from math import gcd, prod
-from operator import and_, itemgetter, xor
+from operator import and_, itemgetter
 
 from .errors import (
     AllZero,
@@ -392,24 +391,21 @@ def _echelon_rows(q: int, pivots, ncols: int) -> list:
     return rows
 
 
-def _walk_rows(field: FieldSpec, rows: list, bit_of, cap: int | None = None,
-               index: int = 0):
+def _walk_rows(field: FieldSpec, rows: list, cap: int | None = None, index: int = 0):
     """(index, bitset) of the span of one choice from each of rows, for every
     choice whose bitset is below cap, the last row outermost.
 
     index numbers every choice in this order from the given start, those
-    skipped included.  bit_of maps each packed vector the walk can reach to
-    1 << its exponent.  Each choice of the last row extends the span of the
+    skipped included.  Each choice of the last row extends the span of the
     rows after it once for every choice of the rows before it; a bitset only
     grows as rows are added, so a choice whose partial bitset is not below
     cap skips every choice of the rows before it, and the index moves past
-    them.  When one row is left, each of its choices only ORs the exponents
-    it adds: over F_2 those of the coset elts ^ v, whose bits are distinct,
-    so their sum is their OR.
+    them.  The exponents a step adds are distinct from those before it, so
+    the sum of their bits is their OR.
     """
     if cap is None:
         cap = 1 << field.group_order
-    get = bit_of.__getitem__
+    get = field.exp_bits.__getitem__
 
     def walk(rows, elts, bits, index):
         if len(rows) > 1:
@@ -421,10 +417,7 @@ def _walk_rows(field: FieldSpec, rows: list, bit_of, cap: int | None = None,
                     yield from walk(rows[:-1], elts + new, out, index)
                 index += below
         elif rows:
-            if field.q == 2:
-                outs = [bits | sum(map(get, map(xor, elts, repeat(v)))) for v in rows[0]]
-            else:
-                outs = [bits | sum(map(get, _span_step(field, elts, v))) for v in rows[0]]
+            outs = [bits | sum(map(get, _span_step(field, elts, v))) for v in rows[0]]
             for i, out in enumerate(outs, index):
                 if out < cap:
                     yield i, out
@@ -444,12 +437,10 @@ def subspaces_of(field: FieldSpec, bits: int, t: int):
     met twice, and there are none when t > k.
     """
     basis, vectors, _ = _basis_span(field, bits)
-    log = field.log
-    bit_of = {v: 1 << log[v] for v in vectors[1:]}
     for pivots in itertools.combinations(range(len(basis)), t):
         rows = [[vectors[c] for c in row]
                 for row in _echelon_rows(field.q, pivots, len(basis))]
-        yield from map(itemgetter(1), _walk_rows(field, rows, bit_of))
+        yield from map(itemgetter(1), _walk_rows(field, rows))
 
 
 def from_exponents(field: FieldSpec, exps) -> Subspace:

@@ -141,3 +141,14 @@ def test_zech_logarithm_adds_one(q, n, poly):
         digits[0] = (digits[0] + 1) % q
         total = int("".join(map(str, reversed(digits))), q)
         assert z == -1 if total == 0 else field.antilog[z] == total
+
+
+def test_exp_bits_holds_only_the_vectors_looked_up():
+    """exp_bits[v] is 1 << log[v], made on first lookup; over F_2^16 a full
+    table would hold about 270 MB of ints."""
+    field = make_field(2, 16)
+    table = field.exp_bits
+    assert table is field.exp_bits and len(table) == 0
+    for e in (0, 1, 7, field.group_order - 1):
+        assert table[field.antilog[e]] == 1 << e
+    assert len(table) == 4

@@ -219,14 +219,21 @@ def test_time_budget_is_read_when_a_tick_passes_a_multiple_of_1024():
 
 
 @pytest.mark.usefixtures("fresh_census_cache")
-@pytest.mark.parametrize("budget", [RunBudget(max_seconds=0), RunBudget(max_candidates=10)],
-                         ids=["seconds", "candidates"])
+@pytest.mark.parametrize("budget", [
+    lambda last: RunBudget(max_seconds=0),
+    lambda last: RunBudget(max_candidates=10),
+    lambda last: RunBudget(max_candidates=last + 1),
+], ids=["seconds", "candidates", "candidates_after_last_tested"])
 def test_budgets_stop_a_walk_that_skips_subtrees(budget):
-    """F_2^8, k = 4: the bound skips more than half of its 11,811 candidates."""
-    field = make_field(2, 8)
-    assert sum(1 for _ in _iter_candidates(field, 4)) < candidate_count(field, 4) // 2
+    """F_2^7, k = 4: the bound skips more than half of its 1,395 candidates,
+    the last 14 among them, and a budget counts those too."""
+    field = make_field(2, 7)
+    tested = [idx for idx, _ in _iter_candidates(field, 4)]
+    end = candidate_count(field, 4)
+    assert len(tested) < end // 2 and tested[-1] + 1 < end
     with pytest.raises(ResourceLimit):
-        cyclic_orbit_data(field, 4, budget=budget)
+        cyclic_orbit_data(field, 4, budget=budget(tested[-1]))
+    assert len(cyclic_orbit_data(field, 4, budget=RunBudget(max_candidates=end))) == 93
 
 
 def test_conjecture_check_small(f64):
