@@ -37,10 +37,13 @@ def _field_from_args(args):
 
 
 def _budget_from_args(args):
+    """The RunBudget of --budget-sec, or None without it; 0 is zero seconds."""
     from .orbits import RunBudget
-    if args.budget_sec:
-        return RunBudget(max_seconds=args.budget_sec)
-    return None
+    if args.budget_sec is None:
+        return None
+    if not args.budget_sec >= 0:        # NaN compares false too
+        raise ParseError(f"--budget-sec {args.budget_sec} is not a number of seconds >= 0")
+    return RunBudget(max_seconds=args.budget_sec)
 
 
 def _emit(args, payload: dict, text: str):
@@ -214,13 +217,14 @@ def cmd_clique(args) -> int:
     from .orbits import read_orbit_db
     if not (args.db or args.graph):
         raise ParseError("clique needs --graph or --db")
+    budget = _budget_from_args(args)
     if args.db:
         orbits = read_orbit_db(args.db)
         G = build_graph(orbits, args.d)
     else:
         _, adj = read_dimacs(args.graph)
         G = adj
-    results = find_cliques(G, mode=args.mode, seed=args.seed, seconds=args.budget_sec)
+    results = find_cliques(G, budget, mode=args.mode, seed=args.seed)
     best = results[0]
     payload = {"mode": args.mode, "size": best.size, "certified": best.certified,
                "vertices": list(best.vertices)}

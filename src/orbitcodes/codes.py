@@ -229,11 +229,7 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
 
 def dualize(C: SubspaceCode) -> SubspaceCode:
     """The code of orthogonal complements (provenance does not survive)."""
-    from .subspace import complement_bits
-    field = C.field
-    q = field.q
-    return SubspaceCode(field, (complement_bits(
-        field, b, dimension_from_popcount(b.bit_count(), q)) for b in C.bitsets))
+    return SubspaceCode(C.field, C.complement_keys())
 
 
 def is_quasi_cyclic(C, m: int) -> bool:

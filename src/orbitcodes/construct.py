@@ -25,7 +25,6 @@ maximal modulus, which one probe per component and modulus decides.
 from __future__ import annotations
 
 import random
-import time
 from array import array
 from collections import namedtuple
 from functools import cached_property
@@ -43,7 +42,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gfext import FieldSpec, gaussian_coefficient, is_prime
-from .orbits import Orbit, cyclic_orbit_data, divisors
+from .orbits import Orbit, RunBudget, cyclic_orbit_data, divisors
 from .records import Record
 from .subspace import (
     cyclic_overlaps,
@@ -221,34 +220,45 @@ class CliqueResult(namedtuple("CliqueResult", "vertices certified")):
         return len(self.vertices)
 
 
-def find_cliques(G, budget: int | None = None, mode: str = "exact",
-                 seed: int = 0, starts: int = 64,
-                 seconds: float | None = None) -> list:
-    """Best cliques found; exact mode certifies optimality within its budgets.
+# the random vertex orders greedy mode tries, fewer if the budget ends first
+GREEDY_STARTS = 64
 
-    G may be a CompatGraph or a plain adjacency bitmask list.  Exact mode
-    stops after budget search nodes or after seconds of wall-clock time,
-    whichever comes first, and then returns the best clique so far with
-    certified=False.  Greedy mode tries starts random orders, fewer if
-    seconds run out first; it ignores budget and never certifies.
+
+def find_cliques(G, budget: RunBudget | None = None, mode: str = "exact",
+                 seed: int = 0) -> list:
+    """Best cliques found; exact mode certifies optimality unless the budget ends it.
+
+    G may be a CompatGraph or a plain adjacency bitmask list.  A step of
+    budget is one node of the exact search or one vertex a greedy start
+    scans.  Exact mode stopped by the budget returns the best clique so far
+    with certified=False.  Greedy mode tries GREEDY_STARTS random orders,
+    fewer if the budget ends first, but always one, and never certifies.
     """
     adj = G.adj if isinstance(G, CompatGraph) else list(G)
-    deadline = None if seconds is None else time.monotonic() + seconds
+    clock = (budget or RunBudget()).start()
     if mode == "exact":
-        best, certified = _max_clique_exact(adj, budget, deadline)
+        best = []               # the largest clique so far, kept if the budget ends the search
+        try:
+            _max_clique_exact(adj, clock, best)
+            certified = True
+        except ResourceLimit:
+            certified = False
         return [CliqueResult(tuple(sorted(best)), certified)]
     if mode == "greedy":
-        return _greedy_cliques(adj, seed, starts, deadline)
+        seen = {}
+        try:
+            _greedy_cliques(adj, seed, clock, seen)
+        except ResourceLimit:
+            pass
+        return [CliqueResult(k, False) for k in sorted(seen, key=len, reverse=True)[:16]]
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _greedy_cliques(adj, seed, starts, deadline=None):
+def _greedy_cliques(adj, seed, clock, seen):
+    """Add each start's clique to seen, ticking the clock after the start."""
     n = len(adj)
     rng = random.Random(seed)
-    seen = {}
-    for start in range(max(1, starts)):
-        if start and deadline is not None and time.monotonic() > deadline:
-            break
+    for _ in range(GREEDY_STARTS):
         order = list(range(n))
         rng.shuffle(order)
         clique = []
@@ -257,10 +267,8 @@ def _greedy_cliques(adj, seed, starts, deadline=None):
             if (cmask >> v) & 1:
                 clique.append(v)
                 cmask &= adj[v]
-        key = tuple(sorted(clique))
-        seen[key] = True
-    results = sorted(seen, key=len, reverse=True)
-    return [CliqueResult(k, False) for k in results[:16]]
+        seen[tuple(sorted(clique))] = True
+        clock.tick(n)
 
 
 def _color_bound(adj, pmask):
@@ -283,30 +291,17 @@ def _color_bound(adj, pmask):
     return order, color_of
 
 
-def _max_clique_exact(adj, node_budget=None, deadline=None):
-    """Branch and bound with the coloring bound; (best, certified).
+def _max_clique_exact(adj, clock, best):
+    """Branch and bound with the coloring bound, each node one clock tick.
 
-    The clock is read every 1024 nodes; a search stopped by either budget
-    keeps the best clique found so far and is not certified.
+    best, a list, holds the largest clique found so far, so it is kept when
+    a ResourceLimit from the clock ends the search.
     """
-    n = len(adj)
-    best = []
-    nodes = 0
-    exhausted = False
 
     def expand(rmembers, pmask):
-        nonlocal nodes, best, exhausted
-        if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            return
-        nodes += 1
-        if deadline is not None and nodes & 0x3FF == 0 and time.monotonic() > deadline:
-            exhausted = True
-            return
+        clock.tick()
         order, colors = _color_bound(adj, pmask)
         for i in range(len(order) - 1, -1, -1):
-            if exhausted:
-                return
             if len(rmembers) + colors[i] <= len(best):
                 return
             v = order[i]
@@ -315,13 +310,12 @@ def _max_clique_exact(adj, node_budget=None, deadline=None):
             if newp:
                 expand(rmembers, newp)
             elif len(rmembers) > len(best):
-                best = rmembers[:]
+                best[:] = rmembers
             rmembers.pop()
             pmask &= ~(1 << v)
 
-    if n:
-        expand([], (1 << n) - 1)
-    return best, not exhausted
+    if adj:
+        expand([], (1 << len(adj)) - 1)
 
 
 def assemble_code(G: CompatGraph, clique: CliqueResult) -> SubspaceCode:

@@ -87,8 +87,8 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _field_order(q: int, n: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
-    """q^n, or TooLarge once q^n - 1 passes max_group_order.
+def _field_order(q: int, n: int) -> int:
+    """q^n, or TooLarge once q^n - 1 passes DEFAULT_MAX_GROUP_ORDER.
 
     The power is built one factor at a time, so a huge q or n is refused
     before it costs anything (and before q is tested for primality).
@@ -100,8 +100,8 @@ def _field_order(q: int, n: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER)
     order = 1
     for _ in range(n):
         order *= q
-        if order - 1 > max_group_order:
-            raise TooLarge(f"q^{n}-1 exceeds limit {max_group_order}")
+        if order - 1 > DEFAULT_MAX_GROUP_ORDER:
+            raise TooLarge(f"q^{n}-1 exceeds limit {DEFAULT_MAX_GROUP_ORDER}")
     return order
 
 
@@ -202,9 +202,8 @@ class FieldSpec:
     from the tables on first use and memoised on the instance.
     """
 
-    def __init__(self, q: int, n: int, poly: tuple,
-                 max_group_order: int = DEFAULT_MAX_GROUP_ORDER):
-        order = _field_order(q, n, max_group_order)
+    def __init__(self, q: int, n: int, poly: tuple):
+        order = _field_order(q, n)
         if not is_prime(q):
             raise NotPrime(f"q={q} is not prime")
         poly = tuple(int(c) for c in poly)
@@ -419,12 +418,11 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, n={self.n}, poly={poly_str(self.poly)})"
 
 
-def make_field(q: int, n: int, poly=None,
-               max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> FieldSpec:
+def make_field(q: int, n: int, poly=None) -> FieldSpec:
     """Build and validate a FieldSpec; poly defaults to the built-in table."""
-    _field_order(q, n, max_group_order)
+    _field_order(q, n)
     if poly is None:
         poly = default_poly(q, n)
     elif isinstance(poly, str):
         poly = parse_poly(poly, q, n)
-    return FieldSpec(q, n, tuple(poly), max_group_order=max_group_order)
+    return FieldSpec(q, n, tuple(poly))

@@ -86,14 +86,18 @@ class Orbit(namedtuple("Orbit", "field m rep length k min_dist stab_degree")):
 
 
 class RunBudget(Record):
-    """Work limits for enumeration; exceeded budgets raise ResourceLimit."""
+    """Work limits of every search; one exceeded raises ResourceLimit.
 
-    _fields = ("max_seconds", "max_candidates")
+    A step is one census candidate, skipped ones included, one node of the
+    exact clique search, or one vertex a greedy clique start scans.  The
+    clock is read each time the step count passes a multiple of 1024.
+    """
 
-    def __init__(self, max_seconds: float | None = None,
-                 max_candidates: int | None = None):
+    _fields = ("max_seconds", "max_steps")
+
+    def __init__(self, max_seconds: float | None = None, max_steps: int | None = None):
         self.max_seconds = max_seconds
-        self.max_candidates = max_candidates
+        self.max_steps = max_steps
 
     def start(self):
         return _BudgetClock(self)
@@ -103,17 +107,16 @@ class _BudgetClock:
     def __init__(self, budget: RunBudget):
         self.budget = budget
         self.t0 = time.monotonic()
-        self.candidates = 0
+        self.steps = 0
 
     def tick(self, n: int = 1):
-        """Count n more candidates; the clock is read each time the count
-        passes a multiple of 1024, however far one tick moves it."""
-        before = self.candidates
-        self.candidates += n
+        """Count n more steps; the clock is read if the count passes a multiple of 1024."""
+        before = self.steps
+        self.steps += n
         b = self.budget
-        if b.max_candidates is not None and self.candidates > b.max_candidates:
-            raise ResourceLimit(f"candidate budget {b.max_candidates} exceeded")
-        if b.max_seconds is not None and before >> 10 != self.candidates >> 10:
+        if b.max_steps is not None and self.steps > b.max_steps:
+            raise ResourceLimit(f"step budget {b.max_steps} exceeded")
+        if b.max_seconds is not None and before >> 10 != self.steps >> 10:
             if time.monotonic() - self.t0 > b.max_seconds:
                 raise ResourceLimit(f"time budget {b.max_seconds}s exceeded")
 
@@ -135,7 +138,7 @@ def _steps(D: int) -> tuple:
 # -- candidate enumeration -----------------------------------------------------
 
 
-def _iter_candidates(field: FieldSpec, k: int):
+def _iter_candidates(field: FieldSpec, k: int, start: int = 0):
     """(index, bitset) of the k-dim subspaces containing gamma^0 that pass the
     wrap-gap bound, each once; the index counts the skipped ones too.
 
@@ -145,7 +148,8 @@ def _iter_candidates(field: FieldSpec, k: int):
     come in lexicographic order.  For each, row i is its pivot digit plus
     any digits in the non-pivot coordinates above it, its choices in
     increasing packed value, and row 0 varies fastest, then row 1, and so
-    on.  The index is the position in this order.
+    on.  The index is the position in this order.  Pivot patterns whose
+    indices all lie below start are not walked.
 
     The bound: with s = q^k - 1 exponents and N = q^n - 1, a candidate whose
     highest exponent top has s (N - top) < N has a wrap gap N - top below
@@ -165,8 +169,10 @@ def _iter_candidates(field: FieldSpec, k: int):
     index = 0
     for pivots in itertools.combinations(range(1, n), k - 1):
         rows = _echelon_rows(q, pivots, n)
-        yield from _walk_rows(field, [*rows, [1]], cap, index)  # gamma^0 outermost
-        index += prod(map(len, rows))
+        size = prod(map(len, rows))
+        if index + size > start:
+            yield from _walk_rows(field, [*rows, [1]], cap, index)  # gamma^0 outermost
+        index += size
 
 
 def candidate_count(field: FieldSpec, k: int) -> int:
@@ -221,7 +227,7 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     if checkpoint is not None:
         records, start = checkpoint.load(field, k)
     last = start - 1
-    for idx, bits in _iter_candidates(field, k):
+    for idx, bits in _iter_candidates(field, k, start):
         if idx < start:
             continue
         clock.tick(idx - last)      # the candidates the bound skipped count too

@@ -42,7 +42,7 @@ from orbitcodes import (
     verify_code_file,
 )
 from orbitcodes.codes import gaussian_coefficient
-from orbitcodes.orbits import divisors
+from orbitcodes.orbits import RunBudget, divisors
 from tests.conftest import data_path
 from tests.orbit_oracle import naive_orbit_length, quasi_length_formula
 
@@ -175,7 +175,7 @@ def test_code_n10_k3_d4_rebuilt_from_the_orbits_extended():
     t1 = time.perf_counter()
     assert G.n_vertices == 5950
     assert sum(a.bit_count() for a in G.adj) // 2 == 13_015_380
-    best = find_cliques(G, budget=200_000)[0]
+    best = find_cliques(G, budget=RunBudget(max_steps=200_000))[0]
     t2 = time.perf_counter()
     print(f"n=10 k=3 d=4: graph {t1 - t0:.1f}s, clique of {best.size} "
           f"({'certified' if best.certified else 'uncertified'}) in {t2 - t1:.1f}s")

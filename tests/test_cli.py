@@ -682,6 +682,36 @@ def test_clique_budget_sec_is_wall_clock(tmp_path, capsys):
     assert not doc["certified"] and doc["size"] >= 2
 
 
+def test_zero_budget_sec_stops_a_census(capsys):
+    """--budget-sec 0 is zero seconds: the n = 9, k = 4 census reads the
+    clock at its 1,024th candidate and stops (exit 4)."""
+    for command in ("classify", "conjecture-check"):
+        result = run(capsys, command, "--n", "9", "--k", "4", "--budget-sec", "0")
+        assert_one_line_error(result, 4)
+        assert "time budget 0.0s exceeded" in result[2]
+
+
+def test_zero_budget_sec_leaves_the_clique_uncertified(tmp_path, capsys):
+    """The n = 8, k = 3, d = 4 exact search takes 1,163 nodes, so a zero
+    budget stops it at its 1,024th, uncertified."""
+    db = str(tmp_path / "orbits.jsonl")
+    assert run(capsys, "classify", "--n", "8", "--k", "3", "--db", db)[0] == 0
+    code, out, _ = run(capsys, "clique", "--db", db, "--budget-sec", "0", "--format", "json")
+    assert code == 0 and not json.loads(out)["certified"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "9", "--k", "4"],
+    ["conjecture-check", "--n", "9", "--k", "4"],
+    ["clique", "--graph", "graph.dimacs"],
+], ids=lambda argv: argv[0])
+def test_budget_sec_not_a_number_of_seconds_is_a_parse_error(capsys, argv, value):
+    result = run(capsys, *argv, "--budget-sec", value)
+    assert_one_line_error(result, 2)
+    assert f"--budget-sec {float(value)} is not a number of seconds >= 0" in result[2]
+
+
 def _db(tmp_path, capsys, name, *argv):
     path = tmp_path / name
     assert run(capsys, "classify", "--n", "6", *argv, "--db", str(path))[0] == 0

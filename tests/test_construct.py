@@ -1,6 +1,7 @@
 """Compatibility graphs, clique search, assembly, and the self-dual search."""
 
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -28,7 +29,7 @@ from orbitcodes import (
 )
 from orbitcodes.construct import CliqueResult
 from orbitcodes.errors import FieldMismatch, ResourceLimit, SameOrbit, VerificationFailed
-from orbitcodes.orbits import divisors
+from orbitcodes.orbits import RunBudget, divisors
 from tests.conftest import data_path
 from tests.orbit_oracle import pairwise_graph
 
@@ -210,19 +211,69 @@ def test_greedy_clique_valid_and_deterministic():
                    for a, b in itertools.combinations(c.vertices, 2))
 
 
+def seeded_graphs():
+    rng = random.Random(16)
+    return [random_adj(rng, rng.randint(0, 36), rng.choice((0.3, 0.6, 0.85)))
+            for _ in range(40)]
+
+
+# sha256 of the repr of [(vertices, certified) of each result] of exact mode
+# and of greedy mode (seed = the graph's index), on each of seeded_graphs(),
+# taken from find_cliques as it was before it ran on RunBudget
+SEEDED_CLIQUES_SHA256 = "4611b5a7bb89a3e8ed2905ca9dcbd621139ef2e652cc47d40d26d889fbb88d89"
+
+
+@pytest.mark.parametrize("budget", [
+    None,
+    RunBudget(max_seconds=3600, max_steps=10 ** 9),
+], ids=["none", "ample"])
+def test_cliques_of_seeded_graphs_are_pinned(budget):
+    out = []
+    for i, adj in enumerate(seeded_graphs()):
+        for mode in ("exact", "greedy"):
+            res = find_cliques(adj, budget, mode=mode, seed=i)
+            out.append([(r.vertices, r.certified) for r in res])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SEEDED_CLIQUES_SHA256
+
+
+def test_exact_step_budget_counts_nodes():
+    """On each seeded graph there is one node count from which the exact
+    search certifies its unbudgeted result; every smaller step budget stops
+    it uncertified, with a clique no larger."""
+    for adj in seeded_graphs()[:12]:
+        full = find_cliques(adj)[0]
+        steps = 1
+        while not (res := find_cliques(adj, RunBudget(max_steps=steps))[0]).certified:
+            assert res.size <= full.size
+            assert all((adj[a] >> b) & 1 for a, b in itertools.combinations(res.vertices, 2))
+            steps += 1
+        assert res == full == find_cliques(adj, RunBudget(max_steps=steps + 1))[0]
+
+
+def test_n8_k3_d4_exact_search_takes_1163_nodes(f256):
+    """The paper's n = 8, k = 3, d = 4 graph: the exact search certifies its
+    five-orbit clique at its 1,163rd node, and one node less leaves it
+    uncertified, with the same clique found."""
+    G = build_graph(list(enumerate_orbits(f256, 3)), 4)
+    best = CliqueResult((72, 236, 243, 296, 307), True)
+    assert find_cliques(G)[0] == best
+    assert find_cliques(G, RunBudget(max_steps=1163))[0] == best
+    assert find_cliques(G, RunBudget(max_steps=1162))[0] == best._replace(certified=False)
+
+
 def test_exact_budget_exhaustion_uncertified():
     rng = random.Random(9)
     adj = random_adj(rng, 40, 0.9)
-    res = find_cliques(adj, budget=3, mode="exact")[0]
+    res = find_cliques(adj, RunBudget(max_steps=3), mode="exact")[0]
     assert not res.certified  # budget of 3 nodes cannot finish a 40-vertex graph
 
 
 def test_exact_time_budget_returns_best_so_far():
-    """seconds is wall-clock time: the search stops near it, uncertified."""
+    """max_seconds is wall-clock time: the search stops near it, uncertified."""
     rng = random.Random(11)
     adj = random_adj(rng, 120, 0.9)
     t0 = time.monotonic()
-    res = find_cliques(adj, mode="exact", seconds=0.3)[0]
+    res = find_cliques(adj, RunBudget(max_seconds=0.3), mode="exact")[0]
     assert time.monotonic() - t0 < 5
     assert not res.certified and res.size >= 2
     assert all((adj[a] >> b) & 1 for a, b in itertools.combinations(res.vertices, 2))
@@ -231,17 +282,28 @@ def test_exact_time_budget_returns_best_so_far():
 def test_time_budget_that_suffices_still_certifies():
     rng = random.Random(2)
     adj = random_adj(rng, 13, 0.5)
-    res = find_cliques(adj, mode="exact", seconds=60)[0]
+    res = find_cliques(adj, RunBudget(max_seconds=60), mode="exact")[0]
     assert res.certified and res.size == brute_max_clique(adj)
 
 
 def test_greedy_time_budget_stops_restarts():
-    rng = random.Random(5)
-    adj = random_adj(rng, 30, 0.6)
-    t0 = time.monotonic()
-    res = find_cliques(adj, mode="greedy", seconds=0.0, starts=10 ** 7)
-    assert time.monotonic() - t0 < 5
-    assert len(res) == 1 and not res[0].certified
+    """A start scans all 1,024 vertices, so each one passes a multiple of
+    1024 steps and reads the clock: a zero time budget runs one start."""
+    adj = [0] * 1024                    # no edges: each start's clique is one vertex
+    full = find_cliques(adj, mode="greedy", seed=3)
+    assert len(full) == 16
+    res = find_cliques(adj, RunBudget(max_seconds=0), mode="greedy", seed=3)
+    assert res == full[:1] and not res[0].certified
+
+
+@pytest.mark.parametrize("starts", [1, 2, 5])
+def test_greedy_step_budget_stops_restarts(starts):
+    """A start is one step per vertex, and the budget is read after each
+    start: the start that takes the count past max_steps is the last."""
+    adj = [0] * 50
+    full = find_cliques(adj, mode="greedy", seed=3)
+    budget = RunBudget(max_steps=50 * (starts - 1))
+    assert find_cliques(adj, budget, mode="greedy", seed=3) == full[:starts]
 
 
 def test_edgeless_graph():
@@ -316,7 +378,7 @@ def test_self_dual_search_p2_6(f64):
 
 def test_self_dual_search_results_genuine():
     from orbitcodes import is_quasi_cyclic, is_self_dual
-    from orbitcodes.orbits import divisors
+    from orbitcodes.orbits import RunBudget, divisors
     from orbitcodes.subspace import orbit_bits
     for q, n in ((2, 4), (2, 6), (3, 3)):
         field = make_field(q, n)

@@ -47,7 +47,7 @@ def test_invalid_fields_rejected():
     with pytest.raises(NoDefault):
         make_field(11, 3)
     with pytest.raises(TooLarge):
-        make_field(2, 10, max_group_order=100)
+        make_field(2, 25)               # 2^25 - 1 is past the 2^24 cap
 
 
 def test_log_antilog_inverse_tables(f16):

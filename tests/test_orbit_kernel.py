@@ -3,8 +3,9 @@ against the per-step loops they replaced, and the census against the
 visited-set census it replaced."""
 
 import itertools
+import json
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from orbitcodes import (
     span,
 )
 from orbitcodes.codes import _min_distance_orbits
+from orbitcodes import orbits
 from orbitcodes.errors import BadModulus
 from orbitcodes.orbits import (
     Checkpoint,
@@ -33,6 +35,8 @@ from orbitcodes.orbits import (
     divisors,
 )
 from orbitcodes.subspace import (
+    _echelon_rows,
+    _walk_rows,
     check_modulus,
     cyclic_overlaps,
     exponents_of,
@@ -189,6 +193,54 @@ def test_checkpoint_numbered_by_the_unpruned_walk_resumes(tmp_path, name, k):
         ck.flush()
         assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
         assert path.read_bytes() == whole.read_bytes()
+
+
+def pattern_starts(field, k):
+    """The index of the first candidate of each pivot pattern, and the end."""
+    sizes = [prod(map(len, _echelon_rows(field.q, pivots, field.n)))
+             for pivots in itertools.combinations(range(1, field.n), k - 1)]
+    return [0, *itertools.accumulate(sizes)]
+
+
+@pytest.mark.parametrize("name, k", [("F2^6", 3), ("F2^8", 4), ("F3^4", 2)])
+def test_walk_from_a_start_skips_the_patterns_below_it(name, k):
+    """From any start, the walk yields the full walk's candidates from the
+    first index of the pivot pattern holding the start on, and none before."""
+    field = field_of(name)
+    full = list(_iter_candidates(field, k))
+    starts = pattern_starts(field, k)
+    for start in sorted({0, 1, *starts[1:-1], *(s + 1 for s in starts[1:-1]),
+                         full[len(full) // 2][0], full[-1][0], starts[-1]}):
+        first = max(s for s in starts if s <= start)
+        assert list(_iter_candidates(field, k, start)) == [c for c in full if c[0] >= first]
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("name, k", [("F2^8", 4), ("F3^4", 2)])
+def test_resume_walks_no_pattern_below_its_start(tmp_path, monkeypatch, name, k):
+    """A census resumed from a cut checkpoint gives the records and the file
+    of one whole run, and walks only from the pattern holding its start."""
+    field = field_of(name)
+    whole = tmp_path / "whole.jsonl"
+    records = cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(whole)))
+    lines = whole.read_text().splitlines(keepends=True)
+    starts = pattern_starts(field, k)
+    walked = []
+
+    def walk_rows(*args):
+        for idx, bits in _walk_rows(*args):
+            walked.append(idx)
+            yield idx, bits
+
+    monkeypatch.setattr(orbits, "_walk_rows", walk_rows)
+    for cut in sorted({1, len(records) // 2, len(records)}):
+        path = tmp_path / f"cut{cut}.jsonl"
+        path.write_text("".join(lines[:cut + 1]))
+        start = json.loads(lines[cut])["cand"] + 1
+        walked.clear()
+        assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
+        assert path.read_bytes() == whole.read_bytes()
+        assert min(walked, default=start) >= max(s for s in starts if s <= start)
 
 
 @settings(max_examples=200, deadline=None)

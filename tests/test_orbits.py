@@ -207,7 +207,7 @@ def test_quasi_census_diff_reports_paper_omissions(f256):
 
 def test_budget_enforced(f64):
     with pytest.raises(ResourceLimit):
-        classify(f64, 3, 1, budget=RunBudget(max_candidates=10))
+        classify(f64, 3, 1, budget=RunBudget(max_steps=10))
 
 
 def test_time_budget_is_read_when_a_tick_passes_a_multiple_of_1024():
@@ -221,8 +221,8 @@ def test_time_budget_is_read_when_a_tick_passes_a_multiple_of_1024():
 @pytest.mark.usefixtures("fresh_census_cache")
 @pytest.mark.parametrize("budget", [
     lambda last: RunBudget(max_seconds=0),
-    lambda last: RunBudget(max_candidates=10),
-    lambda last: RunBudget(max_candidates=last + 1),
+    lambda last: RunBudget(max_steps=10),
+    lambda last: RunBudget(max_steps=last + 1),
 ], ids=["seconds", "candidates", "candidates_after_last_tested"])
 def test_budgets_stop_a_walk_that_skips_subtrees(budget):
     """F_2^7, k = 4: the bound skips more than half of its 1,395 candidates,
@@ -233,7 +233,7 @@ def test_budgets_stop_a_walk_that_skips_subtrees(budget):
     assert len(tested) < end // 2 and tested[-1] + 1 < end
     with pytest.raises(ResourceLimit):
         cyclic_orbit_data(field, 4, budget=budget(tested[-1]))
-    assert len(cyclic_orbit_data(field, 4, budget=RunBudget(max_candidates=end))) == 93
+    assert len(cyclic_orbit_data(field, 4, budget=RunBudget(max_steps=end))) == 93
 
 
 def test_conjecture_check_small(f64):
