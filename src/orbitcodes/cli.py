@@ -217,18 +217,25 @@ def cmd_clique(args) -> int:
     from .orbits import read_orbit_db
     if not (args.db or args.graph):
         raise ParseError("clique needs --graph or --db")
+    if args.db and args.graph:
+        raise ParseError("clique takes --graph or --db, not both")
+    if args.graph and args.d is not None:
+        raise ParseError("--d applies only with --db; a DIMACS graph has no threshold")
+    if args.mode == "exact" and args.seed is not None:
+        raise ParseError("--seed applies only to --mode greedy")
     budget = _budget_from_args(args)
     if args.db:
         orbits = read_orbit_db(args.db)
-        G = build_graph(orbits, args.d)
+        G = build_graph(orbits, 4 if args.d is None else args.d)
     else:
         _, adj = read_dimacs(args.graph)
         G = adj
-    results = find_cliques(G, budget, mode=args.mode, seed=args.seed)
+    results = find_cliques(G, budget, mode=args.mode, seed=args.seed or 0)
     best = results[0]
     payload = {"mode": args.mode, "size": best.size, "certified": best.certified,
                "vertices": list(best.vertices)}
-    if isinstance(G, CompatGraph):
+    # an empty clique, from a graph with no vertex, assembles no code
+    if isinstance(G, CompatGraph) and best.size:
         code = assemble_code(G, best)
         payload["params"] = list(code.params())
         payload["representatives"] = [sorted(G.orbits[i].rep.exponents)
@@ -374,11 +381,11 @@ def _graph_args(sp):
 def _clique_args(sp):
     sp.add_argument("--graph", help="DIMACS graph file")
     sp.add_argument("--db", help="orbit db (builds the graph, enables code assembly)")
-    sp.add_argument("--d", type=int, default=4, help="threshold when using --db")
+    sp.add_argument("--d", type=int, help="threshold when using --db")
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     sp.add_argument("--budget-sec", type=float,
                     help="wall-clock limit on the search; a search it stops is not certified")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     _format_arg(sp)
 
 

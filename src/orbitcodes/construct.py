@@ -16,8 +16,9 @@ self-dual search pairs every subspace with its orthogonal complement and
 reads off the connected components of that pairing at the quasi-orbit
 level: each component is a self-dual m-quasi-cyclic code.  The minimal
 ones are all components at a maximal proper divisor (q^n-1)/p, so the
-union-find runs only at those moduli; a component's moduli are the
-divisors of those under whose shift its quasi orbits are closed, and it is
+union-find runs only at those moduli.  Each minimal component is read at
+the first of them it appears at: its moduli are the multiples of the
+smallest modulus under whose shift its quasi orbits are closed, and it is
 minimal unless it holds all of a smaller component found at another
 maximal modulus, which one probe per component and modulus decides.
 """
@@ -30,7 +31,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, compress, product, repeat
 from math import gcd
-from operator import add, and_, eq, is_, le, mod, neg, rshift, sub
+from operator import add, and_, eq, le, mod, neg, rshift, sub
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
 from .errors import (
@@ -416,7 +417,7 @@ class SelfDualHit(Record):
     """One minimal self-dual m-quasi-cyclic code, held as its member ids.
 
     The ids number the members of the cyclic orbits of P_q(n) as
-    _OrbitTable does.  words, bitsets and params() rotate the orbit
+    _OrbitTable does.  words and params() rotate the orbit
     representatives on each read; the SubspaceCode of the same words is
     built the first time code is read.  is_self_dual and is_quasi_cyclic
     read a hit through word_keys, complement_keys and shifted_keys, which
@@ -457,11 +458,6 @@ class SelfDualHit(Record):
         """
         return self.orbit_count <= 2
 
-    @property
-    def bitsets(self) -> frozenset:
-        """The word bitsets as a frozenset."""
-        return frozenset(self._orbits.words(self.members))
-
     @cached_property
     def code(self) -> SubspaceCode:
         return SubspaceCode(self.field, self._orbits.words(self.members))
@@ -490,11 +486,12 @@ class SelfDualHit(Record):
 # every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
 # is a component of its own, and each is a minimal hit: about one hit per two
 # subspaces, where over F_2^n the hits are few and large.  On CPython 3.11 a
-# `selfdual` call's own peak (VmHWM) was 33.0 MB over F_2^8 (417,199
-# subspaces, estimated at 41.7 MB) and 40.6 MB over F_3^6 under x^6+x^5+2
-# (56,632 subspaces and 28,315 hits, estimated at 48.9 MB).  The peak grew by
-# 41 bytes per subspace over F_2^8; over F_3^6 it grew by 25 MB, most of it
-# the components and records of the hits.
+# `selfdual` call's own peak (VmHWM) was 33.8 MB over F_2^8 (417,199
+# subspaces, estimated at 41.7 MB) and 33.4 MB over F_3^6 under x^6+x^5+2
+# (56,632 subspaces and 28,315 hits, estimated at 48.9 MB; 40.7 MB while
+# the search kept an object for each distinct component).  The peak grew by
+# about 43 bytes per subspace over F_2^8; over F_3^6 it grew by 17 MB, most
+# of it the records of the hits.
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
 SELFDUAL_HIT_OVERHEAD = 800
@@ -519,22 +516,31 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     Pairs each subspace with its orthogonal complement once, then reads off
     connected components of the pairing at the m-quasi-orbit level: every
     component is a self-dual m-quasi-cyclic code and every minimal one
-    arises this way.  Three facts keep the work down while giving the same
+    arises this way.  Four facts keep the work down while giving the same
     hits as running every proper divisor m of N = q^n-1:
 
     - maximal moduli: when m divides m', the m'-quasi orbits refine the
       m-quasi orbits, so a component at m is a union of components at m'.
       A minimal component is therefore a component at some N/p (p a prime
-      factor of N), and the union-find runs only at those moduli;
-    - closure: a minimal component K is a component at m exactly when it
-      is closed under the shift by gamma^m, and every such m divides a
-      maximal modulus K was found at; K's moduli are those divisors under
-      which its set of quasi orbits is closed;
+      factor of N), and the union-find runs only at those moduli, each
+      component named by its root, its smallest quasi orbit;
+    - moduli from one level: a set closed under the shifts by m and m' is
+      closed under the shift by gcd(m, m') and by every multiple of it, so
+      a hit's moduli are exactly the proper divisors of N that its smallest
+      modulus m0 divides.  m0 is the first divisor of the maximal modulus M
+      the hit is read at whose shift maps its quasi orbits onto themselves,
+      and its m0-quasi orbits are counted at that same level;
+    - skip what an earlier level holds: a self-dual set closed under a
+      maximal modulus M' is a union of components at M'.  So a component
+      at M that is closed under an earlier maximal M' (M' % m0 == 0) is
+      either one component at M', read there, or a union of at least two,
+      not minimal; either way it is skipped, and each hit is read once;
     - minimality: components at one modulus are disjoint, so K is not
       minimal exactly when it strictly contains a component C found at
-      another maximal modulus.  One probe per C and modulus settles it:
-      the component there that holds one member of C, tested for holding
-      all of C.
+      another maximal modulus.  One probe per C and level settles it: from
+      C's smallest member to the root of the component there that holds
+      it, which is marked, as an (M, root) pair, when it is larger than C
+      and holds every member of C.
 
     m = q^n-1 is excluded (the shift is the identity and every dual-closed
     set would qualify); the {0, full-space} pair is likewise uninformative
@@ -570,7 +576,7 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     orbits = _OrbitTable(field)
     orbits.perp_id = _complement_pairs(field, orbits)
     hits = []
-    for ms, orbit_count, first_quasi, dims, members in _minimal_components(
+    for ms, orbit_count, first, dims, members in _minimal_components(
             field, orbits, include_trivial):
         hit = SelfDualHit(field, ms[0], ms, orbit_count, dims, members, orbits)
         # both checks read the hit's member ids, through the verified perp_id
@@ -578,23 +584,10 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
             raise VerificationFailed("component is not self-dual: internal error")
         if not is_quasi_cyclic(hit, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
-        # ties in (dimension kind, size, m) keep the order of the components
-        # at m, i.e. of their first quasi orbit
-        hits.append((not hit.constant_dimension, hit.size, hit.m, first_quasi, hit))
+        # ties in (dimension kind, size, m) go by the hit's smallest member id
+        hits.append((not hit.constant_dimension, hit.size, hit.m, first, hit))
     hits.sort(key=lambda entry: entry[:4])
     return [entry[-1] for entry in hits]
-
-
-class _Component:
-    """A component of the pairing, one object for every maximal modulus it appears at."""
-
-    __slots__ = ("size", "first", "nodes", "contains_another")
-
-    def __init__(self, size: int, first: int):
-        self.size = size                 # number of members
-        self.first = first               # its smallest member id
-        self.nodes = {}                  # maximal modulus -> its node ids there
-        self.contains_another = False    # strictly contains another component
 
 
 class _Level:
@@ -602,18 +595,21 @@ class _Level:
 
     Member j of cyclic orbit oid has id start[oid] + j; its quasi orbit s,
     the members s, s+g, s+2g, ... with g = gcd(M, orbit size), is node
-    offset[oid] + s.  Nodes are read with C-level maps over these lists.
+    offset[oid] + s.  A component is named by its root, its smallest node:
+    parent maps every node to its root, and sizes maps each root to the
+    component's number of members.  Nodes are read with C-level maps over
+    these lists.
     """
 
-    __slots__ = ("start", "g", "offset", "node_oid", "node_of", "component", "node_size")
+    __slots__ = ("M", "start", "g", "offset", "node_oid", "node_of", "parent", "sizes")
 
-    def __init__(self, sizes: list, start: list, g: list, offset: list,
-                 node_oid: array, node_of: array):
-        self.start, self.g, self.offset = start, g, offset
+    def __init__(self, M: int, start: list, g: list, offset: list, node_oid: array,
+                 node_of: array, parent: list, sizes: dict):
+        self.M, self.start, self.g, self.offset = M, start, g, offset
         self.node_oid = node_oid         # node -> its cyclic orbit, array('i')
         self.node_of = node_of           # member id -> node, array('i')
-        self.component = [None] * offset[-1]     # node -> _Component
-        self.node_size = [size // gi for size, gi in zip(sizes, g)]  # orbit -> members per node
+        self.parent = parent             # node -> its root
+        self.sizes = sizes               # root -> members of its component
 
     def quasi_orbits(self, nodes) -> tuple:
         """The nodes as two lists, their orbits and their s."""
@@ -621,21 +617,17 @@ class _Level:
         return oids, list(map(sub, nodes, map(self.offset.__getitem__, oids)))
 
     def members(self, nodes):
-        """The member ids of the nodes."""
+        """The member ids of the nodes; the first is the smallest when nodes ascend."""
         oids, ss = self.quasi_orbits(nodes)
         start = self.start
         return chain.from_iterable(map(range, map(add, map(start.__getitem__, oids), ss),
                                        map(start.__getitem__, map(add, oids, repeat(1))),
                                        map(self.g.__getitem__, oids)))
 
-    def size(self, nodes) -> int:
-        """The number of members of the nodes."""
-        return sum(map(self.node_size.__getitem__, map(self.node_oid.__getitem__, nodes)))
-
-    def holds(self, comp: _Component, members) -> bool:
-        """True iff every member id lies in comp at this modulus."""
-        comps = map(self.component.__getitem__, map(self.node_of.__getitem__, members))
-        return all(map(is_, comps, repeat(comp)))
+    def holds(self, root: int, members) -> bool:
+        """True iff every member id lies in the component of root."""
+        roots = map(self.parent.__getitem__, map(self.node_of.__getitem__, members))
+        return all(map(eq, roots, repeat(root)))
 
 
 def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
@@ -665,8 +657,8 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
 def _components_at(M: int, sizes: list, start: list, perp_id: array) -> tuple:
     """The _Level of modulus M and its components.
 
-    Each component is an array('i') of its ascending nodes, and components
-    come in the order of their smallest node.
+    Each component is an array('i') of its ascending nodes, so its first
+    node is its root, and components come in the order of their roots.
     """
     g = [gcd(M, size) for size in sizes]
     offset = [0, *accumulate(g)]
@@ -690,79 +682,67 @@ def _components_at(M: int, sizes: list, start: list, perp_id: array) -> tuple:
             parent[b] = a
         elif b < a:
             parent[a] = b
-    groups = {}          # root (the smallest node) -> the component's nodes, array('i')
+    groups = {}          # root -> the component's nodes, array('i')
     for x, r in enumerate(parent):
         parent[x] = r = parent[r]
         if r == x:
             groups[x] = array("i", (x,))
         else:
             groups[r].append(x)
-    level = _Level(sizes, start, g, offset, node_oid, node_of)
+    node_size = [size // gi for size, gi in zip(sizes, g)]      # orbit -> members per node
+    comp_size = {r: sum(map(node_size.__getitem__, map(node_oid.__getitem__, nodes)))
+                 for r, nodes in groups.items()}
+    level = _Level(M, start, g, offset, node_oid, node_of, parent, comp_size)
     return level, list(groups.values())
 
 
 def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: bool) -> list:
-    """(moduli, quasi-orbit count, first quasi orbit, dims, member ids) of each minimal component."""
+    """(moduli, quasi-orbit count, smallest member id, dims, member ids) of each minimal component.
+
+    Each is read at the first maximal modulus it is a component at.
+    """
     N = field.group_order
-    sizes, start = orbits.lengths, orbits.start
+    levels = [_components_at(N // p, orbits.lengths, orbits.start, orbits.perp_id)
+              for p in divisors(N) if is_prime(p)]
 
-    levels, components = {}, []
-    for M in (N // p for p in divisors(N) if is_prime(p)):
-        level, groups = _components_at(M, sizes, start, orbits.perp_id)
+    # minimality: probe every level with the smallest member of each
+    # component, and mark the root found there when its component is larger
+    # and holds every member of the probing one (at the component's own
+    # level the root found is its own, of the same size)
+    marked = set()       # (M, root) of every component that holds a smaller one
+    for level, groups in levels:
         for nodes in groups:
-            size = level.size(nodes)
-            # one object per member set: a component met again at a later
-            # modulus shares its flags and collects its nodes there
             first = next(level.members(nodes[:1]))
-            for earlier in levels.values():
-                comp = earlier.component[earlier.node_of[first]]
-                if comp.size == size and earlier.holds(comp, level.members(nodes)):
-                    break
-            else:
-                comp = _Component(size, first)
-                components.append(comp)
-            comp.nodes[M] = nodes
-            for x in nodes:
-                level.component[x] = comp
-        levels[M] = level
+            for other, _ in levels:
+                root = other.parent[other.node_of[first]]
+                if ((other.M, root) not in marked
+                        and other.sizes[root] > level.sizes[nodes[0]]
+                        and other.holds(root, level.members(nodes))):
+                    marked.add((other.M, root))
 
-    # minimality: probe every other maximal modulus with one member of comp
-    for comp in components:
-        M, nodes = next(iter(comp.nodes.items()))
-        for other, level in levels.items():
-            if other not in comp.nodes:
-                outer = level.component[level.node_of[comp.first]]
-                if (not outer.contains_another and outer.size > comp.size
-                        and level.holds(outer, levels[M].members(nodes))):
-                    outer.contains_another = True
-
-    found = []
-    for comp in components:
-        # member 0 is the zero subspace, so its component is the {0, full-space} pair
-        if comp.contains_another or (comp.first == 0 and not include_trivial):
-            continue
-        # each level's quasi orbits (orbit, s) as the lists oids, ss, and the
-        # g of each one's orbit
-        quasi_at = {}
-        for M, nodes in comp.nodes.items():
-            oids, ss = levels[M].quasi_orbits(nodes)
-            quasi_at[M] = oids, ss, list(map(levels[M].g.__getitem__, oids))
-        # moduli: the divisors m of the maximal moduli comp was found at
-        # whose shift maps its quasi orbits (orbit, s) onto themselves
-        closed = {}
-        for M, (oids, ss, gs) in quasi_at.items():
-            quasi_set = set(zip(oids, ss))
-            for m in divisors(M):
-                if m not in closed:
-                    closed[m] = quasi_set.issuperset(
-                        zip(oids, map(mod, map(add, ss, repeat(m)), gs)))
-        ms = tuple(sorted(m for m, ok in closed.items() if ok))
-        # the ms[0]-quasi orbits, (orbit, s mod gcd(ms[0], size)), read at a
-        # maximal modulus that ms[0] divides
-        M = next(M for M in quasi_at if M % ms[0] == 0)
-        oids, ss, gs = quasi_at[M]
-        coarse = set(zip(oids, map(mod, ss, map(gcd, repeat(ms[0]), gs))))
-        dims = tuple(sorted(set(map(orbits.dims.__getitem__, oids))))
-        members = array("i", levels[M].members(comp.nodes[M]))
-        found.append((ms, len(coarse), min(coarse), dims, members))
+    found, earlier, proper = [], [], divisors(N)[:-1]
+    for level, groups in levels:
+        M, ms = level.M, divisors(level.M)
+        for nodes in groups:
+            first = next(level.members(nodes[:1]))
+            # member 0 is the zero subspace, so its component is the {0, full-space} pair
+            if (M, nodes[0]) in marked or (first == 0 and not include_trivial):
+                continue
+            oids, ss = level.quasi_orbits(nodes)
+            gs = list(map(level.g.__getitem__, oids))
+            quasi = set(zip(oids, ss))
+            # m0: the first divisor of M whose shift maps the quasi orbits
+            # (orbit, s) onto themselves; M itself always does
+            m0 = next(m for m in ms
+                      if quasi.issuperset(zip(oids, map(mod, map(add, ss, repeat(m)), gs))))
+            # closed under an earlier maximal modulus: one component there,
+            # read there, or a union of several, not minimal
+            if any(E % m0 == 0 for E in earlier):
+                continue
+            moduli = tuple(m for m in proper if m % m0 == 0)
+            # the m0-quasi orbits, (orbit, s mod gcd(m0, g))
+            coarse = set(zip(oids, map(mod, ss, map(gcd, repeat(m0), gs))))
+            dims = tuple(sorted(set(map(orbits.dims.__getitem__, oids))))
+            found.append((moduli, len(coarse), first, dims, array("i", level.members(nodes))))
+        earlier.append(M)
     return found

@@ -401,11 +401,10 @@ def orbit_members(O: Orbit) -> list:
     return [from_bits(O.field, b) for b in orbit_bits(O.field, O.rep.bits, O.m)]
 
 
-def enumerate_orbits(field: FieldSpec, k: int, m: int = 1,
-                     budget: RunBudget | None = None, checkpoint=None):
+def enumerate_orbits(field: FieldSpec, k: int, m: int = 1):
     """Yield every m-quasi orbit of G_q(n,k) exactly once."""
     check_modulus(field, m)
-    for rec in cyclic_orbit_data(field, k, budget=budget, checkpoint=checkpoint):
+    for rec in cyclic_orbit_data(field, k):
         g = gcd(m, rec.length)
         md = rec.min_dist_for_step(g)
         # quasi orbit s holds the cyclic orbit's members s, s+g, s+2g, ...

@@ -405,6 +405,38 @@ def test_clique_needs_a_graph(capsys):
     assert_one_line_error(run(capsys, "clique"), 2)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--db", "orbits.jsonl", "--graph", "graph.dimacs"], "takes --graph or --db, not both"),
+    (["--graph", "graph.dimacs", "--d", "4"], "--d applies only with --db"),
+    (["--db", "orbits.jsonl", "--seed", "3"], "--seed applies only to --mode greedy"),
+    (["--graph", "graph.dimacs", "--mode", "exact", "--seed", "0"],
+     "--seed applies only to --mode greedy"),
+], ids=["graph-and-db", "d-with-graph", "seed-in-exact-mode", "seed-0-in-exact-mode"])
+def test_clique_flag_it_would_ignore_is_a_parse_error(capsys, argv, message):
+    """Each check comes before any file is read, so the files need not exist."""
+    result = run(capsys, "clique", *argv)
+    assert_one_line_error(result, 2)
+    assert message in result[2]
+
+
+def test_clique_db_without_an_orbit_at_the_threshold_is_an_empty_clique(tmp_path, capsys):
+    """No 2-subspace orbit of F_2^6 reaches d = 6, so the graph has no vertex:
+    the clique is empty and certified, and no code is assembled."""
+    db = str(tmp_path / "orbits.jsonl")
+    assert run(capsys, "classify", "--n", "6", "--k", "2", "--db", db)[0] == 0
+    assert run(capsys, "clique", "--db", db, "--d", "6") == (0, "clique size 0 (certified)\n", "")
+    code, out, err = run(capsys, "clique", "--db", db, "--d", "6", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"mode": "exact", "size": 0, "certified": True, "vertices": []}
+
+
+def test_clique_defaults_are_d4_and_seed0(tmp_path, capsys):
+    db = str(tmp_path / "orbits.jsonl")
+    assert run(capsys, "classify", "--n", "6", "--k", "3", "--db", db)[0] == 0
+    for argv, given in [([], ["--d", "4"]), (["--mode", "greedy"], ["--mode", "greedy", "--seed", "0"])]:
+        assert run(capsys, "clique", "--db", db, *argv) == run(capsys, "clique", "--db", db, *given)
+
+
 @pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
     from orbitcodes import make_field

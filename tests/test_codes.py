@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -26,7 +27,13 @@ from orbitcodes import (
     spread_code,
     verify_code_file,
 )
-from orbitcodes.errors import BadModulus, NotADivisor, OddDistance, TooSmall
+from orbitcodes.errors import (
+    BadModulus,
+    NotADivisor,
+    OddDistance,
+    TooSmall,
+    VerificationFailed,
+)
 from tests.conftest import data_path
 
 
@@ -138,6 +145,28 @@ def test_spread_n10_is_example_code():
     f = make_field(2, 10)
     C = spread_code(f, 5)
     assert C.params() == (10, 5, 33, 10)
+
+
+def test_spread_n14_t2_is_checked_in_linear_time():
+    """The 5,461 words of the F_2^14, t = 2 spread are checked in one pass
+    over them; a check of every pair took about 17 s."""
+    start = time.perf_counter()
+    C = spread_code(make_field(2, 14), 2)
+    assert C.size == (2 ** 14 - 1) // 3 == 5461
+    assert time.perf_counter() - start < 5
+
+
+def test_spread_members_that_intersect_are_refused(f64, monkeypatch):
+    """A word meeting another fails the spread check, whichever comes first."""
+    from orbitcodes import codes
+
+    def with_a_point_of_the_subfield(field, m, generators):
+        C = code_from_generators(field, m, generators)
+        return SubspaceCode(field, [*C.bitsets, 1])
+
+    monkeypatch.setattr(codes, "code_from_generators", with_a_point_of_the_subfield)
+    with pytest.raises(VerificationFailed, match="spread members intersect nontrivially"):
+        spread_code(f64, 3)
 
 
 # -- duality -----------------------------------------------------------------------
