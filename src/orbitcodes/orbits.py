@@ -6,8 +6,11 @@ an integer.  Cyclic (m=1) orbits are enumerated once per (field, k) by
 orderly generation: the candidates are the subspaces that contain gamma^0
 (the smallest member of every cyclic orbit is one of them), and a candidate
 is kept exactly when it is its own orbit's smallest member
-(is_min_member, from subspace).  No state is shared between candidates, so
-the records come in the candidate order of their representatives and a
+(is_min_member, from subspace).  The records come in the candidate order of
+their representatives.  The Frobenius map x -> x^q carries each cyclic orbit
+onto one with the same record but its representative, so only the first
+orbit met of each Frobenius class is walked, and the others reuse its record
+(cyclic_orbit_data).  That reuse saves work and changes no record, so a
 resumed run needs only the index of the last candidate it reached.  An
 m-quasi census is then derived without re-enumeration: a cyclic orbit of
 length D splits into g = gcd(m, D) quasi orbits of length D/g, all sharing
@@ -67,11 +70,13 @@ from .subspace import (
     _walk_rows,
     check_modulus,
     cyclic_overlaps,
+    exponents_of,
     from_bits,
     from_exponents,
     is_min_member,
     meet_dim,
     min_member,
+    min_member_of_exponents,
     orbit_bits,
     rotate_bits,
     stabilizer,
@@ -90,7 +95,8 @@ class RunBudget(Record):
 
     A step is one census candidate, skipped ones included, one node of the
     exact clique search, or one vertex a greedy clique start scans.  The
-    clock is read each time the step count passes a multiple of 1024.
+    clock is read on a run's first step and each time the step count passes
+    a multiple of 1024, so a budget bounds short runs too.
     """
 
     _fields = ("max_seconds", "max_steps")
@@ -110,13 +116,15 @@ class _BudgetClock:
         self.steps = 0
 
     def tick(self, n: int = 1):
-        """Count n more steps; the clock is read if the count passes a multiple of 1024."""
+        """Count n more steps; the clock is read if these hold the first step
+        or the count passes a multiple of 1024."""
         before = self.steps
         self.steps += n
         b = self.budget
         if b.max_steps is not None and self.steps > b.max_steps:
             raise ResourceLimit(f"step budget {b.max_steps} exceeded")
-        if b.max_seconds is not None and before >> 10 != self.steps >> 10:
+        first_step = before == 0 < n
+        if b.max_seconds is not None and (first_step or before >> 10 != self.steps >> 10):
             if time.monotonic() - self.t0 > b.max_seconds:
                 raise ResourceLimit(f"time budget {b.max_seconds}s exceeded")
 
@@ -210,12 +218,48 @@ def _process_orbit(field: FieldSpec, k: int, rep: int) -> CyclicOrbitRecord:
     return CyclicOrbitRecord(rep, D, t, min_by_step)
 
 
+def _frobenius_conjugates(field: FieldSpec, rep: int) -> list:
+    """The smallest members of the other orbits in rep's Frobenius class.
+
+    sigma(x) = x^q maps the exponent e to q e mod N, so each image is found
+    from the exponent list, not from the bitset's N bits, and its smallest
+    member from its gaps (min_member_of_exponents).  The
+    images sigma(V), sigma^2(V), ... run through the class and come back to
+    V's orbit after d | n steps, where the list ends.
+    """
+    q, N = field.q, field.group_order
+    exps, out = exponents_of(rep), []
+    for _ in range(field.n - 1):
+        exps = sorted([q * e % N for e in exps])
+        image = min_member_of_exponents(exps, N)
+        if image == rep:
+            break
+        out.append(image)
+    return out
+
+
 _CYCLIC_CACHE: dict = {}
 
 
 def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
                       checkpoint=None) -> list:
-    """All m=1 orbit records for G_q(n,k), in the candidate order of their reps."""
+    """All m=1 orbit records for G_q(n,k), in the candidate order of their reps.
+
+    Only the first orbit the walk meets of each Frobenius class is walked
+    (_process_orbit); every other one reuses its length, stabilizer degree
+    and min_by_step dict, with its own rep_bits.  sigma(x) = x^q is
+    F_q-linear with sigma(gamma^j V) = gamma^(qj) sigma(V), and
+    gcd(q, q^n - 1) = 1, so j -> qj permutes the multiples of each step g
+    modulo D: sigma maps V's orbit onto one with the same length, the same
+    stabilizer and the same distances d(V, gamma^j V) over the multiples of
+    each step.  When the first orbit of a class is walked, the smallest
+    members of the others go into a map to its record, and each is popped
+    when the walk meets it, so the map is empty after a full run, and a
+    full run that leaves it otherwise raises VerificationFailed.  A resumed
+    run starts with an empty map and walks the first orbit after its start
+    of each class afresh; the conjugates before the start stay in the map.
+    Nothing mutates min_by_step, so records may share it.
+    """
     if not 0 <= k <= field.n:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{field.n}")
     key = (field, k)
@@ -226,18 +270,31 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     records, start = [], 0
     if checkpoint is not None:
         records, start = checkpoint.load(field, k)
+    conjugates = {}     # smallest member of an orbit not met yet -> its class's record
     last = start - 1
     for idx, bits in _iter_candidates(field, k, start):
         if idx < start:
             continue
         clock.tick(idx - last)      # the candidates the bound skipped count too
         last = idx
-        if is_min_member(field, bits):
+        first = conjugates.pop(bits, None)
+        if first is not None:
+            rec = CyclicOrbitRecord(bits, first.length, first.stab_degree, first.min_by_step)
+        elif is_min_member(field, bits):
             rec = _process_orbit(field, k, bits)
-            records.append(rec)
-            if checkpoint is not None:
-                checkpoint.record(idx, rec)
+            if rec.length > 1:      # not the zero subspace or the full space
+                for image in _frobenius_conjugates(field, bits):
+                    conjugates[image] = rec
+        else:
+            continue
+        records.append(rec)
+        if checkpoint is not None:
+            checkpoint.record(idx, rec)
     clock.tick(candidate_count(field, k) - 1 - last)   # and those after the last one yielded
+    if start == 0 and conjugates:
+        raise VerificationFailed(
+            f"{len(conjugates)} Frobenius conjugates of (q={field.q}, n={field.n}, "
+            f"k={k}) orbits were never met by the census walk")
     if checkpoint is not None:
         checkpoint.flush()
     _CYCLIC_CACHE[key] = records

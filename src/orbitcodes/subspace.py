@@ -34,7 +34,10 @@ orbit: that member has a set bit below m, so it is the rotation of V
 down by e - e % m for some exponent e of V, at most |V| shifts of the
 doubled bitset instead of D/gcd(m, D).  is_min_member(field, bits) asks
 the same of a cyclic orbit with an early exit, which is how a census
-keeps exactly one candidate per orbit.
+keeps exactly one candidate per orbit.  min_member_of_exponents(exps, N)
+finds a cyclic orbit's smallest member from a sorted exponent list alone:
+it is a rotation down to an exponent that ends a largest cyclic gap, which
+is how a census names the Frobenius images of an orbit.
 
 Every basis, closure check and span comes from _span_step, which adds one
 vector to a span (by XOR over F_2, by Zech logarithms over larger q); src/
@@ -82,7 +85,7 @@ import itertools
 import sys
 from collections import namedtuple
 from math import gcd, prod
-from operator import and_, itemgetter
+from operator import and_, itemgetter, sub
 
 from .errors import (
     AllZero,
@@ -186,6 +189,23 @@ def min_member(field: FieldSpec, bits: int, m: int = 1) -> tuple:
             best, down = member, s
         rest &= -1 << (s + m)       # drop the exponents with the same e - e % m
     return best, -down % N
+
+
+def min_member_of_exponents(exps, N: int) -> int:
+    """The smallest member of the cyclic orbit of a set of exponents mod N.
+
+    exps must be sorted.  Rotating the set down to its exponent e puts the
+    highest bit at N - G, G the cyclic gap that ends at e, so the smallest
+    member is the rotation down to an exponent that ends a largest gap;
+    when several largest gaps tie, the least of those rotations.  One
+    shift per tied gap, with no test of the other exponents.
+    """
+    gaps = list(map(sub, exps, (exps[-1] - N, *exps)))     # gaps[i] ends at exps[i]
+    widest = max(gaps)
+    bits = sum(map((1).__lshift__, exps))
+    doubled = bits | bits << N
+    mask = (1 << N) - 1
+    return min((doubled >> e) & mask for e, gap in zip(exps, gaps) if gap == widest)
 
 
 def is_min_member(field: FieldSpec, bits: int) -> bool:

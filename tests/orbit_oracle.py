@@ -11,6 +11,10 @@ a set of every member containing gamma^0 of the orbits met so far, skips
 the candidates in it, and names each orbit by the least of those members.
 It walks every candidate, those the wrap-gap bound skips too.
 
+per_orbit_census is the census loop before Frobenius conjugates shared
+their records: every orbit the walk keeps goes through _process_orbit.
+frobenius_image maps a subspace's bitset by x -> x^q, one bit at a time.
+
 rref_candidates is the candidate walk before the rows shared their spans
 and before the wrap-gap bound skipped any: one counter over all free digits
 of a pivot pattern, and every basis spanned from scratch.
@@ -27,11 +31,13 @@ from math import gcd
 
 from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
-from orbitcodes.orbits import divisors
+from orbitcodes.orbits import _iter_candidates, _process_orbit, divisors
 from orbitcodes.subspace import (
     Subspace,
     cyclic_overlaps as overlap_kernel,
     dimension_from_popcount,
+    exponents_of,
+    is_min_member,
     meet_dim,
     rotate_bits,
     stabilizer,
@@ -74,6 +80,17 @@ def visited_census(field, k: int) -> list:
                        for g in divisors(D) if g < D}
         records.append((min(ones), D, t, min_by_step))
     return records
+
+
+def per_orbit_census(field, k: int) -> list:
+    """The census records with each kept orbit walked on its own."""
+    return [_process_orbit(field, k, bits) for _, bits in _iter_candidates(field, k)
+            if is_min_member(field, bits)]
+
+
+def frobenius_image(field, bits: int) -> int:
+    """The bitset of sigma(V) = {x^q : x in V}: exponent e goes to q e mod N."""
+    return sum(1 << field.q * e % field.group_order for e in exponents_of(bits))
 
 
 def rref_candidates(field, k: int):

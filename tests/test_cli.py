@@ -715,17 +715,19 @@ def test_clique_budget_sec_is_wall_clock(tmp_path, capsys):
 
 
 def test_zero_budget_sec_stops_a_census(capsys):
-    """--budget-sec 0 is zero seconds: the n = 9, k = 4 census reads the
-    clock at its 1,024th candidate and stops (exit 4)."""
+    """--budget-sec 0 is zero seconds: a census reads the clock at its first
+    candidate and stops (exit 4), the n = 6, k = 3 one of 155 candidates
+    as well as the n = 9, k = 4 one."""
     for command in ("classify", "conjecture-check"):
-        result = run(capsys, command, "--n", "9", "--k", "4", "--budget-sec", "0")
-        assert_one_line_error(result, 4)
-        assert "time budget 0.0s exceeded" in result[2]
+        for n, k in (("6", "3"), ("9", "4")):
+            result = run(capsys, command, "--n", n, "--k", k, "--budget-sec", "0")
+            assert_one_line_error(result, 4)
+            assert "time budget 0.0s exceeded" in result[2]
 
 
 def test_zero_budget_sec_leaves_the_clique_uncertified(tmp_path, capsys):
-    """The n = 8, k = 3, d = 4 exact search takes 1,163 nodes, so a zero
-    budget stops it at its 1,024th, uncertified."""
+    """The n = 8, k = 3, d = 4 exact search reads the clock at its first
+    node, so a zero budget stops it there, uncertified."""
     db = str(tmp_path / "orbits.jsonl")
     assert run(capsys, "classify", "--n", "8", "--k", "3", "--db", db)[0] == 0
     code, out, _ = run(capsys, "clique", "--db", db, "--budget-sec", "0", "--format", "json")

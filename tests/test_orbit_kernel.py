@@ -26,7 +26,7 @@ from orbitcodes import (
 )
 from orbitcodes.codes import _min_distance_orbits
 from orbitcodes import orbits
-from orbitcodes.errors import BadModulus
+from orbitcodes.errors import BadModulus, VerificationFailed
 from orbitcodes.orbits import (
     Checkpoint,
     _iter_candidates,
@@ -42,6 +42,7 @@ from orbitcodes.subspace import (
     exponents_of,
     is_min_member,
     min_member,
+    min_member_of_exponents,
     orbit_bits,
     rotate_bits,
     stabilizer,
@@ -241,6 +242,114 @@ def test_resume_walks_no_pattern_below_its_start(tmp_path, monkeypatch, name, k)
         assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
         assert path.read_bytes() == whole.read_bytes()
         assert min(walked, default=start) >= max(s for s in starts if s <= start)
+
+
+def frobenius_class(field, bits):
+    """The smallest member of each orbit in the Frobenius class of bits' orbit."""
+    images = [bits]
+    for _ in range(field.n - 1):
+        images.append(oracle.frobenius_image(field, images[-1]))
+    return {min_member(field, image)[0] for image in images}
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("name, k", [("F2^6", 3), ("F2^8", 4), ("F3^4", 2)])
+def test_resume_between_a_frobenius_class_and_its_conjugate(tmp_path, name, k):
+    """A checkpoint cut after a class's first orbit and before a later
+    conjugate resumes to the records of the per-orbit census and the file of
+    one whole run: the resumed run walks the conjugate afresh."""
+    field = field_of(name)
+    whole = tmp_path / "whole.jsonl"
+    records = cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(whole)))
+    assert records == oracle.per_orbit_census(field, k)
+    reps = [rec.rep_bits for rec in records]
+    cut = next(j for j, rep in enumerate(reps)
+               if frobenius_class(field, rep) & set(reps[:j]))
+    lines = whole.read_text().splitlines(keepends=True)
+    path = tmp_path / "cut.jsonl"
+    path.write_text("".join(lines[:cut + 1]))
+    assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_census_fails_when_a_conjugate_is_never_met(monkeypatch):
+    """A Frobenius image that no candidate of a whole run matches is a
+    VerificationFailed, not a census that is silently short of records."""
+    field = field_of("F2^6")
+    real = orbits.min_member_of_exponents
+    monkeypatch.setattr(orbits, "_CYCLIC_CACHE", {})
+    monkeypatch.setattr(orbits, "min_member_of_exponents",
+                        lambda exps, N: real(exps, N) | 1 << N - 1)
+    with pytest.raises(VerificationFailed, match="never met"):
+        cyclic_orbit_data(field, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["F2^6", "F3^3", "F3^4", "F5^2"]), st.data())
+def test_min_member_of_exponents_random_sets(name, data):
+    """The gap rule agrees with min_member on any set of exponents, and on
+    sets fixed by a rotation, whose largest gaps tie."""
+    field = field_of(name)
+    N = field.group_order
+    period = data.draw(st.sampled_from(divisors(N)))
+    base = data.draw(st.sets(st.integers(0, period - 1), min_size=1))
+    exps = sorted(b + j for b in base for j in range(0, N, period))
+    bits = sum(1 << e for e in exps)
+    assert min_member_of_exponents(exps, N) == min_member(field, bits)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("F2^6", k) for k in range(1, 6)] + [("F2^8", 4), ("F3^3", 1),
+                        ("F3^4", 2), ("F5^2", 1), ("F5^3", 2)]), st.data())
+def test_min_member_of_frobenius_images(case, data):
+    """The smallest member of sigma^i(V) from V's exponents, for any member V
+    of a census orbit, stabilized ones (D < N) included, and q = 2, 3, 5."""
+    name, k = case
+    field = field_of(name)
+    N = field.group_order
+    rec = data.draw(st.sampled_from(cyclic_orbit_data(field, k)))
+    V = rotate_bits(rec.rep_bits, data.draw(st.integers(0, N - 1)), N)
+    power = data.draw(st.integers(1, field.n - 1))
+    image = V
+    for _ in range(power):
+        image = oracle.frobenius_image(field, image)
+    exps = sorted(field.q ** power * e % N for e in exponents_of(V))
+    assert min_member_of_exponents(exps, N) == min_member(field, image)[0]
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_min_member_of_every_frobenius_image(name):
+    """Every Frobenius image of every census rep, stabilized orbits included.
+
+    Over F_2^6 and F_2^8 some images have largest gaps that tie and give
+    different rotations; the few orbits over F_3^n and F_5^n here have none,
+    and test_min_member_of_exponents_random_sets meets such ties for every q.
+    """
+    field = field_of(name)
+    N = field.group_order
+    ties = stabilized = 0
+    for k in range(1, field.n):
+        for rec in cyclic_orbit_data(field, k):
+            stabilized += rec.length < N
+            exps = exponents_of(rec.rep_bits)
+            image = rec.rep_bits
+            for _ in range(field.n - 1):
+                exps = sorted(field.q * e % N for e in exps)
+                image = oracle.frobenius_image(field, image)
+                assert min_member_of_exponents(exps, N) == min_member(field, image)[0]
+                gaps = [e - d for d, e in zip((exps[-1] - N, *exps), exps)]
+                ends = [e for e, gap in zip(exps, gaps) if gap == max(gaps)]
+                ties += len({rotate_bits(image, -e, N) for e in ends}) > 1
+    assert stabilized and (ties or field.q > 2)
+
+
+@pytest.mark.extended
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_frobenius_records_match_per_orbit_oracle_extended():
+    """F_2^10, k = 4: all 52,547 records against the census that walks every
+    orbit, about 10 s."""
+    field = field_of("F2^10")
+    assert cyclic_orbit_data(field, 4) == oracle.per_orbit_census(field, 4)
 
 
 @settings(max_examples=200, deadline=None)

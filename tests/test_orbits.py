@@ -212,10 +212,19 @@ def test_budget_enforced(f64):
 
 def test_time_budget_is_read_when_a_tick_passes_a_multiple_of_1024():
     clock = RunBudget(max_seconds=1).start()
+    clock.tick(1000)                    # the first step reads the clock, in time
     clock.t0 -= 10                      # as if 10 s had gone by
-    clock.tick(1000)
+    clock.tick(23)                      # 1023: no multiple of 1024 passed
     with pytest.raises(ResourceLimit, match="time budget"):
-        clock.tick(1000)                # 2000: passes 1024 without landing on it
+        clock.tick(977)                 # 2000: passes 1024 without landing on it
+
+
+def test_time_budget_is_read_on_the_first_step():
+    clock = RunBudget(max_seconds=1).start()
+    clock.t0 -= 10
+    clock.tick(0)                       # no step yet
+    with pytest.raises(ResourceLimit, match="time budget"):
+        clock.tick()
 
 
 @pytest.mark.usefixtures("fresh_census_cache")
