@@ -1,6 +1,7 @@
 """Command-line interface: classification, verification, bounds and searches.
 
-Exit codes: 0 success, 2 argument/parse errors, 3 domain validation errors,
+Exit codes: 0 success, 2 argument/parse errors and output files that cannot
+be written, 3 domain validation errors,
 4 resource-budget exhaustion, 5 verification mismatches (a computed value
 contradicts a claim or an internal cross-check).
 
@@ -453,6 +454,9 @@ def main(argv=None) -> int:
     except OrbitCodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:      # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARGS
 
 
 if __name__ == "__main__":

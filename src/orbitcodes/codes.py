@@ -6,11 +6,13 @@ import json
 from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
+from math import gcd
 
 from .errors import (
     FieldMismatch,
     NotADivisor,
     OddDistance,
+    OrbitCodesError,
     ParseError,
     TooSmall,
     VerificationFailed,
@@ -19,15 +21,15 @@ from .gfext import FieldSpec, gaussian_coefficient, make_field
 from .records import Record
 from .subspace import (
     check_modulus,
-    cyclic_overlaps,
     dimension_from_popcount,
     exponents_of,
     from_bits,
     from_exponents,
-    meet_dim,
     min_member,
     orbit_bits,
+    orbit_distance,
     orbit_length,
+    orbit_record,
     rotate_bits,
 )
 
@@ -36,7 +38,14 @@ from .subspace import (
 
 
 def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
-    """Upper bound on the size of a constant-dimension code of min distance d."""
+    """Upper bound on the size of a constant-dimension code of min distance d.
+
+    q is any prime power; only q >= 2 is checked, with n >= 1 and 0 <= k <= n.
+    """
+    if q < 2 or n < 1:
+        raise OrbitCodesError(f"the bound needs q >= 2 and n >= 1, not q={q}, n={n}")
+    if not 0 <= k <= n:
+        raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{n}")
     if d % 2 != 0 or d < 2:
         raise OddDistance(f"minimum distance {d} must be even and >= 2")
     delta = (d - 2) // 2
@@ -143,8 +152,8 @@ def code_from_words(field: FieldSpec, words) -> SubspaceCode:
 
 def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
     """The orbit of the subfield F_{q^t}: a spread of F_q^n (requires t | n)."""
-    if field.n % t != 0:
-        raise NotADivisor(f"t={t} does not divide n={field.n}")
+    if t < 1 or field.n % t != 0:
+        raise NotADivisor(f"t={t} is not a positive divisor of n={field.n}")
     N = field.group_order
     step = N // (field.q ** t - 1)
     subfield = from_exponents(field, range(0, N, step))
@@ -192,12 +201,11 @@ def _min_distance_all_pairs(C: SubspaceCode) -> int:
 def _min_distance_orbits(C: SubspaceCode) -> int:
     """Shift identity: only orbit-vs-shifted-orbit comparisons are needed.
 
-    Each comparison of a generator a with an orbit stepping by m reads the
-    largest overlap among every m-th entry of one correlation of a with the
-    orbit's generator.
+    Each orbit's internal distance is its cyclic orbit record's at step
+    gcd(m, D) (orbit_record), and each pair of orbits is compared by
+    orbit_distance from one generator to the other's orbit.
     """
     field = C.field
-    q = field.q
     orbits = []
     seen = set()
     for gen, m in C.provenance:
@@ -205,16 +213,16 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
         if name in seen:
             continue  # duplicate orbit
         seen.add(name)
-        orbits.append((gen.dim, gen.bits, m, orbit_length(field, gen.bits, m)))
+        orbits.append((gen.dim, gen.bits, m))
     dists = []
-    for i, (ka, a, m, length) in enumerate(orbits):
-        if length > 1:
-            overlap = cyclic_overlaps(field, a, a)
-            dists.append(2 * ka - 2 * meet_dim(q, overlap[m:length * m:m], ka))
+    for i, (ka, a, m) in enumerate(orbits):
+        rec = orbit_record(field, a, ka)
+        g = gcd(m, rec.length)
+        if g < rec.length:
+            dists.append(rec.min_dist_for_step(g))
         # generators of one code share a modulus
-        for kb, b, _, _ in orbits[i + 1:]:
-            overlap = cyclic_overlaps(field, a, b)
-            dists.append(ka + kb - 2 * meet_dim(q, overlap[::m], min(ka, kb)))
+        for kb, b, _ in orbits[i + 1:]:
+            dists.append(orbit_distance(field, a, ka, b, kb, m))
     if not dists:
         raise TooSmall("code has a single orbit of length 1")
     return min(dists)

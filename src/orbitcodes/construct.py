@@ -43,13 +43,13 @@ from .errors import (
     VerificationFailed,
 )
 from .gfext import FieldSpec, gaussian_coefficient, is_prime
-from .orbits import Orbit, RunBudget, cyclic_orbit_data, divisors
+from .orbits import Orbit, RunBudget, cyclic_orbit_data
 from .records import Record
 from .subspace import (
-    cyclic_overlaps,
-    meet_dim,
+    divisors,
     min_member,
     orbit_complements,
+    orbit_distance,
     subspaces_of,
 )
 
@@ -61,16 +61,13 @@ def inter_orbit_distance(A: Orbit, B: Orbit) -> int:
     """Minimum distance between any member of A and any member of B.
 
     By the shift identity it is the distance from A's representative to the
-    nearest member of B, the one with the largest overlap; B's members are
-    the shifts of its representative by multiples of m, so the overlaps are
-    every m-th entry of one correlation.
+    nearest member of B (orbit_distance).
     """
     if A.field != B.field or A.m != B.m:
         raise FieldMismatch("orbits must share a field and modulus")
     if A.rep.bits == B.rep.bits:
         raise SameOrbit("orbits are identical")
-    overlap = cyclic_overlaps(A.field, A.rep.bits, B.rep.bits)
-    return A.k + B.k - 2 * meet_dim(A.field.q, overlap[::A.m], min(A.k, B.k))
+    return orbit_distance(A.field, A.rep.bits, A.k, B.rep.bits, B.k, A.m)
 
 
 class CompatGraph(Record):

@@ -9,12 +9,13 @@ is kept exactly when it is its own orbit's smallest member
 (is_min_member, from subspace).  The records come in the candidate order of
 their representatives.  The Frobenius map x -> x^q carries each cyclic orbit
 onto one with the same record but its representative, so only the first
-orbit met of each Frobenius class is walked, and the others reuse its record
-(cyclic_orbit_data).  That reuse saves work and changes no record, so a
-resumed run needs only the index of the last candidate it reached.  An
-m-quasi census is then derived without re-enumeration: a cyclic orbit of
-length D splits into g = gcd(m, D) quasi orbits of length D/g, all sharing
-the same internal minimum distance profile.
+orbit met of each Frobenius class is walked (orbit_record, from subspace),
+and the others reuse its record (cyclic_orbit_data).  That reuse saves work
+and changes no record, so a resumed run needs only the index of the last
+candidate it reached.  An m-quasi census is then derived without
+re-enumeration: a cyclic orbit of length D splits into g = gcd(m, D) quasi
+orbits of length D/g, all sharing the same internal minimum distance
+profile.
 
 The candidates come in one order for every q (_iter_candidates).  Each is
 gamma^0 plus the rows of a reduced echelon matrix over coordinates 1..n-1:
@@ -35,14 +36,6 @@ added, so once a walk node fails the bound the walk skips its subtree, and
 is_min_member never sees a leaf that fails it.  The skipped candidates keep
 their place in the order: a candidate's index, in checkpoints and budgets,
 is the one it had when every candidate was walked.
-
-A cyclic orbit is walked without listing its D members.  Its overlaps
-|V & gamma^j V| for every j come from one correlation product
-(cyclic_overlaps, from subspace).  A quasi orbit stepping by g | D holds
-the members j = g, 2g, ... of the cyclic orbit, so its internal minimum
-distance comes from the largest overlap among them, overlap[g:D:g].
-CyclicOrbitRecord.min_by_step keeps that distance for every g | D with
-g < D, and any m-quasi census reads it at g = gcd(m, D).
 """
 
 from __future__ import annotations
@@ -52,8 +45,7 @@ import json
 import os
 import time
 from collections import namedtuple
-from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .errors import (
     CheckpointMismatch,
@@ -65,19 +57,20 @@ from .errors import (
 from .gfext import FieldSpec, gaussian_coefficient, make_field
 from .records import Record
 from .subspace import (
+    CyclicOrbitRecord,
     Subspace,
     _echelon_rows,
+    _steps,
     _walk_rows,
     check_modulus,
-    cyclic_overlaps,
     exponents_of,
     from_bits,
     from_exponents,
     is_min_member,
-    meet_dim,
     min_member,
     min_member_of_exponents,
     orbit_bits,
+    orbit_record,
     rotate_bits,
     stabilizer,
 )
@@ -129,20 +122,6 @@ class _BudgetClock:
                 raise ResourceLimit(f"time budget {b.max_seconds}s exceeded")
 
 
-def divisors(n: int) -> list:
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-@lru_cache(maxsize=None)
-def _steps(D: int) -> tuple:
-    """The steps g | D with g < D of a cyclic orbit of length D.
-
-    A census meets only the few lengths (q^n-1)/(q^t-1), t | n, of its field.
-    """
-    return tuple(g for g in divisors(D) if g < D)
-
-
 # -- candidate enumeration -----------------------------------------------------
 
 
@@ -191,33 +170,6 @@ def candidate_count(field: FieldSpec, k: int) -> int:
 # -- cyclic orbit data ----------------------------------------------------------
 
 
-class CyclicOrbitRecord(Record):
-    """Raw m=1 orbit data from which every quasi census is derived."""
-
-    __slots__ = _fields = ("rep_bits", "length", "stab_degree", "min_by_step")
-
-    def __init__(self, rep_bits: int, length: int, stab_degree: int, min_by_step: dict):
-        self.rep_bits = rep_bits
-        self.length = length            # D, the cyclic orbit length
-        self.stab_degree = stab_degree  # t with D = (q^n-1)/(q^t-1)
-        self.min_by_step = min_by_step  # g | D, g < D -> min d(V, gamma^j V) over g | j
-
-    def min_dist_for_step(self, g: int) -> int:
-        """Internal minimum distance of a quasi orbit stepping by g (g | D)."""
-        return 0 if g >= self.length else self.min_by_step[g]
-
-
-def _process_orbit(field: FieldSpec, k: int, rep: int) -> CyclicOrbitRecord:
-    """Walk one cyclic orbit from its representative: (t, D) and the distances."""
-    t, D = stabilizer(field, rep)
-    min_by_step = {}
-    if D > 1:           # D = 1 (the zero subspace and the full space) has no steps
-        overlap = cyclic_overlaps(field, rep, rep)
-        min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k)
-                       for g in _steps(D)}
-    return CyclicOrbitRecord(rep, D, t, min_by_step)
-
-
 def _frobenius_conjugates(field: FieldSpec, rep: int) -> list:
     """The smallest members of the other orbits in rep's Frobenius class.
 
@@ -246,7 +198,7 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     """All m=1 orbit records for G_q(n,k), in the candidate order of their reps.
 
     Only the first orbit the walk meets of each Frobenius class is walked
-    (_process_orbit); every other one reuses its length, stabilizer degree
+    (orbit_record); every other one reuses its length, stabilizer degree
     and min_by_step dict, with its own rep_bits.  sigma(x) = x^q is
     F_q-linear with sigma(gamma^j V) = gamma^(qj) sigma(V), and
     gcd(q, q^n - 1) = 1, so j -> qj permutes the multiples of each step g
@@ -281,7 +233,7 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
         if first is not None:
             rec = CyclicOrbitRecord(bits, first.length, first.stab_degree, first.min_by_step)
         elif is_min_member(field, bits):
-            rec = _process_orbit(field, k, bits)
+            rec = orbit_record(field, bits, k)
             if rec.length > 1:      # not the zero subspace or the full space
                 for image in _frobenius_conjugates(field, bits):
                     conjugates[image] = rec
@@ -435,17 +387,15 @@ def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     """The m-quasi orbit of V."""
     field = V.field
     check_modulus(field, m)
-    t, D = stabilizer(field, V.bits)
-    L = D // gcd(m, D)
+    rec = orbit_record(field, V.bits, V.dim)
+    g = gcd(m, rec.length)
+    L = rec.length // g
     # L steps of m must close the walk -- sanity-check the formula
     if rotate_bits(V.bits, L * m, field.group_order) != V.bits:
         raise VerificationFailed("orbit length formula disagrees with iteration")
-    md = 0
-    if L > 1:
-        overlap = cyclic_overlaps(field, V.bits, V.bits)
-        md = 2 * V.dim - 2 * meet_dim(field.q, overlap[m:L * m:m], V.dim)
     rep, _ = min_member(field, V.bits, m)
-    return Orbit(field, m, from_bits(field, rep), L, V.dim, md, t)
+    return Orbit(field, m, from_bits(field, rep), L, V.dim, rec.min_dist_for_step(g),
+                 rec.stab_degree)
 
 
 def orbit_min_distance(O: Orbit) -> int:

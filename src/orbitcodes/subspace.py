@@ -54,29 +54,27 @@ is not below it together with the spans under it (the wrap-gap bound, see
 orbits), and subspaces_of(field, bits, t) over a subspace's own basis with
 none, listing each of its t-subspaces once.
 
-Every orbit distance comes from one correlation kernel.
-cyclic_overlaps(field, a, b) returns all N = q^n-1 overlaps
-|a & rot(b, j)|, j = 0..N-1, from a single big-int product (Kronecker
-substitution): a is spread into N lanes, lane i holding bit i, b into N
-lanes in reverse order, and lane N-1+j of the product is the linear
-correlation at shift j; the wrapped part, lane j-1, is added back in with
-one shift.  No lane can carry into the next, because every lane is at most
-top = min(|a|, |b|), q^k - 1 for k-dimensional subspaces, so the lanes are
-as narrow as top allows, which keeps the product short.  Below 8 a lane is
-3 bits and below 16 it is 4: the binary string of a, read as an octal or
-hex numeral, puts bit i in digit i, and the product's octal or hex
-numeral, reversed and translated, gives the overlaps as bytes.  Over F_2
-every subspace of dimension at most 4 takes these.  A wider top takes
-lanes of W bytes, the smallest of 1, 2, 4 and 8 that holds it, spread by
+Every orbit distance comes from one correlation kernel, and two functions
+read it: orbit_record(field, bits, k) gives a cyclic orbit's length,
+stabilizer degree and internal distances (CyclicOrbitRecord), and
+orbit_distance(field, a, k_a, b, k_b, m) the distance from a subspace to
+an m-quasi orbit.  cyclic_overlaps(field, a, b) returns all N = q^n-1
+overlaps |a & rot(b, j)|, j = 0..N-1, from a single big-int product
+(Kronecker substitution): a is spread into N lanes, lane i holding bit i,
+b into N lanes in reverse order, and lane N-1+j of the product is the
+linear correlation at shift j; the wrapped part, lane j-1, is added back
+in with one shift.  No lane can carry into the next, because every lane
+is at most top = min(|a|, |b|), q^k - 1 for k-dimensional subspaces.  A
+lane is W bytes, the smallest of 1, 2, 4 and 8 that holds top, spread by
 translating the binary string to bytes and read back with to_bytes, as
-bytes when W = 1 and as a memoryview cast to W-byte ints otherwise.
-Either way the slices callers take (overlap[::m], overlap[g:D:g]) and the
-searches over them run in C.  A distance between a subspace and
-an orbit is read from the largest overlap: d = dim U + dim V -
-2 dim(U meet V) is smallest where the popcount of U & V is largest.  Every
-overlap of two subspaces is the size q^w - 1 of their meet, so
-meet_dim(q, overlaps, top) finds the largest w by testing q^w - 1, w = top,
-top-1, ..., for membership in the slice.
+bytes when W = 1 and as a memoryview cast to W-byte ints otherwise, so
+the slices the two readers take (overlap[g:D:g], overlap[::m]) and the
+searches over them run in C.  A distance between a subspace and an orbit
+is read from the largest overlap: d = dim U + dim V - 2 dim(U meet V) is
+smallest where the popcount of U & V is largest.  Every overlap of two
+subspaces is the size q^w - 1 of their meet, so meet_dim(q, overlaps,
+top) finds the largest w by testing q^w - 1, w = top, top-1, ..., for
+membership in the slice.
 """
 
 from __future__ import annotations
@@ -84,7 +82,8 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import namedtuple
-from math import gcd, prod
+from functools import lru_cache
+from math import gcd, isqrt, prod
 from operator import and_, itemgetter, sub
 
 from .errors import (
@@ -96,15 +95,11 @@ from .errors import (
     NotASubspace,
 )
 from .gfext import FieldElement, FieldSpec
+from .records import Record
 
 
 def dimension_from_popcount(popcount: int, q: int) -> int:
     """Return k with q^k - 1 = popcount, or raise NotASubspace."""
-    if q == 2:
-        k = popcount.bit_length()
-        if (1 << k) - 1 != popcount:
-            raise NotASubspace(f"popcount {popcount} is not of the form 2^k-1")
-        return k
     k, size = 0, 1
     while size - 1 < popcount:
         size *= q
@@ -237,7 +232,6 @@ def is_min_member(field: FieldSpec, bits: int) -> bool:
 
 
 _BITS_TO_LANES = bytes.maketrans(b"01", b"\x00\x01")
-_DIGITS_TO_LANES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -259,26 +253,16 @@ def cyclic_overlaps(field: FieldSpec, a: int, b: int):
 
     One product of a's lanes with b's reversed lanes gives the linear
     correlation; lane N-1+j holds the overlaps that do not wrap and lane
-    j-1 those that do, and one shift adds the two.  Lanes of 3 or 4 bits
-    are the octal or hex digits of the binary string, lanes of W bytes its
-    bytes.  The result is bytes when every overlap fits in a byte, else a
-    memoryview of W-byte ints.
+    j-1 those that do, and one shift adds the two.  A lane is W bytes,
+    the fewest of 1, 2, 4 and 8 that hold min(|a|, |b|).  The result is
+    bytes when W = 1, else a memoryview of W-byte ints.
     """
     N = field.group_order
     top = min(a.bit_count(), b.bit_count())
-    if top < 16:
-        lane = 3 if top < 8 else 4
-        x = int(format(a, f"0{N}b"), 1 << lane)
-        y = int(format(b, f"0{N}b")[::-1], 1 << lane)
-    else:
-        W = next(w for w in _LANE_FORMATS if top < 1 << 8 * w)
-        lane = 8 * W
-        x, y = _lanes(a, N, W, "big"), _lanes(b, N, W, "little")
-    linear = x * y
+    W = next(w for w in _LANE_FORMATS if top < 1 << 8 * w)
+    lane = 8 * W
+    linear = _lanes(a, N, W, "big") * _lanes(b, N, W, "little")
     cyclic = (linear >> lane * (N - 1)) + ((linear << lane) & ((1 << lane * N) - 1))
-    if lane < 8:
-        digits = format(cyclic, f"0{N}{'o' if lane == 3 else 'x'}")
-        return digits[::-1].encode().translate(_DIGITS_TO_LANES)
     if W == 1:
         return cyclic.to_bytes(N, "little")
     lanes = memoryview(cyclic.to_bytes(W * N, sys.byteorder)).cast(_LANE_FORMATS[W])
@@ -296,6 +280,68 @@ def meet_dim(q: int, overlaps, top: int) -> int:
         if q ** w - 1 in overlaps:
             return w
     return 0
+
+
+def divisors(n: int) -> list:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+@lru_cache(maxsize=None)
+def _steps(D: int) -> tuple:
+    """The steps g | D with g < D of a cyclic orbit of length D.
+
+    A census meets only the few lengths (q^n-1)/(q^t-1), t | n, of its field.
+    """
+    return tuple(g for g in divisors(D) if g < D)
+
+
+class CyclicOrbitRecord(Record):
+    """Raw m=1 orbit data from which every quasi census is derived."""
+
+    __slots__ = _fields = ("rep_bits", "length", "stab_degree", "min_by_step")
+
+    def __init__(self, rep_bits: int, length: int, stab_degree: int, min_by_step: dict):
+        self.rep_bits = rep_bits
+        self.length = length            # D, the cyclic orbit length
+        self.stab_degree = stab_degree  # t with D = (q^n-1)/(q^t-1)
+        self.min_by_step = min_by_step  # g | D, g < D -> min d(V, gamma^j V) over g | j
+
+    def min_dist_for_step(self, g: int) -> int:
+        """Internal minimum distance of a quasi orbit stepping by g (g | D)."""
+        return 0 if g >= self.length else self.min_by_step[g]
+
+
+def orbit_record(field: FieldSpec, bits: int, k: int) -> CyclicOrbitRecord:
+    """The record of the cyclic orbit of the k-subspace bits, with bits as rep_bits.
+
+    The orbit is walked without listing its D members.  Its overlaps
+    |V & gamma^j V| for every j come from one correlation product
+    (cyclic_overlaps).  A quasi orbit stepping by g | D holds the members
+    j = g, 2g, ... of the cyclic orbit, so its internal minimum distance
+    comes from the largest overlap among them, overlap[g:D:g].  min_by_step
+    keeps that distance for every g | D with g < D, and an m-quasi orbit
+    reads it at g = gcd(m, D).
+    """
+    t, D = stabilizer(field, bits)
+    min_by_step = {}
+    if D > 1:           # D = 1 (the zero subspace and the full space) has no steps
+        overlap = cyclic_overlaps(field, bits, bits)
+        min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k)
+                       for g in _steps(D)}
+    return CyclicOrbitRecord(bits, D, t, min_by_step)
+
+
+def orbit_distance(field: FieldSpec, a: int, k_a: int, b: int, k_b: int, m: int) -> int:
+    """Minimum distance from the k_a-subspace a to the m-quasi orbit of the
+    k_b-subspace b.
+
+    b's members are its rotations by multiples of m, so their overlaps with
+    a are every m-th entry of one correlation, and the nearest member is
+    the one with the largest overlap.  m must divide q^n - 1.
+    """
+    overlap = cyclic_overlaps(field, a, b)
+    return k_a + k_b - 2 * meet_dim(field.q, overlap[::m], min(k_a, k_b))
 
 
 def exponents_of(bits: int) -> tuple:
@@ -362,26 +408,18 @@ def _span_step(field: FieldSpec, elts: list, v: int) -> list:
     return new
 
 
-def _bits_from_packed(field: FieldSpec, packed_elts) -> int:
-    log = field.log
-    bits = 0
-    for p in packed_elts:
-        if p:
-            bits |= 1 << log[p]
-    return bits
-
-
 def _basis_span(field: FieldSpec, bits: int, limit: int | None = None) -> tuple:
     """(basis, vectors, span bits) for the span of the exponents in bits.
 
     Each basis vector is the lowest exponent of bits outside the span of the
-    ones before it; _span_step adds what it brings, and the exponents the
-    span now covers are dropped.  vectors is the span in packed coordinates,
+    ones before it; _span_step adds what it brings, their bits (exp_bits,
+    as _walk_rows reads them) join the span's, and the exponents the span
+    now covers are dropped.  vectors is the span in packed coordinates,
     sum c_i b_i at index sum c_i q^i, starting with 0.  At most limit basis
     vectors are taken, so a set that is not closed costs at most q^limit
     vectors however large the span it generates.
     """
-    antilog = field.antilog
+    antilog, get = field.antilog, field.exp_bits.__getitem__
     basis, vectors, have = [], [0], 0
     rest = bits
     while rest and len(basis) != limit:
@@ -389,7 +427,7 @@ def _basis_span(field: FieldSpec, bits: int, limit: int | None = None) -> tuple:
         new = _span_step(field, vectors, v)
         basis.append(v)
         vectors += new
-        have |= _bits_from_packed(field, new)
+        have |= sum(map(get, new))
         rest &= ~have
     return basis, vectors, have
 

@@ -12,7 +12,7 @@ the candidates in it, and names each orbit by the least of those members.
 It walks every candidate, those the wrap-gap bound skips too.
 
 per_orbit_census is the census loop before Frobenius conjugates shared
-their records: every orbit the walk keeps goes through _process_orbit.
+their records: every orbit the walk keeps goes through orbit_record.
 frobenius_image maps a subspace's bitset by x -> x^q, one bit at a time.
 
 rref_candidates is the candidate walk before the rows shared their spans
@@ -31,14 +31,16 @@ from math import gcd
 
 from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
 from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
-from orbitcodes.orbits import _iter_candidates, _process_orbit, divisors
+from orbitcodes.orbits import _iter_candidates
 from orbitcodes.subspace import (
     Subspace,
     cyclic_overlaps as overlap_kernel,
     dimension_from_popcount,
+    divisors,
     exponents_of,
     is_min_member,
     meet_dim,
+    orbit_record,
     rotate_bits,
     stabilizer,
 )
@@ -84,7 +86,7 @@ def visited_census(field, k: int) -> list:
 
 def per_orbit_census(field, k: int) -> list:
     """The census records with each kept orbit walked on its own."""
-    return [_process_orbit(field, k, bits) for _, bits in _iter_candidates(field, k)
+    return [orbit_record(field, bits, k) for _, bits in _iter_candidates(field, k)
             if is_min_member(field, bits)]
 
 

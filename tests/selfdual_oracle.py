@@ -18,8 +18,8 @@ from math import gcd
 
 from orbitcodes.codes import SubspaceCode, gaussian_coefficient, is_quasi_cyclic, is_self_dual
 from orbitcodes.errors import ResourceLimit, VerificationFailed
-from orbitcodes.orbits import cyclic_orbit_data, divisors
-from orbitcodes.subspace import complement_bits, orbit_bits
+from orbitcodes.orbits import cyclic_orbit_data
+from orbitcodes.subspace import complement_bits, divisors, orbit_bits
 
 
 @dataclass

@@ -42,7 +42,8 @@ from orbitcodes import (
     verify_code_file,
 )
 from orbitcodes.codes import gaussian_coefficient
-from orbitcodes.orbits import RunBudget, divisors
+from orbitcodes.orbits import RunBudget
+from orbitcodes.subspace import divisors
 from tests.conftest import data_path
 from tests.orbit_oracle import naive_orbit_length, quasi_length_formula
 

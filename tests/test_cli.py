@@ -363,6 +363,45 @@ def assert_one_line_error(result, code):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "bound --q 1 --n 4 --d 4 --k 2", "bound --q 0 --n 4 --d 4 --k 2",
+    "bound --n -3 --d 4 --k 2", "bound --n 0 --d 4 --k 0",
+    "bound --n 4 --d 4 --k 9", "bound --n 4 --d 4 --k -1",
+    "spread --n 6 --t 0", "spread --n 6 --t -3", "spread --n 6 --t 4"])
+def test_bound_and_spread_outside_their_domain_are_domain_errors(tmp_path, capsys, argv):
+    extra = ["-o", str(tmp_path / "spread.json")] if argv.startswith("spread") else []
+    code, out, err = run(capsys, *argv.split(), *extra)
+    assert_one_line_error((code, out, err), 3)
+    assert out == "" and "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+def test_bound_takes_a_prime_power_q(capsys):
+    code, out, _ = run(capsys, "bound", "--q", "4", "--n", "4", "--d", "4", "--k", "2")
+    assert code == 0 and out.strip() == "17"
+
+
+UNWRITABLE_OUTPUT = {
+    "classify --db": lambda out, db: ["classify", "--n", "5", "--k", "2", "--db", out],
+    "classify --checkpoint": lambda out, db: ["classify", "--n", "5", "--k", "2",
+                                              "--checkpoint", out],
+    "dualize -o": lambda out, db: ["dualize", data_path("cyclic_n5k2.json"), "-o", out],
+    "spread -o": lambda out, db: ["spread", "--n", "6", "--t", "3", "-o", out],
+    "graph -o": lambda out, db: ["graph", "--db", db, "--d", "4", "-o", out],
+}
+
+
+@pytest.mark.parametrize("command", UNWRITABLE_OUTPUT)
+def test_output_in_a_missing_directory_is_a_one_line_error(tmp_path, capsys, command):
+    db = tmp_path / "orbits.jsonl"
+    if command.startswith("graph"):
+        assert run(capsys, "classify", "--n", "6", "--k", "3", "--db", str(db))[0] == 0
+    out = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *UNWRITABLE_OUTPUT[command](str(out), str(db)))
+    assert_one_line_error((code, "", err), 2)
+    assert str(out) in err and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_graph_missing_db_is_a_parse_error(tmp_path, capsys):
     assert_one_line_error(run(capsys, "graph", "--db", str(tmp_path / "none.db"),
                               "--d", "4"), 2)

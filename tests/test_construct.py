@@ -29,7 +29,8 @@ from orbitcodes import (
 )
 from orbitcodes.construct import CliqueResult
 from orbitcodes.errors import FieldMismatch, ResourceLimit, SameOrbit, VerificationFailed
-from orbitcodes.orbits import RunBudget, divisors
+from orbitcodes.orbits import RunBudget
+from orbitcodes.subspace import divisors
 from tests.conftest import data_path
 from tests.orbit_oracle import pairwise_graph
 
@@ -378,8 +379,8 @@ def test_self_dual_search_p2_6(f64):
 
 def test_self_dual_search_results_genuine():
     from orbitcodes import is_quasi_cyclic, is_self_dual
-    from orbitcodes.orbits import RunBudget, divisors
-    from orbitcodes.subspace import orbit_bits
+    from orbitcodes.orbits import RunBudget
+    from orbitcodes.subspace import divisors, orbit_bits
     for q, n in ((2, 4), (2, 6), (3, 3)):
         field = make_field(q, n)
         N = field.group_order

@@ -30,20 +30,20 @@ from orbitcodes.errors import BadModulus, VerificationFailed
 from orbitcodes.orbits import (
     Checkpoint,
     _iter_candidates,
-    _process_orbit,
     cyclic_orbit_data,
-    divisors,
 )
 from orbitcodes.subspace import (
     _echelon_rows,
     _walk_rows,
     check_modulus,
     cyclic_overlaps,
+    divisors,
     exponents_of,
     is_min_member,
     min_member,
     min_member_of_exponents,
     orbit_bits,
+    orbit_record,
     rotate_bits,
     stabilizer,
 )
@@ -372,7 +372,7 @@ def test_f1024_sampled_walks_match_oracle():
     cands = list(oracle.rref_candidates(field, 3))
     sample = rng.sample(cands, 40)
     for bits in sample:
-        rec = _process_orbit(field, 3, min_member(field, bits)[0])
+        rec = orbit_record(field, min_member(field, bits)[0], 3)
         assert_walk_matches(field, 3, rec, bits)
     orbits = [orbit_of(from_bits(field, b), m)
               for b in sample[:8] for m in (1, 3, 11, 33)]
@@ -521,8 +521,8 @@ def test_cyclic_overlaps_lane_width_edges(name):
 
 
 def sparse_bitsets(N):
-    """Bitsets of at most 20 of the exponents 0..N-1: their overlaps fit lanes
-    of 3 bits, 4 bits or a byte, where dense bitsets always need a byte."""
+    """Bitsets of at most 20 of the exponents 0..N-1: their overlaps fit
+    one-byte lanes, where dense bitsets of F_2^9 and F_2^10 may need two."""
     return st.frozensets(st.integers(0, N - 1), max_size=20).map(
         lambda exps: sum(1 << e for e in exps))
 
@@ -541,9 +541,9 @@ def test_cyclic_overlaps_random_pairs(name, data):
 @pytest.mark.parametrize("top", [7, 8, 15, 16])
 @pytest.mark.parametrize("name", ["F2^6", "F3^4", "F2^9", "F2^10"])
 def test_cyclic_overlaps_at_lane_edges(name, top):
-    """Bitsets whose smaller popcount is the largest overlap a 3-bit lane
-    holds (7), the smallest a 4-bit lane needs (8), the largest it holds (15)
-    and the smallest a byte lane needs (16), against larger ones."""
+    """Bitsets whose smaller popcount is 7, 8, 15 or 16, the sizes of small
+    subspaces and their neighbours, against larger ones: the overlaps fit
+    one-byte lanes, the narrowest there are."""
     field = field_of(name)
     N = field.group_order
     rng = random.Random(N * top)

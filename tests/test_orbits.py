@@ -32,8 +32,8 @@ from orbitcodes.orbits import (
     _iter_candidates,
     candidate_count,
     cyclic_orbit_data,
-    divisors,
 )
+from orbitcodes.subspace import divisors
 from tests.orbit_oracle import (
     naive_orbit_length,
     passes_wrap_gap_bound,

@@ -57,11 +57,22 @@ def all_subspaces(field, k):
 
 
 def test_dimension_from_popcount():
-    assert dimension_from_popcount(0, 2) == 0
+    """Every k with q^k - 1 <= 2^24, and the popcounts q^k - 2 and q^k next
+    to it; over F_2 they take the same loop as over larger q."""
     assert dimension_from_popcount(7, 2) == 3
     assert dimension_from_popcount(8, 3) == 2
     with pytest.raises(NotASubspace):
         dimension_from_popcount(5, 2)
+    for q in (2, 3, 5, 7):
+        assert dimension_from_popcount(0, q) == 0
+        k = 1
+        while q ** k - 1 <= 1 << 24:
+            assert dimension_from_popcount(q ** k - 1, q) == k
+            # q^1 - 2 is 0, the zero subspace's popcount, over F_2
+            for wrong in (q ** k - 2, q ** k) if k > 1 else (q ** k,):
+                with pytest.raises(NotASubspace):
+                    dimension_from_popcount(wrong, q)
+            k += 1
 
 
 def test_from_exponents_validation(f16):
