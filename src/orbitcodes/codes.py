@@ -41,6 +41,9 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     """Upper bound on the size of a constant-dimension code of min distance d.
 
     q is any prime power; only q >= 2 is checked, with n >= 1 and 0 <= k <= n.
+    The bound is at least 1, the size of a one-word code: two k-subspaces
+    are at distance at most 2 min(k, n - k), so a larger d admits one word,
+    where the quotient can read 0.
     """
     if q < 2 or n < 1:
         raise OrbitCodesError(f"the bound needs q >= 2 and n >= 1, not q={q}, n={n}")
@@ -49,7 +52,7 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     if d % 2 != 0 or d < 2:
         raise OddDistance(f"minimum distance {d} must be even and >= 2")
     delta = (d - 2) // 2
-    return gaussian_coefficient(n, k, q) // gaussian_coefficient(n - k + delta, delta, q)
+    return max(1, gaussian_coefficient(n, k, q) // gaussian_coefficient(n - k + delta, delta, q))
 
 
 # -- code objects ----------------------------------------------------------------
@@ -216,7 +219,7 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
         orbits.append((gen.dim, gen.bits, m))
     dists = []
     for i, (ka, a, m) in enumerate(orbits):
-        rec = orbit_record(field, a, ka)
+        rec = orbit_record(field, a, ka, m)
         g = gcd(m, rec.length)
         if g < rec.length:
             dists.append(rec.min_dist_for_step(g))

@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, compress, product, repeat
 from math import gcd
-from operator import add, and_, eq, le, mod, neg, rshift, sub
+from operator import add, and_, eq, le, lt, mod, neg, rshift, sub
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
 from .errors import (
@@ -482,13 +482,16 @@ class SelfDualHit(Record):
 # SELFDUAL_HIT_OVERHEAD bytes for each complement pair.  For odd q, -1 fixes
 # every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
 # is a component of its own, and each is a minimal hit: about one hit per two
-# subspaces, where over F_2^n the hits are few and large.  On CPython 3.11 a
-# `selfdual` call's own peak (VmHWM) was 33.8 MB over F_2^8 (417,199
-# subspaces, estimated at 41.7 MB) and 33.4 MB over F_3^6 under x^6+x^5+2
-# (56,632 subspaces and 28,315 hits, estimated at 48.9 MB; 40.7 MB while
-# the search kept an object for each distinct component).  The peak grew by
-# about 43 bytes per subspace over F_2^8; over F_3^6 it grew by 17 MB, most
-# of it the records of the hits.
+# subspaces, where over F_2^n the hits are few and large.  Each union-find
+# level holds its member -> node map and parent list only while its loop
+# runs, and keeps a node -> root array.  On CPython 3.11 a `selfdual` call's
+# own peak (VmHWM) was about 28 MiB over F_2^8 (417,199 subspaces, estimated
+# at 41.7 MB; 33.6 MiB while every level kept its map and parent list) and
+# 32.2 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits,
+# estimated at 48.9 MB; 33.4 MB before, and 40.7 MB while the search kept an
+# object for each distinct component).  The peak grew by about 28 bytes per
+# subspace over F_2^8; over F_3^6 it grew by about 16 MB, most of it the
+# records of the hits.
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
 SELFDUAL_HIT_OVERHEAD = 800
@@ -524,9 +527,10 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     - moduli from one level: a set closed under the shifts by m and m' is
       closed under the shift by gcd(m, m') and by every multiple of it, so
       a hit's moduli are exactly the proper divisors of N that its smallest
-      modulus m0 divides.  m0 is the first divisor of the maximal modulus M
-      the hit is read at whose shift maps its quasi orbits onto themselves,
-      and its m0-quasi orbits are counted at that same level;
+      modulus m0 divides.  m0 is found at the maximal modulus M the hit is
+      read at, by dividing M by each of its primes while the shift still
+      maps the hit's nodes onto nodes of its root, and its m0-quasi orbits
+      are counted from those nodes;
     - skip what an earlier level holds: a self-dual set closed under a
       maximal modulus M' is a union of components at M'.  So a component
       at M that is closed under an earlier maximal M' (M' % m0 == 0) is
@@ -543,9 +547,12 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     set would qualify); the {0, full-space} pair is likewise uninformative
     unless include_trivial is set.
 
-    The search holds each cyclic orbit as its representative, and the
-    pairing, the union-find levels and each hit as arrays of member ids.
-    The pairing is one map perp_id from each member to its complement:
+    The search holds each cyclic orbit as its representative, the pairing
+    and each hit as arrays of member ids, and each union-find level as
+    arrays over its nodes: the member -> node map and the parent list live
+    only while that level's union-find runs, and the level keeps a node ->
+    root array, so one level's scaffolding is alive at a time.  The pairing
+    is one map perp_id from each member to its complement:
     orbit_complements complements each orbit's D members at once, and the
     orbit index names each complement's member.  Before any union-find the
     map is checked, the word of every id found against the complement just
@@ -560,7 +567,8 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     SELFDUAL_WORD_OVERHEAD) bytes, plus subspaces / 2 x SELFDUAL_HIT_OVERHEAD
     when q is odd, and a ResourceLimit is raised when that exceeds
     max_space, 500 MB by default.  P_2(8) is estimated at 42 MB and P_3(6)
-    at 49 MB; P_2(9) (716 MB) and P_3(7) (1.4 GB) are refused.
+    at 49 MB, against `selfdual` peaks (VmHWM, CPython 3.11) of about
+    28 MiB and 32.2 MiB; P_2(9) (716 MB) and P_3(7) (1.4 GB) are refused.
     """
     from .codes import is_quasi_cyclic
 
@@ -590,23 +598,29 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
 class _Level:
     """The quasi orbits at one maximal modulus M, numbered as union-find nodes.
 
-    Member j of cyclic orbit oid has id start[oid] + j; its quasi orbit s,
-    the members s, s+g, s+2g, ... with g = gcd(M, orbit size), is node
-    offset[oid] + s.  A component is named by its root, its smallest node:
-    parent maps every node to its root, and sizes maps each root to the
-    component's number of members.  Nodes are read with C-level maps over
-    these lists.
+    Member i of cyclic orbit o = orbit_of[i] is member i - start[o] of it;
+    its quasi orbit s, the members s, s+g, s+2g, ... with g = g[o] =
+    gcd(M, orbit size), is node offset[o] + s.  A component is named by its
+    root, its smallest node, and is exactly the set of nodes with that root:
+    root maps every node to its root, an array('i'), and sizes maps each
+    root to the component's number of members.  No member -> node map is
+    kept; node and holds compute a member's node from its orbit.  Nodes are
+    read with C-level maps over these sequences.
     """
 
-    __slots__ = ("M", "start", "g", "offset", "node_oid", "node_of", "parent", "sizes")
+    __slots__ = ("M", "start", "orbit_of", "g", "offset", "node_oid", "root", "sizes")
 
-    def __init__(self, M: int, start: list, g: list, offset: list, node_oid: array,
-                 node_of: array, parent: list, sizes: dict):
-        self.M, self.start, self.g, self.offset = M, start, g, offset
+    def __init__(self, M: int, start: list, orbit_of: array, g: list, offset: list,
+                 node_oid: array, root: array, sizes: dict):
+        self.M, self.start, self.orbit_of, self.g, self.offset = M, start, orbit_of, g, offset
         self.node_oid = node_oid         # node -> its cyclic orbit, array('i')
-        self.node_of = node_of           # member id -> node, array('i')
-        self.parent = parent             # node -> its root
+        self.root = root                 # node -> its root, array('i')
         self.sizes = sizes               # root -> members of its component
+
+    def node(self, i: int) -> int:
+        """The node of member id i."""
+        o = self.orbit_of[i]
+        return self.offset[o] + (i - self.start[o]) % self.g[o]
 
     def quasi_orbits(self, nodes) -> tuple:
         """The nodes as two lists, their orbits and their s."""
@@ -622,9 +636,43 @@ class _Level:
                                        map(self.g.__getitem__, oids)))
 
     def holds(self, root: int, members) -> bool:
-        """True iff every member id lies in the component of root."""
-        roots = map(self.parent.__getitem__, map(self.node_of.__getitem__, members))
-        return all(map(eq, roots, repeat(root)))
+        """True iff every member id lies in the component of root.
+
+        members is a sequence, read twice.
+        """
+        oids = array("i", map(self.orbit_of.__getitem__, members))
+        nodes = map(add, map(self.offset.__getitem__, oids),
+                    map(mod, map(sub, members, map(self.start.__getitem__, oids)),
+                        map(self.g.__getitem__, oids)))
+        return all(map(eq, map(self.root.__getitem__, nodes), repeat(root)))
+
+    def read_out(self, nodes, proper: list) -> tuple:
+        """(moduli, m0-quasi-orbit count) of the component with these ascending nodes.
+
+        A shift by m | M maps quasi orbit s of orbit o to (s + m) mod g[o],
+        so the component is closed under it when every shifted node has its
+        root.  The shifts that close it are the multiples of its smallest
+        modulus m0 (a set closed under two shifts is closed under their
+        gcd), so m0 is found by dividing M by each of its primes while the
+        closure holds, and the moduli are the m in proper that m0 divides.
+        The component meets each m0-quasi orbit, a class of s mod
+        gcd(m0, g[o]), in all its quasi orbits or none, so it splits into as
+        many m0-quasi orbits as it has nodes with s < gcd(m0, g[o]).
+        """
+        oids, ss = self.quasi_orbits(nodes)
+        gs = list(map(self.g.__getitem__, oids))
+        bases = list(map(self.offset.__getitem__, oids))
+
+        def closed(m: int) -> bool:
+            shifted = map(add, bases, map(mod, map(add, ss, repeat(m)), gs))
+            return all(map(eq, map(self.root.__getitem__, shifted), repeat(nodes[0])))
+
+        m0 = self.M
+        for p in filter(is_prime, divisors(self.M)):
+            while m0 % p == 0 and closed(m0 // p):
+                m0 //= p
+        count = sum(map(lt, ss, map(gcd, repeat(m0), gs)))
+        return tuple(m for m in proper if m % m0 == 0), count
 
 
 def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
@@ -651,21 +699,17 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
     return perp_id
 
 
-def _components_at(M: int, sizes: list, start: list, perp_id: array) -> tuple:
-    """The _Level of modulus M and its components.
+def _union_find(g: list, offset: list, sizes: list, perp_id: array) -> list:
+    """The root of each node's component in the complement pairing, as a list.
 
-    Each component is an array('i') of its ascending nodes, so its first
-    node is its root, and components come in the order of their roots.
+    Node offset[oid] + s is quasi orbit s < g[oid] of orbit oid.  node_of, the member -> node map the loop reads, lives only for this
+    call.  The union-find links the larger root under the smaller, so every
+    parent precedes its child and one ascending pass sets each node to its
+    root; each pair (i, perp_id[i]) is read once, at i <= perp_id[i].
     """
-    g = [gcd(M, size) for size in sizes]
-    offset = [0, *accumulate(g)]
-    node_oid = array("i", [oid for oid, gi in enumerate(g) for _ in range(gi)])
     node_of = array("i")
     for oid, size in enumerate(sizes):
         node_of += array("i", range(offset[oid], offset[oid + 1])) * (size // g[oid])
-    # union-find that links the larger root under the smaller, so every
-    # parent precedes its child and one ascending pass finds all roots;
-    # each pair (i, perp_id[i]) is read once, at i <= perp_id[i]
     ids = range(len(perp_id))
     left = compress(ids, map(le, ids, perp_id))
     right = compress(perp_id, map(le, ids, perp_id))
@@ -679,9 +723,24 @@ def _components_at(M: int, sizes: list, start: list, perp_id: array) -> tuple:
             parent[b] = a
         elif b < a:
             parent[a] = b
-    groups = {}          # root -> the component's nodes, array('i')
     for x, r in enumerate(parent):
-        parent[x] = r = parent[r]
+        parent[x] = parent[r]
+    return parent
+
+
+def _components_at(M: int, orbits: _OrbitTable) -> tuple:
+    """The _Level of modulus M and its components.
+
+    Each component is an array('i') of its ascending nodes, so its first
+    node is its root, and components come in the order of their roots.
+    """
+    sizes = orbits.lengths
+    g = [gcd(M, size) for size in sizes]
+    offset = [0, *accumulate(g)]
+    node_oid = array("i", chain.from_iterable(map(repeat, range(len(g)), g)))
+    root = array("i", _union_find(g, offset, sizes, orbits.perp_id))
+    groups = {}          # root -> the component's nodes, array('i')
+    for x, r in enumerate(root):
         if r == x:
             groups[x] = array("i", (x,))
         else:
@@ -689,7 +748,7 @@ def _components_at(M: int, sizes: list, start: list, perp_id: array) -> tuple:
     node_size = [size // gi for size, gi in zip(sizes, g)]      # orbit -> members per node
     comp_size = {r: sum(map(node_size.__getitem__, map(node_oid.__getitem__, nodes)))
                  for r, nodes in groups.items()}
-    level = _Level(M, start, g, offset, node_oid, node_of, parent, comp_size)
+    level = _Level(M, orbits.start, orbits.orbit_of, g, offset, node_oid, root, comp_size)
     return level, list(groups.values())
 
 
@@ -699,8 +758,7 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
     Each is read at the first maximal modulus it is a component at.
     """
     N = field.group_order
-    levels = [_components_at(N // p, orbits.lengths, orbits.start, orbits.perp_id)
-              for p in divisors(N) if is_prime(p)]
+    levels = [_components_at(N // p, orbits) for p in divisors(N) if is_prime(p)]
 
     # minimality: probe every level with the smallest member of each
     # component, and mark the root found there when its component is larger
@@ -711,35 +769,26 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
         for nodes in groups:
             first = next(level.members(nodes[:1]))
             for other, _ in levels:
-                root = other.parent[other.node_of[first]]
+                root = other.root[other.node(first)]
                 if ((other.M, root) not in marked
                         and other.sizes[root] > level.sizes[nodes[0]]
-                        and other.holds(root, level.members(nodes))):
+                        and other.holds(root, array("i", level.members(nodes)))):
                     marked.add((other.M, root))
 
     found, earlier, proper = [], [], divisors(N)[:-1]
     for level, groups in levels:
-        M, ms = level.M, divisors(level.M)
         for nodes in groups:
             first = next(level.members(nodes[:1]))
             # member 0 is the zero subspace, so its component is the {0, full-space} pair
-            if (M, nodes[0]) in marked or (first == 0 and not include_trivial):
+            if (level.M, nodes[0]) in marked or (first == 0 and not include_trivial):
                 continue
-            oids, ss = level.quasi_orbits(nodes)
-            gs = list(map(level.g.__getitem__, oids))
-            quasi = set(zip(oids, ss))
-            # m0: the first divisor of M whose shift maps the quasi orbits
-            # (orbit, s) onto themselves; M itself always does
-            m0 = next(m for m in ms
-                      if quasi.issuperset(zip(oids, map(mod, map(add, ss, repeat(m)), gs))))
+            moduli, orbit_count = level.read_out(nodes, proper)
             # closed under an earlier maximal modulus: one component there,
             # read there, or a union of several, not minimal
-            if any(E % m0 == 0 for E in earlier):
+            if any(E % moduli[0] == 0 for E in earlier):
                 continue
-            moduli = tuple(m for m in proper if m % m0 == 0)
-            # the m0-quasi orbits, (orbit, s mod gcd(m0, g))
-            coarse = set(zip(oids, map(mod, ss, map(gcd, repeat(m0), gs))))
+            oids = map(level.node_oid.__getitem__, nodes)
             dims = tuple(sorted(set(map(orbits.dims.__getitem__, oids))))
-            found.append((moduli, len(coarse), first, dims, array("i", level.members(nodes))))
-        earlier.append(M)
+            found.append((moduli, orbit_count, first, dims, array("i", level.members(nodes))))
+        earlier.append(level.M)
     return found

@@ -387,7 +387,7 @@ def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     """The m-quasi orbit of V."""
     field = V.field
     check_modulus(field, m)
-    rec = orbit_record(field, V.bits, V.dim)
+    rec = orbit_record(field, V.bits, V.dim, m)
     g = gcd(m, rec.length)
     L = rec.length // g
     # L steps of m must close the walk -- sanity-check the formula

@@ -312,7 +312,7 @@ class CyclicOrbitRecord(Record):
         return 0 if g >= self.length else self.min_by_step[g]
 
 
-def orbit_record(field: FieldSpec, bits: int, k: int) -> CyclicOrbitRecord:
+def orbit_record(field: FieldSpec, bits: int, k: int, m: int = None) -> CyclicOrbitRecord:
     """The record of the cyclic orbit of the k-subspace bits, with bits as rep_bits.
 
     The orbit is walked without listing its D members.  Its overlaps
@@ -321,14 +321,17 @@ def orbit_record(field: FieldSpec, bits: int, k: int) -> CyclicOrbitRecord:
     j = g, 2g, ... of the cyclic orbit, so its internal minimum distance
     comes from the largest overlap among them, overlap[g:D:g].  min_by_step
     keeps that distance for every g | D with g < D, and an m-quasi orbit
-    reads it at g = gcd(m, D).
+    reads it at g = gcd(m, D).  Given m, min_by_step keeps only that step,
+    the one an m-quasi orbit reads.
     """
     t, D = stabilizer(field, bits)
     min_by_step = {}
     if D > 1:           # D = 1 (the zero subspace and the full space) has no steps
         overlap = cyclic_overlaps(field, bits, bits)
-        min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k)
-                       for g in _steps(D)}
+        steps = _steps(D)
+        if m is not None:
+            steps = [g for g in steps if g == gcd(m, D)]
+        min_by_step = {g: 2 * k - 2 * meet_dim(field.q, overlap[g:D:g], k) for g in steps}
     return CyclicOrbitRecord(bits, D, t, min_by_step)
 
 

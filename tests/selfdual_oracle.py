@@ -10,11 +10,18 @@ Its hits are OracleHit records, each holding the SubspaceCode it checked.
 complement_pairs is the pairing self_dual_search made while it held every
 subspace's bitset: each word found its complement's member id in a dict
 from bitset to id.
+
+components_at is one level of the maximal-moduli search as it was while
+each level kept a member -> node map (node_of) and its union-find parent
+list for the whole search, and read_out reads a component's moduli and
+quasi-orbit count from sets of (orbit, s) tuples, as that search did.
 """
 
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
+from operator import add, le, mod
 
 from orbitcodes.codes import SubspaceCode, gaussian_coefficient, is_quasi_cyclic, is_self_dual
 from orbitcodes.errors import ResourceLimit, VerificationFailed
@@ -177,3 +184,73 @@ def self_dual_search(field, max_space: int = 1 << 21,
         hits.append(hit)
     hits.sort(key=lambda h: (not h.constant_dimension, h.code.size, h.m))
     return hits
+
+
+@dataclass
+class OracleLevel:
+    """The quasi orbits at one maximal modulus M, with their member -> node map.
+
+    Member j of cyclic orbit oid has id start[oid] + j; its quasi orbit s,
+    with g = gcd(M, orbit size), is node offset[oid] + s.  node_of maps each
+    member id to its node, parent each node to its root, its smallest node,
+    and sizes each root to its component's number of members.
+    """
+
+    M: int
+    g: list
+    offset: list
+    node_oid: array
+    node_of: array
+    parent: list
+    sizes: dict
+
+
+def components_at(M: int, sizes: list, perp_id) -> tuple:
+    """(OracleLevel of modulus M, its components as arrays of ascending nodes)."""
+    g = [gcd(M, size) for size in sizes]
+    offset = [0, *accumulate(g)]
+    node_oid = array("i", [oid for oid, gi in enumerate(g) for _ in range(gi)])
+    node_of = array("i")
+    for oid, size in enumerate(sizes):
+        node_of += array("i", range(offset[oid], offset[oid + 1])) * (size // g[oid])
+    ids = range(len(perp_id))
+    left = compress(ids, map(le, ids, perp_id))
+    right = compress(perp_id, map(le, ids, perp_id))
+    parent = list(range(offset[-1]))
+    for a, b in zip(map(node_of.__getitem__, left), map(node_of.__getitem__, right)):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups = {}
+    for x, r in enumerate(parent):
+        parent[x] = r = parent[r]
+        if r == x:
+            groups[x] = array("i", (x,))
+        else:
+            groups[r].append(x)
+    node_size = [size // gi for size, gi in zip(sizes, g)]
+    comp_size = {r: sum(node_size[node_oid[x]] for x in nodes) for r, nodes in groups.items()}
+    level = OracleLevel(M, g, offset, node_oid, node_of, parent, comp_size)
+    return level, list(groups.values())
+
+
+def read_out(level: OracleLevel, nodes, proper: list) -> tuple:
+    """(moduli, m0-quasi-orbit count) of a component, from sets of (orbit, s).
+
+    m0 is the first divisor of M whose shift maps the quasi orbits
+    (orbit, s) onto themselves; the m0-quasi orbits are the distinct
+    (orbit, s mod gcd(m0, g)).
+    """
+    oids = [level.node_oid[x] for x in nodes]
+    ss = [x - level.offset[oid] for x, oid in zip(nodes, oids)]
+    gs = [level.g[oid] for oid in oids]
+    quasi = set(zip(oids, ss))
+    m0 = next(m for m in divisors(level.M)
+              if quasi.issuperset(zip(oids, map(mod, map(add, ss, repeat(m)), gs))))
+    coarse = set(zip(oids, map(mod, ss, map(gcd, repeat(m0), gs))))
+    return tuple(m for m in proper if m % m0 == 0), len(coarse)

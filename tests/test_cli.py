@@ -380,6 +380,14 @@ def test_bound_takes_a_prime_power_q(capsys):
     assert code == 0 and out.strip() == "17"
 
 
+@pytest.mark.parametrize("argv", ["bound --n 4 --d 100 --k 2", "bound --n 4 --d 4 --k 0"],
+                         ids=["d-above-2k", "k-0"])
+def test_bound_above_the_largest_distance_is_one_word(capsys, argv):
+    """Two k-subspaces are at most 2 min(k, n - k) apart, so only a one-word code fits."""
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and out.strip() == "1" and err == ""
+
+
 UNWRITABLE_OUTPUT = {
     "classify --db": lambda out, db: ["classify", "--n", "5", "--k", "2", "--db", out],
     "classify --checkpoint": lambda out, db: ["classify", "--n", "5", "--k", "2",
@@ -616,11 +624,14 @@ SELFDUAL_STDOUT_SHA256 = {
 # Bound on the peak resident set of a child running `selfdual --n 8`, read
 # from its own VmHWM.  The child peaked at about 104 MB while the search held
 # every subspace's bitset and a dict over them, at about 40 MB once it held
-# member ids, and at about 33 MB since components hold their nodes as arrays
-# (CPython 3.11, either format).  The bound leaves about 12 MB for run-to-run
-# noise and the interpreter versions the tests run on (only 3.11 measured),
-# so it fails on a return to word sets, not on a rise of a few MB.
-SELFDUAL_N8_PEAK_MB = 45
+# member ids, and at about 33 MB while each union-find level kept its member
+# -> node map and parent list for the whole search.  With one level's map
+# alive at a time it peaks at 24.5-24.8 MB on CPython 3.10, 27.5-28.5 MB on
+# 3.11 and 26.2-26.9 MB on 3.12 (either format; 29.6, 33.5-33.8 and 31.9 MB
+# before).  The bound is at least 2 MB above each of these, so on 3.11 and
+# 3.12 it fails on a return to keeping every level's scaffolding, not on
+# run-to-run noise.
+SELFDUAL_N8_PEAK_MB = 31
 
 # runs the CLI, then reports its own peak from /proc/self/status on stderr;
 # ru_maxrss would not do, as a child's starts at its parent's high-water mark

@@ -413,6 +413,23 @@ def test_orbit_of_every_modulus_matches_oracle(name):
                 assert_orbit_of_matches(V, m)
 
 
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_orbit_of_reads_the_full_record_at_its_step(name):
+    """orbit_of asks orbit_record for the one step gcd(m, D) it reads; its
+    min_dist is the full record's at that step, for every rep and every m."""
+    field = field_of(name)
+    N = field.group_order
+    for k in range(field.n + 1):
+        for rec in cyclic_orbit_data(field, k):
+            full = orbit_record(field, rec.rep_bits, k)
+            V = from_bits(field, rec.rep_bits)
+            for m in divisors(N):
+                g = gcd(m, full.length)
+                one = orbit_record(field, rec.rep_bits, k, m)
+                assert one.min_by_step == {s: d for s, d in full.min_by_step.items() if s == g}
+                assert orbit_of(V, m).min_dist == full.min_dist_for_step(g)
+
+
 @pytest.mark.parametrize("m", [1, 3, 7, 9, 21])
 def test_inter_orbit_distance_all_pairs_f64(m):
     field = field_of("F2^6")

@@ -6,10 +6,11 @@ from bisect import bisect_right
 import pytest
 
 from orbitcodes import codes, construct, from_bits, make_field, self_dual_search
-from orbitcodes.construct import _complement_pairs, _OrbitTable
+from orbitcodes.construct import _complement_pairs, _components_at, _OrbitTable
 from orbitcodes.errors import VerificationFailed
+from orbitcodes.gfext import is_prime
 from orbitcodes.orbits import cyclic_orbit_data
-from orbitcodes.subspace import orbit_bits
+from orbitcodes.subspace import divisors, orbit_bits
 from tests import selfdual_oracle as oracle
 
 # (q, n, poly): poly None takes the default; others are primitive, constant term first
@@ -64,6 +65,36 @@ def test_complement_pairs_matches_oracle(name):
 @pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
 def test_complement_pairs_matches_oracle_extended(name):
     assert_same_pairs(make_field(*EXTENDED_FIELDS[name]))
+
+
+def assert_same_levels(field):
+    """At every maximal modulus, the components and their read-outs match the oracle's."""
+    orbits = _OrbitTable(field)
+    orbits.perp_id = _complement_pairs(field, orbits)
+    N = field.group_order
+    proper = divisors(N)[:-1]
+    for M in (N // p for p in divisors(N) if is_prime(p)):
+        level, groups = _components_at(M, orbits)
+        ref, ref_groups = oracle.components_at(M, orbits.lengths, orbits.perp_id)
+        assert list(map(list, groups)) == list(map(list, ref_groups)), f"M={M}"
+        assert list(level.root) == ref.parent
+        assert list(map(level.node, range(len(orbits.perp_id)))) == list(ref.node_of)
+        for nodes in groups:
+            moduli, orbit_count = level.read_out(nodes, proper)
+            ref_moduli, ref_count = oracle.read_out(ref, nodes, proper)
+            assert level.sizes[nodes[0]] == ref.sizes[nodes[0]]
+            assert (moduli[0], moduli, orbit_count) == (ref_moduli[0], ref_moduli, ref_count)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_levels_match_oracle(name):
+    assert_same_levels(make_field(*FIELDS[name]))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
+def test_levels_match_oracle_extended(name):
+    assert_same_levels(make_field(*EXTENDED_FIELDS[name]))
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
