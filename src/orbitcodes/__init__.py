@@ -27,18 +27,16 @@ _EXPORTS = {
         "self_dual_search", "write_dimacs",
     ),
     "errors": ("OrbitCodesError", "ResourceLimit"),
-    "gfext": ("FieldElement", "FieldSpec", "default_poly", "gaussian_coefficient",
-              "make_field", "parse_poly"),
+    "gfext": ("FieldSpec", "default_poly", "gaussian_coefficient", "make_field",
+              "parse_poly"),
     "orbits": (
         "CensusTable", "Checkpoint", "ConjectureVerdict", "Orbit", "RunBudget",
-        "classify", "conjecture_check", "enumerate_orbits", "orbit_members",
-        "orbit_min_distance", "orbit_of", "read_orbit_db", "stabilizer_degree",
-        "write_orbit_db",
+        "classify", "conjecture_check", "enumerate_orbits", "orbit_of",
+        "read_orbit_db", "write_orbit_db",
     ),
     "subspace": (
-        "Subspace", "canonical_rotation", "distance", "from_bits",
-        "from_exponents", "full_space", "intersect", "orthogonal_complement",
-        "shift", "span", "zero_subspace",
+        "Subspace", "distance", "from_bits", "from_exponents",
+        "orthogonal_complement", "shift", "span",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

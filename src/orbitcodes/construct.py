@@ -11,9 +11,10 @@ the m-quasi orbits of its rep's t-subspaces.  So each orbit is keyed by the
 smallest members of those t-orbits, an index from key to vertices gives
 every conflict at O(orbits x [k, t]_q) cost, and the graph is the
 complement of the conflicts.  inter_orbit_distance reads the distance of
-one pair from a correlation instead.  The
-self-dual search pairs every subspace with its orthogonal complement and
-reads off the connected components of that pairing at the quasi-orbit
+one pair from a correlation instead.
+
+The self-dual search pairs every subspace with its orthogonal complement
+and reads off the connected components of that pairing at the quasi-orbit
 level: each component is a self-dual m-quasi-cyclic code.  The minimal
 ones are all components at a maximal proper divisor (q^n-1)/p, so the
 union-find runs only at those moduli.  Each minimal component is read at
@@ -702,10 +703,11 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
 def _union_find(g: list, offset: list, sizes: list, perp_id: array) -> list:
     """The root of each node's component in the complement pairing, as a list.
 
-    Node offset[oid] + s is quasi orbit s < g[oid] of orbit oid.  node_of, the member -> node map the loop reads, lives only for this
-    call.  The union-find links the larger root under the smaller, so every
-    parent precedes its child and one ascending pass sets each node to its
-    root; each pair (i, perp_id[i]) is read once, at i <= perp_id[i].
+    Node offset[oid] + s is quasi orbit s < g[oid] of orbit oid.  node_of,
+    the member -> node map the loop reads, lives only for this call.  The
+    union-find links the larger root under the smaller, so every parent
+    precedes its child and one ascending pass sets each node to its root;
+    each pair (i, perp_id[i]) is read once, at i <= perp_id[i].
     """
     node_of = array("i")
     for oid, size in enumerate(sizes):

@@ -25,10 +25,6 @@ class NoDefault(OrbitCodesError):
     pass
 
 
-class ZeroInverse(OrbitCodesError):
-    pass
-
-
 class NotASubspace(OrbitCodesError):
     pass
 

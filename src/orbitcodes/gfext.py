@@ -11,7 +11,6 @@ the coefficient of x^i (base-q digits, so plain bits when q = 2).
 from __future__ import annotations
 
 from array import array
-from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -21,7 +20,6 @@ from .errors import (
     NotPrimitive,
     ParseError,
     TooLarge,
-    ZeroInverse,
 )
 
 # Largest supported multiplicative group; log/antilog tables are dense.
@@ -170,29 +168,6 @@ class _ExpBits(dict):
     def __missing__(self, v: int) -> int:
         bit = self[v] = 1 << self.log[v]
         return bit
-
-
-class FieldElement(namedtuple("FieldElement", "field exp")):
-    """Either zero (exp is None) or gamma^exp."""
-
-    __slots__ = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exp is None
-
-    @property
-    def coords(self) -> tuple:
-        """Coordinate vector over F_q in the polynomial basis."""
-        f = self.field
-        packed = 0 if self.exp is None else f.antilog[self.exp]
-        return f.unpack_coords(packed)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.add(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.mul(self, other)
 
 
 class FieldSpec:
@@ -357,52 +332,6 @@ class FieldSpec:
             return None
         masks = [self.perp_mask(r) for r in self.antilog]
         return masks + masks
-
-    # -- elements ----------------------------------------------------------
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, None)
-
-    def element(self, exp: int) -> FieldElement:
-        if not 0 <= exp < self.group_order:
-            raise ValueError(f"exponent {exp} out of range [0, {self.group_order})")
-        return FieldElement(self, exp)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def from_coords(self, digits) -> FieldElement:
-        packed = self.pack_coords(digits)
-        if packed == 0:
-            return self.zero()
-        return FieldElement(self, self.log[packed])
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check_same(a, b)
-        if a.is_zero:
-            return b
-        if b.is_zero:
-            return a
-        packed = self.coord_add(self.antilog[a.exp], self.antilog[b.exp])
-        if packed == 0:
-            return self.zero()
-        return FieldElement(self, self.log[packed])
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check_same(a, b)
-        if a.is_zero or b.is_zero:
-            return self.zero()
-        return FieldElement(self, (a.exp + b.exp) % self.group_order)
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        if a.is_zero:
-            raise ZeroInverse("zero has no multiplicative inverse")
-        return FieldElement(self, (-a.exp) % self.group_order)
-
-    def _check_same(self, a: FieldElement, b: FieldElement) -> None:
-        if a.field is not self or b.field is not self:
-            if a.field != self or b.field != self:
-                raise ValueError("elements belong to different fields")
 
     # -- identity ----------------------------------------------------------
 

@@ -267,7 +267,9 @@ class Checkpoint:
     starts after the last index.
     Format 2 numbered the candidates of q > 2 in another order, and format 1
     listed the orbits in another order.  A torn last line, left by a
-    run stopped mid-write, is cut off on load.
+    run stopped mid-write, is cut off on load, but only after the header
+    matches; a file that does not start with a checkpoint header is
+    refused and left as it is.
     """
 
     def __init__(self, path, flush_every: int = 256):
@@ -286,18 +288,18 @@ class Checkpoint:
             data = b""
         except OSError as exc:
             raise ParseError(f"cannot read checkpoint {self.path}: {exc}") from None
-        complete = data[:data.rfind(b"\n") + 1]
-        if len(complete) < len(data):
-            os.truncate(self.path, len(complete))
-        lines = complete.decode(errors="replace").splitlines()
-        if not lines:
-            self._buf.append(json.dumps(header))
-            return [], 0
         where = f"checkpoint {self.path}"
-        first = _json_line(lines[0], f"{where} line 1")
+        line_1, newline, _ = data.partition(b"\n")
+        # the file is checked before any of it is cut: only an empty or torn
+        # header, or the torn tail after a matching one, is dropped
+        first = header
+        if newline or not json.dumps(header).encode().startswith(line_1):
+            first = _json_line(line_1.decode(errors="replace"), f"{where} line 1")
         if first != header:
-            old = first.get("checkpoint") if isinstance(first, dict) else None
-            if isinstance(first, dict) and "min_by_class" in first:
+            if not isinstance(first, dict) or not {"checkpoint", "min_by_class"} & set(first):
+                raise ParseError(f"{where} is not a checkpoint: line 1 is no checkpoint header")
+            old = first.get("checkpoint")
+            if "min_by_class" in first:
                 what = "holds records in the older min_by_class format"
             elif type(old) is int and 0 < old < CHECKPOINT_FORMAT:
                 what = (f"is in the older checkpoint format {old}, whose "
@@ -307,6 +309,13 @@ class Checkpoint:
             raise CheckpointMismatch(
                 f"{where} {what}, not for (q={field.q}, n={field.n}, "
                 f"poly={list(field.poly)}, k={k}); delete it to start over")
+        complete = data[:data.rfind(b"\n") + 1]
+        if len(complete) < len(data):
+            os.truncate(self.path, len(complete))
+        lines = complete.decode(errors="replace").splitlines()
+        if not lines:
+            self._buf.append(json.dumps(header))
+            return [], 0
         records, last_idx, end = [], -1, candidate_count(field, k)
         for lineno, line in enumerate(lines[1:], 2):
             rec = _json_line(line, f"{where} line {lineno}")
@@ -378,11 +387,6 @@ def _json_line(line: str, where: str):
 # -- public operations -----------------------------------------------------------
 
 
-def stabilizer_degree(V: Subspace) -> int:
-    """Largest t | n whose subfield multiplicative group fixes V."""
-    return stabilizer(V.field, V.bits)[0]
-
-
 def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     """The m-quasi orbit of V."""
     field = V.field
@@ -396,16 +400,6 @@ def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     rep, _ = min_member(field, V.bits, m)
     return Orbit(field, m, from_bits(field, rep), L, V.dim, rec.min_dist_for_step(g),
                  rec.stab_degree)
-
-
-def orbit_min_distance(O: Orbit) -> int:
-    """Minimum distance within the orbit (0 for singletons)."""
-    return O.min_dist
-
-
-def orbit_members(O: Orbit) -> list:
-    """All subspaces of the orbit, starting at the representative."""
-    return [from_bits(O.field, b) for b in orbit_bits(O.field, O.rep.bits, O.m)]
 
 
 def enumerate_orbits(field: FieldSpec, k: int, m: int = 1):

@@ -94,7 +94,7 @@ from .errors import (
     FieldMismatch,
     NotASubspace,
 )
-from .gfext import FieldElement, FieldSpec
+from .gfext import FieldSpec
 from .records import Record
 
 
@@ -373,14 +373,6 @@ class Subspace(namedtuple("Subspace", "field bits dim")):
         """Sorted exponents of the nonzero elements."""
         return exponents_of(self.bits)
 
-    def contains_exp(self, e: int) -> bool:
-        return bool((self.bits >> e) & 1)
-
-    def __contains__(self, elt: FieldElement) -> bool:
-        if elt.is_zero:
-            return True
-        return self.contains_exp(elt.exp)
-
     def __repr__(self) -> str:
         exps = self.exponents
         body = ",".join(map(str, exps)) if len(exps) <= 16 else f"{len(exps)} elements"
@@ -533,46 +525,25 @@ def from_bits(field: FieldSpec, bits: int) -> Subspace:
     return Subspace(field, bits, dimension_from_popcount(bits.bit_count(), field.q))
 
 
-def span(field: FieldSpec, vectors) -> Subspace:
-    """Smallest subspace containing the given field elements."""
+def span(field: FieldSpec, exps) -> Subspace:
+    """Smallest subspace containing gamma^e for each exponent e of exps."""
     bits = 0
-    for v in vectors:
-        if isinstance(v, FieldElement):
-            if v.is_zero:
-                continue
-            v = v.exp
-        elif not 0 <= v < field.group_order:
-            raise ExponentOutOfRange(f"exponent {v} out of range")
-        bits |= 1 << v
+    for e in exps:
+        if not 0 <= e < field.group_order:
+            raise ExponentOutOfRange(f"exponent {e} out of range")
+        bits |= 1 << e
     if not bits:
         raise AllZero("span needs at least one nonzero vector")
     basis, _, bits = _basis_span(field, bits)
     return Subspace(field, bits, len(basis))
 
 
-def zero_subspace(field: FieldSpec) -> Subspace:
-    return Subspace(field, 0, 0)
-
-
-def full_space(field: FieldSpec) -> Subspace:
-    return Subspace(field, (1 << field.group_order) - 1, field.n)
-
-
 # -- operations ---------------------------------------------------------------
-
-
-def dimension(V: Subspace) -> int:
-    return V.dim
 
 
 def _check_field(U: Subspace, V: Subspace) -> None:
     if U.field != V.field:
         raise FieldMismatch("subspaces live in different fields")
-
-
-def intersect(U: Subspace, V: Subspace) -> Subspace:
-    _check_field(U, V)
-    return from_bits(U.field, U.bits & V.bits)
 
 
 def distance(U: Subspace, V: Subspace) -> int:
@@ -658,17 +629,3 @@ def orbit_complements(field: FieldSpec, bits: int, dim: int, D: int) -> list:
         comps = list(map(and_, comps, _masks_from(field, b, D)))
     return comps
 
-
-def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
-    """Canonical representative of V's m-quasi orbit and the rotation reaching it.
-
-    The representative is the rotation of V by a multiple of m with the
-    smallest bitset integer value; it is shared by every orbit member.  The
-    rotation is the least one, so it is below lcm(m, D), the span of the
-    orbit's m-steps, D its cyclic orbit length.
-    """
-    field = V.field
-    check_modulus(field, m)
-    best, s = min_member(field, V.bits, m)
-    _, D = stabilizer(field, V.bits)
-    return Subspace(field, best, V.dim), s % (m * D // gcd(m, D))

@@ -565,6 +565,31 @@ def test_checkpoint_of_the_zero_subspace_and_the_full_space(tmp_path, capsys, k)
     assert open(ck).read().splitlines() == lines
 
 
+@pytest.mark.parametrize("content", [b'{"not": "a checkpoint"}', b"first line\nlast line"],
+                         ids=["json-without-newline", "text-with-torn-last-line"])
+def test_checkpoint_path_to_another_file_is_refused_and_kept(tmp_path, capsys, content):
+    """A file that does not start with a checkpoint header is neither cut nor
+    overwritten, even when it does not end in a newline."""
+    path = tmp_path / "notes.json"
+    path.write_bytes(content)
+    result = run(capsys, "classify", "--n", "5", "--k", "2", "--checkpoint", str(path))
+    assert_one_line_error(result, 2)
+    assert path.read_bytes() == content
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_checkpoint_with_a_torn_last_record_resumes(tmp_path, capsys):
+    """The torn record is cut off, the run resumes after the last whole one,
+    and the file ends as the uninterrupted run's does."""
+    argv = ("classify", "--n", "6", "--k", "3", "--checkpoint")
+    whole = run(capsys, *argv, str(tmp_path / "whole.jsonl"))
+    lines = (tmp_path / "whole.jsonl").read_text().splitlines(keepends=True)
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text("".join(lines[:6]) + lines[6][:len(lines[6]) // 2])
+    assert run(capsys, *argv, str(ck)) == whole
+    assert ck.read_text().splitlines(keepends=True) == lines
+
+
 @pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_rep_that_is_not_the_smallest_member_is_refused(tmp_path, capsys):
     from orbitcodes.subspace import rotate_bits

@@ -14,12 +14,12 @@ from orbitcodes import (
     distance,
     enumerate_orbits,
     find_cliques,
+    from_bits,
     from_exponents,
     inter_orbit_distance,
     load_code_file,
     make_field,
     min_distance,
-    orbit_members,
     orbit_of,
     read_dimacs,
     self_dual_search,
@@ -30,7 +30,7 @@ from orbitcodes import (
 from orbitcodes.construct import CliqueResult
 from orbitcodes.errors import FieldMismatch, ResourceLimit, SameOrbit, VerificationFailed
 from orbitcodes.orbits import RunBudget
-from orbitcodes.subspace import divisors
+from orbitcodes.subspace import divisors, orbit_bits
 from tests.conftest import data_path
 from tests.orbit_oracle import pairwise_graph
 
@@ -63,8 +63,8 @@ def test_inter_orbit_distance_matches_all_pairs(f64):
     for A, B in itertools.combinations(orbits, 2):
         if A.rep.bits == B.rep.bits:
             continue
-        naive = min(distance(a, b)
-                    for a in orbit_members(A) for b in orbit_members(B))
+        naive = min(distance(from_bits(f64, a), from_bits(f64, b))
+                    for a in orbit_bits(f64, A.rep.bits) for b in orbit_bits(f64, B.rep.bits))
         assert inter_orbit_distance(A, B) == naive
         assert inter_orbit_distance(B, A) == naive  # symmetry
 

@@ -1,6 +1,8 @@
-"""Each CLI call loads only the modules its command uses, and the package
-loads its submodules on first use."""
+"""Each CLI call loads only the modules its command uses, the package loads
+its submodules on first use, and no source module imports a name it never
+reads."""
 
+import ast
 import importlib
 import json
 import os
@@ -87,7 +89,7 @@ def test_import_loads_no_submodule():
     assert [m for m in json.loads(proc.stdout) if m.startswith("orbitcodes")] == ["orbitcodes"]
 
 
-# every name the package exported when it imported its submodules eagerly
+# every name the package exports, with a submodule it also imports from
 EXPORTED = {
     "codes": ["SubspaceCode", "code_from_generators", "code_from_words", "dualize",
               "dump_code_file", "etzion_vardy_bound", "gaussian_coefficient",
@@ -97,14 +99,19 @@ EXPORTED = {
                   "build_graph", "find_cliques", "inter_orbit_distance", "read_dimacs",
                   "self_dual_search", "write_dimacs"],
     "errors": ["OrbitCodesError", "ResourceLimit"],
-    "gfext": ["FieldElement", "FieldSpec", "default_poly", "make_field", "parse_poly"],
+    "gfext": ["FieldSpec", "default_poly", "make_field", "parse_poly"],
     "orbits": ["CensusTable", "Checkpoint", "ConjectureVerdict", "Orbit", "RunBudget",
-               "classify", "conjecture_check", "enumerate_orbits", "orbit_members",
-               "orbit_min_distance", "orbit_of", "read_orbit_db", "stabilizer_degree",
-               "write_orbit_db"],
-    "subspace": ["Subspace", "canonical_rotation", "distance", "from_bits",
-                 "from_exponents", "full_space", "intersect", "orthogonal_complement",
-                 "shift", "span", "zero_subspace"],
+               "classify", "conjecture_check", "enumerate_orbits", "orbit_of",
+               "read_orbit_db", "write_orbit_db"],
+    "subspace": ["Subspace", "distance", "from_bits", "from_exponents",
+                 "orthogonal_complement", "shift", "span"],
+}
+
+# names the package no longer exports, by the module that defined them
+REMOVED = {
+    "gfext": ["FieldElement"],
+    "orbits": ["orbit_members", "orbit_min_distance", "stabilizer_degree"],
+    "subspace": ["canonical_rotation", "full_space", "intersect", "zero_subspace"],
 }
 
 
@@ -123,3 +130,39 @@ def test_package_exports_and_lists_the_same_names():
     assert orbitcodes.__version__ == "1.0.0"
     with pytest.raises(AttributeError):
         orbitcodes.no_such_name
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in REMOVED.items()
+                                          for n in names])
+def test_removed_name_does_not_import(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from orbitcodes import {name}", {})
+    assert not hasattr(importlib.import_module(f"orbitcodes.{module}"), name)
+
+
+def _unused_imports(path: str) -> list:
+    """The names a module imports and never reads, by its syntax tree.
+
+    A name counts as read when it appears as a bare name anywhere in the
+    module, annotations included; `from __future__` imports are skipped.
+    """
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+SOURCES = sorted(f for f in os.listdir(os.path.join(SRC, "orbitcodes")) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_module_reads_every_name_it_imports(source):
+    assert _unused_imports(os.path.join(SRC, "orbitcodes", source)) == []

@@ -13,17 +13,14 @@ from orbitcodes import (
     conjecture_check,
     distance,
     enumerate_orbits,
+    from_bits,
     from_exponents,
-    full_space,
     make_field,
-    orbit_members,
     orbit_of,
     read_orbit_db,
     shift,
     span,
-    stabilizer_degree,
     write_orbit_db,
-    zero_subspace,
 )
 from orbitcodes.codes import gaussian_coefficient
 from orbitcodes.errors import BadModulus, ResourceLimit, VerificationFailed
@@ -33,7 +30,7 @@ from orbitcodes.orbits import (
     candidate_count,
     cyclic_orbit_data,
 )
-from orbitcodes.subspace import divisors
+from orbitcodes.subspace import divisors, orbit_bits, stabilizer
 from tests.orbit_oracle import (
     naive_orbit_length,
     passes_wrap_gap_bound,
@@ -73,7 +70,7 @@ def test_candidates_count_and_uniqueness(q, n, k):
 def test_candidates_cover_brute_force():
     f = make_field(2, 5)
     expected = {V.bits for V in brute_subspaces(f, 2)
-                if V.contains_exp(0) and passes_wrap_gap_bound(f, 2, V.bits)}
+                if V.bits & 1 and passes_wrap_gap_bound(f, 2, V.bits)}
     assert {bits for _, bits in _iter_candidates(f, 2)} == expected
 
 
@@ -87,7 +84,7 @@ def test_orbit_length_law_brute_force_all_m():
         N = f.group_order
         for k in (1, 2):
             for V in brute_subspaces(f, k):
-                t = stabilizer_degree(V)
+                t, _ = stabilizer(f, V.bits)
                 for m in divisors(N):
                     assert naive_orbit_length(V, m) == quasi_length_formula(f, t, m)
 
@@ -96,7 +93,7 @@ def test_uncorrected_length_formula_fails_on_witness():
     """The n=8, m=3 spread orbit: naive (1/m)D is not even an integer."""
     f = make_field(2, 8)
     V = from_exponents(f, range(0, 255, 17))  # subfield F_16, t = 4
-    t = stabilizer_degree(V)
+    t, _ = stabilizer(f, V.bits)
     assert t == 4
     D = f.group_order // (2 ** t - 1)
     assert D == 17
@@ -109,7 +106,7 @@ def test_orbit_of_basic(f64):
     V = from_exponents(f64, range(0, 63, 9))  # subfield F_8
     O = orbit_of(V, 1)
     assert (O.length, O.k, O.stab_degree, O.min_dist) == (9, 3, 3, 6)
-    members = orbit_members(O)
+    members = [from_bits(f64, b) for b in orbit_bits(f64, O.rep.bits, O.m)]
     assert len({W.bits for W in members}) == 9
     # all-pairs oracle for the internal minimum distance
     assert min(distance(a, b) for a, b in itertools.combinations(members, 2)) == 6
@@ -118,7 +115,7 @@ def test_orbit_of_basic(f64):
 def test_orbit_min_dist_matches_all_pairs(f32):
     for V in list(brute_subspaces(f32, 2))[:25]:
         O = orbit_of(V, 1)
-        members = orbit_members(O)
+        members = [from_bits(f32, b) for b in orbit_bits(f32, O.rep.bits, O.m)]
         if len(members) > 1:
             naive = min(distance(a, b)
                         for a, b in itertools.combinations(members, 2))
@@ -137,7 +134,7 @@ def test_enumerate_orbits_partitions_grassmannian(f16):
             orbits = list(enumerate_orbits(f16, k, m))
             seen = set()
             for O in orbits:
-                ms = {W.bits for W in orbit_members(O)}
+                ms = set(orbit_bits(f16, O.rep.bits, O.m))
                 assert len(ms) == O.length
                 assert not (ms & seen)
                 seen |= ms
@@ -149,7 +146,8 @@ def test_enumerate_orbits_partitions_grassmannian(f16):
 def test_zero_and_full_space_through_the_candidate_walk(q, n, ms):
     """k = 0 and k = n each have one orbit, of length 1, for every m."""
     field = make_field(q, n)
-    for k, V in ((0, zero_subspace(field)), (n, full_space(field))):
+    full = (1 << field.group_order) - 1
+    for k, V in ((0, from_bits(field, 0)), (n, from_bits(field, full))):
         for m in ms:
             assert list(enumerate_orbits(field, k, m)) == [Orbit(field, m, V, 1, k, 0, n)]
             table = classify(field, k, m)
@@ -164,8 +162,8 @@ def test_quasi_orbits_refine_cyclic_orbits(f64):
     for m in (3, 7, 9, 21):
         Om = orbit_of(V, m)
         assert Om.length == O1.length // __import__("math").gcd(m, O1.length)
-        cyclic_members = {W.bits for W in orbit_members(O1)}
-        assert {W.bits for W in orbit_members(Om)} <= cyclic_members
+        cyclic_members = set(orbit_bits(f64, O1.rep.bits, 1))
+        assert set(orbit_bits(f64, Om.rep.bits, m)) <= cyclic_members
 
 
 # -- censuses -----------------------------------------------------------------------

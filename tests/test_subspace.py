@@ -10,13 +10,11 @@ from orbitcodes import (
     distance,
     from_bits,
     from_exponents,
-    full_space,
-    intersect,
     make_field,
+    orbit_of,
     orthogonal_complement,
     shift,
     span,
-    zero_subspace,
 )
 from orbitcodes import subspace
 from orbitcodes.codes import gaussian_coefficient
@@ -30,8 +28,8 @@ from orbitcodes.errors import (
 )
 from orbitcodes.subspace import (
     _basis_span,
-    canonical_rotation,
     dimension_from_popcount,
+    min_member,
     rotate_bits,
     subspaces_of,
 )
@@ -96,7 +94,7 @@ def test_span_matches_from_exponents(f16):
 
 
 def test_zero_and_full_space(f16):
-    z, f = zero_subspace(f16), full_space(f16)
+    z, f = from_bits(f16, 0), from_bits(f16, (1 << 15) - 1)
     assert z.dim == 0 and f.dim == 4
     assert distance(z, f) == 4
     assert orthogonal_complement(z).bits == f.bits
@@ -136,8 +134,7 @@ def test_distance_against_rank_oracle(f32):
 def test_intersection_is_and(f16):
     U = from_exponents(f16, [0, 1, 4])
     V = from_exponents(f16, [1, 2, 5])
-    W = intersect(U, V)
-    assert W.bits == U.bits & V.bits
+    W = from_bits(f16, U.bits & V.bits)
     assert W.dim == 1 and W.exponents == (1,)
 
 
@@ -206,7 +203,7 @@ def test_subspaces_of_lists_every_t_subspace_once(q, n, poly):
     rng = random.Random(q * 100 + n)
     for size in range(n + 1):
         V = span(field, rng.sample(range(field.group_order), size)) if size \
-            else zero_subspace(field)
+            else from_bits(field, 0)
         k, exps = V.dim, V.exponents
         for t in range(k + 2):
             listed = list(subspaces_of(field, V.bits, t))
@@ -258,23 +255,21 @@ def test_subspaces_of_order_matches_echelon_oracle(q, n, poly):
 
 
 def test_canonical_rotation(f16):
+    """The smallest member of an orbit, and a shift by a multiple of m reaching it."""
     U = from_exponents(f16, [3, 4, 7])
-    rep1, off1 = canonical_rotation(U, 1)
-    # representative is reached from U by off and is minimal over the orbit
-    assert shift(U, off1).bits == rep1.bits
-    for j in range(15):
-        assert rep1.bits <= shift(U, j).bits
-    # quasi version only ranges over multiples of m
-    rep3, off3 = canonical_rotation(U, 3)
-    assert off3 % 3 == 0
-    assert min(shift(U, j).bits for j in range(0, 15, 3)) == rep3.bits
+    rep1, off1 = min_member(f16, U.bits, 1)
+    assert shift(U, off1).bits == rep1
+    assert rep1 == min(shift(U, j).bits for j in range(15))
+    rep3, off3 = min_member(f16, U.bits, 3)
+    assert off3 % 3 == 0 and shift(U, off3).bits == rep3
+    assert rep3 == min(shift(U, j).bits for j in range(0, 15, 3))
 
 
 def test_canonical_rotation_bad_modulus(f16):
     U = from_exponents(f16, [3, 4, 7])
     for m in (0, 4, 16):
         with pytest.raises(BadModulus):
-            canonical_rotation(U, m)
+            orbit_of(U, m)
 
 
 @given(st.integers(0, (1 << 15) - 1), st.integers(-40, 40))
@@ -289,7 +284,7 @@ def test_span_idempotent_f32(exps):
     f = make_field(2, 5)
     V = span(f, exps)
     assert span(f, V.exponents).bits == V.bits
-    assert all(V.contains_exp(e) for e in exps)
+    assert all(V.bits >> e & 1 for e in exps)
 
 
 # -- _basis_span and its callers against the RREF oracle ---------------------
