@@ -13,7 +13,6 @@ orbit census or the construction modules.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
@@ -48,29 +47,13 @@ def _budget_from_args(args):
 
 
 def _emit(args, payload: dict, text: str):
+    """Print payload through records.write_json under --format json, else text."""
     if args.format == "json":
-        print(json.dumps(payload, indent=1))
+        from .records import write_json
+        write_json(sys.stdout.write, payload)
+        print()
     else:
         print(text)
-
-
-def _stream_json(head: dict, lists: dict):
-    """Print head followed by lists, as print(json.dumps(..., indent=1)) would.
-
-    head is a non-empty dict; each value of lists is an iterable of items,
-    each a string already laid out two levels down, built, written and
-    dropped in turn, so the document is never held whole.
-    """
-    write = sys.stdout.write
-    write(json.dumps(head, indent=1)[:-2])          # all but the closing "\n}"
-    for key, items in lists.items():
-        write(f",\n {json.dumps(key)}: ")
-        sep = "[\n  "
-        for item in items:
-            write(sep + item)
-            sep = ",\n  "
-        write("[]" if sep == "[\n  " else "\n ]")
-    write("\n}\n")
 
 
 # -- classify ---------------------------------------------------------------------
@@ -140,22 +123,17 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from .codes import verify_code_file
     report = verify_code_file(args.file)
-    if args.format == "json":
-        print(json.dumps(report, indent=1))
+    dims = report["dims"]
+    if len(dims) == 1:
+        params = [report["field"]["n"], dims[0], report["size"], report["min_dist"]]
     else:
-        dims = report["dims"]
-        if len(dims) == 1:
-            params = [report["field"]["n"], dims[0], report["size"], report["min_dist"]]
-        else:
-            params = [report["field"]["n"], report["size"], report["min_dist"]]
-        line = str(params) + (" OK" if report["matches_claim"] else "")
-        if report.get("optimal"):
-            line += ", meets bound with equality (optimal)"
-        elif report.get("bound") is not None:
-            line += f", bound {report['bound']}"
-        print(line)
-        for note in report["notes"]:
-            print("note:", note)
+        params = [report["field"]["n"], report["size"], report["min_dist"]]
+    line = str(params) + (" OK" if report["matches_claim"] else "")
+    if report.get("optimal"):
+        line += ", meets bound with equality (optimal)"
+    elif report.get("bound") is not None:
+        line += f", bound {report['bound']}"
+    _emit(args, report, "\n".join([line] + [f"note: {note}" for note in report["notes"]]))
     if report["matches_claim"] is False:
         print("error: the computed parameters contradict the claim", file=sys.stderr)
         return EXIT_MISMATCH
@@ -241,55 +219,38 @@ def cmd_clique(args) -> int:
         payload["params"] = list(code.params())
         payload["representatives"] = [sorted(G.orbits[i].rep.exponents)
                                       for i in best.vertices]
-    if args.format == "json":
-        print(json.dumps(payload, indent=1))
-    else:
-        line = f"clique size {best.size} ({'certified' if best.certified else 'heuristic'})"
-        if "params" in payload:
-            line += f", code {payload['params']}"
-        print(line)
+    line = f"clique size {best.size} ({'certified' if best.certified else 'heuristic'})"
+    if "params" in payload:
+        line += f", code {payload['params']}"
+    _emit(args, payload, line)
     return EXIT_OK
 
 
 # -- self-dual / conjecture -----------------------------------------------------------
 
 
-# the layout json.dumps(..., indent=1) gives the items of cmd_selfdual's two
-# lists, two levels down; their lists are written by codes.json_list
-_PRIMARY_HIT_JSON = '{{\n   "m": {},\n   "params": {},\n   "words": {}\n  }}'
-_OTHER_HIT_JSON = ('{{\n   "m": {},\n   "size": {},\n   "dims": {},\n'
-                   '   "orbit_count": {},\n   "constant_dimension": {}\n  }}')
-
-
-def _primary_hit_json(hit) -> str:
-    """A primary hit as _stream_json lays it out: m, params and its words."""
-    from .codes import exponent_lists_json, json_list
-    from .subspace import exponents_of
-    params = json_list(("null" if p is None else str(p) for p in hit.params()), 3)
-    words = exponent_lists_json(map(exponents_of, hit.words), 3)
-    return _PRIMARY_HIT_JSON.format(hit.m, params, words)
-
-
-def _other_hit_json(hit) -> str:
-    """A further minimal hit as _stream_json lays it out, without its words."""
-    from .codes import json_list
-    return _OTHER_HIT_JSON.format(hit.m, hit.size, json_list(map(str, hit.dims), 3),
-                                  hit.orbit_count,
-                                  "true" if hit.constant_dimension else "false")
-
-
 def cmd_selfdual(args) -> int:
     from .construct import self_dual_search
+    from .records import write_json
+    from .subspace import exponents_of
     field = _field_from_args(args)
     hits = self_dual_search(field)
     primary, others = [], []
     for h in hits:
         (primary if h.constant_dimension and h.single_generator else others).append(h)
     if args.format == "json":
-        _stream_json({"q": args.q, "n": args.n}, {
-            "constant_dimension_single_generator": map(_primary_hit_json, primary),
-            "other_minimal": map(_other_hit_json, others),
+        # each hit's item is built, written and dropped in turn
+        write_json(sys.stdout.write, {
+            "q": args.q, "n": args.n,
+            "constant_dimension_single_generator": (
+                {"m": h.m, "params": h.params(), "words": map(exponents_of, h.words)}
+                for h in primary),
+            "other_minimal": (
+                {"m": h.m, "size": h.size, "dims": h.dims, "orbit_count": h.orbit_count,
+                 "constant_dimension": h.constant_dimension}
+                for h in others),
         })
+        print()
     else:
         print(f"self-dual quasi-cyclic codes in P_{args.q}({args.n}):")
         for h in primary:

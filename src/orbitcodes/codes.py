@@ -18,7 +18,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gfext import FieldSpec, gaussian_coefficient, make_field
-from .records import Record
+from .records import Record, write_json
 from .subspace import (
     check_modulus,
     dimension_from_popcount,
@@ -308,44 +308,21 @@ def load_code_file(path) -> CodeFile:
     return CodeFile(field, m, generators, claimed)
 
 
-def json_list(items, indent: int) -> str:
-    """A JSON list of items as json.dumps(..., indent=1) lays it out.
-
-    items are the elements already written as JSON, each laid out for a
-    list whose closing bracket sits indent spaces in.
-    """
-    pad = "\n" + " " * indent
-    items = list(items)
-    return f"[{pad} " + f",{pad} ".join(items) + f"{pad}]" if items else "[]"
-
-
-def exponent_lists_json(exponent_lists, indent: int) -> str:
-    """A list of exponent lists as json.dumps(..., indent=1) lays it out.
-
-    indent is how far in the list's closing bracket sits.  The lists are
-    joined here directly; json.dumps with an indent would run its
-    pure-Python encoder over every exponent.
-    """
-    return json_list((json_list(map(str, exps), indent + 1) for exps in exponent_lists),
-                     indent)
-
-
 def dump_code_file(path, field: FieldSpec, m: int, generators,
                    claimed: dict | None = None) -> None:
-    """Write a code file as json.dump(doc, indent=1) lays it out, plus a newline.
+    """Write a code file through records.write_json, plus a newline.
 
     generators are Subspaces or their bitsets; their exponent lists, nearly
-    all of the file, are written by exponent_lists_json.
+    all of the file, are written one at a time.
     """
-    doc = {"field": {"q": field.q, "n": field.n, "poly": list(field.poly)},
-           "m": m, "generators": []}
+    doc = {"field": {"q": field.q, "n": field.n, "poly": list(field.poly)}, "m": m,
+           "generators": (exponents_of(g) if isinstance(g, int) else g.exponents
+                          for g in generators)}
     if claimed:
         doc["claimed"] = claimed
-    head, tail = json.dumps(doc, indent=1).split('"generators": []', 1)
-    body = exponent_lists_json((exponents_of(g) if isinstance(g, int) else g.exponents
-                                for g in generators), 1)
     with open(path, "w") as fh:
-        fh.write(f'{head}"generators": {body}{tail}\n')
+        write_json(fh.write, doc)
+        fh.write("\n")
 
 
 def verify_code_file(path) -> dict:

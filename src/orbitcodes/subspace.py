@@ -373,6 +373,12 @@ class Subspace(namedtuple("Subspace", "field bits dim")):
         """Sorted exponents of the nonzero elements."""
         return exponents_of(self.bits)
 
+    def __contains__(self, e) -> bool:
+        """Whether gamma^e is in the subspace; only 0 <= e < q^n - 1 can be."""
+        if not isinstance(e, int):
+            raise TypeError(f"a subspace holds exponents (int), not {type(e).__name__}")
+        return 0 <= e < self.field.group_order and bool(self.bits >> e & 1)
+
     def __repr__(self) -> str:
         exps = self.exponents
         body = ",".join(map(str, exps)) if len(exps) <= 16 else f"{len(exps)} elements"

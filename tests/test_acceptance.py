@@ -7,7 +7,6 @@ opt-in: add ``-m extended`` (or set RUN_EXTENDED=1) to include it.
 
 import itertools
 import json
-import math
 import os
 import random
 import resource

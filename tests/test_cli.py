@@ -160,13 +160,14 @@ def test_bad_poly_term_is_a_parse_error(capsys):
 
 def test_dualize_round_trip(tmp_path, capsys):
     d1 = str(tmp_path / "dual.json")
-    d2 = str(tmp_path / "dual2.json")
+    d2 = tmp_path / "dual2.json"
     code, _, _ = run(capsys, "dualize", data_path("cyclic_n5k2.json"), "-o", d1)
     assert code == 0
-    code, _, _ = run(capsys, "dualize", d1, "-o", d2)
+    code, _, _ = run(capsys, "dualize", d1, "-o", str(d2))
     assert code == 0
-    orig = json.load(open(data_path("cyclic_n5k2.json")))
-    back = json.load(open(d2))
+    with open(data_path("cyclic_n5k2.json")) as fh:
+        orig = json.load(fh)
+    back = json.loads(d2.read_text())
     from orbitcodes import from_exponents, make_field
     from orbitcodes.codes import code_from_generators
     f = make_field(2, 5)
@@ -488,12 +489,12 @@ def test_clique_defaults_are_d4_and_seed0(tmp_path, capsys):
 def test_checkpoint_for_another_poly_is_refused(tmp_path, capsys):
     from orbitcodes import make_field
     from orbitcodes.orbits import Checkpoint, cyclic_orbit_data
-    ck = str(tmp_path / "ck.jsonl")
-    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(ck))
-    before = open(ck).read()
+    ck = tmp_path / "ck.jsonl"
+    cyclic_orbit_data(make_field(2, 6), 3, checkpoint=Checkpoint(str(ck)))
+    before = ck.read_text()
     assert_one_line_error(run(capsys, "classify", "--n", "6", "--k", "3",
-                              "--checkpoint", ck, "--poly", "x^6+x+1"), 3)
-    assert open(ck).read() == before
+                              "--checkpoint", str(ck), "--poly", "x^6+x+1"), 3)
+    assert ck.read_text() == before
 
 
 def _checkpoint_lines(path):
@@ -555,14 +556,14 @@ def test_checkpoint_cand_that_does_not_increase_is_refused(tmp_path, capsys, edi
 @pytest.mark.parametrize("k", [0, 6])
 def test_checkpoint_of_the_zero_subspace_and_the_full_space(tmp_path, capsys, k):
     """k = 0 and k = n write a checkpoint like any other k, and resume from it."""
-    ck = str(tmp_path / "ck.jsonl")
-    argv = ("classify", "--n", "6", "--k", str(k), "--checkpoint", ck)
+    ck = tmp_path / "ck.jsonl"
+    argv = ("classify", "--n", "6", "--k", str(k), "--checkpoint", str(ck))
     first = run(capsys, *argv)
     assert first[0] == 0 and "mass 1 = " in first[1]
-    lines = open(ck).read().splitlines()
+    lines = ck.read_text().splitlines()
     assert len(lines) == 2 and json.loads(lines[1])["cand"] == 0
     assert run(capsys, *argv) == first
-    assert open(ck).read().splitlines() == lines
+    assert ck.read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize("content", [b'{"not": "a checkpoint"}', b"first line\nlast line"],
@@ -697,38 +698,6 @@ def test_selfdual_stdout_is_pinned(capsys, n, fmt):
     if peak_mb is None:
         pytest.skip("no /proc/self/status: the child's peak RSS is not measured")
     assert peak_mb < SELFDUAL_N8_PEAK_MB
-
-
-class FakeHit:
-    """What cmd_selfdual's JSON items read of a hit."""
-
-    def __init__(self, m, params, words, size, dims, orbit_count, constant_dimension):
-        self.m, self._params, self.words = m, params, words
-        self.size, self.dims, self.orbit_count = size, dims, orbit_count
-        self.constant_dimension = constant_dimension
-
-    def params(self):
-        return self._params
-
-
-@pytest.mark.parametrize("hit", [
-    FakeHit(5, (4, 2, 2, 4), (0b11, 0b1100), 2, (2,), 1, True),
-    FakeHit(1, (3, 1, 1, None), (0b1,), 1, (1,), 1, True),
-    FakeHit(21, (6, 14, 2), (0b1, 0b11 << 40, 1 << 62), 14, (1, 3, 5), 3, False),
-], ids=["two-words", "no-distance", "mixed"])
-def test_selfdual_json_items_are_laid_out_as_json_dumps(hit):
-    """The templates give what json.dumps(item, indent=1) gave, two levels down."""
-    from orbitcodes.cli import _other_hit_json, _primary_hit_json
-    from orbitcodes.subspace import exponents_of
-
-    def nested(item):
-        return json.dumps(item, indent=1).replace("\n", "\n  ")
-    assert _primary_hit_json(hit) == nested(
-        {"m": hit.m, "params": list(hit.params()),
-         "words": [list(exponents_of(w)) for w in hit.words]})
-    assert _other_hit_json(hit) == nested(
-        {"m": hit.m, "size": hit.size, "dims": list(hit.dims),
-         "orbit_count": hit.orbit_count, "constant_dimension": hit.constant_dimension})
 
 
 @pytest.mark.extended

@@ -1,6 +1,6 @@
 """Each CLI call loads only the modules its command uses, the package loads
-its submodules on first use, and no source module imports a name it never
-reads."""
+its submodules on first use, and no source or test module imports a name it
+never reads."""
 
 import ast
 import importlib
@@ -160,9 +160,14 @@ def _unused_imports(path: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
-SOURCES = sorted(f for f in os.listdir(os.path.join(SRC, "orbitcodes")) if f.endswith(".py"))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+# the package's modules by file name, the test modules as tests/<file name>
+SOURCES = {**{f: os.path.join(SRC, "orbitcodes", f)
+              for f in sorted(os.listdir(os.path.join(SRC, "orbitcodes"))) if f.endswith(".py")},
+           **{f"tests/{f}": os.path.join(TESTS, f)
+              for f in sorted(os.listdir(TESTS)) if f.endswith(".py")}}
 
 
 @pytest.mark.parametrize("source", SOURCES)
 def test_module_reads_every_name_it_imports(source):
-    assert _unused_imports(os.path.join(SRC, "orbitcodes", source)) == []
+    assert _unused_imports(SOURCES[source]) == []

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from orbitcodes import (
-    CensusTable,
     Checkpoint,
     RunBudget,
     classify,
@@ -18,12 +17,11 @@ from orbitcodes import (
     make_field,
     orbit_of,
     read_orbit_db,
-    shift,
     span,
     write_orbit_db,
 )
 from orbitcodes.codes import gaussian_coefficient
-from orbitcodes.errors import BadModulus, ResourceLimit, VerificationFailed
+from orbitcodes.errors import BadModulus, ResourceLimit
 from orbitcodes.orbits import (
     Orbit,
     _iter_candidates,

@@ -101,6 +101,19 @@ def test_zero_and_full_space(f16):
     assert orthogonal_complement(f).bits == 0
 
 
+def test_in_tests_exponent_membership(f16):
+    V = from_exponents(f16, [0, 1, 4])
+    assert 4 in V and 0 in V and 1 in V
+    assert 2 not in V           # V.dim, which tuple membership would find
+    assert 0 not in from_bits(f16, 0)
+    assert -1 not in V and 15 not in V and 15 not in from_bits(f16, (1 << 15) - 1)
+    assert -1 not in from_bits(f16, (1 << 15) - 1)
+    with pytest.raises(TypeError):
+        f16 in V
+    with pytest.raises(TypeError):
+        "4" in V
+
+
 def test_grassmannian_sizes_small():
     f = make_field(2, 4)
     for k in range(5):
