@@ -2,8 +2,8 @@
 
 import json
 
-from hypothesis import given, settings, strategies as st
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes.records import write_json
 
