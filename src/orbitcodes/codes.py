@@ -25,10 +25,8 @@ from .subspace import (
     exponents_of,
     from_bits,
     from_exponents,
-    min_member,
     orbit_bits,
     orbit_distance,
-    orbit_length,
     orbit_record,
     rotate_bits,
 )
@@ -71,6 +69,8 @@ class SubspaceCode(Record):
     read; size, dims, the distances and the duality checks read bitsets.
     is_self_dual and is_quasi_cyclic read a code through word_keys,
     complement_keys and shifted_keys, which name its words by bitset.
+    provenance, from code_from_generators, is (m, ((generator, orbit size),
+    ...)), one entry per generator, duplicates included.
     """
 
     _fields = ("field", "words", "provenance", "duplicate_generators")
@@ -79,7 +79,7 @@ class SubspaceCode(Record):
                  duplicate_generators: tuple = ()):
         self.field = field
         self.bitsets = frozenset(bitsets)          # of word bitsets
-        self.provenance = provenance               # ((generator Subspace, m), ...) or None
+        self.provenance = provenance               # (m, ((generator, orbit size), ...)) or None
         self.duplicate_generators = duplicate_generators  # generators whose orbit repeated
 
     def _astuple(self) -> tuple:
@@ -136,7 +136,7 @@ def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
     check_modulus(field, m)
     bitsets = set()
     duplicates = []
-    provenance = []
+    orbits = []
     for idx, gen in enumerate(generators):
         if gen.field != field:
             raise FieldMismatch("generator belongs to a different field")
@@ -144,8 +144,8 @@ def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
         if not bitsets.isdisjoint(members):
             duplicates.append(idx)
         bitsets.update(members)
-        provenance.append((gen, m))
-    return SubspaceCode(field, bitsets, tuple(provenance), tuple(duplicates))
+        orbits.append((gen, len(members)))
+    return SubspaceCode(field, bitsets, (m, tuple(orbits)), tuple(duplicates))
 
 
 def code_from_words(field: FieldSpec, words) -> SubspaceCode:
@@ -177,10 +177,12 @@ def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
 
 
 def min_distance(C: SubspaceCode) -> int:
-    """Exact minimum distance; orbit-based when provenance is available."""
+    """Exact minimum distance: orbit by orbit when the provenance has an orbit
+    of two or more words, else word by word, one AND per pair of words (as
+    for the one-word orbits of every code file dualize writes)."""
     if C.size < 2:
         raise TooSmall("minimum distance needs at least two codewords")
-    if C.provenance:
+    if C.provenance and any(size > 1 for _, size in C.provenance[1]):
         return _min_distance_orbits(C)
     return _min_distance_all_pairs(C)
 
@@ -204,30 +206,23 @@ def _min_distance_all_pairs(C: SubspaceCode) -> int:
 def _min_distance_orbits(C: SubspaceCode) -> int:
     """Shift identity: only orbit-vs-shifted-orbit comparisons are needed.
 
-    Each orbit's internal distance is its cyclic orbit record's at step
-    gcd(m, D) (orbit_record), and each pair of orbits is compared by
-    orbit_distance from one generator to the other's orbit.
+    The orbits are the provenance's less C.duplicate_generators.  The
+    internal distance of an orbit of two or more words is its cyclic orbit
+    record's at step gcd(m, D) (orbit_record), and each pair of orbits is
+    compared by orbit_distance from one generator to the other's orbit.
     """
     field = C.field
-    orbits = []
-    seen = set()
-    for gen, m in C.provenance:
-        name = min_member(field, gen.bits, m)[0]
-        if name in seen:
-            continue  # duplicate orbit
-        seen.add(name)
-        orbits.append((gen.dim, gen.bits, m))
+    m, generators = C.provenance
+    duplicates = set(C.duplicate_generators)
+    orbits = [(gen.dim, gen.bits, size) for idx, (gen, size) in enumerate(generators)
+              if idx not in duplicates]
     dists = []
-    for i, (ka, a, m) in enumerate(orbits):
-        rec = orbit_record(field, a, ka, m)
-        g = gcd(m, rec.length)
-        if g < rec.length:
-            dists.append(rec.min_dist_for_step(g))
-        # generators of one code share a modulus
+    for i, (ka, a, size) in enumerate(orbits):
+        if size > 1:
+            rec = orbit_record(field, a, ka, m)
+            dists.append(rec.min_dist_for_step(gcd(m, rec.length)))
         for kb, b, _ in orbits[i + 1:]:
             dists.append(orbit_distance(field, a, ka, b, kb, m))
-    if not dists:
-        raise TooSmall("code has a single orbit of length 1")
     return min(dists)
 
 
@@ -330,7 +325,7 @@ def verify_code_file(path) -> dict:
     cf = load_code_file(path)
     field = cf.field
     code = code_from_generators(field, cf.m, cf.generators)
-    orbit_sizes = [orbit_length(field, g.bits, cf.m) for g in cf.generators]
+    orbit_sizes = [size for _, size in code.provenance[1]]
     d = min_distance(code) if code.size >= 2 else None
     report = {
         "field": {"q": field.q, "n": field.n, "poly": list(field.poly)},

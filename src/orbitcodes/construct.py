@@ -44,7 +44,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gfext import FieldSpec, gaussian_coefficient, is_prime
-from .orbits import Orbit, RunBudget, cyclic_orbit_data
+from .orbits import Orbit, RunBudget, cyclic_orbit_data, numbered_lines
 from .records import Record
 from .subspace import (
     divisors,
@@ -152,13 +152,13 @@ def build_graph(orbits, d: int) -> CompatGraph:
 
 
 def write_dimacs(G: CompatGraph, path) -> None:
-    """Export in DIMACS edge-list format for external solvers."""
-    edges = [(i + 1, j + 1) for i in range(G.n_vertices)
-             for j in range(i + 1, G.n_vertices) if (G.adj[i] >> j) & 1]
+    """Export in DIMACS edge-list format for external solvers, one vertex's
+    edges at a time: the edge list is never held whole."""
     with open(path, "w") as fh:
-        fh.write(f"p edge {G.n_vertices} {len(edges)}\n")
-        for i, j in edges:
-            fh.write(f"e {i} {j}\n")
+        fh.write(f"p edge {G.n_vertices} {sum(map(int.bit_count, G.adj)) // 2}\n")
+        for i, row in enumerate(G.adj, 1):
+            bits = bin(row)[:1:-1]          # bits[j] == "1" iff vertex j + 1 is adjacent
+            fh.write("".join(f"e {i} {j + 1}\n" for j in range(i, len(bits)) if bits[j] == "1"))
 
 
 # One adjacency bitmask per vertex is allocated from the p line alone, so the
@@ -167,19 +167,14 @@ MAX_DIMACS_VERTICES = 1 << 20
 
 
 def read_dimacs(path):
-    """Read a DIMACS edge list; returns (n_vertices, adjacency bitmasks).
+    """Read a DIMACS edge list, line by line; returns (n_vertices, adjacency bitmasks).
 
     A missing or unreadable file, a missing or repeated p line, a vertex
     count above MAX_DIMACS_VERTICES, or an edge that is malformed, names
     a vertex outside 1..n or is a self-loop is a ParseError.
     """
     n, adj = None, []
-    try:
-        with open(path) as fh:
-            lines = list(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read DIMACS file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in numbered_lines(path, "DIMACS file"):
         parts = line.split()
         if not parts or parts[0] not in ("p", "e"):
             continue

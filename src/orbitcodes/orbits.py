@@ -519,22 +519,27 @@ def write_orbit_db(orbits, path) -> int:
     return count
 
 
-def read_orbit_db(path, field: FieldSpec | None = None) -> list:
-    """Read an orbit database; all records must share one field spec.
-
-    An unreadable file, a line that is not an orbit record, or a record from
-    another field than the first (or than field, when given) is a ParseError.
-    So is a record whose rep is not a subspace, is not the canonical
-    representative of its orbit, or disagrees with orbit_of on the orbit's
-    k, length, min_dist or stab_degree: every record is recomputed.
-    """
+def numbered_lines(path, what: str):
+    """(number from 1, line) of each line of a text file, read one at a time;
+    a file that cannot be opened or decoded is a ParseError naming it as what."""
     try:
         with open(path) as fh:
-            lines = list(fh)
+            yield from enumerate(fh, 1)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read orbit db {path}: {exc}") from None
-    out = []
-    for lineno, line in enumerate(lines, 1):
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_orbit_db(path) -> list:
+    """Read an orbit database, line by line; all records must share one field spec.
+
+    An unreadable file, a line that is not an orbit record, or a record from
+    another field than the first is a ParseError.  So is a record whose rep
+    is not a subspace, is not the canonical representative of its orbit, or
+    disagrees with orbit_of on the orbit's k, length, min_dist or
+    stab_degree: every record is recomputed.
+    """
+    field, out = None, []
+    for lineno, line in numbered_lines(path, "orbit db"):
         line = line.strip()
         if not line:
             continue

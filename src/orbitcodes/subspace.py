@@ -155,12 +155,6 @@ def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
     return [(doubled >> s) & mask for s in range(N, N - D // gcd(m, D) * m, -m)]
 
 
-def orbit_length(field: FieldSpec, bits: int, m: int = 1) -> int:
-    """How many members orbit_bits(field, bits, m) lists: D/gcd(m, D)."""
-    _, D = stabilizer(field, bits)
-    return D // gcd(m, D)
-
-
 def min_member(field: FieldSpec, bits: int, m: int = 1) -> tuple:
     """The smallest member of bits' m-quasi orbit and a shift s reaching it.
 

@@ -291,7 +291,8 @@ def min_distance_orbits(C) -> int:
     N, q = field.group_order, field.q
     gens = []
     seen = set()
-    for gen, m in C.provenance:
+    m, orbits = C.provenance
+    for gen, _ in orbits:
         members = expand_orbit_bits(field, gen.bits, m)
         if members[0] in seen:
             continue

@@ -158,6 +158,22 @@ def test_bad_poly_term_is_a_parse_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.extended
+def test_verify_of_a_dualized_file_extended(tmp_path, capsys):
+    """The file dualize writes for example3_n8k4 lists its 4,505 words under
+    m = 255, each a one-word orbit, which verify compares word by word."""
+    out = str(tmp_path / "dual.json")
+    assert run(capsys, "dualize", data_path("example3_n8k4.json"), "-o", out)[0] == 0
+    code, text, _ = run(capsys, "verify", out, "--format", "json")
+    assert code == 0
+    assert json.loads(text) == {
+        "field": {"q": 2, "n": 8, "poly": [1, 0, 1, 1, 1, 0, 0, 0, 1]}, "m": 255,
+        "generators": 4505, "duplicate_generators": [], "orbit_sizes": [1] * 4505,
+        "size": 4505, "dims": [4], "min_dist": 4, "claimed": None,
+        "matches_claim": None, "bound": 6477, "optimal": False, "notes": []}
+    assert run(capsys, "verify", out) == (0, "[8, 4, 4505, 4], bound 6477\n", "")
+
+
 def test_dualize_round_trip(tmp_path, capsys):
     d1 = str(tmp_path / "dual.json")
     d2 = tmp_path / "dual2.json"
@@ -238,6 +254,18 @@ def test_graph_and_clique_pipeline(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["params"][0] == 8 and doc["params"][3] >= 4
     assert len(doc["representatives"]) == doc["size"]
+
+
+# sha256 of the DIMACS file `graph` writes for the n = 8, k = 3, d = 4 orbit
+# graph, taken from the CLI before write_dimacs wrote one vertex at a time
+GRAPH_N8K3_D4_SHA256 = "b7b016626f18e7494a814f717aa0b65854bfc2f476821c1cc26b116d00fc2b34"
+
+
+def test_graph_file_is_pinned(tmp_path, capsys):
+    db, g = tmp_path / "orbits.jsonl", tmp_path / "graph.dimacs"
+    assert run(capsys, "classify", "--n", "8", "--k", "3", "--db", str(db))[0] == 0
+    assert run(capsys, "graph", "--db", str(db), "--d", "4", "-o", str(g))[0] == 0
+    assert hashlib.sha256(g.read_bytes()).hexdigest() == GRAPH_N8K3_D4_SHA256
 
 
 # sha256 of the help texts (stdout) and of the unknown-command error

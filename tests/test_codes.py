@@ -23,10 +23,13 @@ from orbitcodes import (
     make_field,
     min_distance,
     orthogonal_complement,
+    shift,
     span,
     spread_code,
     verify_code_file,
 )
+from orbitcodes import codes
+from orbitcodes.cli import main
 from orbitcodes.errors import (
     BadModulus,
     NotADivisor,
@@ -118,6 +121,32 @@ def test_min_distance_needs_two_words(f16):
     C = code_from_words(f16, [from_exponents(f16, [0, 1, 4])])
     with pytest.raises(TooSmall):
         min_distance(C)
+
+
+def test_provenance_lists_each_generator_with_its_orbit_size(f16):
+    g, h = from_exponents(f16, [0, 1, 4]), from_exponents(f16, [2, 3, 6])
+    C = code_from_generators(f16, 3, [g, h, shift(g, 3)])
+    assert C.provenance == (3, ((g, 5), (h, 5), (shift(g, 3), 5)))
+    assert C.duplicate_generators == (2,) and C.size == 10
+
+
+def test_min_distance_of_one_word_orbits_compares_words(tmp_path, monkeypatch):
+    """dualize writes each word as its own generator under m = q^n - 1, so
+    every orbit of its file is one word: min_distance compares the words and
+    reads no orbit record or correlation."""
+    path = str(tmp_path / "dual.json")
+    assert main(["dualize", data_path("cyclic_n5k2.json"), "-o", path]) == 0
+    cf = load_code_file(path)
+    C = code_from_generators(cf.field, cf.m, cf.generators)
+    assert cf.m == cf.field.group_order and C.size == 31
+    assert {size for _, size in C.provenance[1]} == {1}
+
+    def refuse(*args):
+        raise AssertionError("min_distance took the orbit path")
+
+    monkeypatch.setattr(codes, "orbit_record", refuse)
+    monkeypatch.setattr(codes, "orbit_distance", refuse)
+    assert min_distance(C) == min(distance(a, b) for a, b in itertools.combinations(C.words, 2))
 
 
 def test_mixed_dimension_params(f16):

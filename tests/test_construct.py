@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -184,6 +185,26 @@ def test_dimacs_round_trip(tmp_path, f64):
     write_dimacs(G, path)
     n, adj = read_dimacs(path)
     assert n == G.n_vertices and adj == G.adj
+
+
+def test_dimacs_write_and_read_hold_no_edge_list(tmp_path, f256):
+    """write_dimacs and read_dimacs hold one vertex's edges or one line at a
+    time: on the 10,596 edges of the n = 8, k = 3, d = 4 graph neither
+    allocates 256 KiB at its peak, the adjacency read back included."""
+    G = build_graph(list(enumerate_orbits(f256, 3, 1)), 4)
+    path = str(tmp_path / "g.dimacs")
+    tracemalloc.start()
+    try:
+        write_dimacs(G, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        n, adj = read_dimacs(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == G.n_vertices and adj == G.adj
+    assert sum(map(int.bit_count, adj)) // 2 == 10596
+    assert write_peak < 2**18 and read_peak < 2**18
 
 
 # -- clique search ---------------------------------------------------------------------
