@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 from math import gcd
-from operator import add, and_, eq, le, lt, mod, neg, rshift, sub
+from operator import add, and_, eq, floordiv, lt, mod, mul, ne, neg, not_, or_, rshift, sub
 
 from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
 from .errors import (
@@ -478,16 +479,17 @@ class SelfDualHit(Record):
 # SELFDUAL_HIT_OVERHEAD bytes for each complement pair.  For odd q, -1 fixes
 # every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
 # is a component of its own, and each is a minimal hit: about one hit per two
-# subspaces, where over F_2^n the hits are few and large.  Each union-find
-# level holds its member -> node map and parent list only while its loop
-# runs, and keeps a node -> root array.  On CPython 3.11 a `selfdual` call's
-# own peak (VmHWM) was about 28 MiB over F_2^8 (417,199 subspaces, estimated
-# at 41.7 MB; 33.6 MiB while every level kept its map and parent list) and
-# 32.2 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits,
-# estimated at 48.9 MB; 33.4 MB before, and 40.7 MB while the search kept an
-# object for each distinct component).  The peak grew by about 28 bytes per
-# subspace over F_2^8; over F_3^6 it grew by about 16 MB, most of it the
-# records of the hits.
+# subspaces, where over F_2^n the hits are few and large.  Every union-find
+# runs over one parent array indexed by member, and each level keeps a root
+# array and its components' nodes.  On CPython 3.11 a `selfdual` call's own
+# peak (VmHWM) was about 26.5 MiB over F_2^8 (417,199 subspaces, estimated at
+# 41.7 MB; 27.3 MiB while each level built its own member -> node map and
+# parent list, 33.6 MiB while every level kept them) and 30.4 MiB over F_3^6
+# under x^6+x^5+2 (56,632 subspaces and 28,315 hits, estimated at 48.9 MB;
+# 32.1 MiB before, and 40.7 MB while the search kept an object for each
+# distinct component).  The peak grew by about 27 bytes per subspace over
+# F_2^8; over F_3^6 it grew by about 15 MB, most of it the records of the
+# hits.
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
 SELFDUAL_HIT_OVERHEAD = 800
@@ -519,14 +521,15 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
       m-quasi orbits, so a component at m is a union of components at m'.
       A minimal component is therefore a component at some N/p (p a prime
       factor of N), and the union-find runs only at those moduli, each
-      component named by its root, its smallest quasi orbit;
+      component named by its root, its smallest member;
     - moduli from one level: a set closed under the shifts by m and m' is
       closed under the shift by gcd(m, m') and by every multiple of it, so
       a hit's moduli are exactly the proper divisors of N that its smallest
       modulus m0 divides.  m0 is found at the maximal modulus M the hit is
       read at, by dividing M by each of its primes while the shift still
-      maps the hit's nodes onto nodes of its root, and its m0-quasi orbits
-      are counted from those nodes;
+      maps the hit's nodes onto nodes of its root (one pass over the
+      level's nodes per prime finds the components with m0 = M), and its
+      m0-quasi orbits are counted from those nodes;
     - skip what an earlier level holds: a self-dual set closed under a
       maximal modulus M' is a union of components at M'.  So a component
       at M that is closed under an earlier maximal M' (M' % m0 == 0) is
@@ -544,11 +547,13 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     unless include_trivial is set.
 
     The search holds each cyclic orbit as its representative, the pairing
-    and each hit as arrays of member ids, and each union-find level as
-    arrays over its nodes: the member -> node map and the parent list live
-    only while that level's union-find runs, and the level keeps a node ->
-    root array, so one level's scaffolding is alive at a time.  The pairing
-    is one map perp_id from each member to its complement:
+    and each hit as arrays of member ids, and each level as arrays over its
+    nodes.  The complement pairs i < perp_id[i] are selected once, and each
+    maximal modulus joins them by Rem's union-find over one parent array
+    indexed by member, each member starting under the first member of its
+    quasi orbit; a level keeps a node -> root array and its components'
+    nodes, and reads their member ids in one pass.  The pairing is one map
+    perp_id from each member to its complement:
     orbit_complements complements each orbit's D members at once, and the
     orbit index names each complement's member.  Before any union-find the
     map is checked, the word of every id found against the complement just
@@ -564,7 +569,7 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
     when q is odd, and a ResourceLimit is raised when that exceeds
     max_space, 500 MB by default.  P_2(8) is estimated at 42 MB and P_3(6)
     at 49 MB, against `selfdual` peaks (VmHWM, CPython 3.11) of about
-    28 MiB and 32.2 MiB; P_2(9) (716 MB) and P_3(7) (1.4 GB) are refused.
+    26.5 MiB and 30.4 MiB; P_2(9) (716 MB) and P_3(7) (1.4 GB) are refused.
     """
     from .codes import is_quasi_cyclic
 
@@ -576,42 +581,64 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
 
     orbits = _OrbitTable(field)
     orbits.perp_id = _complement_pairs(field, orbits)
-    hits = []
-    for ms, orbit_count, first, dims, members in _minimal_components(
-            field, orbits, include_trivial):
+    found, hits = _minimal_components(field, orbits, include_trivial), []
+    found.reverse()      # popped in order, each entry dropped once its hit holds it
+    while found:
+        ms, orbit_count, first, dims, members = found.pop()
         hit = SelfDualHit(field, ms[0], ms, orbit_count, dims, members, orbits)
         # both checks read the hit's member ids, through the verified perp_id
         if not is_self_dual(hit):
             raise VerificationFailed("component is not self-dual: internal error")
         if not is_quasi_cyclic(hit, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
-        # ties in (dimension kind, size, m) go by the hit's smallest member id
+        # ties in (dimension kind, size, m) go by the hit's smallest member id;
+        # two hits of one m are two components at the first maximal modulus
+        # m divides, which are disjoint, so no two entries tie on these four
+        # and the sort, with no key list, never compares the hits themselves
         hits.append((not hit.constant_dimension, hit.size, hit.m, first, hit))
-    hits.sort(key=lambda entry: entry[:4])
+    hits.sort()
     return [entry[-1] for entry in hits]
 
 
 class _Level:
-    """The quasi orbits at one maximal modulus M, numbered as union-find nodes.
+    """The quasi orbits at one maximal modulus M, numbered as nodes, and their components.
 
     Member i of cyclic orbit o = orbit_of[i] is member i - start[o] of it;
     its quasi orbit s, the members s, s+g, s+2g, ... with g = g[o] =
-    gcd(M, orbit size), is node offset[o] + s.  A component is named by its
-    root, its smallest node, and is exactly the set of nodes with that root:
-    root maps every node to its root, an array('i'), and sizes maps each
-    root to the component's number of members.  No member -> node map is
-    kept; node and holds compute a member's node from its orbit.  Nodes are
-    read with C-level maps over these sequences.
+    gcd(M, orbit size), is node offset[o] + s.  A component is the set of
+    nodes with its root, its smallest member: root maps each node to its
+    root, an array('i'), sizes each root to the component's number of
+    members, in the order of the roots, and component j is the ascending
+    nodes[bounds[j]:bounds[j + 1]].  No member -> node map is kept: node
+    and holds compute a member's node from its orbit, and a node's orbit
+    is found by bisecting offset.  Nodes are read with C-level maps.
     """
 
-    __slots__ = ("M", "start", "orbit_of", "g", "offset", "node_oid", "root", "sizes")
+    __slots__ = ("M", "start", "orbit_of", "g", "offset", "dim", "root", "sizes", "nodes",
+                 "bounds")
 
-    def __init__(self, M: int, start: list, orbit_of: array, g: list, offset: list,
-                 node_oid: array, root: array, sizes: dict):
-        self.M, self.start, self.orbit_of, self.g, self.offset = M, start, orbit_of, g, offset
-        self.node_oid = node_oid         # node -> its cyclic orbit, array('i')
-        self.root = root                 # node -> its root, array('i')
-        self.sizes = sizes               # root -> members of its component
+    def __init__(self, M: int, orbits: _OrbitTable, root: array):
+        """The level of modulus M whose nodes have the roots _Pairs.roots(M)."""
+        sizes = orbits.lengths
+        self.M, self.start, self.orbit_of, self.root = M, orbits.start, orbits.orbit_of, root
+        self.g = g = [gcd(M, size) for size in sizes]
+        self.offset = offset = [0, *accumulate(g)]
+        self.dim = b"".join(map(mul, map(bytes, zip(orbits.dims)), g))    # node -> dimension
+        # a component's smallest member lies in its smallest node, so the
+        # roots first appear in order; array.append returns None, so any()
+        # runs the whole C-level pass that appends each node to its root's array
+        groups = {r: array("i") for r in dict.fromkeys(root)}
+        any(map(array.append, map(groups.__getitem__, root), range(offset[-1])))
+        weight = _joined(map(mul, map(array, repeat("i"), zip(map(floordiv, sizes, g))), g),
+                         offset[-1])          # node -> its members
+        self.sizes = {r: sum(map(weight.__getitem__, nodes)) for r, nodes in groups.items()}
+        self.nodes = _joined(groups.values(), offset[-1])
+        self.bounds = array("i", accumulate(map(len, groups.values()), initial=0))
+
+    def components(self):
+        """(root, ascending nodes as an array('i')) of each component, in the order of the roots."""
+        return zip(self.sizes, map(self.nodes.__getitem__,
+                                   map(slice, self.bounds, self.bounds[1:])))
 
     def node(self, i: int) -> int:
         """The node of member id i."""
@@ -620,7 +647,7 @@ class _Level:
 
     def quasi_orbits(self, nodes) -> tuple:
         """The nodes as two lists, their orbits and their s."""
-        oids = list(map(self.node_oid.__getitem__, nodes))
+        oids = list(map(sub, map(bisect_right, repeat(self.offset), nodes), repeat(1)))
         return oids, list(map(sub, nodes, map(self.offset.__getitem__, oids)))
 
     def members(self, nodes):
@@ -630,6 +657,19 @@ class _Level:
         return chain.from_iterable(map(range, map(add, map(start.__getitem__, oids), ss),
                                        map(start.__getitem__, map(add, oids, repeat(1))),
                                        map(self.g.__getitem__, oids)))
+
+    def member_ids(self) -> dict:
+        """root -> array('i') of its component's member ids, ascending.
+
+        An orbit's members have its nodes' roots repeated D/g times.
+        """
+        out = {r: array("i") for r in self.sizes}
+        root, offset, start = self.root, self.offset, self.start
+        for o, gi in enumerate(self.g):
+            ids = range(start[o], start[o + 1])
+            any(map(array.append, map(out.__getitem__,
+                                      root[offset[o]:offset[o + 1]] * (len(ids) // gi)), ids))
+        return out
 
     def holds(self, root: int, members) -> bool:
         """True iff every member id lies in the component of root.
@@ -642,7 +682,25 @@ class _Level:
                         map(self.g.__getitem__, oids)))
         return all(map(eq, map(self.root.__getitem__, nodes), repeat(root)))
 
-    def read_out(self, nodes, proper: list) -> tuple:
+    def closable(self) -> bytes:
+        """For each component, in the order of the roots, 1 if some shift by M/p closes it.
+
+        The shift by m rotates each orbit's run of nodes by m, and closes a
+        component when none of its nodes moves to another root.
+        """
+        root, offset, bounds = self.root, self.offset, self.bounds
+        out = bytes(len(bounds) - 1)
+        for p in filter(is_prime, divisors(self.M)):
+            cut = [a + self.M // p % (b - a) for a, b in zip(offset, offset[1:])]
+            image = _joined(chain.from_iterable((root[c:b], root[a:c]) for a, b, c
+                                                in zip(offset, offset[1:], cut)), len(root))
+            moved = bytes(map(ne, image, root))
+            moved = bytes(map(moved.__getitem__, self.nodes))      # in component order
+            runs = map(moved.__getitem__, map(slice, bounds, bounds[1:]))
+            out = bytes(map(or_, out, map(not_, map(bytes.__contains__, runs, repeat(1)))))
+        return out
+
+    def read_out(self, nodes, proper: list, closable: bool) -> tuple:
         """(moduli, m0-quasi-orbit count) of the component with these ascending nodes.
 
         A shift by m | M maps quasi orbit s of orbit o to (s + m) mod g[o],
@@ -650,18 +708,22 @@ class _Level:
         root.  The shifts that close it are the multiples of its smallest
         modulus m0 (a set closed under two shifts is closed under their
         gcd), so m0 is found by dividing M by each of its primes while the
-        closure holds, and the moduli are the m in proper that m0 divides.
-        The component meets each m0-quasi orbit, a class of s mod
-        gcd(m0, g[o]), in all its quasi orbits or none, so it splits into as
-        many m0-quasi orbits as it has nodes with s < gcd(m0, g[o]).
+        closure holds (m0 = M when no M/p closes it, closable false), and
+        the moduli are the m in proper that m0 divides.  The component meets
+        each m0-quasi orbit, a class of s mod gcd(m0, g[o]), in all its
+        quasi orbits or none, so it splits into as many m0-quasi orbits as
+        it has nodes with s < gcd(m0, g[o]).
         """
+        if not closable:
+            return tuple(m for m in proper if m % self.M == 0), len(nodes)
+        root = self.root[nodes[0]]
         oids, ss = self.quasi_orbits(nodes)
         gs = list(map(self.g.__getitem__, oids))
         bases = list(map(self.offset.__getitem__, oids))
 
         def closed(m: int) -> bool:
             shifted = map(add, bases, map(mod, map(add, ss, repeat(m)), gs))
-            return all(map(eq, map(self.root.__getitem__, shifted), repeat(nodes[0])))
+            return all(map(eq, map(self.root.__getitem__, shifted), repeat(root)))
 
         m0 = self.M
         for p in filter(is_prime, divisors(self.M)):
@@ -695,58 +757,85 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
     return perp_id
 
 
-def _union_find(g: list, offset: list, sizes: list, perp_id: array) -> list:
-    """The root of each node's component in the complement pairing, as a list.
+class _Pairs:
+    """The complement pairs {i, perp_id[i]}, i < perp_id[i], that every maximal modulus joins.
 
-    Node offset[oid] + s is quasi orbit s < g[oid] of orbit oid.  node_of,
-    the member -> node map the loop reads, lives only for this call.  The
-    union-find links the larger root under the smaller, so every parent
-    precedes its child and one ascending pass sets each node to its root;
-    each pair (i, perp_id[i]) is read once, at i <= perp_id[i].
+    Ids ascend with dimension, and a k-subspace's complement has dimension
+    n - k, so each id below lo, the first of dimension 2k >= n, is its
+    pair's smaller end; left and right hold the pairs of dimension 2k = n,
+    self-perpendicular members left out.  parent, the union-find forest
+    over the members, is one buffer for every modulus.
     """
-    node_of = array("i")
-    for oid, size in enumerate(sizes):
-        node_of += array("i", range(offset[oid], offset[oid + 1])) * (size // g[oid])
-    ids = range(len(perp_id))
-    left = compress(ids, map(le, ids, perp_id))
-    right = compress(perp_id, map(le, ids, perp_id))
-    parent = list(range(offset[-1]))
-    for a, b in zip(map(node_of.__getitem__, left), map(node_of.__getitem__, right)):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    for x, r in enumerate(parent):
-        parent[x] = parent[r]
-    return parent
+
+    __slots__ = ("lo", "left", "right", "perp_id", "start", "parent")
+
+    def __init__(self, orbits: _OrbitTable):
+        dims, n = orbits.dims, orbits.dims[-1]
+        self.perp_id, self.start = perp_id, start = orbits.perp_id, orbits.start
+        self.lo = lo = start[bisect_left(dims, (n + 1) // 2)]
+        hi = start[bisect_left(dims, n // 2 + 1)]
+        ids, perp = range(lo, hi), perp_id[lo:hi]
+        below = bytes(map(lt, ids, perp))
+        self.left, self.right = array("i", compress(ids, below)), array("i", compress(perp, below))
+        self.parent = array("i", (0,)) * len(perp_id)
+
+    def roots(self, M: int) -> array:
+        """The smallest member of the component of each quasi orbit at modulus M, an array('i').
+
+        Orbit o of size D has g = gcd(M, D) quasi orbits, and quasi orbit
+        s < g holds its members s, s + g, ...  Each member starts under the
+        first member of its quasi orbit, start[o] + s, which stands for it,
+        so the pairs index the forest directly.
+        """
+        parent, lo, start = self.parent, self.lo, self.start
+        stop = list(map(add, start, map(gcd, repeat(M), map(sub, start[1:], start))))
+        for a, b, end in zip(start, stop, start[1:]):
+            parent[a:end] = array("i", range(a, b)) * ((end - a) // (b - a))
+        _union_find(parent, chain(range(lo), self.left),
+                    chain(islice(self.perp_id, lo), self.right))
+        # every parent is a first member, below its child
+        for first in chain.from_iterable(map(range, start, stop)):
+            parent[first] = parent[parent[first]]
+        return _joined(map(parent.__getitem__, map(slice, start, stop)), sum(map(sub, stop, start)))
 
 
-def _components_at(M: int, orbits: _OrbitTable) -> tuple:
-    """The _Level of modulus M and its components.
+def _union_find(parent: array, a, b) -> None:
+    """Join the pairs zip(a, b) in the forest parent, in place, where parent[x] <= x.
 
-    Each component is an array('i') of its ascending nodes, so its first
-    node is its root, and components come in the order of their roots.
+    Rem's algorithm with splicing: the two paths, from the pair's parents,
+    are climbed together, the one at the larger parent first, each node
+    passed spliced onto the other's smaller parent, until the parents meet
+    or a root is linked under a smaller node.  So parent[x] <= x holds, each
+    root is the smallest node of its tree, and one ascending pass sets
+    each node to its root.
     """
-    sizes = orbits.lengths
-    g = [gcd(M, size) for size in sizes]
-    offset = [0, *accumulate(g)]
-    node_oid = array("i", chain.from_iterable(map(repeat, range(len(g)), g)))
-    root = array("i", _union_find(g, offset, sizes, orbits.perp_id))
-    groups = {}          # root -> the component's nodes, array('i')
-    for x, r in enumerate(root):
-        if r == x:
-            groups[x] = array("i", (x,))
-        else:
-            groups[r].append(x)
-    node_size = [size // gi for size, gi in zip(sizes, g)]      # orbit -> members per node
-    comp_size = {r: sum(map(node_size.__getitem__, map(node_oid.__getitem__, nodes)))
-                 for r, nodes in groups.items()}
-    level = _Level(M, orbits.start, orbits.orbit_of, g, offset, node_oid, root, comp_size)
-    return level, list(groups.values())
+    for x, y in zip(a, b):
+        x, y = parent[x], parent[y]
+        px, py = parent[x], parent[y]
+        while px != py:
+            if px > py:
+                parent[x] = py
+                if x == px:
+                    break
+                x, px = px, parent[px]
+            else:
+                parent[y] = px
+                if y == py:
+                    break
+                y, py = py, parent[py]
+
+
+def _joined(parts, size: int) -> array:
+    """The arrays('i') parts end to end, in one array('i') of size entries.
+
+    It is allocated whole: a large array grown piece by piece is moved many
+    times, and the heap keeps the holes.
+    """
+    out, end = array("i", (0,)) * size, 0
+    for part in parts:
+        out[end:end + len(part)] = part
+        end += len(part)
+    return out
 
 
 def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: bool) -> list:
@@ -755,37 +844,48 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
     Each is read at the first maximal modulus it is a component at.
     """
     N = field.group_order
-    levels = [_components_at(N // p, orbits) for p in divisors(N) if is_prime(p)]
+    maximal = [N // p for p in divisors(N) if is_prime(p)]
+    # every union-find first, so that the pairs are gone before any level is grouped
+    pairs = _Pairs(orbits)
+    roots = list(map(pairs.roots, maximal))
+    del pairs
+    levels = list(map(_Level, maximal, repeat(orbits), roots))
+    del roots
 
     # minimality: probe every level with the smallest member of each
-    # component, and mark the root found there when its component is larger
-    # and holds every member of the probing one (at the component's own
-    # level the root found is its own, of the same size)
+    # component, its root, and mark the root found there when its component
+    # is larger and holds every member of the probing one (at the
+    # component's own level the root found is its own, of the same size)
     marked = set()       # (M, root) of every component that holds a smaller one
-    for level, groups in levels:
-        for nodes in groups:
-            first = next(level.members(nodes[:1]))
-            for other, _ in levels:
-                root = other.root[other.node(first)]
+    for level in levels:
+        for r, nodes in level.components():
+            for other in levels:
+                root = other.root[other.node(r)]
                 if ((other.M, root) not in marked
-                        and other.sizes[root] > level.sizes[nodes[0]]
+                        and other.sizes[root] > level.sizes[r]
                         and other.holds(root, array("i", level.members(nodes)))):
                     marked.add((other.M, root))
 
-    found, earlier, proper = [], [], divisors(N)[:-1]
-    for level, groups in levels:
-        for nodes in groups:
-            first = next(level.members(nodes[:1]))
+    # the levels are read last first, each dropped once read, so that one
+    # level's nodes and member arrays are alive at a time
+    found, proper = [], divisors(N)[:-1]
+    shared = {}          # one copy of each moduli and dims tuple
+    while levels:
+        level, hits, members, closable = levels.pop(), [], None, None
+        earlier = maximal[:len(levels)]
+        for j, (r, nodes) in enumerate(level.components()):
             # member 0 is the zero subspace, so its component is the {0, full-space} pair
-            if (level.M, nodes[0]) in marked or (first == 0 and not include_trivial):
+            if (level.M, r) in marked or (r == 0 and not include_trivial):
                 continue
-            moduli, orbit_count = level.read_out(nodes, proper)
+            if members is None:
+                members, closable = level.member_ids(), level.closable()
+            moduli, orbit_count = level.read_out(nodes, proper, closable[j])
             # closed under an earlier maximal modulus: one component there,
             # read there, or a union of several, not minimal
             if any(E % moduli[0] == 0 for E in earlier):
                 continue
-            oids = map(level.node_oid.__getitem__, nodes)
-            dims = tuple(sorted(set(map(orbits.dims.__getitem__, oids))))
-            found.append((moduli, orbit_count, first, dims, array("i", level.members(nodes))))
-        earlier.append(level.M)
+            dims = tuple(sorted(set(map(level.dim.__getitem__, nodes))))
+            hits.append((shared.setdefault(moduli, moduli), orbit_count, r,
+                         shared.setdefault(dims, dims), members[r]))
+        found[:0] = hits
     return found

@@ -15,6 +15,9 @@ components_at is one level of the maximal-moduli search as it was while
 each level kept a member -> node map (node_of) and its union-find parent
 list for the whole search, and read_out reads a component's moduli and
 quasi-orbit count from sets of (orbit, s) tuples, as that search did.
+path_halving_roots is the union-find those levels ran, by path halving,
+before the search selected the complement pairs once and joined them by
+Rem's algorithm.
 """
 
 from array import array
@@ -205,6 +208,29 @@ class OracleLevel:
     sizes: dict
 
 
+def path_halving_roots(count: int, pairs) -> list:
+    """The root of each of count nodes joined by the node pairs, its component's smallest node.
+
+    The union-find the search ran before Rem's algorithm: each end is found
+    by path halving, and the larger root is linked under the smaller, so
+    every parent precedes its child and one ascending pass sets each node
+    to its root.
+    """
+    parent = list(range(count))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x, r in enumerate(parent):
+        parent[x] = parent[r]
+    return parent
+
+
 def components_at(M: int, sizes: list, perp_id) -> tuple:
     """(OracleLevel of modulus M, its components as arrays of ascending nodes)."""
     g = [gcd(M, size) for size in sizes]
@@ -216,19 +242,10 @@ def components_at(M: int, sizes: list, perp_id) -> tuple:
     ids = range(len(perp_id))
     left = compress(ids, map(le, ids, perp_id))
     right = compress(perp_id, map(le, ids, perp_id))
-    parent = list(range(offset[-1]))
-    for a, b in zip(map(node_of.__getitem__, left), map(node_of.__getitem__, right)):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+    parent = path_halving_roots(offset[-1], zip(map(node_of.__getitem__, left),
+                                                map(node_of.__getitem__, right)))
     groups = {}
     for x, r in enumerate(parent):
-        parent[x] = r = parent[r]
         if r == x:
             groups[x] = array("i", (x,))
         else:

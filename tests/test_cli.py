@@ -678,14 +678,15 @@ SELFDUAL_STDOUT_SHA256 = {
 # Bound on the peak resident set of a child running `selfdual --n 8`, read
 # from its own VmHWM.  The child peaked at about 104 MB while the search held
 # every subspace's bitset and a dict over them, at about 40 MB once it held
-# member ids, and at about 33 MB while each union-find level kept its member
-# -> node map and parent list for the whole search.  With one level's map
-# alive at a time it peaks at 24.5-24.8 MB on CPython 3.10, 27.5-28.5 MB on
-# 3.11 and 26.2-26.9 MB on 3.12 (either format; 29.6, 33.5-33.8 and 31.9 MB
-# before).  The bound is at least 2 MB above each of these, so on 3.11 and
-# 3.12 it fails on a return to keeping every level's scaffolding, not on
-# run-to-run noise.
-SELFDUAL_N8_PEAK_MB = 31
+# member ids, at about 33 MB while each union-find level kept its member ->
+# node map and parent list for the whole search, and at 24.0-24.2 MB on
+# CPython 3.10, 27.2-27.3 MB on 3.11 and 26.0-26.1 MB on 3.12 while each
+# level built its own map and parent list.  With the complement pairs
+# selected once and joined over one parent array indexed by member it peaks
+# at 22.4-23.4 MB on 3.10, 26.3-26.6 MB on 3.11 and 24.8 MB on 3.12 (either
+# format).  The bound is at least 2 MB above each of these, so it fails on a
+# return to keeping every level's scaffolding, not on run-to-run noise.
+SELFDUAL_N8_PEAK_MB = 29
 
 # runs the CLI, then reports its own peak from /proc/self/status on stderr;
 # ru_maxrss would not do, as a child's starts at its parent's high-water mark

@@ -2,11 +2,20 @@
 
 from array import array
 from bisect import bisect_right
+from itertools import accumulate, chain, repeat
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes import codes, construct, from_bits, make_field, self_dual_search
-from orbitcodes.construct import _complement_pairs, _components_at, _OrbitTable
+from orbitcodes.construct import (
+    _complement_pairs,
+    _Level,
+    _OrbitTable,
+    _Pairs,
+    _union_find,
+)
 from orbitcodes.errors import VerificationFailed
 from orbitcodes.gfext import is_prime
 from orbitcodes.orbits import cyclic_orbit_data
@@ -67,23 +76,34 @@ def test_complement_pairs_matches_oracle_extended(name):
     assert_same_pairs(make_field(*EXTENDED_FIELDS[name]))
 
 
+def assert_same_level(M, orbits, proper):
+    """The level of modulus M matches the oracle's: components, roots, nodes and read-outs.
+
+    orbits is an _OrbitTable, or anything with its dims, lengths, start,
+    orbit_of and perp_id.
+    """
+    level = _Level(M, orbits, _Pairs(orbits).roots(M))
+    ref, ref_groups = oracle.components_at(M, orbits.lengths, orbits.perp_id)
+    components = list(level.components())
+    assert [list(nodes) for _, nodes in components] == list(map(list, ref_groups)), f"M={M}"
+    # each root is its component's smallest member, the first member of its smallest node
+    assert list(map(level.node, level.root)) == ref.parent
+    assert list(map(level.node, range(len(orbits.perp_id)))) == list(ref.node_of)
+    for (root, nodes), closable in zip(components, level.closable()):
+        assert root == next(level.members(nodes[:1])) == min(level.members(nodes))
+        assert level.sizes[root] == ref.sizes[nodes[0]]
+        moduli, orbit_count = level.read_out(nodes, proper, closable)
+        ref_moduli, ref_count = oracle.read_out(ref, nodes, proper)
+        assert (moduli[0], moduli, orbit_count) == (ref_moduli[0], ref_moduli, ref_count)
+
+
 def assert_same_levels(field):
     """At every maximal modulus, the components and their read-outs match the oracle's."""
     orbits = _OrbitTable(field)
     orbits.perp_id = _complement_pairs(field, orbits)
     N = field.group_order
-    proper = divisors(N)[:-1]
-    for M in (N // p for p in divisors(N) if is_prime(p)):
-        level, groups = _components_at(M, orbits)
-        ref, ref_groups = oracle.components_at(M, orbits.lengths, orbits.perp_id)
-        assert list(map(list, groups)) == list(map(list, ref_groups)), f"M={M}"
-        assert list(level.root) == ref.parent
-        assert list(map(level.node, range(len(orbits.perp_id)))) == list(ref.node_of)
-        for nodes in groups:
-            moduli, orbit_count = level.read_out(nodes, proper)
-            ref_moduli, ref_count = oracle.read_out(ref, nodes, proper)
-            assert level.sizes[nodes[0]] == ref.sizes[nodes[0]]
-            assert (moduli[0], moduli, orbit_count) == (ref_moduli[0], ref_moduli, ref_count)
+    for p in filter(is_prime, divisors(N)):
+        assert_same_level(N // p, orbits, divisors(N)[:-1])
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -95,6 +115,89 @@ def test_levels_match_oracle(name):
 @pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
 def test_levels_match_oracle_extended(name):
     assert_same_levels(make_field(*EXTENDED_FIELDS[name]))
+
+
+# -- the union-find and the levels on random pairings -----------------------------
+
+
+@st.composite
+def node_pairs(draw):
+    """(count, pairs of nodes below count), self-loops and repeated pairs included."""
+    count = draw(st.integers(1, 60))
+    node = st.integers(0, count - 1)
+    return count, draw(st.lists(st.tuples(node, node), max_size=90))
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_pairs())
+def test_union_find_matches_path_halving(case):
+    """Rem's algorithm finds the components path halving found, each root the smallest node."""
+    count, pairs = case
+    parent = array("i", range(count))
+    _union_find(parent, [a for a, _ in pairs], [b for _, b in pairs])
+    for x, r in enumerate(parent):
+        assert r <= x
+        parent[x] = parent[r]
+    assert list(parent) == oracle.path_halving_roots(count, pairs)
+
+
+@st.composite
+def pairings(draw):
+    """(N, an _OrbitTable stand-in of cyclic orbits of sizes dividing N and their pairing).
+
+    As in P_q(n), the orbits come in three dimensions 0, 1 and n = 2:
+    each member of dimension 0 is paired with one of dimension 2, whose
+    orbits have the same sizes, and the members of the middle dimension 1
+    are paired among themselves, some with themselves.
+    """
+    N = draw(st.sampled_from([4, 6, 12, 15, 16, 30, 36, 63]))
+    size = st.sampled_from(divisors(N))
+    low = draw(st.lists(size, min_size=1, max_size=4))
+    middle = draw(st.lists(size, max_size=5))
+    high = draw(st.permutations(low))
+    sizes = low + middle + high
+    start = [0, *accumulate(sizes)]
+    lo, hi = sum(low), sum(low) + sum(middle)
+    perp = list(range(start[-1]))
+    for a, b in zip(range(lo), draw(st.permutations(range(hi, start[-1])))):
+        perp[a], perp[b] = b, a
+    order = draw(st.permutations(range(lo, hi)))
+    unpaired = order[draw(st.integers(0, len(order))):]
+    for a, b in zip(unpaired[::2], unpaired[1::2]):
+        perp[a], perp[b] = b, a
+    orbits = SimpleNamespace(
+        dims=[0] * len(low) + [1] * len(middle) + [2] * len(high), lengths=sizes, start=start,
+        orbit_of=array("i", chain.from_iterable(map(repeat, range(len(sizes)), sizes))),
+        perp_id=array("i", perp))
+    return N, orbits
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairings())
+def test_levels_match_oracle_on_random_pairings(case):
+    """Every maximal modulus: the oracle's components, roots, nodes, sizes and read-outs."""
+    N, orbits = case
+    for p in filter(is_prime, divisors(N)):
+        assert_same_level(N // p, orbits, divisors(N)[:-1])
+
+
+def test_f2_8_level_structure_is_pinned():
+    """P_2(8): the complement pairs, each maximal modulus's components and nodes, the hits' m.
+
+    A union-find that merges or splits components fails here, naming the
+    modulus, where the pinned selfdual stdout would only change its sha256.
+    """
+    field = make_field(2, 8)
+    orbits = _OrbitTable(field)
+    orbits.perp_id = _complement_pairs(field, orbits)
+    pairs = _Pairs(orbits)
+    assert pairs.lo + len(pairs.left) == 208_532
+    for M, components, nodes in [(85, 3195, 139_419), (51, 5, 83_455), (15, 5, 24_543)]:
+        level = _Level(M, orbits, pairs.roots(M))
+        assert (len(level.sizes), len(level.root)) == (components, nodes), f"M={M}"
+    found = construct._minimal_components(field, orbits, include_trivial=False)
+    assert len(found) == 3194
+    assert {moduli[0] for moduli, *_ in found} == {85}
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
