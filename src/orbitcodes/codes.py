@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
-from math import gcd
+from math import gcd, log10
 
 from .errors import (
     FieldMismatch,
@@ -14,6 +15,7 @@ from .errors import (
     OddDistance,
     OrbitCodesError,
     ParseError,
+    TooLarge,
     TooSmall,
     VerificationFailed,
 )
@@ -38,10 +40,14 @@ from .subspace import (
 def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     """Upper bound on the size of a constant-dimension code of min distance d.
 
-    q is any prime power; only q >= 2 is checked, with n >= 1 and 0 <= k <= n.
-    The bound is at least 1, the size of a one-word code: two k-subspaces
-    are at distance at most 2 min(k, n - k), so a larger d admits one word,
-    where the quotient can read 0.
+    [n, k]_q // [n - k + delta, delta]_q, delta = d/2 - 1, and at least 1 (one
+    word); q is any prime power, only q >= 2 is checked, with n >= 1 and
+    0 <= k <= n.  With s = k - delta and a = n - k, the quotient's a factors
+    (q^(k+i) - 1) / (q^(delta+i) - 1) are each q^s plus less than
+    q^(s-delta-i+1): it is at most 1 when s <= 0 and has floor q^(s a) when
+    delta >= s a + 3, else it is formed as [n, m]_q / [n - max(a, s), m]_q,
+    m = min(a, s).  A bound of more digits than the interpreter prints raises
+    TooLarge, before it is formed when q^(s a) is already too long.
     """
     if q < 2 or n < 1:
         raise OrbitCodesError(f"the bound needs q >= 2 and n >= 1, not q={q}, n={n}")
@@ -50,7 +56,17 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     if d % 2 != 0 or d < 2:
         raise OddDistance(f"minimum distance {d} must be even and >= 2")
     delta = (d - 2) // 2
-    return max(1, gaussian_coefficient(n, k, q) // gaussian_coefficient(n - k + delta, delta, q))
+    s, a = k - delta, n - k
+    if s <= 0:
+        return 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()      # 0: no limit
+    if not limit or s * a * log10(q) <= limit + 1:
+        m = min(a, s)       # [n, a] / [n - s, a] and [n, s] / [n - a, s] are the quotient
+        bound = (q ** (s * a) if delta >= s * a + 3 else
+                 gaussian_coefficient(n, m, q) // gaussian_coefficient(n - max(a, s), m, q))
+        if not limit or bound < 10 ** limit:
+            return bound
+    raise TooLarge(f"the bound for n={n}, k={k}, d={d}, q={q} has more than {limit} digits")
 
 
 # -- code objects ----------------------------------------------------------------
@@ -269,7 +285,7 @@ class CodeFile(namedtuple("CodeFile", "field m generators claimed")):
 
 
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+    return isinstance(value, list) and all(type(x) is int for x in value)    # no bools
 
 
 def load_code_file(path) -> CodeFile:
@@ -290,7 +306,7 @@ def load_code_file(path) -> CodeFile:
     except TypeError:
         raise ParseError(f"code file {path}: the document and its field "
                          "must be JSON objects") from None
-    if not (isinstance(q, int) and isinstance(n, int) and isinstance(m, int)
+    if not (_is_int_list([q, n, m])
             and (poly is None or isinstance(poly, str) or _is_int_list(poly))
             and isinstance(exps_list, list) and all(map(_is_int_list, exps_list))
             and (claimed is None or isinstance(claimed, dict))):

@@ -30,7 +30,6 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import gcd
 from operator import add, and_, eq, floordiv, lt, mod, mul, ne, neg, not_, or_, rshift, sub
@@ -133,7 +132,7 @@ def build_graph(orbits, d: int) -> CompatGraph:
             masks, keys = {}, []
             for v in by_dim[k]:
                 o = included[v]
-                keys.append({min_member(o.field, T, o.m)[0]
+                keys.append({min_member(o.field, T, o.m)
                              for T in subspaces_of(o.field, o.rep.bits, t)})
                 for key in keys[-1]:
                     masks[key] = masks.get(key, 0) | 1 << v
@@ -411,24 +410,28 @@ class SelfDualHit(Record):
     """One minimal self-dual m-quasi-cyclic code, held as its member ids.
 
     The ids number the members of the cyclic orbits of P_q(n) as
-    _OrbitTable does.  words and params() rotate the orbit
-    representatives on each read; the SubspaceCode of the same words is
-    built the first time code is read.  is_self_dual and is_quasi_cyclic
-    read a hit through word_keys, complement_keys and shifted_keys, which
-    name its words by member id.
+    _OrbitTable does, ascending, so members[0] is the smallest.  words,
+    code and params() rotate the orbit representatives on each read, code
+    into a fresh SubspaceCode.  is_self_dual and is_quasi_cyclic read a hit
+    through word_keys, complement_keys and shifted_keys, which name its
+    words by member id.
     """
 
+    __slots__ = ("field", "moduli", "orbit_count", "dims", "members", "_orbits")
     _fields = ("field", "m", "moduli", "words", "orbit_count")
 
-    def __init__(self, field: FieldSpec, m: int, moduli: tuple, orbit_count: int,
-                 dims: tuple, members, orbits: _OrbitTable):
+    def __init__(self, field: FieldSpec, moduli: tuple, orbit_count: int, dims: tuple,
+                 members: array, orbits: _OrbitTable):
         self.field = field
-        self.m = m                      # smallest modulus exhibiting the quasi-cyclic closure
-        self.moduli = moduli            # all proper divisors m of q^n-1 that work
+        self.moduli = moduli            # all proper divisors m of q^n-1 that work, ascending
         self.orbit_count = orbit_count  # number of m-quasi orbits the word set splits into
         self.dims = dims                # the distinct word dimensions, ascending
-        self.members = members          # array('i') of the words' member ids
+        self.members = members          # array('i') of the words' member ids, ascending
         self._orbits = orbits
+
+    @property
+    def m(self) -> int:         # the smallest modulus exhibiting the quasi-cyclic closure
+        return self.moduli[0]
 
     @property
     def words(self) -> tuple:
@@ -452,13 +455,12 @@ class SelfDualHit(Record):
         """
         return self.orbit_count <= 2
 
-    @cached_property
+    @property
     def code(self) -> SubspaceCode:
         return SubspaceCode(self.field, self._orbits.words(self.members))
 
     def params(self) -> tuple:
-        # from a code of its own, so that the hit keeps no set of its words
-        return SubspaceCode(self.field, self._orbits.words(self.members)).params()
+        return self.code.params()
 
     def word_keys(self) -> set:
         """The member ids of the words."""
@@ -479,17 +481,12 @@ class SelfDualHit(Record):
 # SELFDUAL_HIT_OVERHEAD bytes for each complement pair.  For odd q, -1 fixes
 # every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
 # is a component of its own, and each is a minimal hit: about one hit per two
-# subspaces, where over F_2^n the hits are few and large.  Every union-find
-# runs over one parent array indexed by member, and each level keeps a root
-# array and its components' nodes.  On CPython 3.11 a `selfdual` call's own
-# peak (VmHWM) was about 26.5 MiB over F_2^8 (417,199 subspaces, estimated at
-# 41.7 MB; 27.3 MiB while each level built its own member -> node map and
-# parent list, 33.6 MiB while every level kept them) and 30.4 MiB over F_3^6
-# under x^6+x^5+2 (56,632 subspaces and 28,315 hits, estimated at 48.9 MB;
-# 32.1 MiB before, and 40.7 MB while the search kept an object for each
-# distinct component).  The peak grew by about 27 bytes per subspace over
-# F_2^8; over F_3^6 it grew by about 15 MB, most of it the records of the
-# hits.
+# subspaces, where over F_2^n the hits are few and large.  A hit is a slotted
+# SelfDualHit (80 bytes on CPython 3.11) and an array('i') of its member ids
+# (96 bytes for two).  On CPython 3.11 a `selfdual` call's own peak (VmHWM)
+# was about 26.5 MiB over F_2^8 (417,199 subspaces, estimated at 41.7 MB) and
+# 30.4 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits,
+# estimated at 48.9 MB).
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
 SELFDUAL_HIT_OVERHEAD = 800
@@ -507,8 +504,7 @@ def _space_needed(field: FieldSpec) -> tuple:
     return total, need
 
 
-def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
-                     include_trivial: bool = False) -> list:
+def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES) -> list:
     """All minimal self-dual m-quasi-cyclic codes in P_q(n), every proper m.
 
     Pairs each subspace with its orthogonal complement once, then reads off
@@ -543,33 +539,31 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
       and holds every member of C.
 
     m = q^n-1 is excluded (the shift is the identity and every dual-closed
-    set would qualify); the {0, full-space} pair is likewise uninformative
-    unless include_trivial is set.
+    set would qualify), and so is the {0, full-space} pair, which every
+    modulus closes.
 
-    The search holds each cyclic orbit as its representative, the pairing
-    and each hit as arrays of member ids, and each level as arrays over its
-    nodes.  The complement pairs i < perp_id[i] are selected once, and each
-    maximal modulus joins them by Rem's union-find over one parent array
-    indexed by member, each member starting under the first member of its
-    quasi orbit; a level keeps a node -> root array and its components'
-    nodes, and reads their member ids in one pass.  The pairing is one map
-    perp_id from each member to its complement:
-    orbit_complements complements each orbit's D members at once, and the
-    orbit index names each complement's member.  Before any union-find the
-    map is checked, the word of every id found against the complement just
-    computed, bit for bit, and for being an involution.  Both checks of a
-    hit then run on its member ids: it is self-dual when its id set holds
-    perp_id of every id, and m-quasi-cyclic when it holds member
-    (j + m) mod D of orbit oid for each member j of oid.  No hit builds a
-    set of its words.
+    The search holds each cyclic orbit as its representative, the pairing as
+    an array of member ids, each level as arrays over its nodes, and each
+    hit as a slotted SelfDualHit over an array of its member ids, built
+    where its component is read, then checked and sorted.  The complement
+    pairs i < perp_id[i] are selected once, and each maximal modulus joins
+    them by Rem's union-find over one parent array indexed by member, each
+    member starting under the first member of its quasi orbit; a level keeps
+    a node -> root array and its components' nodes, and reads their member
+    ids in one pass.  The pairing is one map perp_id from each member to its
+    complement: orbit_complements complements each orbit's D members at
+    once, and the orbit index names each complement's member.  Before any
+    union-find the map is checked, the word of every id found against the
+    complement just computed, bit for bit, and for being an involution.
+    Both checks of a hit then run on its member ids: it is self-dual when
+    its id set holds perp_id of every id, and m-quasi-cyclic when it holds
+    member (j + m) mod D of orbit oid for each member j of oid.  No hit
+    builds a set of its words.
 
-    Before any work, the memory the search would hold is estimated as
-    SELFDUAL_BASE_BYTES + subspaces x (ceil((q^n-1)/8) +
-    SELFDUAL_WORD_OVERHEAD) bytes, plus subspaces / 2 x SELFDUAL_HIT_OVERHEAD
-    when q is odd, and a ResourceLimit is raised when that exceeds
-    max_space, 500 MB by default.  P_2(8) is estimated at 42 MB and P_3(6)
-    at 49 MB, against `selfdual` peaks (VmHWM, CPython 3.11) of about
-    26.5 MiB and 30.4 MiB; P_2(9) (716 MB) and P_3(7) (1.4 GB) are refused.
+    Before any work, the memory the search would hold is estimated as the
+    SELFDUAL_* constants set out, and a ResourceLimit is raised when that
+    exceeds max_space, 500 MB by default: P_2(9) (716 MB) and P_3(7)
+    (1.4 GB) are refused.
     """
     from .codes import is_quasi_cyclic
 
@@ -581,23 +575,18 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES,
 
     orbits = _OrbitTable(field)
     orbits.perp_id = _complement_pairs(field, orbits)
-    found, hits = _minimal_components(field, orbits, include_trivial), []
-    found.reverse()      # popped in order, each entry dropped once its hit holds it
-    while found:
-        ms, orbit_count, first, dims, members = found.pop()
-        hit = SelfDualHit(field, ms[0], ms, orbit_count, dims, members, orbits)
+    hits = _minimal_components(field, orbits)
+    for hit in hits:
         # both checks read the hit's member ids, through the verified perp_id
         if not is_self_dual(hit):
             raise VerificationFailed("component is not self-dual: internal error")
         if not is_quasi_cyclic(hit, hit.m):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
-        # ties in (dimension kind, size, m) go by the hit's smallest member id;
-        # two hits of one m are two components at the first maximal modulus
-        # m divides, which are disjoint, so no two entries tie on these four
-        # and the sort, with no key list, never compares the hits themselves
-        hits.append((not hit.constant_dimension, hit.size, hit.m, first, hit))
-    hits.sort()
-    return [entry[-1] for entry in hits]
+    # ties in (dimension kind, size, m) go by the hit's smallest member id;
+    # two hits of one m are two components at the first maximal modulus m
+    # divides, which are disjoint, so no two hits tie on all four
+    hits.sort(key=lambda h: (not h.constant_dimension, h.size, h.m, h.members[0]))
+    return hits
 
 
 class _Level:
@@ -838,8 +827,8 @@ def _joined(parts, size: int) -> array:
     return out
 
 
-def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: bool) -> list:
-    """(moduli, quasi-orbit count, smallest member id, dims, member ids) of each minimal component.
+def _minimal_components(field: FieldSpec, orbits: _OrbitTable) -> list:
+    """An unchecked SelfDualHit for each minimal component but the {0, full-space} pair.
 
     Each is read at the first maximal modulus it is a component at.
     """
@@ -868,14 +857,14 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
 
     # the levels are read last first, each dropped once read, so that one
     # level's nodes and member arrays are alive at a time
-    found, proper = [], divisors(N)[:-1]
+    hits, proper = [], divisors(N)[:-1]
     shared = {}          # one copy of each moduli and dims tuple
     while levels:
-        level, hits, members, closable = levels.pop(), [], None, None
+        level, members, closable = levels.pop(), None, None
         earlier = maximal[:len(levels)]
         for j, (r, nodes) in enumerate(level.components()):
             # member 0 is the zero subspace, so its component is the {0, full-space} pair
-            if (level.M, r) in marked or (r == 0 and not include_trivial):
+            if (level.M, r) in marked or r == 0:
                 continue
             if members is None:
                 members, closable = level.member_ids(), level.closable()
@@ -885,7 +874,6 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, include_trivial: 
             if any(E % moduli[0] == 0 for E in earlier):
                 continue
             dims = tuple(sorted(set(map(level.dim.__getitem__, nodes))))
-            hits.append((shared.setdefault(moduli, moduli), orbit_count, r,
-                         shared.setdefault(dims, dims), members[r]))
-        found[:0] = hits
-    return found
+            hits.append(SelfDualHit(field, shared.setdefault(moduli, moduli), orbit_count,
+                                    shared.setdefault(dims, dims), members[r], orbits))
+    return hits

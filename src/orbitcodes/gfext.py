@@ -114,7 +114,8 @@ def default_poly(q: int, n: int) -> tuple:
 def parse_poly(text: str, q: int, max_degree: int | None = None) -> tuple:
     """Parse a polynomial given as coefficients "1,1,0,0,1" or terms "x^4+x+1".
 
-    A term above max_degree, when given, raises DegreeMismatch before a
+    A "-" negates the term after it, so over F_3 "x^2-x-1" is x^2+2x+2.  A
+    term above max_degree, when given, raises DegreeMismatch before a
     coefficient tuple of that length is built.
     """
     text = text.strip()
@@ -122,17 +123,13 @@ def parse_poly(text: str, q: int, max_degree: int | None = None) -> tuple:
         if "," in text or text.lstrip("-").isdigit():
             return tuple(int(c) % q for c in text.split(","))
         coeffs = {}
-        for term in text.replace("-", "+").split("+"):
-            term = term.strip()
-            if not term:
+        for term in text.replace("-", "+-").split("+"):
+            sign = -1 if "-" in term else 1
+            c, x, rest = term.replace("-", "").strip().partition("x")
+            if not (c or x):
                 continue
-            if "x" not in term:
-                coeffs[0] = coeffs.get(0, 0) + int(term)
-            else:
-                c, _, rest = term.partition("x")
-                c = int(c.rstrip("*")) if c.strip() else 1
-                e = int(rest.lstrip("^")) if rest.strip() else 1
-                coeffs[e] = coeffs.get(e, 0) + c
+            e = (int(rest.lstrip("^")) if rest.strip() else 1) if x else 0
+            coeffs[e] = coeffs.get(e, 0) + sign * (int(c.rstrip("*")) if c.strip() else 1)
         deg = max(coeffs)
     except ValueError as exc:
         raise ParseError(f"cannot parse polynomial {text!r}: {exc}") from None

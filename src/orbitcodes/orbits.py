@@ -397,7 +397,7 @@ def orbit_of(V: Subspace, m: int = 1) -> Orbit:
     # L steps of m must close the walk -- sanity-check the formula
     if rotate_bits(V.bits, L * m, field.group_order) != V.bits:
         raise VerificationFailed("orbit length formula disagrees with iteration")
-    rep, _ = min_member(field, V.bits, m)
+    rep = min_member(field, V.bits, m)
     return Orbit(field, m, from_bits(field, rep), L, V.dim, rec.min_dist_for_step(g),
                  rec.stab_degree)
 
@@ -551,7 +551,7 @@ def read_orbit_db(path) -> list:
             poly, rep = tuple(rec["poly"]), list(rec["rep"])
         except (KeyError, TypeError):
             raise ParseError(f"{where} is not an orbit record") from None
-        if not all(isinstance(x, int) for x in (
+        if not all(type(x) is int for x in (
                 q, n, m, length, k, min_dist, stab_degree, *poly, *rep)):
             raise ParseError(f"{where}: every field of an orbit record "
                              "must be an integer or a list of integers")

@@ -155,29 +155,26 @@ def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
     return [(doubled >> s) & mask for s in range(N, N - D // gcd(m, D) * m, -m)]
 
 
-def min_member(field: FieldSpec, bits: int, m: int = 1) -> tuple:
-    """The smallest member of bits' m-quasi orbit and a shift s reaching it.
+def min_member(field: FieldSpec, bits: int, m: int = 1) -> int:
+    """The smallest member of bits' m-quasi orbit; m must divide q^n - 1.
 
-    s is a multiple of m in [0, q^n-1) with rotate_bits(bits, s, q^n-1)
-    equal to the member; m must divide q^n - 1.  The smallest member has a
-    set bit below m, or rotating it down by m would make it smaller, so it
-    is the rotation of bits down by e - e % m for an exponent e of bits:
-    one shift of the doubled bitset per distinct e - e % m, not one per
-    member.
+    The smallest member has a set bit below m, or rotating it down by m
+    would make it smaller, so it is the rotation of bits down by e - e % m
+    for an exponent e of bits: one shift of the doubled bitset per
+    distinct e - e % m, not one per member.
     """
     N = field.group_order
     doubled = bits | bits << N
     mask = (1 << N) - 1
-    best, down = bits, 0
-    rest = bits
+    best, rest = bits, bits
     while rest:
         e = (rest & -rest).bit_length() - 1
         s = e - e % m
         member = (doubled >> s) & mask
         if member < best:
-            best, down = member, s
+            best = member
         rest &= -1 << (s + m)       # drop the exponents with the same e - e % m
-    return best, -down % N
+    return best
 
 
 def min_member_of_exponents(exps, N: int) -> int:

@@ -98,8 +98,7 @@ def complement_pairs(field) -> tuple:
     return left, right
 
 
-def self_dual_search(field, max_space: int = 1 << 21,
-                     include_trivial: bool = False) -> list:
+def self_dual_search(field, max_space: int = 1 << 21) -> list:
     """All minimal self-dual m-quasi-cyclic codes in P_q(n), every proper m.
 
     Pairs each subspace with its orthogonal complement once, then for each
@@ -108,8 +107,8 @@ def self_dual_search(field, max_space: int = 1 << 21,
     and every minimal one arises this way.  Components are deduplicated
     across moduli and filtered to the inclusion-minimal, nontrivial ones
     (m = q^n-1 is excluded: the shift is the identity and every dual-closed
-    set would qualify; the {0, full-space} pair is likewise uninformative
-    unless include_trivial is set).
+    set would qualify; so is the {0, full-space} pair, which every modulus
+    closes).
     """
     n, q, N = field.n, field.q, field.group_order
     total = sum(gaussian_coefficient(n, k, q) for k in range(n + 1))
@@ -172,7 +171,7 @@ def self_dual_search(field, max_space: int = 1 << 21,
     kept = []
     trivial_pair = frozenset({0, (1 << N) - 1})
     for key in keys:
-        if not include_trivial and key == trivial_pair:
+        if key == trivial_pair:
             continue
         if any(small < key for small in kept):
             continue

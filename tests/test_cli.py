@@ -417,6 +417,24 @@ def test_bound_above_the_largest_distance_is_one_word(capsys, argv):
     assert code == 0 and out.strip() == "1" and err == ""
 
 
+@pytest.mark.parametrize("argv,status,out", [
+    ("--n 5 --k 2 --d 200000", 0, "1\n"),
+    ("--n 300 --k 150 --d 300", 0, f"{2 ** 150 + 1}\n"),
+    ("--n 300 --k 150 --d 4", 3, ""),
+    ("--n 1000000 --k 500000 --d 4", 3, ""),
+], ids=["d-far-above-2k", "46-digits", "past-the-digit-limit", "n-1e6"])
+def test_bound_answers_or_refuses_at_once(argv, status, out):
+    """In a child, so that a bound that never finishes fails on the timeout."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    child = subprocess.run([sys.executable, "-m", "orbitcodes.cli", "bound", *argv.split()],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=30)
+    assert (child.returncode, child.stdout) == (status, out)
+    if status:
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+        assert "digits" in child.stderr
+
+
 UNWRITABLE_OUTPUT = {
     "classify --db": lambda out, db: ["classify", "--n", "5", "--k", "2", "--db", out],
     "classify --checkpoint": lambda out, db: ["classify", "--n", "5", "--k", "2",

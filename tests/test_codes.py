@@ -34,6 +34,7 @@ from orbitcodes.errors import (
     BadModulus,
     NotADivisor,
     OddDistance,
+    TooLarge,
     TooSmall,
     VerificationFailed,
 )
@@ -72,6 +73,28 @@ def test_bound_paper_values():
     assert etzion_vardy_bound(10, 4, 3, 2) == 24893
     assert etzion_vardy_bound(8, 4, 4, 2) == 6477
     assert etzion_vardy_bound(10, 10, 5, 2) == 33
+
+
+def test_bound_is_the_gaussian_quotient():
+    """The bound formed from few factors, or read off as q^(s a), is the quotient
+    of the two Gaussian coefficients, or 1, on every small case."""
+    for q in (2, 3, 4, 5):
+        for n in range(1, 13 if q == 2 else 8):
+            for k in range(n + 1):
+                for d in range(2, 2 * n + 8, 2):
+                    delta = d // 2 - 1
+                    expected = max(1, gaussian_coefficient(n, k, q)
+                                   // gaussian_coefficient(n - k + delta, delta, q))
+                    assert etzion_vardy_bound(n, d, k, q) == expected, (n, d, k, q)
+    assert etzion_vardy_bound(300, 300, 150, 2) == 2 ** 150 + 1
+
+
+def test_bound_past_the_digit_limit_is_refused_before_it_is_formed():
+    t0 = time.monotonic()
+    for n, d, k in [(300, 4, 150), (10 ** 6, 4, 5 * 10 ** 5), (10 ** 6, 2, 1)]:
+        with pytest.raises(TooLarge, match="digits"):
+            etzion_vardy_bound(n, d, k, 2)
+    assert time.monotonic() - t0 < 5
 
 
 def test_bound_rejects_odd_distance():

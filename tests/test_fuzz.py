@@ -1,10 +1,13 @@
-"""Hypothesis fuzzing of every file loader and of main() on the files they read.
+"""Hypothesis fuzzing of every file loader, of main() on the files they read,
+and of main() on the numbers and polynomials given on its command line.
 
 Random bytes, random JSON, and valid documents with one value replaced by
 random JSON (or removed) go to read_orbit_db, read_dimacs, load_code_file
 and Checkpoint.load: only OrbitCodesError subclasses may escape.  main() on
 the same kinds of file must return an exit code in {0, 2, 3, 4, 5}, print
-a one-line error whenever it is not 0, and never raise.
+a one-line error whenever it is not 0, and never raise.  bound on random
+integers and classify --poly on random term strings must also return 0, 2
+or 3, within the Hypothesis deadline.
 """
 
 import contextlib
@@ -18,7 +21,7 @@ from orbitcodes import make_field
 from orbitcodes.cli import main
 from orbitcodes.codes import load_code_file
 from orbitcodes.construct import read_dimacs
-from orbitcodes.errors import OrbitCodesError
+from orbitcodes.errors import OrbitCodesError, ParseError
 from orbitcodes.orbits import Checkpoint, read_orbit_db
 
 json_values = st.recursive(
@@ -106,6 +109,39 @@ def test_load_code_file_fuzz(workdir, data):
     loads_or_refuses(load_code_file, workdir / "code.json", data)
 
 
+def as_booleans(value):
+    """value with each 0 and 1 in it, lists included, made JSON false and true."""
+    if isinstance(value, list):
+        return list(map(as_booleans, value))
+    return bool(value) if value in (0, 1) else value
+
+
+@pytest.mark.parametrize("key", ["m", "stab_degree", "poly", "rep"])
+def test_read_orbit_db_refuses_booleans_for_integers(workdir, key):
+    """A record that is valid with 0 and 1 is refused with false and true in their place."""
+    path = workdir / "orbits.jsonl"
+    path.write_text(json.dumps(DB_RECORD) + "\n")
+    assert len(read_orbit_db(str(path))) == 1
+    path.write_text(json.dumps({**DB_RECORD, key: as_booleans(DB_RECORD[key])}) + "\n")
+    with pytest.raises(ParseError, match="must be an integer"):
+        read_orbit_db(str(path))
+
+
+@pytest.mark.parametrize("key", ["m", "poly", "generators"])
+def test_load_code_file_refuses_booleans_for_integers(workdir, key):
+    """A code file that is valid with 0 and 1 is refused with false and true in their place."""
+    doc = {**CODE_DOC, "field": dict(CODE_DOC["field"])}
+    part = doc["field"] if key == "poly" else doc
+    path = workdir / "code.json"
+    path.write_text(json.dumps(doc))
+    assert load_code_file(str(path)).m == 1
+    part[key] = as_booleans(part[key])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="must be integers"):
+        load_code_file(str(path))
+    assert run_main("verify", str(path)) == 2
+
+
 @FUZZ
 @given(checkpoint_files)
 def test_checkpoint_load_fuzz(workdir, data):
@@ -158,3 +194,38 @@ def test_verify_and_dualize_commands_fuzz(workdir, data):
 def test_classify_checkpoint_fuzz(workdir, data):
     (workdir / "ck.jsonl").write_bytes(data)
     run_main("classify", "--n", "4", "--k", "2", "--checkpoint", str(workdir / "ck.jsonl"))
+
+
+# -- command-line inputs, each answered or refused within the deadline -----------
+
+
+@st.composite
+def bound_args(draw):
+    """(n, k, d, q): any integers, or n >= 1, 0 <= k <= n and an even d >= 2."""
+    big = st.integers(-2, 10 ** 6)
+    if draw(st.booleans()):
+        return draw(big), draw(big), draw(big), draw(big)
+    n = draw(st.integers(1, 10 ** 6))
+    return (n, draw(st.integers(0, n)), 2 * draw(st.integers(1, 5 * 10 ** 5)),
+            draw(st.integers(2, 10 ** 6)))
+
+
+@given(bound_args())
+def test_bound_command_fuzz(args):
+    n, k, d, q = map(str, args)
+    assert run_main("bound", "--n", n, "--k", k, "--d", d, "--q", q) in (0, 3)
+
+
+# terms c*x^e joined by signs, or any text of their characters
+poly_texts = (st.lists(st.tuples(st.sampled_from(["+", "-", " - ", ""]), st.integers(0, 12),
+                                 st.sampled_from(["", "x", "*x"]), st.integers(0, 6)),
+                       min_size=1, max_size=6).map(
+                  lambda terms: "".join(f"{sign}{c}{x}^{e}" if x else f"{sign}{c}"
+                                        for sign, c, x, e in terms))
+              | st.text(alphabet="x^+-*0123456789 ,", max_size=24))
+
+
+@given(q=st.sampled_from([2, 3]), poly=poly_texts)
+def test_classify_poly_fuzz(q, poly):
+    code = run_main("classify", "--q", str(q), "--n", "4", "--k", "2", f"--poly={poly}")
+    assert code in (0, 2, 3)

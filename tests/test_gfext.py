@@ -33,7 +33,35 @@ def test_poly_parsing_both_forms():
     assert parse_poly("1,1,0,0,1", 2) == (1, 1, 0, 0, 1)
     assert parse_poly("x^4+x+1", 2) == (1, 1, 0, 0, 1)
     assert parse_poly("x^10+x^6+x^5+x^3+x^2+x+1", 2) == default_poly(2, 10)
+    assert parse_poly("x^6+x^5-1", 3) == (2, 0, 0, 0, 0, 1, 1)     # a "-" negates its term
     assert poly_str((1, 1, 0, 0, 1)) == "x^4+x+1"
+
+
+@st.composite
+def term_strings(draw):
+    """(q, terms c x^e joined by random signs and spaces, their coefficient tuple mod q)."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 20), st.integers(0, 9)),
+                          min_size=1, max_size=6))
+    coeffs = [0] * (max(e for _, _, e in terms) + 1)
+    text = ""
+    for i, (minus, c, e) in enumerate(terms):
+        coeffs[e] += -c if minus else c
+        if not e:
+            body = str(c)
+        elif c == 1 and draw(st.booleans()):
+            body = "x" if e == 1 else f"x^{e}"
+        else:
+            body = str(c) + draw(st.sampled_from(["", "*"])) + ("x" if e == 1 else f"x^{e}")
+        space = draw(st.sampled_from(["", " "]))
+        text += ("-" if minus else "+" if i else "") + space + body + space
+    return q, text, tuple(c % q for c in coeffs)
+
+
+@given(term_strings())
+def test_parse_poly_of_signed_terms(case):
+    q, text, expected = case
+    assert parse_poly(text, q) == expected
 
 
 def test_invalid_fields_rejected():

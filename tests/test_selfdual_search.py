@@ -44,9 +44,9 @@ def summary(hit):
             hit.constant_dimension, hit.orbit_count)
 
 
-def assert_same_hits(field, include_trivial):
-    expected = oracle.self_dual_search(field, include_trivial=include_trivial)
-    got = self_dual_search(field, include_trivial=include_trivial)
+def assert_same_hits(field):
+    expected = oracle.self_dual_search(field)
+    got = self_dual_search(field)
     assert len(got) == len(expected)
     for position, (h, ref) in enumerate(zip(got, expected)):
         assert summary(h) == summary(ref), f"hit {position} differs"
@@ -195,9 +195,9 @@ def test_f2_8_level_structure_is_pinned():
     for M, components, nodes in [(85, 3195, 139_419), (51, 5, 83_455), (15, 5, 24_543)]:
         level = _Level(M, orbits, pairs.roots(M))
         assert (len(level.sizes), len(level.root)) == (components, nodes), f"M={M}"
-    found = construct._minimal_components(field, orbits, include_trivial=False)
+    found = construct._minimal_components(field, orbits)
     assert len(found) == 3194
-    assert {moduli[0] for moduli, *_ in found} == {85}
+    assert {hit.m for hit in found} == {85}
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -220,16 +220,15 @@ def test_orbit_index_finds_every_member_as_orbit_bits_lists_it(name):
                                                      for j in range(len(ids))]
 
 
-@pytest.mark.parametrize("include_trivial", [False, True], ids=["minimal", "with-trivial"])
-@pytest.mark.parametrize("name", list(FIELDS))
-def test_self_dual_search_matches_oracle(name, include_trivial):
-    assert_same_hits(make_field(*FIELDS[name]), include_trivial)
+@pytest.mark.parametrize("name", list(FIELDS), ids=lambda name: f"{name}-minimal")
+def test_self_dual_search_matches_oracle(name):
+    assert_same_hits(make_field(*FIELDS[name]))
 
 
 @pytest.mark.extended
 @pytest.mark.parametrize("name", list(EXTENDED_FIELDS))
 def test_self_dual_search_matches_oracle_extended(name):
-    assert_same_hits(make_field(*EXTENDED_FIELDS[name]), include_trivial=False)
+    assert_same_hits(make_field(*EXTENDED_FIELDS[name]))
 
 
 def test_differential_cases_reach_every_rule():
@@ -244,7 +243,7 @@ def test_differential_cases_reach_every_rule():
 
 @pytest.mark.parametrize("name", ["F2^6", "F3^4"])
 def test_lazy_code_holds_the_hit_words(name):
-    """hit.code, built on first access, is the code of the hit's bitsets."""
+    """hit.code, built on each read, is the code of the hit's bitsets; hits have no __dict__."""
     field = make_field(*FIELDS[name])
     for hit in self_dual_search(field):
         assert list(hit.words) == sorted(hit.words)
@@ -252,7 +251,8 @@ def test_lazy_code_holds_the_hit_words(name):
         assert code.words == {from_bits(field, b) for b in hit.words}
         assert (code.size, code.dims) == (hit.size, hit.dims)
         assert code.constant_dimension == hit.constant_dimension
-        assert hit.code is code
+        assert hit.params() == code.params()
+        assert hit.code is not code and not hasattr(hit, "__dict__")
 
 
 # -- the checks inside the search still fire ------------------------------------
@@ -262,10 +262,9 @@ def corrupt_first_component(monkeypatch, change):
     """Make the search see the first component's member ids through change."""
     components = construct._minimal_components
 
-    def corrupted(field, orbits, include_trivial):
-        found = components(field, orbits, include_trivial)
-        *head, members = found[0]
-        found[0] = (*head, change(orbits, members))
+    def corrupted(field, orbits):
+        found = components(field, orbits)
+        found[0].members = change(orbits, found[0].members)
         return found
 
     monkeypatch.setattr(construct, "_minimal_components", corrupted)
