@@ -40,11 +40,12 @@ from .subspace import (
 def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     """Upper bound on the size of a constant-dimension code of min distance d.
 
-    [n, k]_q // [n - k + delta, delta]_q, delta = d/2 - 1, and at least 1 (one
-    word); q is any prime power, only q >= 2 is checked, with n >= 1 and
-    0 <= k <= n.  With s = k - delta and a = n - k, the quotient's a factors
-    (q^(k+i) - 1) / (q^(delta+i) - 1) are each q^s plus less than
-    q^(s-delta-i+1): it is at most 1 when s <= 0 and has floor q^(s a) when
+    [n, k]_q // [n - k + delta, delta]_q, delta = d/2 - 1; q is any prime
+    power, only q >= 2 is checked, with n >= 1 and 0 <= k <= n.  Two
+    k-subspaces are at most 2 min(k, n - k) apart, so above that distance
+    only one word fits and the bound is 1.  Otherwise, with s = k - delta
+    and a = n - k, the quotient's a factors (q^(k+i) - 1) / (q^(delta+i) - 1)
+    are each q^s plus less than q^(s-delta-i+1): it has floor q^(s a) when
     delta >= s a + 3, else it is formed as [n, m]_q / [n - max(a, s), m]_q,
     m = min(a, s).  A bound of more digits than the interpreter prints raises
     TooLarge, before it is formed when q^(s a) is already too long.
@@ -55,10 +56,10 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{n}")
     if d % 2 != 0 or d < 2:
         raise OddDistance(f"minimum distance {d} must be even and >= 2")
+    if d > 2 * min(k, n - k):
+        return 1
     delta = (d - 2) // 2
     s, a = k - delta, n - k
-    if s <= 0:
-        return 1
     limit = getattr(sys, "get_int_max_str_digits", int)()      # 0: no limit
     if not limit or s * a * log10(q) <= limit + 1:
         m = min(a, s)       # [n, a] / [n - s, a] and [n, s] / [n - a, s] are the quotient

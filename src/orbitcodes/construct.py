@@ -52,6 +52,7 @@ from .subspace import (
     orbit_complements,
     orbit_distance,
     subspaces_of,
+    trace_dual_bits,
 )
 
 
@@ -330,26 +331,40 @@ def assemble_code(G: CompatGraph, clique: CliqueResult) -> SubspaceCode:
 class _OrbitTable:
     """The cyclic orbits of P_q(n), each held as its representative only.
 
-    Orbit oid has dimension dims[oid] and length D = lengths[oid]; its
-    member j < D, the representative rotated by j, has the member id
-    start[oid] + j, and orbit_of maps each member id to its oid.  A
-    member's bitset is one shift of the doubled representative, made when
-    it is read.  perp_id, once the search sets it, maps each member id to
-    the id of its orthogonal complement.
+    The orbits of dimension k <= n/2 are the census's (cyclic_orbit_data),
+    each held as its smallest member.  Those above n/2 come from the trace
+    dual T(V) = {y : Tr(xy) = 0 for every x in V}, which maps the orbit of
+    V onto the orbit of T(V), of dimension n - k and the same length: for
+    each k > n/2, the orbits of dimension n - k in census order, each held
+    as T of their smallest member, which need not be the smallest of its
+    own orbit.  Orbit oid has dimension dims[oid] and length D =
+    lengths[oid]; its member j < D, the representative rotated by j, has
+    the member id start[oid] + j, and orbit_of maps each member id to its
+    oid.  A member's bitset is one shift of the doubled representative,
+    made when it is read.  perp_id, once the search sets it, maps each
+    member id to the id of its orthogonal complement.
     """
 
-    __slots__ = ("N", "dims", "lengths", "start", "orbit_of", "doubled", "perp_id", "_tops")
+    __slots__ = ("N", "dims", "lengths", "start", "orbit_of", "doubled", "perp_id", "_tops",
+                 "_rotations")
 
     def __init__(self, field: FieldSpec):
-        N = self.N = field.group_order
-        records = [(k, rec) for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
-        self.dims = [k for k, _ in records]
-        self.lengths = [rec.length for _, rec in records]
+        N, n = field.group_order, field.n
+        self.N = N
+        self.dims, self.lengths, reps = [], [], []
+        for k in range(n + 1):
+            below = min(k, n - k)
+            records = cyclic_orbit_data(field, below)
+            self.dims += [k] * len(records)
+            self.lengths += [rec.length for rec in records]
+            reps += ([rec.rep_bits for rec in records] if k == below else
+                     [trace_dual_bits(field, rec.rep_bits, below) for rec in records])
         self.start = [0, *accumulate(self.lengths)]
-        self.orbit_of = array("i", chain.from_iterable(map(repeat, range(len(records)),
+        self.orbit_of = array("i", chain.from_iterable(map(repeat, range(len(reps)),
                                                            self.lengths)))
-        self.doubled = [rec.rep_bits | rec.rep_bits << N for _, rec in records]
+        self.doubled = [rep | rep << N for rep in reps]
         self._tops = [s + N for s in self.start]
+        self._rotations = {}        # m -> rotation table of gamma^m
 
     def words(self, ids):
         """The bitsets of the members with these ids, in their order.
@@ -362,16 +377,21 @@ class _OrbitTable:
                              map(sub, map(self._tops.__getitem__, oids), ids)),
                    repeat((1 << self.N) - 1))
 
-    def shifted(self, ids, m: int):
-        """The id of gamma^m times each member, in their order.
+    def rotation(self, m: int) -> array:
+        """The rotation table of gamma^m: the id of gamma^m times each member, by member id.
 
-        ids is a sequence, read twice.  Member i of orbit oid, which starts
-        at b = start[oid], goes to b + (i - b + m) mod D.
+        Member j of the orbit at start[oid] = a of length D goes to member
+        (j + m) mod D, so the orbit's run of ids is rotated by c = m mod D:
+        ids a + c, ..., a + D - 1, a, ..., a + c - 1.  Each table is built
+        once, on first use, and kept.
         """
-        oids = list(map(self.orbit_of.__getitem__, ids))
-        base = list(map(self.start.__getitem__, oids))
-        return map(add, base, map(mod, map(add, map(sub, ids, base), repeat(m)),
-                                  map(self.lengths.__getitem__, oids)))
+        if m not in self._rotations:
+            start = self.start
+            cut = [a + m % (b - a) for a, b in zip(start, start[1:])]
+            runs = chain.from_iterable((range(c, b), range(a, c))
+                                       for a, b, c in zip(start, start[1:], cut))
+            self._rotations[m] = _joined(map(array, repeat("i"), runs), start[-1])
+        return self._rotations[m]
 
     def member_finder(self):
         """A function from a list of members' bitsets to an array('i') of their ids.
@@ -471,8 +491,8 @@ class SelfDualHit(Record):
         return map(self._orbits.perp_id.__getitem__, self.members)
 
     def shifted_keys(self, m: int):
-        """The member id of each word times gamma^m."""
-        return self._orbits.shifted(self.members, m)
+        """The member id of each word times gamma^m, read from the rotation table."""
+        return map(self._orbits.rotation(m).__getitem__, self.members)
 
 
 # self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, about what the
@@ -483,9 +503,11 @@ class SelfDualHit(Record):
 # is a component of its own, and each is a minimal hit: about one hit per two
 # subspaces, where over F_2^n the hits are few and large.  A hit is a slotted
 # SelfDualHit (80 bytes on CPython 3.11) and an array('i') of its member ids
-# (96 bytes for two).  On CPython 3.11 a `selfdual` call's own peak (VmHWM)
-# was about 26.5 MiB over F_2^8 (417,199 subspaces, estimated at 41.7 MB) and
-# 30.4 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits,
+# (96 bytes for two).  The hits' quasi-cyclic checks add a rotation table of
+# 4 bytes per subspace for each modulus the hits have: one over F_2^8 (1.7
+# MB), two over F_3^6.  On CPython 3.11 a `selfdual` call's own peak (VmHWM)
+# was about 27 MiB over F_2^8 (417,199 subspaces, estimated at 41.7 MB) and
+# 29.5 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits,
 # estimated at 48.9 MB).
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
@@ -542,23 +564,29 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES) -> l
     set would qualify), and so is the {0, full-space} pair, which every
     modulus closes.
 
-    The search holds each cyclic orbit as its representative, the pairing as
-    an array of member ids, each level as arrays over its nodes, and each
-    hit as a slotted SelfDualHit over an array of its member ids, built
-    where its component is read, then checked and sorted.  The complement
-    pairs i < perp_id[i] are selected once, and each maximal modulus joins
-    them by Rem's union-find over one parent array indexed by member, each
-    member starting under the first member of its quasi orbit; a level keeps
-    a node -> root array and its components' nodes, and reads their member
-    ids in one pass.  The pairing is one map perp_id from each member to its
-    complement: orbit_complements complements each orbit's D members at
-    once, and the orbit index names each complement's member.  Before any
-    union-find the map is checked, the word of every id found against the
-    complement just computed, bit for bit, and for being an involution.
-    Both checks of a hit then run on its member ids: it is self-dual when
-    its id set holds perp_id of every id, and m-quasi-cyclic when it holds
-    member (j + m) mod D of orbit oid for each member j of oid.  No hit
-    builds a set of its words.
+    The search holds each cyclic orbit as its representative (the census's
+    up to n/2, the trace duals of those above it: see _OrbitTable), the
+    pairing as an array of member ids, each level as arrays over its nodes,
+    and each hit as a slotted SelfDualHit over an array of its member ids,
+    built where its component is read, then checked and sorted.  The
+    complement pairs i < perp_id[i] are selected once, and each maximal
+    modulus joins them by Rem's union-find over one parent array indexed by
+    member, each member starting under the first member of its quasi
+    orbit; a level keeps a node -> root array and its components' nodes,
+    and reads their member ids in one pass.  The pairing is one map perp_id
+    from each member to its complement: orbit_complements complements each
+    orbit's D members at once, and the orbit index names the complement of
+    each member whose entry is not yet known, which sets its partner's
+    entry too, so each pair is looked up once.  Before any union-find each
+    orbit's entries are checked against the complements of its own words,
+    bit for bit, and the map for being an involution.  Both checks of a hit
+    then run on its member ids: it is self-dual when its id set holds
+    perp_id of every id, and m-quasi-cyclic when it holds the image of
+    every id in the rotation table of gamma^m, which maps member j of an
+    orbit of length D to member (j + m) mod D.  No hit builds a set of its
+    words.  The ids above n/2 follow the trace duals, but every hit's
+    smallest member lies at a dimension of at most n/2, numbered as the
+    census lists it, so the order of the hits does not depend on them.
 
     Before any work, the memory the search would hold is estimated as the
     SELFDUAL_* constants set out, and a ResourceLimit is raised when that
@@ -725,22 +753,31 @@ class _Level:
 def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
     """The orthogonal-complement pairing as one map perp_id, an array('i').
 
-    perp_id[i] is the member id of the complement of member i.  Each
-    orbit's complements come from orbit_complements, and their ids from
-    orbits.member_finder(), so no word set is held.  The map is checked
-    before it is returned: the word of each id found must be the
-    complement just computed, bit for bit, and the map an involution;
-    either failure raises VerificationFailed.
+    perp_id[i] is the member id of the complement of member i.  The orbits
+    are filled in id order, each orbit's complements from
+    orbit_complements.  Only the members whose entry is not yet known are
+    looked up, through orbits.member_finder(), and each pair found sets
+    its partner's entry too: no member above n/2 is looked up, nor a
+    member of the middle dimension whose partner came before it.  So no
+    word set is held.  Each orbit's entries, once it is filled, are checked
+    against the complements computed from its own words, bit for bit, and
+    the whole map for being an involution, which catches an entry a later
+    pair overwrote; either failure raises VerificationFailed.
     """
     mask = (1 << orbits.N) - 1
     member_ids = orbits.member_finder()
-    perp_id = array("i")
-    for k, doubled, D in zip(orbits.dims, orbits.doubled, orbits.lengths):
-        comps = orbit_complements(field, doubled & mask, k, D)
-        ids = member_ids(comps)
-        if not all(map(eq, orbits.words(ids), comps)):
+    perp_id = array("i", (-1,)) * orbits.start[-1]
+    for k, doubled, a, b in zip(orbits.dims, orbits.doubled, orbits.start, orbits.start[1:]):
+        comps = orbit_complements(field, doubled & mask, k, b - a)
+        unknown = bytes(map(eq, perp_id[a:b], repeat(-1)))
+        if any(unknown):
+            ids = list(compress(range(a, b), unknown))
+            found = member_ids(list(compress(comps, unknown)))
+            # __setitem__ returns None, so any() runs each whole C-level pass
+            any(map(perp_id.__setitem__, ids, found))
+            any(map(perp_id.__setitem__, found, ids))
+        if not all(map(eq, orbits.words(perp_id[a:b]), comps)):
             raise VerificationFailed("a complement's id names another word: internal error")
-        perp_id += ids
     if not all(map(eq, map(perp_id.__getitem__, perp_id), range(len(perp_id)))):
         raise VerificationFailed("the complement pairing is not an involution: internal error")
     return perp_id

@@ -61,15 +61,29 @@ DEFAULT_POLYS = {
 }
 
 
-@lru_cache(maxsize=None)
+def _product(factors: list) -> int:
+    """The product of the ints, multiplied in a balanced tree.
+
+    Neighbours are multiplied pairwise, level by level, so each product
+    joins two factors of about the same size, which big-int multiplication
+    does much faster than one long product grown a factor at a time.
+    """
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[2 * len(pairs):]
+    return factors[0] if factors else 1
+
+
+@lru_cache(maxsize=64)
 def gaussian_coefficient(n: int, k: int, q: int) -> int:
-    """Number of k-dim subspaces of F_q^n (exact integer)."""
+    """Number of k-dim subspaces of F_q^n (exact integer).
+
+    The cache is bounded: near the digit limit a coefficient is megabits.
+    """
     if k < 0 or k > n:
         return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
+    num = _product([q ** (n - i) - 1 for i in range(k)])
+    den = _product([q ** (i + 1) - 1 for i in range(k)])
     assert num % den == 0
     return num // den
 
@@ -114,8 +128,9 @@ def default_poly(q: int, n: int) -> tuple:
 def parse_poly(text: str, q: int, max_degree: int | None = None) -> tuple:
     """Parse a polynomial given as coefficients "1,1,0,0,1" or terms "x^4+x+1".
 
-    A "-" negates the term after it, so over F_3 "x^2-x-1" is x^2+2x+2.  A
-    term above max_degree, when given, raises DegreeMismatch before a
+    A "-" negates the term after it, so over F_3 "x^2-x-1" is x^2+2x+2; a
+    "-" with no term after it ("x-", "x^2 - - x") is a ParseError.  A term
+    above max_degree, when given, raises DegreeMismatch before a
     coefficient tuple of that length is built.
     """
     text = text.strip()
@@ -125,9 +140,12 @@ def parse_poly(text: str, q: int, max_degree: int | None = None) -> tuple:
         coeffs = {}
         for term in text.replace("-", "+-").split("+"):
             sign = -1 if "-" in term else 1
-            c, x, rest = term.replace("-", "").strip().partition("x")
-            if not (c or x):
+            body = term.replace("-", "").strip()
+            if not body:
+                if sign < 0:
+                    raise ValueError("a sign with no term after it")
                 continue
+            c, x, rest = body.partition("x")
             e = (int(rest.lstrip("^")) if rest.strip() else 1) if x else 0
             coeffs[e] = coeffs.get(e, 0) + sign * (int(c.rstrip("*")) if c.strip() else 1)
         deg = max(coeffs)
@@ -308,14 +326,19 @@ class FieldSpec:
         This is the hyperplane orthogonal to the packed vector r under the
         coordinate dot product, and a rotation of the trace-0 bitset.
         """
-        N = self.group_order
-        full = (1 << N) - 1
         if r == 0:
-            return full
-        zeros, dual_log = self._trace_form
-        # r . gamma^e = Tr(gamma^(s+e)): rotate zeros right by s
-        s = dual_log[r]
-        return ((zeros >> s) | (zeros << (N - s))) & full
+            return (1 << self.group_order) - 1
+        # r . gamma^e = Tr(gamma^(s+e))
+        return self.trace_mask(self._trace_form[1][r])
+
+    def trace_mask(self, s: int) -> int:
+        """Bitset of the exponents e with Tr(gamma^(s+e)) = 0, 0 <= s < q^n-1.
+
+        It is the trace-0 bitset rotated right by s: the hyperplane of the
+        y with Tr(gamma^s y) = 0.
+        """
+        N, zeros = self.group_order, self._trace_form[0]
+        return ((zeros >> s) | (zeros << (N - s))) & ((1 << N) - 1)
 
     @cached_property
     def perp_masks(self):

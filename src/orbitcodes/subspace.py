@@ -601,6 +601,21 @@ def complement_bits(field: FieldSpec, bits: int, dim: int) -> int:
     return _complement_scan(field, bits, dim)[1]
 
 
+def trace_dual_bits(field: FieldSpec, bits: int, dim: int) -> int:
+    """The trace dual {y : Tr(xy) = 0 for every x in V} of the dim-dimensional V = bits.
+
+    It has dimension n - dim, and it is the AND of the trace masks at the
+    basis exponents the scan complement_bits runs finds.  Since
+    Tr(gamma^j x gamma^-j y) = Tr(xy), the trace dual of gamma^j V is
+    gamma^-j times that of V, so it maps each cyclic orbit onto one of the
+    same length.
+    """
+    out = (1 << field.group_order) - 1
+    for a in _complement_scan(field, bits, dim)[0]:
+        out &= field.trace_mask(a)
+    return out
+
+
 def _masks_from(field: FieldSpec, b: int, D: int) -> list:
     """The perp masks of the exponents b, b+1, ..., b+D-1 (mod q^n-1)."""
     masks = field.perp_masks

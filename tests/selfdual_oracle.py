@@ -9,7 +9,8 @@ Its hits are OracleHit records, each holding the SubspaceCode it checked.
 
 complement_pairs is the pairing self_dual_search made while it held every
 subspace's bitset: each word found its complement's member id in a dict
-from bitset to id.
+from bitset to id.  shifted is the per-member formula the search's
+quasi-cyclic check read before the rotation table.
 
 components_at is one level of the maximal-moduli search as it was while
 each level kept a member -> node map (node_of) and its union-find parent
@@ -24,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
-from operator import add, le, mod
+from operator import add, le, mod, sub
 
 from orbitcodes.codes import SubspaceCode, gaussian_coefficient, is_quasi_cyclic, is_self_dual
 from orbitcodes.errors import ResourceLimit, VerificationFailed
@@ -68,13 +69,13 @@ def _orbit_count(field, bitset, m: int) -> int:
 
 
 def complement_pairs(field) -> tuple:
-    """The orthogonal-complement pairing as two lists of member ids.
+    """The orthogonal-complement pairing as two lists of words.
 
     Member j of the cyclic orbit oid, orbit_bits(field, rep)[j] with the
     orbits of dimensions 0..n in cyclic_orbit_data order, has id
     start[oid] + j.  Each pair appears once: a member of the middle
     dimension (2k = n) is complemented only if it is not the complement of
-    one already seen.
+    one already seen.  The pairs are found as ids and returned as words.
     """
     n = field.n
     orbit_base = [(k, orbit_bits(field, rec.rep_bits))
@@ -95,7 +96,19 @@ def complement_pairs(field) -> tuple:
                     met[c] = 1
                     left.append(i)
                     right.append(c)
-    return left, right
+    return [words[i] for i in left], [words[i] for i in right]
+
+
+def shifted(orbits, ids, m: int):
+    """The id of gamma^m times each member of an _OrbitTable, in their order.
+
+    Member i of orbit oid, which starts at b = start[oid], goes to
+    b + (i - b + m) mod D.
+    """
+    oids = list(map(orbits.orbit_of.__getitem__, ids))
+    base = list(map(orbits.start.__getitem__, oids))
+    return map(add, base, map(mod, map(add, map(sub, ids, base), repeat(m)),
+                              map(orbits.lengths.__getitem__, oids)))
 
 
 def self_dual_search(field, max_space: int = 1 << 21) -> list:

@@ -63,6 +63,27 @@ def test_gaussian_matches_q_pascal_oracle():
                 assert gaussian_coefficient(n, k, q) == q_pascal(n, k, q)
 
 
+def sequential_gaussian(n, k, q):
+    """The coefficient as gaussian_coefficient formed it before its product
+    tree: numerator and denominator multiplied one factor at a time."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_gaussian_product_tree_matches_the_sequential_products():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        for n in range(0, 41 if q == 2 else 17):
+            for k in range(-1, n + 2):
+                assert gaussian_coefficient(n, k, q) == sequential_gaussian(n, k, q), (n, k, q)
+    for n, k in [(300, 150), (1000, 37), (2000, 999)]:
+        assert gaussian_coefficient(n, k, 2) == sequential_gaussian(n, k, 2)
+
+
 def test_gaussian_symmetry():
     for n in range(17):
         for k in range(n + 1):
@@ -77,14 +98,16 @@ def test_bound_paper_values():
 
 def test_bound_is_the_gaussian_quotient():
     """The bound formed from few factors, or read off as q^(s a), is the quotient
-    of the two Gaussian coefficients, or 1, on every small case."""
+    of the two Gaussian coefficients on every small case, and 1 past the
+    largest distance 2 min(k, n - k) of two k-subspaces."""
     for q in (2, 3, 4, 5):
         for n in range(1, 13 if q == 2 else 8):
             for k in range(n + 1):
                 for d in range(2, 2 * n + 8, 2):
                     delta = d // 2 - 1
-                    expected = max(1, gaussian_coefficient(n, k, q)
-                                   // gaussian_coefficient(n - k + delta, delta, q))
+                    expected = (1 if d > 2 * min(k, n - k) else
+                                gaussian_coefficient(n, k, q)
+                                // gaussian_coefficient(n - k + delta, delta, q))
                     assert etzion_vardy_bound(n, d, k, q) == expected, (n, d, k, q)
     assert etzion_vardy_bound(300, 300, 150, 2) == 2 ** 150 + 1
 

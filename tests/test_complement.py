@@ -14,6 +14,7 @@ from orbitcodes.subspace import (
     orbit_complements,
     rotate_bits,
     stabilizer,
+    trace_dual_bits,
 )
 from tests.complement_oracle import oracle_complement_bits
 from tests.test_selfdual_search import EXTENDED_FIELDS, FIELDS as SELFDUAL_FIELDS
@@ -154,6 +155,34 @@ def test_orbit_complements_above_table_cap():
     lengths = [assert_orbit_complements_match(field, bits, k) for bits, k in samples]
     assert lengths[2:4] == [82 * 10, 82]
     assert field.perp_masks is None
+
+
+def brute_trace_dual(field, bits):
+    """{y : Tr(xy) = 0 for every x in V}, with Tr(gamma^e) summed from its
+    Frobenius conjugates gamma^(e q^i) and every pair x, y tried."""
+    N, q = field.group_order, field.q
+    trace = []
+    for e in range(N):
+        acc = 0
+        for i in range(field.n):
+            acc = field.coord_add(acc, field.antilog[e * q ** i % N])
+        trace.append(acc)
+    xs = [x for x in range(N) if bits >> x & 1]
+    return sum(1 << y for y in range(N) if not any(trace[(x + y) % N] for x in xs))
+
+
+@pytest.mark.parametrize("name", list(SELFDUAL_FIELDS))
+def test_trace_dual_matches_brute_force(name):
+    """trace_dual_bits of each orbit's representative is the brute-force dual,
+    of dimension n - k, its own dual is V, and it maps gamma V to gamma^-1 of it."""
+    field = make_field(*SELFDUAL_FIELDS[name])
+    N, n = field.group_order, field.n
+    for bits, k in orbit_reps(field):
+        dual = trace_dual_bits(field, bits, k)
+        assert dual == brute_trace_dual(field, bits)
+        assert from_bits(field, dual).dim == n - k
+        assert trace_dual_bits(field, dual, n - k) == bits
+        assert trace_dual_bits(field, rotate_bits(bits, 1, N), k) == rotate_bits(dual, N - 1, N)
 
 
 @pytest.mark.extended

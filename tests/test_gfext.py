@@ -9,6 +9,7 @@ from orbitcodes.errors import (
     NoDefault,
     NotPrime,
     NotPrimitive,
+    ParseError,
     TooLarge,
 )
 from orbitcodes.gfext import DEFAULT_POLYS, poly_str
@@ -62,6 +63,12 @@ def term_strings(draw):
 def test_parse_poly_of_signed_terms(case):
     q, text, expected = case
     assert parse_poly(text, q) == expected
+
+
+@pytest.mark.parametrize("text", ["x^2 - - x", "x-", "-", "x^2+-", "x^4 + x - "])
+def test_parse_poly_refuses_a_sign_with_no_term_after_it(text):
+    with pytest.raises(ParseError, match="a sign with no term after it"):
+        parse_poly(text, 3)
 
 
 def test_invalid_fields_rejected():

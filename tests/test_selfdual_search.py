@@ -19,7 +19,7 @@ from orbitcodes.construct import (
 from orbitcodes.errors import VerificationFailed
 from orbitcodes.gfext import is_prime
 from orbitcodes.orbits import cyclic_orbit_data
-from orbitcodes.subspace import divisors, orbit_bits
+from orbitcodes.subspace import divisors, min_member, orbit_bits, rotate_bits
 from tests import selfdual_oracle as oracle
 
 # (q, n, poly): poly None takes the default; others are primitive, constant term first
@@ -54,15 +54,18 @@ def assert_same_hits(field):
 
 
 def assert_same_pairs(field):
-    """perp_id covers every member, is an involution, and pairs as the oracle does."""
-    perp_id = _complement_pairs(field, _OrbitTable(field))
+    """perp_id covers every member, is an involution, and pairs the words as the oracle does."""
+    orbits = _OrbitTable(field)
+    perp_id = _complement_pairs(field, orbits)
     left, right = oracle.complement_pairs(field)
     members = range(len(perp_id))
-    assert set(left) | set(right) == set(members)
+    words = list(orbits.words(members))
+    assert len(set(words)) == len(words)    # each subspace is one member
+    assert set(left) | set(right) == set(words)
     assert [perp_id[c] for c in perp_id] == list(members)
     expected = {frozenset(pair) for pair in zip(left, right)}
     assert len(expected) == len(left)       # the oracle lists each pair once
-    assert {frozenset(pair) for pair in enumerate(perp_id)} == expected
+    assert {frozenset((words[i], words[c])) for i, c in enumerate(perp_id)} == expected
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -202,22 +205,49 @@ def test_f2_8_level_structure_is_pinned():
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_orbit_index_finds_every_member_as_orbit_bits_lists_it(name):
-    """Member j of orbit oid is orbit_bits' j-th rotation, its id is start[oid] + j,
-    and shifted moves it to member (j + m) mod D."""
+    """Member j of orbit oid is orbit_bits' j-th rotation of its representative,
+    the census's up to n/2, and the orbit index finds it as start[oid] + j."""
     field = make_field(*FIELDS[name])
     orbits = _OrbitTable(field)
     member_ids = orbits.member_finder()
-    reps = [rec.rep_bits for k in range(field.n + 1) for rec in cyclic_orbit_data(field, k)]
-    assert len(reps) == len(orbits.lengths)
+    mask = (1 << field.group_order) - 1
+    reps = [doubled & mask for doubled in orbits.doubled]
+    census = [rec.rep_bits for k in range(field.n // 2 + 1) for rec in cyclic_orbit_data(field, k)]
+    assert reps[:len(census)] == census
     for oid, rep in enumerate(reps):
         ids = range(orbits.start[oid], orbits.start[oid + 1])
         members = orbit_bits(field, rep)
         assert list(orbits.words(ids)) == members
         assert list(member_ids(members)) == list(ids)
-        for m in (1, len(ids) + 2):
-            # gamma^m moves member j to member (j + m) mod D
-            assert list(orbits.shifted(ids, m)) == [ids[(j + m) % len(ids)]
-                                                     for j in range(len(ids))]
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_orbits_above_half_are_the_census_orbits(name):
+    """The trace duals of the orbits below n/2 are the census's orbits above it,
+    as smallest members and lengths, each with its dimension."""
+    field = make_field(*FIELDS[name])
+    orbits = _OrbitTable(field)
+    mask = (1 << field.group_order) - 1
+    assert orbits.dims == sorted(orbits.dims)
+    for k in range(field.n // 2 + 1, field.n + 1):
+        got = [(min_member(field, doubled & mask), D) for dim, doubled, D
+               in zip(orbits.dims, orbits.doubled, orbits.lengths) if dim == k]
+        expected = [(rec.rep_bits, rec.length) for rec in cyclic_orbit_data(field, k)]
+        assert sorted(got) == sorted(expected), f"k={k}"
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_rotation_table_matches_the_per_member_formula(name):
+    """rotation(m) maps each id to the id of gamma^m times its word, as the formula does."""
+    field = make_field(*FIELDS[name])
+    orbits = _OrbitTable(field)
+    N, ids = field.group_order, range(orbits.start[-1])
+    words = list(orbits.words(ids))
+    for m in sorted({1, 2, 3, N - 1, max(orbits.lengths) + 2, *divisors(N)}):
+        table = orbits.rotation(m)
+        assert list(table) == list(oracle.shifted(orbits, ids, m)), f"m={m}"
+        assert list(orbits.words(table)) == [rotate_bits(w, m, N) for w in words], f"m={m}"
+        assert orbits.rotation(m) is table       # built once
 
 
 @pytest.mark.parametrize("name", list(FIELDS), ids=lambda name: f"{name}-minimal")
@@ -306,6 +336,27 @@ def test_an_off_by_one_orbit_index_is_refused(monkeypatch, name):
     monkeypatch.setattr(_OrbitTable, "member_finder", off_by_one)
     with pytest.raises(VerificationFailed, match="names another word"):
         self_dual_search(make_field(*FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", ["F2^6", "F3^3"])
+def test_a_wrong_complement_on_an_upper_orbit_is_refused(monkeypatch, name):
+    """The orbits above n/2 are never looked up, but each entry is still checked
+    against the complements of its own words: one upper orbit given its
+    complements rotated by one member is refused."""
+    complements = construct.orbit_complements
+    wrong = []
+
+    def rotated_once(field, bits, dim, D):
+        comps = complements(field, bits, dim, D)
+        if 2 * dim > field.n and D > 1 and not wrong:
+            wrong.append(bits)
+            return comps[1:] + comps[:1]
+        return comps
+
+    monkeypatch.setattr(construct, "orbit_complements", rotated_once)
+    with pytest.raises(VerificationFailed, match="names another word"):
+        self_dual_search(make_field(*FIELDS[name]))
+    assert wrong
 
 
 @pytest.mark.parametrize("name", ["F2^6", "F3^3"])
