@@ -84,8 +84,6 @@ class SubspaceCode(Record):
 
     words, the same set as Subspace objects, is built the first time it is
     read; size, dims, the distances and the duality checks read bitsets.
-    is_self_dual and is_quasi_cyclic read a code through word_keys,
-    complement_keys and shifted_keys, which name its words by bitset.
     provenance, from code_from_generators, is (m, ((generator, orbit size),
     ...)), one entry per generator, duplicates included.
     """
@@ -131,21 +129,6 @@ class SubspaceCode(Record):
         if self.constant_dimension:
             return (n, self.dims[0], self.size, d)
         return (n, self.size, d)
-
-    def word_keys(self) -> frozenset:
-        """The word bitsets."""
-        return self.bitsets
-
-    def complement_keys(self):
-        """The bitset of each word's orthogonal complement, computed afresh."""
-        from .subspace import complement_bits
-        field, q = self.field, self.field.q
-        return (complement_bits(field, b, dimension_from_popcount(b.bit_count(), q))
-                for b in self.bitsets)
-
-    def shifted_keys(self, m: int):
-        """The bitset of each word times gamma^m."""
-        return map(rotate_bits, self.bitsets, repeat(m), repeat(self.field.group_order))
 
 
 def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
@@ -246,33 +229,33 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
 # -- duality and cyclicity ----------------------------------------------------------
 
 
+def _complements(C: SubspaceCode):
+    """The bitset of each word's orthogonal complement, computed afresh."""
+    from .subspace import complement_bits
+    field, q = C.field, C.field.q
+    return (complement_bits(field, b, dimension_from_popcount(b.bit_count(), q))
+            for b in C.bitsets)
+
+
 def dualize(C: SubspaceCode) -> SubspaceCode:
     """The code of orthogonal complements (provenance does not survive)."""
-    return SubspaceCode(C.field, C.complement_keys())
+    return SubspaceCode(C.field, _complements(C))
 
 
-def is_quasi_cyclic(C, m: int) -> bool:
-    """True iff the word set is closed under the shift by gamma^m.
-
-    C is a SubspaceCode or a SelfDualHit: anything with a field that names
-    its words by keys, word_keys() the set of them and shifted_keys(m) the
-    key of each word times gamma^m.
-    """
+def is_quasi_cyclic(C: SubspaceCode, m: int) -> bool:
+    """True iff the word set is closed under the shift by gamma^m."""
     check_modulus(C.field, m)
-    return C.word_keys().issuperset(C.shifted_keys(m))
+    return C.bitsets.issuperset(map(rotate_bits, C.bitsets, repeat(m),
+                                    repeat(C.field.group_order)))
 
 
 def is_cyclic(C: SubspaceCode) -> bool:
     return is_quasi_cyclic(C, 1)
 
 
-def is_self_dual(C) -> bool:
-    """True iff the orthogonal complement of every word is a word.
-
-    C is read as in is_quasi_cyclic, complement_keys() giving the key of
-    each word's complement.
-    """
-    return C.word_keys().issuperset(C.complement_keys())
+def is_self_dual(C: SubspaceCode) -> bool:
+    """True iff the orthogonal complement of every word is a word."""
+    return C.bitsets.issuperset(_complements(C))
 
 
 # -- code files -----------------------------------------------------------------
@@ -287,6 +270,13 @@ class CodeFile(namedtuple("CodeFile", "field m generators claimed")):
 
 def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)    # no bools
+
+
+def _is_claim(claimed) -> bool:
+    """True for an object of some of n, k, size and d: integers, d also null."""
+    return (isinstance(claimed, dict) and set(claimed) <= {"n", "k", "size", "d"}
+            and _is_int_list([value for key, value in claimed.items() if key != "d"])
+            and (claimed.get("d") is None or type(claimed["d"]) is int))
 
 
 def load_code_file(path) -> CodeFile:
@@ -310,11 +300,12 @@ def load_code_file(path) -> CodeFile:
     if not (_is_int_list([q, n, m])
             and (poly is None or isinstance(poly, str) or _is_int_list(poly))
             and isinstance(exps_list, list) and all(map(_is_int_list, exps_list))
-            and (claimed is None or isinstance(claimed, dict))):
+            and (claimed is None or _is_claim(claimed))):
         raise ParseError(
             f"code file {path}: q, n and m must be integers, poly a list of "
             "integers or a string, each generator a list of integer exponents "
-            "and claimed an object")
+            "and claimed an object of only n, k and size, integers, and d, an "
+            "integer or null")
     field = make_field(q, n, poly)
     generators = [from_exponents(field, exps) for exps in exps_list]
     return CodeFile(field, m, generators, claimed)

@@ -34,7 +34,7 @@ from itertools import accumulate, chain, compress, islice, product, repeat
 from math import gcd
 from operator import add, and_, eq, floordiv, lt, mod, mul, ne, neg, not_, or_, rshift, sub
 
-from .codes import SubspaceCode, code_from_generators, is_self_dual, min_distance
+from .codes import SubspaceCode, code_from_generators, min_distance
 from .errors import (
     FieldMismatch,
     OddDistance,
@@ -341,12 +341,10 @@ class _OrbitTable:
     lengths[oid]; its member j < D, the representative rotated by j, has
     the member id start[oid] + j, and orbit_of maps each member id to its
     oid.  A member's bitset is one shift of the doubled representative,
-    made when it is read.  perp_id, once the search sets it, maps each
-    member id to the id of its orthogonal complement.
+    made when it is read.
     """
 
-    __slots__ = ("N", "dims", "lengths", "start", "orbit_of", "doubled", "perp_id", "_tops",
-                 "_rotations")
+    __slots__ = ("N", "dims", "lengths", "start", "orbit_of", "doubled", "_tops")
 
     def __init__(self, field: FieldSpec):
         N, n = field.group_order, field.n
@@ -364,7 +362,6 @@ class _OrbitTable:
                                                            self.lengths)))
         self.doubled = [rep | rep << N for rep in reps]
         self._tops = [s + N for s in self.start]
-        self._rotations = {}        # m -> rotation table of gamma^m
 
     def words(self, ids):
         """The bitsets of the members with these ids, in their order.
@@ -382,16 +379,13 @@ class _OrbitTable:
 
         Member j of the orbit at start[oid] = a of length D goes to member
         (j + m) mod D, so the orbit's run of ids is rotated by c = m mod D:
-        ids a + c, ..., a + D - 1, a, ..., a + c - 1.  Each table is built
-        once, on first use, and kept.
+        ids a + c, ..., a + D - 1, a, ..., a + c - 1.
         """
-        if m not in self._rotations:
-            start = self.start
-            cut = [a + m % (b - a) for a, b in zip(start, start[1:])]
-            runs = chain.from_iterable((range(c, b), range(a, c))
-                                       for a, b, c in zip(start, start[1:], cut))
-            self._rotations[m] = _joined(map(array, repeat("i"), runs), start[-1])
-        return self._rotations[m]
+        start = self.start
+        cut = [a + m % (b - a) for a, b in zip(start, start[1:])]
+        runs = chain.from_iterable((range(c, b), range(a, c))
+                                   for a, b, c in zip(start, start[1:], cut))
+        return _joined(map(array, repeat("i"), runs), start[-1])
 
     def member_finder(self):
         """A function from a list of members' bitsets to an array('i') of their ids.
@@ -432,9 +426,7 @@ class SelfDualHit(Record):
     The ids number the members of the cyclic orbits of P_q(n) as
     _OrbitTable does, ascending, so members[0] is the smallest.  words,
     code and params() rotate the orbit representatives on each read, code
-    into a fresh SubspaceCode.  is_self_dual and is_quasi_cyclic read a hit
-    through word_keys, complement_keys and shifted_keys, which name its
-    words by member id.
+    into a fresh SubspaceCode.
     """
 
     __slots__ = ("field", "moduli", "orbit_count", "dims", "members", "_orbits")
@@ -482,18 +474,6 @@ class SelfDualHit(Record):
     def params(self) -> tuple:
         return self.code.params()
 
-    def word_keys(self) -> set:
-        """The member ids of the words."""
-        return set(self.members)
-
-    def complement_keys(self):
-        """The member id of each word's orthogonal complement."""
-        return map(self._orbits.perp_id.__getitem__, self.members)
-
-    def shifted_keys(self, m: int):
-        """The member id of each word times gamma^m, read from the rotation table."""
-        return map(self._orbits.rotation(m).__getitem__, self.members)
-
 
 # self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, about what the
 # interpreter and the package hold before it starts (16.5 MB), plus, for each
@@ -503,12 +483,13 @@ class SelfDualHit(Record):
 # is a component of its own, and each is a minimal hit: about one hit per two
 # subspaces, where over F_2^n the hits are few and large.  A hit is a slotted
 # SelfDualHit (80 bytes on CPython 3.11) and an array('i') of its member ids
-# (96 bytes for two).  The hits' quasi-cyclic checks add a rotation table of
-# 4 bytes per subspace for each modulus the hits have: one over F_2^8 (1.7
-# MB), two over F_3^6.  On CPython 3.11 a `selfdual` call's own peak (VmHWM)
-# was about 27 MiB over F_2^8 (417,199 subspaces, estimated at 41.7 MB) and
-# 29.5 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits,
-# estimated at 48.9 MB).
+# (96 bytes for two).  The complement map perp_id and the rotation tables of
+# the hits' quasi-cyclic checks, one per distinct m (one over F_2^8, two over
+# F_3^6), each take 4 bytes per subspace (1.7 MB over F_2^8) and are dropped
+# when the search returns.  On CPython 3.11 a `selfdual` call's own peak
+# (VmHWM) was about 27 MiB over F_2^8 (417,199 subspaces, estimated at 41.7
+# MB) and 29.5 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315
+# hits, estimated at 48.9 MB).
 SELFDUAL_BASE_BYTES = 20_000_000
 SELFDUAL_WORD_OVERHEAD = 20
 SELFDUAL_HIT_OVERHEAD = 800
@@ -526,7 +507,7 @@ def _space_needed(field: FieldSpec) -> tuple:
     return total, need
 
 
-def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES) -> list:
+def self_dual_search(field: FieldSpec) -> list:
     """All minimal self-dual m-quasi-cyclic codes in P_q(n), every proper m.
 
     Pairs each subspace with its orthogonal complement once, then reads off
@@ -566,49 +547,39 @@ def self_dual_search(field: FieldSpec, max_space: int = SELFDUAL_MAX_BYTES) -> l
 
     The search holds each cyclic orbit as its representative (the census's
     up to n/2, the trace duals of those above it: see _OrbitTable), the
-    pairing as an array of member ids, each level as arrays over its nodes,
-    and each hit as a slotted SelfDualHit over an array of its member ids,
-    built where its component is read, then checked and sorted.  The
-    complement pairs i < perp_id[i] are selected once, and each maximal
-    modulus joins them by Rem's union-find over one parent array indexed by
-    member, each member starting under the first member of its quasi
-    orbit; a level keeps a node -> root array and its components' nodes,
-    and reads their member ids in one pass.  The pairing is one map perp_id
-    from each member to its complement: orbit_complements complements each
-    orbit's D members at once, and the orbit index names the complement of
-    each member whose entry is not yet known, which sets its partner's
-    entry too, so each pair is looked up once.  Before any union-find each
-    orbit's entries are checked against the complements of its own words,
-    bit for bit, and the map for being an involution.  Both checks of a hit
-    then run on its member ids: it is self-dual when its id set holds
-    perp_id of every id, and m-quasi-cyclic when it holds the image of
-    every id in the rotation table of gamma^m, which maps member j of an
-    orbit of length D to member (j + m) mod D.  No hit builds a set of its
-    words.  The ids above n/2 follow the trace duals, but every hit's
-    smallest member lies at a dimension of at most n/2, numbered as the
-    census lists it, so the order of the hits does not depend on them.
+    pairing as one map perp_id from each member id to its complement's,
+    made and verified by _complement_pairs, each level as arrays over its
+    nodes (_Pairs, _Level), and each hit as a slotted SelfDualHit over an
+    array of its member ids, built where its component is read.  Each hit
+    is checked on one set of its member ids: it is self-dual when the set
+    holds perp_id of every member, and m-quasi-cyclic when it holds the
+    image of every member in the rotation table of gamma^m
+    (_OrbitTable.rotation), built once per distinct m.  No hit builds a set
+    of its words.  The ids above n/2 follow the trace duals, but every
+    hit's smallest member lies at a dimension of at most n/2, numbered as
+    the census lists it, so the order of the hits does not depend on them.
 
     Before any work, the memory the search would hold is estimated as the
     SELFDUAL_* constants set out, and a ResourceLimit is raised when that
-    exceeds max_space, 500 MB by default: P_2(9) (716 MB) and P_3(7)
-    (1.4 GB) are refused.
+    exceeds SELFDUAL_MAX_BYTES (500 MB): P_2(9) (716 MB) and P_3(7) (1.4 GB)
+    are refused.  perp_id and the rotation tables are dropped when the
+    search returns; each hit keeps only the orbit table.
     """
-    from .codes import is_quasi_cyclic
-
     total, need = _space_needed(field)
-    if need > max_space:
+    if need > SELFDUAL_MAX_BYTES:
         raise ResourceLimit(
-            f"P_{field.q}({field.n}) has {total} subspaces, an estimated "
-            f"{need / 1e6:.1f} MB to search, over the limit of {max_space / 1e6:.1f} MB")
+            f"P_{field.q}({field.n}) has {total} subspaces, an estimated {need / 1e6:.1f} MB "
+            f"to search, over the limit of {SELFDUAL_MAX_BYTES / 1e6:.1f} MB")
 
     orbits = _OrbitTable(field)
-    orbits.perp_id = _complement_pairs(field, orbits)
-    hits = _minimal_components(field, orbits)
+    perp_id = _complement_pairs(field, orbits)
+    hits = _minimal_components(field, orbits, perp_id)
+    rotations = {m: orbits.rotation(m) for m in {hit.m for hit in hits}}
     for hit in hits:
-        # both checks read the hit's member ids, through the verified perp_id
-        if not is_self_dual(hit):
+        ids = set(hit.members)
+        if not ids.issuperset(map(perp_id.__getitem__, hit.members)):
             raise VerificationFailed("component is not self-dual: internal error")
-        if not is_quasi_cyclic(hit, hit.m):
+        if not ids.issuperset(map(rotations[hit.m].__getitem__, hit.members)):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
     # ties in (dimension kind, size, m) go by the hit's smallest member id;
     # two hits of one m are two components at the first maximal modulus m
@@ -795,9 +766,9 @@ class _Pairs:
 
     __slots__ = ("lo", "left", "right", "perp_id", "start", "parent")
 
-    def __init__(self, orbits: _OrbitTable):
+    def __init__(self, orbits: _OrbitTable, perp_id: array):
         dims, n = orbits.dims, orbits.dims[-1]
-        self.perp_id, self.start = perp_id, start = orbits.perp_id, orbits.start
+        self.perp_id, self.start = perp_id, start = perp_id, orbits.start
         self.lo = lo = start[bisect_left(dims, (n + 1) // 2)]
         hi = start[bisect_left(dims, n // 2 + 1)]
         ids, perp = range(lo, hi), perp_id[lo:hi]
@@ -864,15 +835,16 @@ def _joined(parts, size: int) -> array:
     return out
 
 
-def _minimal_components(field: FieldSpec, orbits: _OrbitTable) -> list:
+def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -> list:
     """An unchecked SelfDualHit for each minimal component but the {0, full-space} pair.
 
-    Each is read at the first maximal modulus it is a component at.
+    Each is read at the first maximal modulus it is a component at, from
+    the pairing perp_id that _complement_pairs made.
     """
     N = field.group_order
     maximal = [N // p for p in divisors(N) if is_prime(p)]
     # every union-find first, so that the pairs are gone before any level is grouped
-    pairs = _Pairs(orbits)
+    pairs = _Pairs(orbits, perp_id)
     roots = list(map(pairs.roots, maximal))
     del pairs
     levels = list(map(_Level, maximal, repeat(orbits), roots))

@@ -12,6 +12,7 @@ import pytest
 from orbitcodes import (
     assemble_code,
     build_graph,
+    construct,
     distance,
     enumerate_orbits,
     find_cliques,
@@ -421,7 +422,10 @@ def test_self_dual_search_results_genuine():
                     assert not (other.code.words < h.code.words)
 
 
-def test_self_dual_search_budget_guard():
-    f = make_field(2, 6)
-    with pytest.raises(ResourceLimit):
-        self_dual_search(f, max_space=100)
+def test_self_dual_search_budget_guard(monkeypatch):
+    # P_2(9) is refused at the default limit before any work
+    with pytest.raises(ResourceLimit, match="P_2\\(9\\) has 8283458 subspaces"):
+        self_dual_search(make_field(2, 9))
+    monkeypatch.setattr(construct, "SELFDUAL_MAX_BYTES", 100)
+    with pytest.raises(ResourceLimit, match="over the limit of 0.0 MB"):
+        self_dual_search(make_field(2, 6))

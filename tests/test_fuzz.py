@@ -142,6 +142,28 @@ def test_load_code_file_refuses_booleans_for_integers(workdir, key):
     assert run_main("verify", str(path)) == 2
 
 
+@pytest.mark.parametrize("claim", [{"n": True, "size": True}, {"k": "x"}, {"k": None},
+                                   {"size": [31]}, {"d": False}, {"d": 2.0}, {"sise": 31}],
+                         ids=["bools", "string", "null-k", "list", "bool-d", "float-d",
+                              "misspelt-key"])
+def test_load_code_file_refuses_claims_that_are_not_integers(workdir, claim):
+    """n, k and size are claimed as integers and d as an integer or null, and
+    nothing else is claimed: a misspelt key would otherwise check nothing."""
+    path = workdir / "code.json"
+    path.write_text(json.dumps({**CODE_DOC, "claimed": claim}))
+    with pytest.raises(ParseError, match="claimed an object of only n, k and size"):
+        load_code_file(str(path))
+    assert run_main("verify", str(path)) == 2
+
+
+def test_a_spread_file_with_a_null_claimed_distance_verifies(workdir):
+    """spread writes "d": null for its one-word code over F_2^4 at t = 4."""
+    path = workdir / "spread.json"
+    assert run_main("spread", "--n", "4", "--t", "4", "--out", str(path)) == 0
+    assert load_code_file(str(path)).claimed["d"] is None
+    assert run_main("verify", str(path)) == 0
+
+
 @FUZZ
 @given(checkpoint_files)
 def test_checkpoint_load_fuzz(workdir, data):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcodes import codes, construct, from_bits, make_field, self_dual_search
+from orbitcodes import construct, from_bits, make_field, self_dual_search
 from orbitcodes.construct import (
     _complement_pairs,
     _Level,
@@ -79,19 +79,19 @@ def test_complement_pairs_matches_oracle_extended(name):
     assert_same_pairs(make_field(*EXTENDED_FIELDS[name]))
 
 
-def assert_same_level(M, orbits, proper):
+def assert_same_level(M, orbits, perp_id, proper):
     """The level of modulus M matches the oracle's: components, roots, nodes and read-outs.
 
-    orbits is an _OrbitTable, or anything with its dims, lengths, start,
-    orbit_of and perp_id.
+    orbits is an _OrbitTable, or anything with its dims, lengths, start and
+    orbit_of, and perp_id the complement map over its member ids.
     """
-    level = _Level(M, orbits, _Pairs(orbits).roots(M))
-    ref, ref_groups = oracle.components_at(M, orbits.lengths, orbits.perp_id)
+    level = _Level(M, orbits, _Pairs(orbits, perp_id).roots(M))
+    ref, ref_groups = oracle.components_at(M, orbits.lengths, perp_id)
     components = list(level.components())
     assert [list(nodes) for _, nodes in components] == list(map(list, ref_groups)), f"M={M}"
     # each root is its component's smallest member, the first member of its smallest node
     assert list(map(level.node, level.root)) == ref.parent
-    assert list(map(level.node, range(len(orbits.perp_id)))) == list(ref.node_of)
+    assert list(map(level.node, range(len(perp_id)))) == list(ref.node_of)
     for (root, nodes), closable in zip(components, level.closable()):
         assert root == next(level.members(nodes[:1])) == min(level.members(nodes))
         assert level.sizes[root] == ref.sizes[nodes[0]]
@@ -103,10 +103,10 @@ def assert_same_level(M, orbits, proper):
 def assert_same_levels(field):
     """At every maximal modulus, the components and their read-outs match the oracle's."""
     orbits = _OrbitTable(field)
-    orbits.perp_id = _complement_pairs(field, orbits)
+    perp_id = _complement_pairs(field, orbits)
     N = field.group_order
     for p in filter(is_prime, divisors(N)):
-        assert_same_level(N // p, orbits, divisors(N)[:-1])
+        assert_same_level(N // p, orbits, perp_id, divisors(N)[:-1])
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -146,7 +146,7 @@ def test_union_find_matches_path_halving(case):
 
 @st.composite
 def pairings(draw):
-    """(N, an _OrbitTable stand-in of cyclic orbits of sizes dividing N and their pairing).
+    """(N, an _OrbitTable stand-in of cyclic orbits of sizes dividing N, their pairing).
 
     As in P_q(n), the orbits come in three dimensions 0, 1 and n = 2:
     each member of dimension 0 is paired with one of dimension 2, whose
@@ -170,18 +170,17 @@ def pairings(draw):
         perp[a], perp[b] = b, a
     orbits = SimpleNamespace(
         dims=[0] * len(low) + [1] * len(middle) + [2] * len(high), lengths=sizes, start=start,
-        orbit_of=array("i", chain.from_iterable(map(repeat, range(len(sizes)), sizes))),
-        perp_id=array("i", perp))
-    return N, orbits
+        orbit_of=array("i", chain.from_iterable(map(repeat, range(len(sizes)), sizes))))
+    return N, orbits, array("i", perp)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pairings())
 def test_levels_match_oracle_on_random_pairings(case):
     """Every maximal modulus: the oracle's components, roots, nodes, sizes and read-outs."""
-    N, orbits = case
+    N, orbits, perp_id = case
     for p in filter(is_prime, divisors(N)):
-        assert_same_level(N // p, orbits, divisors(N)[:-1])
+        assert_same_level(N // p, orbits, perp_id, divisors(N)[:-1])
 
 
 def test_f2_8_level_structure_is_pinned():
@@ -192,13 +191,13 @@ def test_f2_8_level_structure_is_pinned():
     """
     field = make_field(2, 8)
     orbits = _OrbitTable(field)
-    orbits.perp_id = _complement_pairs(field, orbits)
-    pairs = _Pairs(orbits)
+    perp_id = _complement_pairs(field, orbits)
+    pairs = _Pairs(orbits, perp_id)
     assert pairs.lo + len(pairs.left) == 208_532
     for M, components, nodes in [(85, 3195, 139_419), (51, 5, 83_455), (15, 5, 24_543)]:
         level = _Level(M, orbits, pairs.roots(M))
         assert (len(level.sizes), len(level.root)) == (components, nodes), f"M={M}"
-    found = construct._minimal_components(field, orbits)
+    found = construct._minimal_components(field, orbits, perp_id)
     assert len(found) == 3194
     assert {hit.m for hit in found} == {85}
 
@@ -247,7 +246,21 @@ def test_rotation_table_matches_the_per_member_formula(name):
         table = orbits.rotation(m)
         assert list(table) == list(oracle.shifted(orbits, ids, m)), f"m={m}"
         assert list(orbits.words(table)) == [rotate_bits(w, m, N) for w in words], f"m={m}"
-        assert orbits.rotation(m) is table       # built once
+
+
+@pytest.mark.parametrize("name", ["F2^6-other", "F3^4"])
+def test_search_builds_one_rotation_table_per_distinct_m(monkeypatch, name):
+    """The hits of these fields have two distinct m, each checked on one table."""
+    rotation, built = _OrbitTable.rotation, []
+
+    def counted(orbits, m):
+        built.append(m)
+        return rotation(orbits, m)
+
+    monkeypatch.setattr(_OrbitTable, "rotation", counted)
+    hits = self_dual_search(make_field(*FIELDS[name]))
+    assert len(built) == 2
+    assert sorted(built) == sorted({hit.m for hit in hits})
 
 
 @pytest.mark.parametrize("name", list(FIELDS), ids=lambda name: f"{name}-minimal")
@@ -292,19 +305,28 @@ def corrupt_first_component(monkeypatch, change):
     """Make the search see the first component's member ids through change."""
     components = construct._minimal_components
 
-    def corrupted(field, orbits):
-        found = components(field, orbits)
-        found[0].members = change(orbits, found[0].members)
+    def corrupted(field, orbits, perp_id):
+        found = components(field, orbits, perp_id)
+        found[0].members = change(orbits, perp_id, found[0].members)
         return found
 
     monkeypatch.setattr(construct, "_minimal_components", corrupted)
 
 
-def drop_last(orbits, members):
+def drop_last(orbits, perp_id, members):
+    """The last member dropped, while its complement, another member, stays."""
+    assert perp_id[members[-1]] != members[-1]
     return members[:-1]
 
 
-def orbit_neighbour_of_first(orbits, members):
+def drop_first_pair(orbits, perp_id, members):
+    """The first member and its complement dropped: still self-dual, but the
+    first member is the shift of another member by gamma^m."""
+    i = members[0]
+    return array("i", (j for j in members if j not in (i, perp_id[i])))
+
+
+def orbit_neighbour_of_first(orbits, perp_id, members):
     """The first member replaced by the next member of its cyclic orbit."""
     i = members[0]
     oid = bisect_right(orbits.start, i) - 1
@@ -319,8 +341,17 @@ def orbit_neighbour_of_first(orbits, members):
                          ids=["member-dropped", "orbit-neighbour"])
 @pytest.mark.parametrize("name", ["F2^6", "F3^3"])
 def test_a_corrupted_hit_is_refused(monkeypatch, name, change):
+    """A member missing from a hit, with its complement present, fails the self-dual check."""
     corrupt_first_component(monkeypatch, change)
-    with pytest.raises(VerificationFailed, match="not self-dual|not quasi-cyclic"):
+    with pytest.raises(VerificationFailed, match="not self-dual"):
+        self_dual_search(make_field(*FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", ["F2^4", "F2^6"])
+def test_a_dropped_complement_pair_fails_the_quasi_cyclic_check(monkeypatch, name):
+    """Over F_3^3 every hit is one complement pair, and dropping it leaves nothing to check."""
+    corrupt_first_component(monkeypatch, drop_first_pair)
+    with pytest.raises(VerificationFailed, match="not quasi-cyclic"):
         self_dual_search(make_field(*FIELDS[name]))
 
 
@@ -357,24 +388,3 @@ def test_a_wrong_complement_on_an_upper_orbit_is_refused(monkeypatch, name):
     with pytest.raises(VerificationFailed, match="names another word"):
         self_dual_search(make_field(*FIELDS[name]))
     assert wrong
-
-
-@pytest.mark.parametrize("name", ["F2^6", "F3^3"])
-def test_each_hit_is_checked_once(monkeypatch, name):
-    """is_self_dual and is_quasi_cyclic run exactly once per hit, on the hit."""
-    calls = {"is_self_dual": [], "is_quasi_cyclic": []}
-
-    def counted(module, fn_name):
-        fn = getattr(module, fn_name)
-
-        def count(C, *args):
-            calls[fn_name].append(C)
-            return fn(C, *args)
-        monkeypatch.setattr(module, fn_name, count)
-
-    counted(construct, "is_self_dual")
-    counted(codes, "is_quasi_cyclic")
-    hits = self_dual_search(make_field(*FIELDS[name]))
-    assert hits
-    for checked in calls.values():
-        assert sorted(map(id, checked)) == sorted(map(id, hits))
