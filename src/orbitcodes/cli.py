@@ -33,7 +33,7 @@ EXTENDED_THRESHOLD = 12_000_000
 
 def _field_from_args(args):
     from .gfext import make_field
-    return make_field(args.q, args.n, args.poly or None)
+    return make_field(args.q, args.n, args.poly)
 
 
 def _budget_from_args(args):

@@ -9,16 +9,7 @@ from functools import cached_property
 from itertools import repeat
 from math import gcd, log10
 
-from .errors import (
-    FieldMismatch,
-    NotADivisor,
-    OddDistance,
-    OrbitCodesError,
-    ParseError,
-    TooLarge,
-    TooSmall,
-    VerificationFailed,
-)
+from .errors import OrbitCodesError, ParseError, VerificationFailed
 from .gfext import FieldSpec, gaussian_coefficient, make_field
 from .records import Record, write_json
 from .subspace import (
@@ -47,15 +38,15 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     and a = n - k, the quotient's a factors (q^(k+i) - 1) / (q^(delta+i) - 1)
     are each q^s plus less than q^(s-delta-i+1): it has floor q^(s a) when
     delta >= s a + 3, else it is formed as [n, m]_q / [n - max(a, s), m]_q,
-    m = min(a, s).  A bound of more digits than the interpreter prints raises
-    TooLarge, before it is formed when q^(s a) is already too long.
+    m = min(a, s).  A bound of more digits than the interpreter prints is
+    refused (exit 3), before it is formed when q^(s a) is already too long.
     """
     if q < 2 or n < 1:
         raise OrbitCodesError(f"the bound needs q >= 2 and n >= 1, not q={q}, n={n}")
     if not 0 <= k <= n:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{n}")
     if d % 2 != 0 or d < 2:
-        raise OddDistance(f"minimum distance {d} must be even and >= 2")
+        raise OrbitCodesError(f"minimum distance {d} must be even and >= 2")
     if d > 2 * min(k, n - k):
         return 1
     delta = (d - 2) // 2
@@ -67,7 +58,7 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
                  gaussian_coefficient(n, m, q) // gaussian_coefficient(n - max(a, s), m, q))
         if not limit or bound < 10 ** limit:
             return bound
-    raise TooLarge(f"the bound for n={n}, k={k}, d={d}, q={q} has more than {limit} digits")
+    raise OrbitCodesError(f"the bound for n={n}, k={k}, d={d}, q={q} has more than {limit} digits")
 
 
 # -- code objects ----------------------------------------------------------------
@@ -139,7 +130,7 @@ def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
     orbits = []
     for idx, gen in enumerate(generators):
         if gen.field != field:
-            raise FieldMismatch("generator belongs to a different field")
+            raise OrbitCodesError("generator belongs to a different field")
         members = orbit_bits(field, gen.bits, m)
         if not bitsets.isdisjoint(members):
             duplicates.append(idx)
@@ -156,7 +147,7 @@ def code_from_words(field: FieldSpec, words) -> SubspaceCode:
 def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
     """The orbit of the subfield F_{q^t}: a spread of F_q^n (requires t | n)."""
     if t < 1 or field.n % t != 0:
-        raise NotADivisor(f"t={t} is not a positive divisor of n={field.n}")
+        raise OrbitCodesError(f"t={t} is not a positive divisor of n={field.n}")
     N = field.group_order
     step = N // (field.q ** t - 1)
     subfield = from_exponents(field, range(0, N, step))
@@ -181,7 +172,7 @@ def min_distance(C: SubspaceCode) -> int:
     of two or more words, else word by word, one AND per pair of words (as
     for the one-word orbits of every code file dualize writes)."""
     if C.size < 2:
-        raise TooSmall("minimum distance needs at least two codewords")
+        raise OrbitCodesError("minimum distance needs at least two codewords")
     if C.provenance and any(size > 1 for _, size in C.provenance[1]):
         return _min_distance_orbits(C)
     return _min_distance_all_pairs(C)
@@ -288,7 +279,7 @@ def load_code_file(path) -> CodeFile:
         raise ParseError(f"cannot read code file {path}: {exc}") from None
     try:
         fspec = doc["field"]
-        q, n, poly = fspec["q"], fspec["n"], fspec["poly"]
+        q, n, poly = fspec["q"], fspec["n"], fspec.get("poly")
         m = doc.get("m", 1)
         exps_list = doc["generators"]
         claimed = doc.get("claimed")

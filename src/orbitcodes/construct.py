@@ -35,14 +35,7 @@ from math import gcd
 from operator import add, and_, eq, floordiv, lt, mod, mul, ne, neg, not_, or_, rshift, sub
 
 from .codes import SubspaceCode, code_from_generators, min_distance
-from .errors import (
-    FieldMismatch,
-    OddDistance,
-    ParseError,
-    ResourceLimit,
-    SameOrbit,
-    VerificationFailed,
-)
+from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
 from .gfext import FieldSpec, gaussian_coefficient, is_prime
 from .orbits import Orbit, RunBudget, cyclic_orbit_data, numbered_lines
 from .records import Record
@@ -66,9 +59,9 @@ def inter_orbit_distance(A: Orbit, B: Orbit) -> int:
     nearest member of B (orbit_distance).
     """
     if A.field != B.field or A.m != B.m:
-        raise FieldMismatch("orbits must share a field and modulus")
+        raise OrbitCodesError("orbits must share a field and modulus")
     if A.rep.bits == B.rep.bits:
-        raise SameOrbit("orbits are identical")
+        raise OrbitCodesError("orbits are identical")
     return orbit_distance(A.field, A.rep.bits, A.k, B.rep.bits, B.k, A.m)
 
 
@@ -108,19 +101,19 @@ def build_graph(orbits, d: int) -> CompatGraph:
     dimensions at that pair's t; a pair of dimensions with t above the
     smaller one has no t-subspace in common and never conflicts.
 
-    The included orbits must share one field and modulus (FieldMismatch)
-    and be distinct orbits (SameOrbit).
+    The included orbits must share one field and modulus and be distinct
+    orbits; otherwise the graph is refused (exit 3).
     """
     if d < 2 or d % 2 != 0:
-        raise OddDistance(f"threshold d={d} must be even and >= 2")
+        raise OrbitCodesError(f"threshold d={d} must be even and >= 2")
     included = [o for o in orbits if o.min_dist >= d]
     excluded = [o for o in orbits if o.min_dist < d]
     seen = set()
     for o in included:
         if (o.field, o.m) != (included[0].field, included[0].m):
-            raise FieldMismatch("orbits must share a field and modulus")
+            raise OrbitCodesError("orbits must share a field and modulus")
         if o.rep.bits in seen:
-            raise SameOrbit("orbits are identical")
+            raise OrbitCodesError("orbits are identical")
         seen.add(o.rep.bits)
 
     by_dim = {}                          # k -> vertices of dimension k

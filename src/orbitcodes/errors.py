@@ -1,80 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code.
+
+- ParseError (exit 2): a malformed argument, polynomial or input file.
+- OrbitCodesError (exit 3): input outside what the math allows, such as
+  a q that is not prime, a polynomial that is not primitive or a modulus
+  that does not divide q^n - 1; the base class of the two below it.
+- ResourceLimit (exit 4): a time, work or memory budget was exceeded.
+- VerificationFailed (exit 5): a code or result does not have the
+  properties it claims.
+"""
 
 
 class OrbitCodesError(ValueError):
     """Base class for all validation errors raised by this package."""
 
 
-class NotPrime(OrbitCodesError):
-    pass
-
-
-class NotPrimitive(OrbitCodesError):
-    pass
-
-
-class DegreeMismatch(OrbitCodesError):
-    pass
-
-
-class TooLarge(OrbitCodesError):
-    pass
-
-
-class NoDefault(OrbitCodesError):
-    pass
-
-
-class NotASubspace(OrbitCodesError):
-    pass
-
-
-class ExponentOutOfRange(OrbitCodesError):
-    pass
-
-
-class DuplicateExponent(OrbitCodesError):
-    pass
-
-
-class AllZero(OrbitCodesError):
-    pass
-
-
-class FieldMismatch(OrbitCodesError):
-    pass
-
-
-class BadModulus(OrbitCodesError):
-    pass
-
-
-class OddDistance(OrbitCodesError):
-    pass
-
-
-class NotADivisor(OrbitCodesError):
-    pass
-
-
-class TooSmall(OrbitCodesError):
-    pass
-
-
-class SameOrbit(OrbitCodesError):
+class ParseError(OrbitCodesError):
     pass
 
 
 class VerificationFailed(OrbitCodesError):
     pass
-
-
-class ParseError(OrbitCodesError):
-    pass
-
-
-class CheckpointMismatch(OrbitCodesError):
-    """A checkpoint file belongs to another field, polynomial, k or format."""
 
 
 class ResourceLimit(RuntimeError):

@@ -10,17 +10,11 @@ the coefficient of x^i (base-q digits, so plain bits when q = 2).
 
 from __future__ import annotations
 
+import re
 from array import array
 from functools import cached_property, lru_cache
 
-from .errors import (
-    DegreeMismatch,
-    NoDefault,
-    NotPrime,
-    NotPrimitive,
-    ParseError,
-    TooLarge,
-)
+from .errors import OrbitCodesError, ParseError
 
 # Largest supported multiplicative group; log/antilog tables are dense.
 DEFAULT_MAX_GROUP_ORDER = 1 << 24
@@ -100,20 +94,20 @@ def is_prime(q: int) -> bool:
 
 
 def _field_order(q: int, n: int) -> int:
-    """q^n, or TooLarge once q^n - 1 passes DEFAULT_MAX_GROUP_ORDER.
+    """q^n, refused (exit 3) once q^n - 1 passes DEFAULT_MAX_GROUP_ORDER.
 
     The power is built one factor at a time, so a huge q or n is refused
     before it costs anything (and before q is tested for primality).
     """
     if n < 1:
-        raise DegreeMismatch(f"n={n} must be >= 1")
+        raise OrbitCodesError(f"n={n} must be >= 1")
     if q < 2:
-        raise NotPrime(f"q={q} is not prime")
+        raise OrbitCodesError(f"q={q} is not prime")
     order = 1
     for _ in range(n):
         order *= q
         if order - 1 > DEFAULT_MAX_GROUP_ORDER:
-            raise TooLarge(f"q^{n}-1 exceeds limit {DEFAULT_MAX_GROUP_ORDER}")
+            raise OrbitCodesError(f"q^{n}-1 exceeds limit {DEFAULT_MAX_GROUP_ORDER}")
     return order
 
 
@@ -122,37 +116,46 @@ def default_poly(q: int, n: int) -> tuple:
     try:
         return DEFAULT_POLYS[(q, n)]
     except KeyError:
-        raise NoDefault(f"no built-in primitive polynomial for q={q}, n={n}") from None
+        raise OrbitCodesError(f"no built-in primitive polynomial for q={q}, n={n}") from None
+
+
+# One term of a polynomial: c*x^e with c, "*" and ^e optional, or a constant.
+_TERM = re.compile(r"(?:([0-9]+)\s*\*?\s*)?x(?:\s*\^\s*([0-9]+))?|([0-9]+)")
 
 
 def parse_poly(text: str, q: int, max_degree: int | None = None) -> tuple:
     """Parse a polynomial given as coefficients "1,1,0,0,1" or terms "x^4+x+1".
 
-    A "-" negates the term after it, so over F_3 "x^2-x-1" is x^2+2x+2; a
-    "-" with no term after it ("x-", "x^2 - - x") is a ParseError.  A term
-    above max_degree, when given, raises DegreeMismatch before a
-    coefficient tuple of that length is built.
+    A term is c, x, x^e, cx or c*x^e, with spaces around it or around its
+    "*" and "^".  A "-" negates the term after it, so over F_3 "x^2-x-1" is
+    x^2+2x+2; a "+" or "-" with no term after it ("x-", "x^4++x") is a
+    ParseError, as is a malformed term ("x4", "x^^4", "2**x").  A term above
+    max_degree, when given, is refused (exit 3) before a coefficient tuple
+    of that length is built.
     """
     text = text.strip()
     try:
         if "," in text or text.lstrip("-").isdigit():
             return tuple(int(c) % q for c in text.split(","))
+        if not text:
+            raise ValueError("no terms")
+        signed = re.split(r"([+-])", text if text[0] in "+-" else "+" + text)
         coeffs = {}
-        for term in text.replace("-", "+-").split("+"):
-            sign = -1 if "-" in term else 1
-            body = term.replace("-", "").strip()
-            if not body:
-                if sign < 0:
-                    raise ValueError("a sign with no term after it")
-                continue
-            c, x, rest = body.partition("x")
-            e = (int(rest.lstrip("^")) if rest.strip() else 1) if x else 0
-            coeffs[e] = coeffs.get(e, 0) + sign * (int(c.rstrip("*")) if c.strip() else 1)
+        for sign, term in zip(signed[1::2], signed[2::2]):
+            term = term.strip()
+            if not term:
+                raise ValueError("a sign with no term after it")
+            match = _TERM.fullmatch(term)
+            if match is None:
+                raise ValueError(f"malformed term {term!r}")
+            c, e, constant = match.groups()
+            e = 0 if constant else int(e or 1)
+            coeffs[e] = coeffs.get(e, 0) + int(sign + (constant or c or "1"))
         deg = max(coeffs)
     except ValueError as exc:
         raise ParseError(f"cannot parse polynomial {text!r}: {exc}") from None
     if max_degree is not None and deg > max_degree:
-        raise DegreeMismatch(f"polynomial has degree {deg}, expected {max_degree}")
+        raise OrbitCodesError(f"polynomial has degree {deg}, expected {max_degree}")
     return tuple(coeffs.get(i, 0) % q for i in range(deg + 1))
 
 
@@ -195,14 +198,14 @@ class FieldSpec:
     def __init__(self, q: int, n: int, poly: tuple):
         order = _field_order(q, n)
         if not is_prime(q):
-            raise NotPrime(f"q={q} is not prime")
+            raise OrbitCodesError(f"q={q} is not prime")
         poly = tuple(int(c) for c in poly)
         if len(poly) != n + 1:
-            raise DegreeMismatch(f"polynomial has degree {len(poly) - 1}, expected {n}")
+            raise OrbitCodesError(f"polynomial has degree {len(poly) - 1}, expected {n}")
         if poly[-1] != 1:
-            raise DegreeMismatch("polynomial must be monic")
+            raise OrbitCodesError("polynomial must be monic")
         if any(c < 0 or c >= q for c in poly):
-            raise DegreeMismatch(f"coefficients must lie in [0, {q})")
+            raise OrbitCodesError(f"coefficients must lie in [0, {q})")
 
         self.q = q
         self.n = n
@@ -217,14 +220,14 @@ class FieldSpec:
         val = 1  # packed coords of 1
         for e in range(self.group_order):
             if log[val] != -1:
-                raise NotPrimitive(
+                raise OrbitCodesError(
                     f"{poly_str(poly)} is not primitive over F_{q} "
                     f"(x has order {e})")
             antilog[e] = val
             log[val] = e
             val = self._mul_by_x(val)
         if val != 1:
-            raise NotPrimitive(f"{poly_str(poly)} is not primitive over F_{q}")
+            raise OrbitCodesError(f"{poly_str(poly)} is not primitive over F_{q}")
         self.antilog = antilog
         self.log = log
         self._hash = hash((q, n, poly))

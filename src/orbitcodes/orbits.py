@@ -47,13 +47,7 @@ import time
 from collections import namedtuple
 from math import gcd, prod
 
-from .errors import (
-    CheckpointMismatch,
-    OrbitCodesError,
-    ParseError,
-    ResourceLimit,
-    VerificationFailed,
-)
+from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
 from .gfext import FieldSpec, gaussian_coefficient, make_field
 from .records import Record
 from .subspace import (
@@ -255,6 +249,9 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
 
 CHECKPOINT_FORMAT = 3
 
+# A checkpoint appends its records to the file this many at a time.
+CHECKPOINT_FLUSH_EVERY = 256
+
 
 class Checkpoint:
     """Append-only JSONL checkpoint for long enumerations (n=10 scale).
@@ -272,9 +269,8 @@ class Checkpoint:
     refused and left as it is.
     """
 
-    def __init__(self, path, flush_every: int = 256):
+    def __init__(self, path):
         self.path = path
-        self.flush_every = flush_every
         self._buf = []
 
     def load(self, field: FieldSpec, k: int) -> tuple:
@@ -306,7 +302,7 @@ class Checkpoint:
                         "candidates or records come in another order")
             else:
                 what = "was written for another field, polynomial or k"
-            raise CheckpointMismatch(
+            raise OrbitCodesError(
                 f"{where} {what}, not for (q={field.q}, n={field.n}, "
                 f"poly={list(field.poly)}, k={k}); delete it to start over")
         complete = data[:data.rfind(b"\n") + 1]
@@ -347,7 +343,7 @@ class Checkpoint:
             "length": rec.length, "stab_degree": rec.stab_degree,
             "min_by_step": {str(g): d for g, d in rec.min_by_step.items()},
         }))
-        if len(self._buf) >= self.flush_every:
+        if len(self._buf) >= CHECKPOINT_FLUSH_EVERY:
             self.flush()
 
     def flush(self):

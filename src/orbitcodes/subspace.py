@@ -86,26 +86,19 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import and_, itemgetter, sub
 
-from .errors import (
-    AllZero,
-    BadModulus,
-    DuplicateExponent,
-    ExponentOutOfRange,
-    FieldMismatch,
-    NotASubspace,
-)
+from .errors import OrbitCodesError
 from .gfext import FieldSpec
 from .records import Record
 
 
 def dimension_from_popcount(popcount: int, q: int) -> int:
-    """Return k with q^k - 1 = popcount, or raise NotASubspace."""
+    """Return k with q^k - 1 = popcount, or raise OrbitCodesError."""
     k, size = 0, 1
     while size - 1 < popcount:
         size *= q
         k += 1
     if size - 1 != popcount:
-        raise NotASubspace(f"popcount {popcount} is not of the form {q}^k-1")
+        raise OrbitCodesError(f"popcount {popcount} is not of the form {q}^k-1")
     return k
 
 
@@ -119,10 +112,10 @@ def rotate_bits(bits: int, e: int, length: int) -> int:
 
 
 def check_modulus(field: FieldSpec, m: int) -> None:
-    """Raise BadModulus unless m is a positive divisor of q^n - 1."""
+    """Raise OrbitCodesError unless m is a positive divisor of q^n - 1."""
     N = field.group_order
     if m < 1 or N % m != 0:
-        raise BadModulus(f"modulus m={m} does not divide q^n-1 = {N}")
+        raise OrbitCodesError(f"modulus m={m} does not divide q^n-1 = {N}")
 
 
 def stabilizer(field: FieldSpec, bits: int) -> tuple:
@@ -139,7 +132,7 @@ def stabilizer(field: FieldSpec, bits: int) -> tuple:
             D = N // (q ** t - 1)
             if (doubled >> (N - D)) & mask == bits:
                 return t, D
-    raise NotASubspace("bitset is not fixed by the scalars F_q^*")
+    raise OrbitCodesError("bitset is not fixed by the scalars F_q^*")
 
 
 def orbit_bits(field: FieldSpec, bits: int, m: int = 1) -> list:
@@ -356,7 +349,7 @@ class Subspace(namedtuple("Subspace", "field bits dim")):
     def __new__(cls, field: FieldSpec, bits: int, dim: int):
         pc = bits.bit_count()
         if dimension_from_popcount(pc, field.q) != dim:
-            raise NotASubspace(f"popcount {pc} inconsistent with dim {dim}")
+            raise OrbitCodesError(f"popcount {pc} inconsistent with dim {dim}")
         return tuple.__new__(cls, (field, bits, dim))
 
     @property
@@ -499,21 +492,21 @@ def from_exponents(field: FieldSpec, exps) -> Subspace:
     bits = 0
     for e in exps:
         if not 0 <= e < field.group_order:
-            raise ExponentOutOfRange(f"exponent {e} out of [0, {field.group_order})")
+            raise OrbitCodesError(f"exponent {e} out of [0, {field.group_order})")
         if e in seen:
-            raise DuplicateExponent(f"exponent {e} repeated")
+            raise OrbitCodesError(f"exponent {e} repeated")
         seen.add(e)
         bits |= 1 << e
     pc = bits.bit_count()
     try:
         k = dimension_from_popcount(pc, field.q)
-    except NotASubspace:
-        raise NotASubspace(
+    except OrbitCodesError:
+        raise OrbitCodesError(
             f"{pc} nonzero elements is not q^k-1 for q={field.q}") from None
     # bits holds q^k - 1 exponents, so it is closed exactly when the span
     # of its first k independent ones is bits itself
     if _basis_span(field, bits, limit=k)[2] != bits:
-        raise NotASubspace("element set is not closed under addition")
+        raise OrbitCodesError("element set is not closed under addition")
     return Subspace(field, bits, k)
 
 
@@ -527,10 +520,10 @@ def span(field: FieldSpec, exps) -> Subspace:
     bits = 0
     for e in exps:
         if not 0 <= e < field.group_order:
-            raise ExponentOutOfRange(f"exponent {e} out of range")
+            raise OrbitCodesError(f"exponent {e} out of range")
         bits |= 1 << e
     if not bits:
-        raise AllZero("span needs at least one nonzero vector")
+        raise OrbitCodesError("span needs at least one nonzero vector")
     basis, _, bits = _basis_span(field, bits)
     return Subspace(field, bits, len(basis))
 
@@ -540,7 +533,7 @@ def span(field: FieldSpec, exps) -> Subspace:
 
 def _check_field(U: Subspace, V: Subspace) -> None:
     if U.field != V.field:
-        raise FieldMismatch("subspaces live in different fields")
+        raise OrbitCodesError("subspaces live in different fields")
 
 
 def distance(U: Subspace, V: Subspace) -> int:

@@ -1,8 +1,9 @@
+import contextlib
 import os
 
 import pytest
 
-from orbitcodes import make_field
+from orbitcodes import OrbitCodesError, make_field
 
 
 def pytest_collection_modifyitems(config, items):
@@ -47,3 +48,12 @@ def f9():
 def data_path(name: str) -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     return os.path.join(here, "..", "src", "orbitcodes", "data", name)
+
+
+@contextlib.contextmanager
+def refused(match: str):
+    """The block raises OrbitCodesError itself, the CLI's exit 3 and not one
+    of its subclasses, with a message that matches the pattern match."""
+    with pytest.raises(OrbitCodesError, match=match) as excinfo:
+        yield excinfo
+    assert excinfo.type is OrbitCodesError

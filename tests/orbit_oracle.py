@@ -30,7 +30,7 @@ import itertools
 from math import gcd
 
 from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
-from orbitcodes.errors import BadModulus, TooSmall, VerificationFailed
+from orbitcodes.errors import OrbitCodesError, VerificationFailed
 from orbitcodes.orbits import _iter_candidates
 from orbitcodes.subspace import (
     Subspace,
@@ -233,7 +233,7 @@ def orbit_of(V: Subspace, m: int = 1) -> tuple:
     field = V.field
     N = field.group_order
     if m < 1 or N % m != 0:
-        raise BadModulus(f"m={m} does not divide {N}")
+        raise OrbitCodesError(f"m={m} does not divide {N}")
     t = stabilizer_degree_bits(field, V.bits)
     D = N // (field.q ** t - 1)
     L = D // gcd(m, D)
@@ -319,7 +319,7 @@ def min_distance_orbits(C) -> int:
                 consider(_dist_bits(q, ka, kb, a, cur))
                 cur = rotate_bits(cur, ma, N)
     if best is None:
-        raise TooSmall("code has a single orbit of length 1")
+        raise OrbitCodesError("code has a single orbit of length 1")
     return best
 
 
@@ -327,7 +327,7 @@ def canonical_rotation(V: Subspace, m: int = 1) -> tuple:
     """(least rotation of V by a multiple of m, the offset reaching it)."""
     N = V.field.group_order
     if m < 1 or N % m != 0:
-        raise BadModulus(f"modulus {m} does not divide {N}")
+        raise OrbitCodesError(f"modulus {m} does not divide {N}")
     best, best_off = V.bits, 0
     cur = V.bits
     for j in range(1, N // m):

@@ -158,11 +158,28 @@ def test_bad_poly_term_is_a_parse_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("poly", ["x^4+x+1-", "x^4 - - x + 1"])
+@pytest.mark.parametrize("poly", ["x^4+x+1-", "x^4 - - x + 1", "x^4+x+1+", "x^4++x+1"])
 def test_dangling_poly_sign_is_a_parse_error(capsys, poly):
     code, _, err = run(capsys, "selfdual", "--n", "4", "--poly=" + poly)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("poly", ["x^^4+x+1", "2**x+1", "x4+x+1"])
+def test_malformed_poly_term_is_a_parse_error(capsys, poly):
+    code, _, err = run(capsys, "selfdual", "--n", "4", "--poly=" + poly)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "malformed term" in err
+
+
+@pytest.mark.parametrize("argv", [["selfdual", "--n", "4"], ["classify", "--n", "4", "--k", "2"]],
+                         ids=["selfdual", "classify"])
+def test_empty_poly_is_a_parse_error(capsys, argv):
+    """--poly '' is refused, not read as "no --poly"."""
+    code, _, err = run(capsys, *argv, "--poly", "")
+    assert code == 2
+    assert err == "error: cannot parse polynomial '': no terms\n"
 
 
 @pytest.mark.extended

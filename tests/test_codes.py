@@ -30,15 +30,8 @@ from orbitcodes import (
 )
 from orbitcodes import codes
 from orbitcodes.cli import main
-from orbitcodes.errors import (
-    BadModulus,
-    NotADivisor,
-    OddDistance,
-    TooLarge,
-    TooSmall,
-    VerificationFailed,
-)
-from tests.conftest import data_path
+from orbitcodes.errors import VerificationFailed
+from tests.conftest import data_path, refused
 
 
 # -- Gaussian coefficients and bounds --------------------------------------------
@@ -115,13 +108,13 @@ def test_bound_is_the_gaussian_quotient():
 def test_bound_past_the_digit_limit_is_refused_before_it_is_formed():
     t0 = time.monotonic()
     for n, d, k in [(300, 4, 150), (10 ** 6, 4, 5 * 10 ** 5), (10 ** 6, 2, 1)]:
-        with pytest.raises(TooLarge, match="digits"):
+        with refused("has more than [0-9]+ digits"):
             etzion_vardy_bound(n, d, k, 2)
     assert time.monotonic() - t0 < 5
 
 
 def test_bound_rejects_odd_distance():
-    with pytest.raises(OddDistance):
+    with refused("minimum distance 3 must be even and >= 2"):
         etzion_vardy_bound(10, 3, 3, 2)
 
 
@@ -144,7 +137,7 @@ def test_duplicate_generators_flagged(f16):
 
 def test_bad_modulus_rejected(f16):
     g = from_exponents(f16, [0, 1, 4])
-    with pytest.raises(BadModulus):
+    with refused(r"modulus m=4 does not divide q\^n-1 = 15"):
         code_from_generators(f16, 4, [g])
 
 
@@ -165,7 +158,7 @@ def test_min_distance_orbit_vs_all_pairs(f64):
 
 def test_min_distance_needs_two_words(f16):
     C = code_from_words(f16, [from_exponents(f16, [0, 1, 4])])
-    with pytest.raises(TooSmall):
+    with refused("minimum distance needs at least two codewords"):
         min_distance(C)
 
 
@@ -212,7 +205,7 @@ def test_spread_n6(f64):
 
 
 def test_spread_requires_divisor(f64):
-    with pytest.raises(NotADivisor):
+    with refused("t=4 is not a positive divisor of n=6"):
         spread_code(f64, 4)
 
 
@@ -302,7 +295,7 @@ def test_quasi_cyclic_predicate(f16):
     assert C.size == 5
     assert is_quasi_cyclic(C, 3)
     assert not is_cyclic(C)
-    with pytest.raises(BadModulus):
+    with refused(r"modulus m=4 does not divide q\^n-1 = 15"):
         is_quasi_cyclic(C, 4)
 
 

@@ -26,9 +26,9 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
 def test_demo_stdout_is_pinned(demo):
-    """In a child of its own, as a user runs it."""
+    """In a child of its own, as a user runs it, with every warning an error."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    child = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,
+    child = subprocess.run([sys.executable, "-W", "error", os.path.join(DEMOS, demo)], env=env,
                            capture_output=True, timeout=120)
     assert child.returncode == 0, child.stderr.decode()
     assert hashlib.sha256(child.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]

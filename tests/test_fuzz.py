@@ -164,6 +164,16 @@ def test_a_spread_file_with_a_null_claimed_distance_verifies(workdir):
     assert run_main("verify", str(path)) == 0
 
 
+@pytest.mark.parametrize("field", [{"q": 2, "n": 4}, {"q": 2, "n": 4, "poly": None}],
+                         ids=["missing", "null"])
+def test_a_code_file_without_poly_takes_the_default_polynomial(workdir, field):
+    """field.poly is optional: missing or null, it is the built-in polynomial."""
+    path = workdir / "code.json"
+    path.write_text(json.dumps({"field": field, "generators": [[0]]}))
+    assert load_code_file(str(path)).field == make_field(2, 4)
+    assert run_main("verify", str(path)) == 0
+
+
 @FUZZ
 @given(checkpoint_files)
 def test_checkpoint_load_fuzz(workdir, data):

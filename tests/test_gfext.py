@@ -1,18 +1,14 @@
 """Field construction, log/antilog tables, and arithmetic on packed vectors."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from orbitcodes import make_field, default_poly, parse_poly
-from orbitcodes.errors import (
-    DegreeMismatch,
-    NoDefault,
-    NotPrime,
-    NotPrimitive,
-    ParseError,
-    TooLarge,
-)
+from orbitcodes.errors import ParseError
 from orbitcodes.gfext import DEFAULT_POLYS, poly_str
+from tests.conftest import refused
 
 
 def test_all_default_polys_are_primitive():
@@ -65,22 +61,42 @@ def test_parse_poly_of_signed_terms(case):
     assert parse_poly(text, q) == expected
 
 
-@pytest.mark.parametrize("text", ["x^2 - - x", "x-", "-", "x^2+-", "x^4 + x - "])
+@pytest.mark.parametrize("text", ["x^2 - - x", "x-", "-", "x^2+-", "x^4 + x - ",
+                                  "x^4+x+1+", "x^4++x+1", "+"])
 def test_parse_poly_refuses_a_sign_with_no_term_after_it(text):
     with pytest.raises(ParseError, match="a sign with no term after it"):
         parse_poly(text, 3)
 
 
+@pytest.mark.parametrize("text, term", [("x^^4+x+1", "x^^4"), ("2**x+1", "2**x"),
+                                        ("x4+x+1", "x4"), ("x^+1", "x^"), ("*x+1", "*x"),
+                                        ("x^4+x y+1", "x y"), ("2 3x+1", "2 3x")])
+def test_parse_poly_refuses_a_malformed_term(text, term):
+    with pytest.raises(ParseError, match=f"malformed term {re.escape(repr(term))}"):
+        parse_poly(text, 2)
+
+
+def test_parse_poly_refuses_an_empty_polynomial():
+    for text in ["", "  "]:
+        with pytest.raises(ParseError, match="no terms"):
+            parse_poly(text, 2)
+
+
+def test_parse_poly_allows_spaces_within_a_term():
+    assert parse_poly(" 2 * x ^ 3 + x^ 2 + 1 ", 3) == (1, 0, 1, 2)
+    assert parse_poly("+x^4+x+1", 2) == (1, 1, 0, 0, 1)
+
+
 def test_invalid_fields_rejected():
-    with pytest.raises(NotPrime):
+    with refused("q=4 is not prime"):
         make_field(4, 2, (1, 1, 1))
-    with pytest.raises(NotPrimitive):
-        make_field(2, 4, (1, 1, 1, 1, 1))  # x^4+x^3+x^2+x+1 has order 5
-    with pytest.raises(DegreeMismatch):
+    with refused(r"x\^4\+x\^3\+x\^2\+x\+1 is not primitive over F_2 \(x has order 5\)"):
+        make_field(2, 4, (1, 1, 1, 1, 1))
+    with refused("polynomial has degree 2, expected 4"):
         make_field(2, 4, (1, 1, 1))
-    with pytest.raises(NoDefault):
+    with refused("no built-in primitive polynomial for q=11, n=3"):
         make_field(11, 3)
-    with pytest.raises(TooLarge):
+    with refused(r"q\^25-1 exceeds limit 16777216"):
         make_field(2, 25)               # 2^25 - 1 is past the 2^24 cap
 
 

@@ -25,7 +25,7 @@ from orbitcodes import (
 )
 from orbitcodes.codes import _min_distance_orbits
 from orbitcodes import orbits
-from orbitcodes.errors import BadModulus, VerificationFailed
+from orbitcodes.errors import VerificationFailed
 from orbitcodes.orbits import (
     Checkpoint,
     _iter_candidates,
@@ -47,7 +47,7 @@ from orbitcodes.subspace import (
     stabilizer,
 )
 from tests import orbit_oracle as oracle
-from tests.conftest import data_path
+from tests.conftest import data_path, refused
 
 # primitive polynomials other than the defaults, constant term first
 F64_OTHER_POLY = (1, 1, 0, 0, 0, 0, 1)              # x^6 + x + 1
@@ -488,12 +488,9 @@ def test_every_modulus_check_raises_one_message():
              lambda m: code_from_generators(field, m, [V]),
              lambda m: is_quasi_cyclic(code, m)]
     for m in (0, 4):
-        messages = set()
         for call in calls:
-            with pytest.raises(BadModulus) as exc:
+            with refused(rf"^modulus m={m} does not divide q\^n-1 = 63$"):
                 call(m)
-            messages.add(str(exc.value))
-        assert messages == {f"modulus m={m} does not divide q^n-1 = 63"}
 
 
 # -- the correlation kernel --------------------------------------------------------

@@ -21,7 +21,8 @@ from orbitcodes import (
     write_orbit_db,
 )
 from orbitcodes.codes import gaussian_coefficient
-from orbitcodes.errors import BadModulus, ResourceLimit
+from orbitcodes import orbits
+from orbitcodes.errors import ResourceLimit
 from orbitcodes.orbits import (
     Orbit,
     _iter_candidates,
@@ -29,6 +30,7 @@ from orbitcodes.orbits import (
     cyclic_orbit_data,
 )
 from orbitcodes.subspace import divisors, orbit_bits, stabilizer
+from tests.conftest import refused
 from tests.orbit_oracle import (
     naive_orbit_length,
     passes_wrap_gap_bound,
@@ -122,8 +124,8 @@ def test_orbit_min_dist_matches_all_pairs(f32):
 
 def test_bad_modulus(f16):
     V = from_exponents(f16, [0, 1, 4])
-    with pytest.raises(BadModulus):
-        orbit_of(V, 4)  # 4 does not divide 15
+    with refused(r"modulus m=4 does not divide q\^n-1 = 15"):
+        orbit_of(V, 4)
 
 
 def test_enumerate_orbits_partitions_grassmannian(f16):
@@ -262,12 +264,13 @@ def test_orbit_db_round_trip(tmp_path, f64):
 
 
 @pytest.mark.usefixtures("fresh_census_cache")
-def test_checkpoint_resume(tmp_path, f64):
+def test_checkpoint_resume(tmp_path, f64, monkeypatch):
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "ckpt.jsonl")
     full = cyclic_orbit_data(f64, 3)
     # run once with a checkpoint, then resume from the file: same records
-    ck = Checkpoint(path, flush_every=4)
+    monkeypatch.setattr(orbits, "CHECKPOINT_FLUSH_EVERY", 4)
+    ck = Checkpoint(path)
     first = cyclic_orbit_data(f64, 3, checkpoint=ck)
     ck2 = Checkpoint(path)
     resumed = cyclic_orbit_data(f64, 3, checkpoint=ck2)
@@ -277,34 +280,33 @@ def test_checkpoint_resume(tmp_path, f64):
 
 @pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_refuses_another_field_or_k(tmp_path, f64):
-    from orbitcodes.errors import CheckpointMismatch
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "ckpt.jsonl")
     cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path))
     other = make_field(2, 6, (1, 1, 0, 0, 0, 0, 1))    # x^6 + x + 1
     for field, k in ((other, 3), (f64, 2), (make_field(2, 5), 3)):
-        with pytest.raises(CheckpointMismatch):
+        with refused("was written for another field, polynomial or k"):
             cyclic_orbit_data(field, k, checkpoint=Checkpoint(path))
 
 
 @pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_refuses_min_by_class_records(tmp_path, f64):
     """A file in the older header-less min_by_class format is not misread."""
-    from orbitcodes.errors import CheckpointMismatch
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "old.jsonl")
     with open(path, "w") as fh:
         fh.write('{"q": 2, "n": 6, "k": 3, "cand": 0, "rep_bits": "7", '
                  '"length": 63, "stab_degree": 1, "min_by_class": {"1": 2}}\n')
-    with pytest.raises(CheckpointMismatch, match="min_by_class"):
+    with refused("holds records in the older min_by_class format"):
         cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path))
 
 
 @pytest.mark.usefixtures("fresh_census_cache")
-def test_checkpoint_tolerates_torn_last_line(tmp_path, f64):
+def test_checkpoint_tolerates_torn_last_line(tmp_path, f64, monkeypatch):
     from orbitcodes.orbits import cyclic_orbit_data
     path = os.path.join(tmp_path, "ckpt.jsonl")
-    full = cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path, flush_every=4))
+    monkeypatch.setattr(orbits, "CHECKPOINT_FLUSH_EVERY", 4)
+    full = cyclic_orbit_data(f64, 3, checkpoint=Checkpoint(path))
     with open(path) as fh:
         lines = fh.readlines()
     # keep the header and five records, then half of the sixth record
