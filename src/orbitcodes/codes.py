@@ -36,10 +36,10 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     k-subspaces are at most 2 min(k, n - k) apart, so above that distance
     only one word fits and the bound is 1.  Otherwise, with s = k - delta
     and a = n - k, the quotient's a factors (q^(k+i) - 1) / (q^(delta+i) - 1)
-    are each q^s plus less than q^(s-delta-i+1): it has floor q^(s a) when
-    delta >= s a + 3, else it is formed as [n, m]_q / [n - max(a, s), m]_q,
-    m = min(a, s).  A bound of more digits than the interpreter prints is
-    refused (exit 3), before it is formed when q^(s a) is already too long.
+    are each q^s plus less than q^(s-delta-i+1), and it is formed as
+    [n, m]_q / [n - max(a, s), m]_q, m = min(a, s).  A bound of more digits
+    than the interpreter prints is refused (exit 3), before it is formed
+    when q^(s a) is already too long.
     """
     if q < 2 or n < 1:
         raise OrbitCodesError(f"the bound needs q >= 2 and n >= 1, not q={q}, n={n}")
@@ -54,8 +54,7 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()      # 0: no limit
     if not limit or s * a * log10(q) <= limit + 1:
         m = min(a, s)       # [n, a] / [n - s, a] and [n, s] / [n - a, s] are the quotient
-        bound = (q ** (s * a) if delta >= s * a + 3 else
-                 gaussian_coefficient(n, m, q) // gaussian_coefficient(n - max(a, s), m, q))
+        bound = gaussian_coefficient(n, m, q) // gaussian_coefficient(n - max(a, s), m, q)
         if not limit or bound < 10 ** limit:
             return bound
     raise OrbitCodesError(f"the bound for n={n}, k={k}, d={d}, q={q} has more than {limit} digits")

@@ -506,7 +506,7 @@ def self_dual_search(field: FieldSpec) -> list:
     Pairs each subspace with its orthogonal complement once, then reads off
     connected components of the pairing at the m-quasi-orbit level: every
     component is a self-dual m-quasi-cyclic code and every minimal one
-    arises this way.  Four facts keep the work down while giving the same
+    arises this way.  Three facts keep the work down while giving the same
     hits as running every proper divisor m of N = q^n-1:
 
     - maximal moduli: when m divides m', the m'-quasi orbits refine the
@@ -522,17 +522,13 @@ def self_dual_search(field: FieldSpec) -> list:
       maps the hit's nodes onto nodes of its root (one pass over the
       level's nodes per prime finds the components with m0 = M), and its
       m0-quasi orbits are counted from those nodes;
-    - skip what an earlier level holds: a self-dual set closed under a
-      maximal modulus M' is a union of components at M'.  So a component
-      at M that is closed under an earlier maximal M' (M' % m0 == 0) is
-      either one component at M', read there, or a union of at least two,
-      not minimal; either way it is skipped, and each hit is read once;
     - minimality: components at one modulus are disjoint, so K is not
       minimal exactly when it strictly contains a component C found at
       another maximal modulus.  One probe per C and level settles it: from
       C's smallest member to the root of the component there that holds
-      it, which is marked, as an (M, root) pair, when it is larger than C
-      and holds every member of C.
+      it, which is marked, as an (M, root) pair, when it holds every member
+      of C and is larger than C, or as large and at a later maximal modulus:
+      then it is C itself, read at C's modulus, so each hit is read once.
 
     m = q^n-1 is excluded (the shift is the identity and every dual-closed
     set would qualify), and so is the {0, full-space} pair, which every
@@ -845,15 +841,16 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
 
     # minimality: probe every level with the smallest member of each
     # component, its root, and mark the root found there when its component
-    # is larger and holds every member of the probing one (at the
-    # component's own level the root found is its own, of the same size)
-    marked = set()       # (M, root) of every component that holds a smaller one
-    for level in levels:
+    # holds every member of the probing one and is larger, or as large (the
+    # same set) at a later level (at the component's own level the root
+    # found is its own, of the same size)
+    marked = set()       # (M, root) of every component that holds a smaller or earlier one
+    for i, level in enumerate(levels):
         for r, nodes in level.components():
-            for other in levels:
+            for j, other in enumerate(levels):
                 root = other.root[other.node(r)]
                 if ((other.M, root) not in marked
-                        and other.sizes[root] > level.sizes[r]
+                        and (other.sizes[root], j) > (level.sizes[r], i)
                         and other.holds(root, array("i", level.members(nodes)))):
                     marked.add((other.M, root))
 
@@ -863,7 +860,6 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
     shared = {}          # one copy of each moduli and dims tuple
     while levels:
         level, members, closable = levels.pop(), None, None
-        earlier = maximal[:len(levels)]
         for j, (r, nodes) in enumerate(level.components()):
             # member 0 is the zero subspace, so its component is the {0, full-space} pair
             if (level.M, r) in marked or r == 0:
@@ -871,10 +867,6 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
             if members is None:
                 members, closable = level.member_ids(), level.closable()
             moduli, orbit_count = level.read_out(nodes, proper, closable[j])
-            # closed under an earlier maximal modulus: one component there,
-            # read there, or a union of several, not minimal
-            if any(E % moduli[0] == 0 for E in earlier):
-                continue
             dims = tuple(sorted(set(map(level.dim.__getitem__, nodes))))
             hits.append(SelfDualHit(field, shared.setdefault(moduli, moduli), orbit_count,
                                     shared.setdefault(dims, dims), members[r], orbits))

@@ -10,9 +10,9 @@ is kept exactly when it is its own orbit's smallest member
 their representatives.  The Frobenius map x -> x^q carries each cyclic orbit
 onto one with the same record but its representative, so only the first
 orbit met of each Frobenius class is walked (orbit_record, from subspace),
-and the others reuse its record (cyclic_orbit_data).  That reuse saves work
-and changes no record, so a resumed run needs only the index of the last
-candidate it reached.  An m-quasi census is then derived without
+and the others reuse its record (cyclic_orbit_data).  A checkpoint stores
+each orbit's representative and candidate index alone, and a resumed run
+rebuilds the records from them.  An m-quasi census is then derived without
 re-enumeration: a cyclic orbit of length D splits into g = gcd(m, D) quasi
 orbits of length D/g, all sharing the same internal minimum distance
 profile.
@@ -53,8 +53,8 @@ from .records import Record
 from .subspace import (
     CyclicOrbitRecord,
     Subspace,
+    _basis_span,
     _echelon_rows,
-    _steps,
     _walk_rows,
     check_modulus,
     exponents_of,
@@ -66,7 +66,6 @@ from .subspace import (
     orbit_bits,
     orbit_record,
     rotate_bits,
-    stabilizer,
 )
 
 
@@ -200,11 +199,13 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     stabilizer and the same distances d(V, gamma^j V) over the multiples of
     each step.  When the first orbit of a class is walked, the smallest
     members of the others go into a map to its record, and each is popped
-    when the walk meets it, so the map is empty after a full run, and a
-    full run that leaves it otherwise raises VerificationFailed.  A resumed
-    run starts with an empty map and walks the first orbit after its start
-    of each class afresh; the conjugates before the start stay in the map.
-    Nothing mutates min_by_step, so records may share it.
+    when the walk meets it, so the map is empty after a run, and a run that
+    leaves it otherwise raises VerificationFailed.  A resumed run first
+    passes the representatives its checkpoint stores through the same step
+    (_cyclic_record), in their order, so every record is rebuilt and the map
+    holds what a run from the first candidate would hold at the start.
+    The checkpoint's buffered lines are written even when the walk stops
+    early.  Nothing mutates min_by_step, so records may share it.
     """
     if not 0 <= k <= field.n:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{field.n}")
@@ -213,41 +214,49 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     if budget is None and checkpoint is None and key in _CYCLIC_CACHE:
         return _CYCLIC_CACHE[key]
     clock = (budget or RunBudget()).start()
-    records, start = [], 0
-    if checkpoint is not None:
-        records, start = checkpoint.load(field, k)
+    stored, start = checkpoint.load(field, k) if checkpoint is not None else ((), 0)
     conjugates = {}     # smallest member of an orbit not met yet -> its class's record
+    records = [_cyclic_record(field, k, bits, conjugates) for bits in stored]
     last = start - 1
-    for idx, bits in _iter_candidates(field, k, start):
-        if idx < start:
-            continue
-        clock.tick(idx - last)      # the candidates the bound skipped count too
-        last = idx
-        first = conjugates.pop(bits, None)
-        if first is not None:
-            rec = CyclicOrbitRecord(bits, first.length, first.stab_degree, first.min_by_step)
-        elif is_min_member(field, bits):
-            rec = orbit_record(field, bits, k)
-            if rec.length > 1:      # not the zero subspace or the full space
-                for image in _frobenius_conjugates(field, bits):
-                    conjugates[image] = rec
-        else:
-            continue
-        records.append(rec)
+    try:
+        for idx, bits in _iter_candidates(field, k, start):
+            if idx < start:
+                continue
+            clock.tick(idx - last)      # the candidates the bound skipped count too
+            last = idx
+            if bits in conjugates or is_min_member(field, bits):
+                records.append(_cyclic_record(field, k, bits, conjugates))
+                if checkpoint is not None:
+                    checkpoint.record(idx, bits)
+        clock.tick(candidate_count(field, k) - 1 - last)   # and those after the last one yielded
+    finally:
         if checkpoint is not None:
-            checkpoint.record(idx, rec)
-    clock.tick(candidate_count(field, k) - 1 - last)   # and those after the last one yielded
-    if start == 0 and conjugates:
+            checkpoint.flush()
+    if conjugates:
         raise VerificationFailed(
             f"{len(conjugates)} Frobenius conjugates of (q={field.q}, n={field.n}, "
             f"k={k}) orbits were never met by the census walk")
-    if checkpoint is not None:
-        checkpoint.flush()
     _CYCLIC_CACHE[key] = records
     return records
 
 
-CHECKPOINT_FORMAT = 3
+def _cyclic_record(field: FieldSpec, k: int, bits: int, conjugates: dict) -> CyclicOrbitRecord:
+    """The record of the orbit whose smallest member is bits.
+
+    An orbit in conjugates takes its class's record and leaves the map;
+    any other is walked, and its Frobenius conjugates are mapped to it.
+    """
+    first = conjugates.pop(bits, None)
+    if first is not None:
+        return CyclicOrbitRecord(bits, first.length, first.stab_degree, first.min_by_step)
+    rec = orbit_record(field, bits, k)
+    if rec.length > 1:      # not the zero subspace or the full space
+        for image in _frobenius_conjugates(field, bits):
+            conjugates[image] = rec
+    return rec
+
+
+CHECKPOINT_FORMAT = 4
 
 # A checkpoint appends its records to the file this many at a time.
 CHECKPOINT_FLUSH_EVERY = 256
@@ -256,17 +265,19 @@ CHECKPOINT_FLUSH_EVERY = 256
 class Checkpoint:
     """Append-only JSONL checkpoint for long enumerations (n=10 scale).
 
-    The first line is a header naming the format (3), the field (q, n, poly)
+    The first line is a header naming the format (4), the field (q, n, poly)
     and k; a file written for any other field, polynomial or k, or in an
     older format, is refused, never mixed in.  Each further line is one
-    cyclic orbit record with the candidate index of its representative, in
-    strictly increasing order and below candidate_count, so a resumed run
-    starts after the last index.
-    Format 2 numbered the candidates of q > 2 in another order, and format 1
-    listed the orbits in another order.  A torn last line, left by a
-    run stopped mid-write, is cut off on load, but only after the header
-    matches; a file that does not start with a checkpoint header is
-    refused and left as it is.
+    cyclic orbit: its representative, the orbit's smallest member, as hex
+    bits, and the representative's candidate index, in strictly increasing
+    order and below candidate_count, so a resumed run starts after the
+    last index.  Nothing the census computes from a representative is
+    stored: cyclic_orbit_data rebuilds each record.  Format 3 also stored
+    each orbit's walk data, format 2 numbered the candidates of q > 2 in
+    another order, and format 1 listed the orbits in another order.  A torn
+    last line, left by a run stopped mid-write, is cut off on load, but only
+    after the header matches; a file that does not start with a checkpoint
+    header is refused and left as it is.
     """
 
     def __init__(self, path):
@@ -274,7 +285,12 @@ class Checkpoint:
         self._buf = []
 
     def load(self, field: FieldSpec, k: int) -> tuple:
-        """(records so far, index of the first candidate still to test)."""
+        """(the stored representatives, index of the first candidate still to test).
+
+        Each representative is checked to be the smallest member of the
+        cyclic orbit of a k-subspace: q^k - 1 exponents below q^n - 1, closed
+        under addition.
+        """
         header = {"checkpoint": CHECKPOINT_FORMAT, "q": field.q, "n": field.n,
                   "poly": list(field.poly), "k": k}
         try:
@@ -298,13 +314,11 @@ class Checkpoint:
             if "min_by_class" in first:
                 what = "holds records in the older min_by_class format"
             elif type(old) is int and 0 < old < CHECKPOINT_FORMAT:
-                what = (f"is in the older checkpoint format {old}, whose "
-                        "candidates or records come in another order")
+                what = f"is in the older checkpoint format {old}, which is not resumed"
             else:
-                what = "was written for another field, polynomial or k"
-            raise OrbitCodesError(
-                f"{where} {what}, not for (q={field.q}, n={field.n}, "
-                f"poly={list(field.poly)}, k={k}); delete it to start over")
+                what = (f"was written for another field, polynomial or k, not for (q={field.q}, "
+                        f"n={field.n}, poly={list(field.poly)}, k={k})")
+            raise OrbitCodesError(f"{where} {what}; delete it to start over")
         complete = data[:data.rfind(b"\n") + 1]
         if len(complete) < len(data):
             os.truncate(self.path, len(complete))
@@ -312,15 +326,12 @@ class Checkpoint:
         if not lines:
             self._buf.append(json.dumps(header))
             return [], 0
-        records, last_idx, end = [], -1, candidate_count(field, k)
+        reps, last_idx, end = [], -1, candidate_count(field, k)
         for lineno, line in enumerate(lines[1:], 2):
             rec = _json_line(line, f"{where} line {lineno}")
             try:
-                cand = rec["cand"]
-                r = CyclicOrbitRecord(
-                    int(rec["rep_bits"], 16), rec["length"], rec["stab_degree"],
-                    {int(g): d for g, d in rec["min_by_step"].items()})
-            except (KeyError, TypeError, ValueError, AttributeError):
+                cand, bits = rec["cand"], int(rec["rep_bits"], 16)
+            except (KeyError, TypeError, ValueError):
                 cand = None
             if type(cand) is not int:
                 raise ParseError(f"{where} line {lineno} is not an orbit record")
@@ -330,19 +341,18 @@ class Checkpoint:
             if cand >= end:
                 raise ParseError(f"{where} line {lineno}: candidate index {cand} is "
                                  f"past the last candidate, {end - 1}")
-            if not _plausible_record(field, k, r):
-                raise ParseError(f"{where} line {lineno} does not describe a "
-                                 "cyclic orbit of this field by its smallest member")
-            records.append(r)
+            if not (0 <= bits < 1 << field.group_order
+                    and bits.bit_count() == field.q ** k - 1
+                    and is_min_member(field, bits)
+                    and _basis_span(field, bits, limit=k)[2] == bits):
+                raise ParseError(f"{where} line {lineno} does not name a {k}-subspace of "
+                                 "this field that is its cyclic orbit's smallest member")
+            reps.append(bits)
             last_idx = cand
-        return records, last_idx + 1
+        return reps, last_idx + 1
 
-    def record(self, cand_idx: int, rec: CyclicOrbitRecord):
-        self._buf.append(json.dumps({
-            "cand": cand_idx, "rep_bits": format(rec.rep_bits, "x"),
-            "length": rec.length, "stab_degree": rec.stab_degree,
-            "min_by_step": {str(g): d for g, d in rec.min_by_step.items()},
-        }))
+    def record(self, cand_idx: int, rep_bits: int):
+        self._buf.append(json.dumps({"cand": cand_idx, "rep_bits": format(rep_bits, "x")}))
         if len(self._buf) >= CHECKPOINT_FLUSH_EVERY:
             self.flush()
 
@@ -352,25 +362,6 @@ class Checkpoint:
         with open(self.path, "a") as fh:
             fh.write("\n".join(self._buf) + "\n")
         self._buf = []
-
-
-def _plausible_record(field: FieldSpec, k: int, r: CyclicOrbitRecord) -> bool:
-    """Whether a checkpointed record fits its rep: size, smallest member, (t, D)
-    and steps g | D.
-
-    The distances are not recomputed, which would cost as much as the walk.
-    """
-    if not (0 <= r.rep_bits < 1 << field.group_order
-            and r.rep_bits.bit_count() == field.q ** k - 1
-            and is_min_member(field, r.rep_bits)):
-        return False
-    try:
-        t, D = stabilizer(field, r.rep_bits)
-    except OrbitCodesError:
-        return False
-    return ((t, D) == (r.stab_degree, r.length)
-            and set(r.min_by_step) == set(_steps(D))
-            and all(type(d) is int for d in r.min_by_step.values()))
 
 
 def _json_line(line: str, where: str):

@@ -74,7 +74,7 @@ CLASSIFY_JSON_SHA256 = {
 }
 CLASSIFY_N8K3_FILE_SHA256 = {
     "--db": "c9c72c96f0f639e46873584af274490b985a7c42f3eec181ddcbc036feedcda0",
-    "--checkpoint": "7cddc3e61edf41de783809d06b74ca517d32c75dfc4de955cdf7f4182b4c6dad",
+    "--checkpoint": "b299b4956c684051d87073e8d51f2fcebfbb1047ef4870636365b1ed0ff4d15e",
 }
 
 
@@ -578,7 +578,7 @@ def _checkpoint_lines(path):
 def _assert_older_format_is_refused(tmp_path, capsys, fmt):
     ck = tmp_path / "ck.jsonl"
     header, *records = _checkpoint_lines(ck)
-    assert json.loads(header)["checkpoint"] == 3
+    assert json.loads(header)["checkpoint"] == 4
     ck.write_text("\n".join([json.dumps({**json.loads(header), "checkpoint": fmt}),
                              *records]) + "\n")
     before = ck.read_text()
@@ -598,6 +598,35 @@ def test_checkpoint_in_format_1_is_refused(tmp_path, capsys):
 def test_checkpoint_in_format_2_is_refused(tmp_path, capsys):
     """Format 2 numbered the candidates of q > 2 in another order."""
     _assert_older_format_is_refused(tmp_path, capsys, 2)
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_checkpoint_in_format_3_is_refused(tmp_path, capsys):
+    """Format 3 stored each orbit's walk data, and a resumed run printed its
+    distances as stored.  An F_3^4 file with one record's distances set to 4
+    and its last two records dropped resumed to a census that passed the
+    mass check; it is refused, and a run from the file's representatives
+    alone rebuilds every record."""
+    from orbitcodes import make_field
+    from orbitcodes.orbits import cyclic_orbit_data
+    argv = ("classify", "--q", "3", "--n", "4", "--k", "2", "--checkpoint")
+    fresh = run(capsys, *argv, str(tmp_path / "fresh.jsonl"))
+    header, *lines = (tmp_path / "fresh.jsonl").read_text().splitlines()
+    records = cyclic_orbit_data(make_field(3, 4), 2)
+    old = [{**json.loads(line), "length": r.length, "stab_degree": r.stab_degree,
+            "min_by_step": {str(g): d for g, d in r.min_by_step.items()}}
+           for line, r in zip(lines, records)][:-2]
+    old[0]["min_by_step"] = dict.fromkeys(old[0]["min_by_step"], 4)
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text("\n".join(map(json.dumps, [{**json.loads(header), "checkpoint": 3},
+                                              *old])) + "\n")
+    before = ck.read_text()
+    result = run(capsys, *argv, str(ck))
+    assert_one_line_error(result, 3)
+    assert "format 3" in result[2]
+    assert ck.read_text() == before
+    ck.write_text("\n".join([header, *lines[:-2]]) + "\n")
+    assert run(capsys, *argv, str(ck)) == fresh
 
 
 @pytest.mark.usefixtures("fresh_census_cache")
@@ -668,12 +697,66 @@ def test_checkpoint_rep_that_is_not_the_smallest_member_is_refused(tmp_path, cap
     ck = tmp_path / "ck.jsonl"
     header, first, *records = _checkpoint_lines(ck)
     rec = json.loads(first)
-    # another member of the same orbit, so its size, t and D still fit
+    # another member of the same orbit, so its size fits and it is a subspace
     rec["rep_bits"] = format(rotate_bits(int(rec["rep_bits"], 16), 1, 63), "x")
     ck.write_text("\n".join([header, json.dumps(rec), *records]) + "\n")
     result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
     assert_one_line_error(result, 2)
     assert "line 2" in result[2]
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_checkpoint_rep_that_is_not_a_subspace_is_refused(tmp_path, capsys):
+    """A rep whose size is right and that is its orbit's smallest member, but
+    that is not closed under addition, is refused: the records are computed
+    from it."""
+    from orbitcodes import OrbitCodesError, from_exponents, make_field
+    with pytest.raises(OrbitCodesError, match="not closed"):
+        from_exponents(make_field(2, 6), range(7))
+    ck = tmp_path / "ck.jsonl"
+    header, first, *records = _checkpoint_lines(ck)
+    ck.write_text("\n".join([header, json.dumps({**json.loads(first), "rep_bits": "7f"}),
+                             *records]) + "\n")
+    result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
+    assert_one_line_error(result, 2)
+    assert "line 2" in result[2]
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_checkpoint_without_a_predicted_conjugate_fails(tmp_path, capsys):
+    """A file that lacks an orbit whose Frobenius conjugate it stores earlier,
+    with records after it, leaves that orbit in the map of a resumed run:
+    exit 5, not a census short of an orbit."""
+    from orbitcodes import make_field
+    from orbitcodes.orbits import _frobenius_conjugates
+    field = make_field(2, 6)
+    ck = tmp_path / "ck.jsonl"
+    header, *records = _checkpoint_lines(ck)
+    predicted, cut = set(), None
+    for j, line in enumerate(records[:-1]):
+        bits = int(json.loads(line)["rep_bits"], 16)
+        if bits in predicted:
+            cut = j
+            break
+        predicted.update(_frobenius_conjugates(field, bits))
+    assert cut is not None
+    ck.write_text("\n".join([header, *records[:cut], *records[cut + 1:]]) + "\n")
+    result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
+    assert_one_line_error(result, 5)
+    assert "never met" in result[2]
+
+
+@pytest.mark.extended
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_checkpoint_of_a_census_stopped_by_its_budget_resumes(tmp_path, capsys):
+    """The n = 10, k = 4 census stopped by --budget-sec 1 keeps every record
+    it found, and resumes to the stdout of a run without a checkpoint."""
+    argv = ("classify", "--n", "10", "--k", "4", "--extended")
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    ck = str(tmp_path / "ck.jsonl")
+    assert run(capsys, *argv, "--checkpoint", ck, "--budget-sec", "1")[0] == 4
+    assert run(capsys, *argv, "--checkpoint", ck) == fresh
 
 
 def test_selfdual_other_minimal_is_every_non_primary_hit(capsys, monkeypatch):

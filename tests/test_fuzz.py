@@ -37,9 +37,8 @@ DB_RECORD = {"q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "m": 1, "k": 2, "length": 
 CODE_DOC = {"field": {"q": 2, "n": 5, "poly": [1, 0, 1, 0, 0, 1]}, "m": 1,
             "generators": [[0, 13, 14]],
             "claimed": {"n": 5, "k": 2, "size": 31, "d": 2}}
-CK_HEADER = {"checkpoint": 3, "q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "k": 2}
-CK_RECORD = {"cand": 0, "rep_bits": "13", "length": 15, "stab_degree": 1,
-             "min_by_step": {"1": 2, "3": 2, "5": 4}}
+CK_HEADER = {"checkpoint": 4, "q": 2, "n": 4, "poly": [1, 1, 0, 0, 1], "k": 2}
+CK_RECORD = {"cand": 0, "rep_bits": "13"}
 
 
 def mutated(doc):

@@ -25,9 +25,10 @@ from orbitcodes import (
 )
 from orbitcodes.codes import _min_distance_orbits
 from orbitcodes import orbits
-from orbitcodes.errors import VerificationFailed
+from orbitcodes.errors import ResourceLimit, VerificationFailed
 from orbitcodes.orbits import (
     Checkpoint,
+    RunBudget,
     _iter_candidates,
     cyclic_orbit_data,
 )
@@ -189,8 +190,31 @@ def test_checkpoint_numbered_by_the_unpruned_walk_resumes(tmp_path, name, k):
         ck = Checkpoint(str(path))
         ck.load(field, k)
         for i, rec in zip(reps[:cut], records):
-            ck.record(i, rec)
+            ck.record(i, rec.rep_bits)
         ck.flush()
+        assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
+        assert path.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("name, k", [("F2^6", 3), ("F2^8", 4), ("F3^4", 2)])
+def test_census_stopped_by_its_budget_keeps_its_checkpoint(tmp_path, name, k):
+    """A census stopped by a step budget has written every record it found
+    before the stop, and resumes to the records and the file of one whole
+    run."""
+    field = field_of(name)
+    whole = tmp_path / "whole.jsonl"
+    records = cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(whole)))
+    header, *lines = whole.read_text().splitlines(keepends=True)
+    cands = [json.loads(line)["cand"] for line in lines]
+    for steps in sorted({1, cands[1], cands[len(cands) // 2], cands[-1]}):
+        path = tmp_path / f"stopped{steps}.jsonl"
+        with pytest.raises(ResourceLimit):
+            cyclic_orbit_data(field, k, RunBudget(max_steps=steps),
+                              checkpoint=Checkpoint(str(path)))
+        # the step of candidate i is the (i + 1)-th, so those below steps were tested
+        assert path.read_text() == header + "".join(
+            line for cand, line in zip(cands, lines) if cand < steps)
         assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
         assert path.read_bytes() == whole.read_bytes()
 
