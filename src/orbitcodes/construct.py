@@ -332,9 +332,10 @@ class _OrbitTable:
     as T of their smallest member, which need not be the smallest of its
     own orbit.  Orbit oid has dimension dims[oid] and length D =
     lengths[oid]; its member j < D, the representative rotated by j, has
-    the member id start[oid] + j, and orbit_of maps each member id to its
-    oid.  A member's bitset is one shift of the doubled representative,
-    made when it is read.
+    the member id start[oid] + j, and orbit_of, an array('H'), maps each
+    member id to its oid: 2 bytes per subspace, so a table of 65,536 or
+    more orbits raises ResourceLimit.  A member's bitset is one shift of
+    the doubled representative, made when it is read.
     """
 
     __slots__ = ("N", "dims", "lengths", "start", "orbit_of", "doubled", "_tops")
@@ -350,8 +351,11 @@ class _OrbitTable:
             self.lengths += [rec.length for rec in records]
             reps += ([rec.rep_bits for rec in records] if k == below else
                      [trace_dual_bits(field, rec.rep_bits, below) for rec in records])
+        if len(reps) > 0xFFFF:
+            raise ResourceLimit(f"P_{field.q}({n}) has {len(reps)} cyclic orbits; the "
+                                f"self-dual search numbers at most 65535")
         self.start = [0, *accumulate(self.lengths)]
-        self.orbit_of = array("i", chain.from_iterable(map(repeat, range(len(reps)),
+        self.orbit_of = array("H", chain.from_iterable(map(repeat, range(len(reps)),
                                                            self.lengths)))
         self.doubled = [rep | rep << N for rep in reps]
         self._tops = [s + N for s in self.start]
@@ -380,22 +384,23 @@ class _OrbitTable:
                                    for a, b, c in zip(start, start[1:], cut))
         return _joined(map(array, repeat("i"), runs), start[-1])
 
-    def member_finder(self):
-        """A function from a list of members' bitsets to an array('i') of their ids.
+    def member_finder(self, dim: int):
+        """A function from a list of dim-subspaces' bitsets to an array('i') of their ids.
 
-        It looks each nonzero member up in an orbit index: each
-        representative rotated down by each of its exponents e < D, keyed
-        without its bit 0, which is always set.  A member rotated down to
-        its lowest exponent a is one of these words, and it is member
-        (a - e) mod D of orbit oid: rotation by D fixes the representative,
-        so each of its exponents is congruent to one below D.  The index
-        holds (e + 1, D, start[oid]), and the members are looked up with
-        C-level maps; [0], the zero subspace alone, is id 0.
+        It looks each nonzero member up in an index of the orbits of
+        dimension dim: each representative rotated down by each of its
+        exponents e < D, keyed without its bit 0, which is always set.  A
+        member rotated down to its lowest exponent a is one of these words,
+        and it is member (a - e) mod D of orbit oid: rotation by D fixes the
+        representative, so each of its exponents is congruent to one below
+        D.  The index holds (e + 1, D, start[oid]), and the members are
+        looked up with C-level maps; [0], the zero subspace alone, is id 0.
         """
         start = self.start
         mask = (1 << (self.N - 1)) - 1      # the N - 1 bits above bit 0
         index = {}
-        for oid, (doubled, D) in enumerate(zip(self.doubled, self.lengths)):
+        for oid in range(bisect_left(self.dims, dim), bisect_right(self.dims, dim)):
+            doubled, D = self.doubled[oid], self.lengths[oid]
             rest = doubled & ((1 << D) - 1)
             while rest:
                 e = (rest & -rest).bit_length()         # the exponent plus one
@@ -468,22 +473,24 @@ class SelfDualHit(Record):
         return self.code.params()
 
 
-# self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, about what the
-# interpreter and the package hold before it starts (16.5 MB), plus, for each
-# subspace, its bitset and SELFDUAL_WORD_OVERHEAD bytes, plus, when q is odd,
-# SELFDUAL_HIT_OVERHEAD bytes for each complement pair.  For odd q, -1 fixes
-# every subspace, so at the maximal modulus (q^n-1)/2 every pair {V, V-perp}
-# is a component of its own, and each is a minimal hit: about one hit per two
-# subspaces, where over F_2^n the hits are few and large.  A hit is a slotted
-# SelfDualHit (80 bytes on CPython 3.11) and an array('i') of its member ids
-# (96 bytes for two).  The complement map perp_id and the rotation tables of
-# the hits' quasi-cyclic checks, one per distinct m (one over F_2^8, two over
-# F_3^6), each take 4 bytes per subspace (1.7 MB over F_2^8) and are dropped
-# when the search returns.  On CPython 3.11 a `selfdual` call's own peak
-# (VmHWM) was about 27 MiB over F_2^8 (417,199 subspaces, estimated at 41.7
-# MB) and 29.5 MiB over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315
-# hits, estimated at 48.9 MB).
-SELFDUAL_BASE_BYTES = 20_000_000
+# self_dual_search estimates its memory as SELFDUAL_BASE_BYTES, a little more
+# than the interpreter and the package hold before it starts (12 MB on CPython
+# 3.10, 16.8 MB on 3.11), plus, for each subspace, its bitset and
+# SELFDUAL_WORD_OVERHEAD bytes, plus, when q is odd, SELFDUAL_HIT_OVERHEAD
+# bytes for each complement pair.  For odd q, -1 fixes every subspace, so at
+# the maximal modulus (q^n-1)/2 every pair {V, V-perp} is a component of its
+# own, and each is a minimal hit: about one hit per two subspaces, where over
+# F_2^n the hits are few and large.  A hit is a slotted SelfDualHit (80 bytes
+# on CPython 3.11) and an array('i') of its member ids (96 bytes for two).
+# The complement map perp_id and the rotation tables of the hits'
+# quasi-cyclic checks, one per distinct m (one over F_2^8, two over F_3^6),
+# each take 4 bytes per subspace (1.7 MB over F_2^8); perp_id is dropped
+# before the tables are built, and the tables when the search returns.  A
+# `selfdual` call's own peak (VmHWM) over F_2^8 (417,199 subspaces, estimated
+# at 39.7 MB) was 20.2-20.7 MiB on CPython 3.10 and 23.8-24.0 MiB on 3.11, and
+# over F_3^6 under x^6+x^5+2 (56,632 subspaces and 28,315 hits, estimated at
+# 46.9 MB) 24.8 and 28.5 MiB: the estimate stays between the peak and twice it.
+SELFDUAL_BASE_BYTES = 18_000_000
 SELFDUAL_WORD_OVERHEAD = 20
 SELFDUAL_HIT_OVERHEAD = 800
 SELFDUAL_MAX_BYTES = 500_000_000
@@ -540,19 +547,21 @@ def self_dual_search(field: FieldSpec) -> list:
     made and verified by _complement_pairs, each level as arrays over its
     nodes (_Pairs, _Level), and each hit as a slotted SelfDualHit over an
     array of its member ids, built where its component is read.  Each hit
-    is checked on one set of its member ids: it is self-dual when the set
-    holds perp_id of every member, and m-quasi-cyclic when it holds the
-    image of every member in the rotation table of gamma^m
-    (_OrbitTable.rotation), built once per distinct m.  No hit builds a set
-    of its words.  The ids above n/2 follow the trace duals, but every
-    hit's smallest member lies at a dimension of at most n/2, numbered as
-    the census lists it, so the order of the hits does not depend on them.
+    is checked on sets of its member ids: every hit is self-dual when its
+    set holds perp_id of every member; then perp_id is dropped, and every
+    hit is m-quasi-cyclic when its set holds the image of every member in
+    the rotation table of gamma^m (_OrbitTable.rotation), built once per
+    distinct m, so the pairing and the tables are never held together.
+    No hit builds a set of its words.  The ids above n/2 follow the trace
+    duals, but every hit's smallest member lies at a dimension of at most
+    n/2, numbered as the census lists it, so the order of the hits does
+    not depend on them.
 
     Before any work, the memory the search would hold is estimated as the
     SELFDUAL_* constants set out, and a ResourceLimit is raised when that
-    exceeds SELFDUAL_MAX_BYTES (500 MB): P_2(9) (716 MB) and P_3(7) (1.4 GB)
-    are refused.  perp_id and the rotation tables are dropped when the
-    search returns; each hit keeps only the orbit table.
+    exceeds SELFDUAL_MAX_BYTES (500 MB): P_2(9) (714 MB) and P_3(7) (1.4 GB)
+    are refused.  The rotation tables are dropped when the search returns;
+    each hit keeps only the orbit table.
     """
     total, need = _space_needed(field)
     if need > SELFDUAL_MAX_BYTES:
@@ -563,12 +572,14 @@ def self_dual_search(field: FieldSpec) -> list:
     orbits = _OrbitTable(field)
     perp_id = _complement_pairs(field, orbits)
     hits = _minimal_components(field, orbits, perp_id)
+    for hit in hits:
+        if not set(hit.members).issuperset(map(perp_id.__getitem__, hit.members)):
+            raise VerificationFailed("component is not self-dual: internal error")
+    # dropped first, so that the pairing and the rotation tables are never held together
+    del perp_id
     rotations = {m: orbits.rotation(m) for m in {hit.m for hit in hits}}
     for hit in hits:
-        ids = set(hit.members)
-        if not ids.issuperset(map(perp_id.__getitem__, hit.members)):
-            raise VerificationFailed("component is not self-dual: internal error")
-        if not ids.issuperset(map(rotations[hit.m].__getitem__, hit.members)):
+        if not set(hit.members).issuperset(map(rotations[hit.m].__getitem__, hit.members)):
             raise VerificationFailed("component is not quasi-cyclic: internal error")
     # ties in (dimension kind, size, m) go by the hit's smallest member id;
     # two hits of one m are two components at the first maximal modulus m
@@ -716,21 +727,27 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
     perp_id[i] is the member id of the complement of member i.  The orbits
     are filled in id order, each orbit's complements from
     orbit_complements.  Only the members whose entry is not yet known are
-    looked up, through orbits.member_finder(), and each pair found sets
-    its partner's entry too: no member above n/2 is looked up, nor a
-    member of the middle dimension whose partner came before it.  So no
-    word set is held.  Each orbit's entries, once it is filled, are checked
-    against the complements computed from its own words, bit for bit, and
-    the whole map for being an involution, which catches an entry a later
-    pair overwrote; either failure raises VerificationFailed.
+    looked up, and each pair found sets its partner's entry too: no member
+    above n/2 is looked up, nor a member of the middle dimension whose
+    partner came before it.  While dimension k is filled, the complements
+    are looked up through orbits.member_finder(n - k), an index of that
+    one dimension, dropped before the next one is built: dimensions n,
+    n - 1, ..., down to the middle are indexed, each once.  So no word set
+    is held.  Each orbit's entries, once it is filled, are checked against
+    the complements computed from its own words, bit for bit, and the
+    whole map for being an involution, which catches an entry a later pair
+    overwrote; either failure raises VerificationFailed.
     """
-    mask = (1 << orbits.N) - 1
-    member_ids = orbits.member_finder()
+    mask, n = (1 << orbits.N) - 1, field.n
+    indexed, member_ids = None, None
     perp_id = array("i", (-1,)) * orbits.start[-1]
     for k, doubled, a, b in zip(orbits.dims, orbits.doubled, orbits.start, orbits.start[1:]):
         comps = orbit_complements(field, doubled & mask, k, b - a)
         unknown = bytes(map(eq, perp_id[a:b], repeat(-1)))
         if any(unknown):
+            if indexed != n - k:
+                member_ids = None           # the previous dimension's index is freed first
+                indexed, member_ids = n - k, orbits.member_finder(n - k)
             ids = list(compress(range(a, b), unknown))
             found = member_ids(list(compress(comps, unknown)))
             # __setitem__ returns None, so any() runs each whole C-level pass
@@ -865,7 +882,9 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
             if (level.M, r) in marked or r == 0:
                 continue
             if members is None:
-                members, closable = level.member_ids(), level.closable()
+                # closable's per-prime images are freed before the member arrays exist
+                closable = level.closable()
+                members = level.member_ids()
             moduli, orbit_count = level.read_out(nodes, proper, closable[j])
             dims = tuple(sorted(set(map(level.dim.__getitem__, nodes))))
             hits.append(SelfDualHit(field, shared.setdefault(moduli, moduli), orbit_count,

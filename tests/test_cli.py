@@ -811,10 +811,14 @@ SELFDUAL_STDOUT_SHA256 = {
 # selected once and joined over one parent array indexed by member it peaks
 # at 22.4-23.4 MB on 3.10, 26.3-26.6 MB on 3.11 and 24.8 MB on 3.12 (either
 # format), and at 27.0-27.5 MB on 3.11 once the quasi-cyclic check reads a
-# 1.7 MB rotation table.  The bound is at least 1.5 MB above each of these,
-# so it fails on a return to keeping every level's scaffolding, not on
-# run-to-run noise.
-SELFDUAL_N8_PEAK_MB = 29
+# 1.7 MB rotation table.  It went from 23.4 to 20.2-20.7 MB on 3.10, 26.7-26.8 to
+# 23.8-24.0 MB on 3.11, 25.1 to 22.5 MB on 3.12 and 25.2 to 22.3 MB on 3.13
+# once the complement index covers one dimension at a time, orbit_of holds
+# 16-bit ids, closable's images go before the member arrays are built, and
+# the pairing goes before the rotation tables.  The bound is at least 1.5 MB
+# above each of these, so it fails on a return to holding those together,
+# not on run-to-run noise.
+SELFDUAL_N8_PEAK_MB = 26
 
 # runs the CLI, then reports its own peak from /proc/self/status on stderr;
 # ru_maxrss would not do, as a child's starts at its parent's high-water mark

@@ -16,7 +16,7 @@ from orbitcodes.construct import (
     _Pairs,
     _union_find,
 )
-from orbitcodes.errors import VerificationFailed
+from orbitcodes.errors import ResourceLimit, VerificationFailed
 from orbitcodes.gfext import is_prime
 from orbitcodes.orbits import cyclic_orbit_data
 from orbitcodes.subspace import divisors, min_member, orbit_bits, rotate_bits
@@ -208,16 +208,45 @@ def test_orbit_index_finds_every_member_as_orbit_bits_lists_it(name):
     the census's up to n/2, and the orbit index finds it as start[oid] + j."""
     field = make_field(*FIELDS[name])
     orbits = _OrbitTable(field)
-    member_ids = orbits.member_finder()
+    finders = [orbits.member_finder(k) for k in range(field.n + 1)]
     mask = (1 << field.group_order) - 1
     reps = [doubled & mask for doubled in orbits.doubled]
     census = [rec.rep_bits for k in range(field.n // 2 + 1) for rec in cyclic_orbit_data(field, k)]
     assert reps[:len(census)] == census
-    for oid, rep in enumerate(reps):
+    for oid, (rep, k) in enumerate(zip(reps, orbits.dims)):
         ids = range(orbits.start[oid], orbits.start[oid + 1])
         members = orbit_bits(field, rep)
         assert list(orbits.words(ids)) == members
-        assert list(member_ids(members)) == list(ids)
+        assert list(finders[k](members)) == list(ids)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_complement_pairs_indexes_each_upper_dimension_once(monkeypatch, name):
+    """The pairing asks for the index of each dimension n, n - 1, ..., down to
+    the middle once, in that order, and never for one below n/2."""
+    finder, asked = _OrbitTable.member_finder, []
+
+    def counted(orbits, dim):
+        asked.append(dim)
+        return finder(orbits, dim)
+
+    monkeypatch.setattr(_OrbitTable, "member_finder", counted)
+    field = make_field(*FIELDS[name])
+    _complement_pairs(field, _OrbitTable(field))
+    assert asked == list(range(field.n, (field.n + 1) // 2 - 1, -1))
+
+
+def test_an_orbit_map_of_more_than_16_bits_is_refused(monkeypatch):
+    """A table of 65,536 orbits or more would overflow the array('H') orbit map."""
+    census = construct.cyclic_orbit_data
+
+    def swollen(field, k):
+        records = census(field, k)
+        return records * (0x10000 // len(records) + 1) if k == 1 else records
+
+    monkeypatch.setattr(construct, "cyclic_orbit_data", swollen)
+    with pytest.raises(ResourceLimit, match=r"^P_2\(2\) has \d+ cyclic orbits; .* 65535$"):
+        _OrbitTable(make_field(2, 2))
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -359,8 +388,8 @@ def test_a_dropped_complement_pair_fails_the_quasi_cyclic_check(monkeypatch, nam
 def test_an_off_by_one_orbit_index_is_refused(monkeypatch, name):
     finder = _OrbitTable.member_finder
 
-    def off_by_one(orbits):
-        member_ids = finder(orbits)
+    def off_by_one(orbits, dim):
+        member_ids = finder(orbits, dim)
         total = orbits.start[-1]
         return lambda words: array("i", [(i + 1) % total for i in member_ids(words)])
 
