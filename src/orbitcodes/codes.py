@@ -6,7 +6,7 @@ import json
 import sys
 from collections import namedtuple
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, log10
 
 from .errors import OrbitCodesError, ParseError, VerificationFailed
@@ -18,10 +18,13 @@ from .subspace import (
     exponents_of,
     from_bits,
     from_exponents,
+    min_member,
     orbit_bits,
+    orbit_complements,
     orbit_distance,
     orbit_record,
     rotate_bits,
+    stabilizer,
 )
 
 
@@ -72,10 +75,15 @@ def word_dims(field: FieldSpec, bitsets) -> tuple:
 class SubspaceCode(Record):
     """A set of subspaces, possibly of mixed dimension, held as their bitsets.
 
-    words, the same set as Subspace objects, is built the first time it is
-    read; size, dims, the distances and the duality checks read bitsets.
-    provenance, from code_from_generators, is (m, ((generator, orbit size),
-    ...)), one entry per generator, duplicates included.
+    The constructor takes the word bitsets.  A code from
+    code_from_generators holds its distinct orbits instead, each as
+    (generator, orbit size): size and dims read them, dualize complements
+    each orbit in one pass, and bitsets is expanded from them the first
+    time it is read.  words, the same set as Subspace objects, is built the
+    first time it is read; equality, hashing and the duality and cyclicity
+    checks read bitsets.  provenance, from code_from_generators, is (m,
+    ((generator, orbit size), ...)), one entry per generator, duplicates
+    included.
     """
 
     _fields = ("field", "words", "provenance", "duplicate_generators")
@@ -86,6 +94,18 @@ class SubspaceCode(Record):
         self.bitsets = frozenset(bitsets)          # of word bitsets
         self.provenance = provenance               # (m, ((generator, orbit size), ...)) or None
         self.duplicate_generators = duplicate_generators  # generators whose orbit repeated
+        self._orbits = None                        # the distinct orbits of a code from generators
+
+    @classmethod
+    def _from_orbits(cls, field: FieldSpec, provenance: tuple, duplicate_generators: tuple):
+        """The code of provenance's orbits less the duplicates, bitsets unexpanded."""
+        code = cls.__new__(cls)
+        code.field, code.provenance = field, provenance
+        code.duplicate_generators = duplicate_generators
+        duplicates = set(duplicate_generators)
+        code._orbits = tuple(orbit for idx, orbit in enumerate(provenance[1])
+                             if idx not in duplicates)
+        return code
 
     def _astuple(self) -> tuple:
         # the bitsets stand for the words, which need not be built to compare
@@ -95,6 +115,14 @@ class SubspaceCode(Record):
         return hash(self._astuple())
 
     @cached_property
+    def bitsets(self) -> frozenset:
+        """The word bitsets, expanded from the distinct orbits (orbit_bits);
+        the constructor sets them instead."""
+        field, m = self.field, self.provenance[0]
+        return frozenset(chain.from_iterable(orbit_bits(field, gen.bits, m)
+                                             for gen, _ in self._orbits))
+
+    @cached_property
     def words(self) -> frozenset:
         """The words as Subspace objects."""
         field = self.field
@@ -102,11 +130,15 @@ class SubspaceCode(Record):
 
     @property
     def size(self) -> int:
-        return len(self.bitsets)
+        if self._orbits is None:
+            return len(self.bitsets)
+        return sum(size for _, size in self._orbits)
 
     @cached_property
     def dims(self) -> tuple:
-        return word_dims(self.field, self.bitsets)
+        if self._orbits is None:
+            return word_dims(self.field, self.bitsets)
+        return tuple(sorted({gen.dim for gen, _ in self._orbits}))
 
     @property
     def constant_dimension(self) -> bool:
@@ -122,20 +154,27 @@ class SubspaceCode(Record):
 
 
 def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
-    """Union of the m-quasi orbits of the generators; duplicate orbits are merged."""
+    """Union of the m-quasi orbits of the generators; duplicate orbits are merged.
+
+    Each orbit is kept as (generator, orbit size), the size D/gcd(m, D)
+    with D from stabilizer, and no word set is built.  Two orbits are equal
+    or disjoint, so a generator's orbit repeats an earlier one exactly when
+    their smallest members (min_member) are equal.
+    """
     check_modulus(field, m)
-    bitsets = set()
+    reps = set()
     duplicates = []
     orbits = []
     for idx, gen in enumerate(generators):
         if gen.field != field:
             raise OrbitCodesError("generator belongs to a different field")
-        members = orbit_bits(field, gen.bits, m)
-        if not bitsets.isdisjoint(members):
+        rep = min_member(field, gen.bits, m)
+        if rep in reps:
             duplicates.append(idx)
-        bitsets.update(members)
-        orbits.append((gen, len(members)))
-    return SubspaceCode(field, bitsets, (m, tuple(orbits)), tuple(duplicates))
+        reps.add(rep)
+        _, D = stabilizer(field, gen.bits)
+        orbits.append((gen, D // gcd(m, D)))
+    return SubspaceCode._from_orbits(field, (m, tuple(orbits)), tuple(duplicates))
 
 
 def code_from_words(field: FieldSpec, words) -> SubspaceCode:
@@ -167,12 +206,12 @@ def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
 
 
 def min_distance(C: SubspaceCode) -> int:
-    """Exact minimum distance: orbit by orbit when the provenance has an orbit
-    of two or more words, else word by word, one AND per pair of words (as
-    for the one-word orbits of every code file dualize writes)."""
+    """Exact minimum distance: orbit by orbit when a code from generators has
+    an orbit of two or more words, else word by word, one AND per pair of
+    words (as for the one-word orbits of every code file dualize writes)."""
     if C.size < 2:
         raise OrbitCodesError("minimum distance needs at least two codewords")
-    if C.provenance and any(size > 1 for _, size in C.provenance[1]):
+    if C._orbits is not None and any(size > 1 for _, size in C._orbits):
         return _min_distance_orbits(C)
     return _min_distance_all_pairs(C)
 
@@ -196,16 +235,13 @@ def _min_distance_all_pairs(C: SubspaceCode) -> int:
 def _min_distance_orbits(C: SubspaceCode) -> int:
     """Shift identity: only orbit-vs-shifted-orbit comparisons are needed.
 
-    The orbits are the provenance's less C.duplicate_generators.  The
-    internal distance of an orbit of two or more words is its cyclic orbit
-    record's at step gcd(m, D) (orbit_record), and each pair of orbits is
-    compared by orbit_distance from one generator to the other's orbit.
+    The orbits are the code's distinct ones.  The internal distance of an
+    orbit of two or more words is its cyclic orbit record's at step
+    gcd(m, D) (orbit_record), and each pair of orbits is compared by
+    orbit_distance from one generator to the other's orbit.
     """
-    field = C.field
-    m, generators = C.provenance
-    duplicates = set(C.duplicate_generators)
-    orbits = [(gen.dim, gen.bits, size) for idx, (gen, size) in enumerate(generators)
-              if idx not in duplicates]
+    field, m = C.field, C.provenance[0]
+    orbits = [(gen.dim, gen.bits, size) for gen, size in C._orbits]
     dists = []
     for i, (ka, a, size) in enumerate(orbits):
         if size > 1:
@@ -228,8 +264,16 @@ def _complements(C: SubspaceCode):
 
 
 def dualize(C: SubspaceCode) -> SubspaceCode:
-    """The code of orthogonal complements (provenance does not survive)."""
-    return SubspaceCode(C.field, _complements(C))
+    """The code of orthogonal complements (provenance does not survive).
+
+    A code from generators complements each distinct orbit in one pass
+    (orbit_complements, with the code's m); any other code, word by word.
+    """
+    if C._orbits is None:
+        return SubspaceCode(C.field, _complements(C))
+    field, m = C.field, C.provenance[0]
+    return SubspaceCode(field, chain.from_iterable(
+        orbit_complements(field, gen.bits, gen.dim, size, m) for gen, size in C._orbits))
 
 
 def is_quasi_cyclic(C: SubspaceCode, m: int) -> bool:

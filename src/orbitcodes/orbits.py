@@ -81,8 +81,10 @@ class RunBudget(Record):
 
     A step is one census candidate, skipped ones included, one node of the
     exact clique search, or one vertex a greedy clique start scans.  The
-    clock is read on a run's first step and each time the step count passes
-    a multiple of 1024, so a budget bounds short runs too.
+    clock starts with the search, after a resumed census has rebuilt the
+    orbits its checkpoint stores.  It is read on a run's first step and
+    each time the step count passes a multiple of 1024, so a budget bounds
+    short runs too.
     """
 
     _fields = ("max_seconds", "max_steps")
@@ -204,8 +206,9 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     passes the representatives its checkpoint stores through the same step
     (_cyclic_record), in their order, so every record is rebuilt and the map
     holds what a run from the first candidate would hold at the start.
-    The checkpoint's buffered lines are written even when the walk stops
-    early.  Nothing mutates min_by_step, so records may share it.
+    The budget's clock starts after that rebuild, so it bounds the walk
+    only.  The checkpoint's buffered lines are written even when the walk
+    stops early.  Nothing mutates min_by_step, so records may share it.
     """
     if not 0 <= k <= field.n:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{field.n}")
@@ -213,10 +216,10 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     # a checkpointed run must write its file, so it never reads the cache
     if budget is None and checkpoint is None and key in _CYCLIC_CACHE:
         return _CYCLIC_CACHE[key]
-    clock = (budget or RunBudget()).start()
     stored, start = checkpoint.load(field, k) if checkpoint is not None else ((), 0)
     conjugates = {}     # smallest member of an orbit not met yet -> its class's record
     records = [_cyclic_record(field, k, bits, conjugates) for bits in stored]
+    clock = (budget or RunBudget()).start()     # after the rebuild: the budget bounds the walk
     last = start - 1
     try:
         for idx, bits in _iter_candidates(field, k, start):

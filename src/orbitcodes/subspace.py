@@ -18,10 +18,11 @@ over its exponents, made on the first complement and memoised on the
 FieldSpec as FieldSpec.perp_masks, indexed by exponent and doubled.  Fields
 with at most PERP_TABLE_MAX_ORDER vectors keep all q^n - 1 masks (about
 2 MB at the cap); larger ones rotate each mask when it is needed.
-orbit_complements complements a whole cyclic orbit at once: member j,
-the rotation by j, has the basis exponents b + j, so its complement is the
-AND of the masks at b + j over the basis found for the representative,
-one C-level pass over a slice of perp_masks per basis exponent.
+orbit_complements complements a whole m-quasi orbit at once: member j,
+the rotation by j*m, has the basis exponents b + j*m, so its complement is
+the AND of the masks at b + j*m over the basis found for the
+representative, one C-level pass over a slice of perp_masks, with step m,
+per basis exponent.
 
 Every orbit walk goes through two functions.  stabilizer(field, bits)
 returns (t, D): F_{q^t} is the largest subfield whose nonzero elements fix
@@ -609,28 +610,30 @@ def trace_dual_bits(field: FieldSpec, bits: int, dim: int) -> int:
     return out
 
 
-def _masks_from(field: FieldSpec, b: int, D: int) -> list:
-    """The perp masks of the exponents b, b+1, ..., b+D-1 (mod q^n-1)."""
+def _masks_from(field: FieldSpec, b: int, D: int, m: int = 1) -> list:
+    """The perp masks of the exponents b, b+m, ..., b+(D-1)m (mod q^n-1)."""
     masks = field.perp_masks
     if masks is not None:
-        return masks[b:b + D]
+        return masks[b:b + D * m:m]
     N, antilog = field.group_order, field.antilog
-    return [field.perp_mask(antilog[(b + j) % N]) for j in range(D)]
+    return [field.perp_mask(antilog[(b + j * m) % N]) for j in range(D)]
 
 
-def orbit_complements(field: FieldSpec, bits: int, dim: int, D: int) -> list:
-    """complement_bits of the rotations of bits by 0, 1, ..., D-1, in order.
+def orbit_complements(field: FieldSpec, bits: int, dim: int, D: int, m: int = 1) -> list:
+    """complement_bits of the rotations of bits by 0, m, ..., (D-1)m, in order.
 
+    D * m must not exceed q^n - 1, as for an m-quasi orbit's D members.
     The scan complement_bits runs finds a basis of bits once; the rotation
-    by j has the basis exponents b + j, so its complement is the AND of
+    by j*m has the basis exponents b + j*m, so its complement is the AND of
     their masks.  Each basis exponent is one map(and_, ...) over a slice of
-    the doubled, exponent-indexed perp_masks, D members at a time.
+    the doubled, exponent-indexed perp_masks with step m, D members at a
+    time.
     """
     basis, out = _complement_scan(field, bits, dim)
     if not basis:
         return [out] * D
-    comps = _masks_from(field, basis[0], D)
+    comps = _masks_from(field, basis[0], D, m)
     for b in basis[1:]:
-        comps = list(map(and_, comps, _masks_from(field, b, D)))
+        comps = list(map(and_, comps, _masks_from(field, b, D, m)))
     return comps
 

@@ -24,22 +24,30 @@ bounded_candidates numbers it and keeps the candidates that pass the bound
 pairwise_graph is the compatibility graph as it was built before the
 t-subspace index: one correlation (inter_orbit_distance) per pair of
 included orbits.
+
+materialized_code is code_from_generators as it was before a code kept
+its orbits: it rotates every generator into all its words, flags a
+generator whose words meet the words so far as a duplicate, and builds the
+code from the word set through the constructor.
 """
 
 import itertools
 from math import gcd
 
+from orbitcodes.codes import SubspaceCode
 from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
 from orbitcodes.errors import OrbitCodesError, VerificationFailed
 from orbitcodes.orbits import _iter_candidates
 from orbitcodes.subspace import (
     Subspace,
+    check_modulus,
     cyclic_overlaps as overlap_kernel,
     dimension_from_popcount,
     divisors,
     exponents_of,
     is_min_member,
     meet_dim,
+    orbit_bits,
     orbit_record,
     rotate_bits,
     stabilizer,
@@ -355,3 +363,20 @@ def pairwise_graph(orbits, d: int):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return CompatGraph(included, d, adj, excluded)
+
+
+def materialized_code(field, m: int, generators) -> SubspaceCode:
+    """Union of the m-quasi orbits of the generators, as a word set."""
+    check_modulus(field, m)
+    bitsets = set()
+    duplicates = []
+    orbits = []
+    for idx, gen in enumerate(generators):
+        if gen.field != field:
+            raise OrbitCodesError("generator belongs to a different field")
+        members = orbit_bits(field, gen.bits, m)
+        if not bitsets.isdisjoint(members):
+            duplicates.append(idx)
+        bitsets.update(members)
+        orbits.append((gen, len(members)))
+    return SubspaceCode(field, bitsets, (m, tuple(orbits)), tuple(duplicates))

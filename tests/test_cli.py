@@ -234,11 +234,16 @@ WRITTEN_SHA256 = {
     "example3_n8k4": "492c07dbe694f2dd846bc4401169b004b06c8ae95da93d97a3ad2cc773e77f23",
     "quasi3_n8k4": "231d6ea65f8d5d99854aecd3e77ee56219f04acea5021209090e4c2c3b483500",
     "cyclic_n5k2": "42d0ea43155bd9a0c32f162245ae52afd8ac9e3df3504716022528572ec11fd0",
+    # taken before codes from generators kept their orbits: k = n/2, and a
+    # generator whose cyclic orbit (9 words) is shorter than q^n - 1
+    "example1_n10k5": "911e1ffcdcd4154cc0ab3972c1b27ecb060fcab874719440dcbb672fbe01c91d",
+    "spread_n6k3": "001f5d96fa0ccbe7bf82cf7e6b843311c556de2300475cb420dd05d1042eb12f",
     "spread --n 6 --t 3": "2c8a65bc039eb0922cab1f2e62422a545ecf8d007c1491137c3ade755267e939",
 }
 
 
-@pytest.mark.parametrize("name", ["example3_n8k4", "quasi3_n8k4", "cyclic_n5k2"])
+@pytest.mark.parametrize("name", ["example3_n8k4", "quasi3_n8k4", "cyclic_n5k2",
+                                  "example1_n10k5", "spread_n6k3"])
 def test_dualize_file_is_pinned(tmp_path, capsys, name):
     out = tmp_path / "dual.json"
     assert run(capsys, "dualize", data_path(name + ".json"), "-o", str(out))[0] == 0

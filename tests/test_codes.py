@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes import (
     SubspaceCode,
@@ -31,6 +32,8 @@ from orbitcodes import (
 from orbitcodes import codes
 from orbitcodes.cli import main
 from orbitcodes.errors import VerificationFailed
+from orbitcodes.subspace import divisors
+from tests import orbit_oracle as oracle
 from tests.conftest import data_path, refused
 
 
@@ -154,6 +157,51 @@ def test_min_distance_orbit_vs_all_pairs(f64):
             naive = min(distance(a, b)
                         for a, b in itertools.combinations(C.words, 2))
             assert min_distance(C) == naive
+
+
+ORACLE_FIELDS = [make_field(2, 4), make_field(2, 6), make_field(3, 3)]
+
+
+@st.composite
+def generator_lists(draw):
+    """(field, m, generators): every divisor m of q^n - 1, and generators of
+    mixed dimension, the zero and the full subspace among them, and repeats
+    of earlier generators rotated by any amount, a multiple of m or not."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    N, n = field.group_order, field.n
+    m = draw(st.sampled_from(divisors(N)))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            gens.append(from_exponents(field, []))
+        elif kind == 1:
+            gens.append(from_exponents(field, range(N)))
+        elif kind <= 3 and gens:
+            gens.append(shift(draw(st.sampled_from(gens)), draw(st.integers(0, N - 1))))
+        else:
+            exps = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=n))
+            gens.append(span(field, exps))
+    return field, m, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists())
+def test_code_from_generators_matches_the_word_set_oracle(case):
+    """A code kept as orbits reads as the code of its expanded word set: the
+    orbit-read size, dims, distance and dual first, the word set last."""
+    field, m, gens = case
+    code = code_from_generators(field, m, gens)
+    want = oracle.materialized_code(field, m, gens)
+    assert code.provenance == want.provenance
+    assert code.duplicate_generators == want.duplicate_generators
+    assert (code.size, code.dims) == (want.size, want.dims)
+    assert dualize(code).bitsets == dualize(want).bitsets
+    if want.size >= 2:     # the oracle's code holds no orbits: its words are compared pairwise
+        assert min_distance(code) == min_distance(want)
+    assert code.params() == want.params()
+    assert code.bitsets == want.bitsets and code.words == want.words
+    assert code == want and hash(code) == hash(want)
 
 
 def test_min_distance_needs_two_words(f16):
@@ -380,10 +428,16 @@ def test_constant_dimension_codes_respect_bound():
 # -- words held as bitsets ----------------------------------------------------------
 
 
+def refuse_word_sets(*args):
+    raise AssertionError("a word set was built")
+
+
 def test_verify_builds_no_word_subspace(monkeypatch):
-    """verify reads bitsets: of the 21,483 words of the F_{2^10} code only the
-    21 generators read from the file become Subspace objects, and the words
-    read later are the set built member by member."""
+    """verify reads the orbits: of the 21,483 words of the F_{2^10} code only
+    the 21 generators read from the file become Subspace objects, and
+    neither it nor the 2,992-word quasi3_n8k4 code expands an orbit or
+    builds a word set.  The words read later are the set built member by
+    member."""
     from orbitcodes import subspace
     from orbitcodes.subspace import from_bits, orbit_bits
     built = []
@@ -397,12 +451,33 @@ def test_verify_builds_no_word_subspace(monkeypatch):
 
     monkeypatch.setattr(subspace, "Subspace", Counted)
     path = data_path("example2_n10k3.json")
-    report = verify_code_file(path)
-    assert report["size"] == 21483 and report["min_dist"] == 4
-    assert len(built) == report["generators"] == 21
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "orbit_bits", refuse_word_sets)
+        patch.setattr(SubspaceCode, "bitsets", property(refuse_word_sets))
+        report = verify_code_file(path)
+        assert report["size"] == 21483 and report["min_dist"] == 4
+        assert len(built) == report["generators"] == 21
+        report = verify_code_file(data_path("quasi3_n8k4.json"))
+        assert report["size"] == 2992 and report["min_dist"] == 4
+    built.clear()
     cf = load_code_file(path)
     code = code_from_generators(cf.field, cf.m, cf.generators)
-    assert len(built) == 42
+    assert len(built) == 21
     eager = {from_bits(cf.field, b) for g in cf.generators
              for b in orbit_bits(cf.field, g.bits, cf.m)}
-    assert code.words == eager and len(built) == 42 + 2 * 21483
+    assert code.words == eager and len(built) == 21 + 2 * 21483
+
+
+def test_dualize_complements_each_orbit_at_once(monkeypatch):
+    """dualize of a code from generators complements no word on its own: the
+    4,505 complements of example3_n8k4, two of whose generators share an
+    orbit, come from one orbit_complements pass per distinct orbit, and they
+    are the complements taken word by word."""
+    from orbitcodes import subspace
+    cf = load_code_file(data_path("example3_n8k4.json"))
+    code = code_from_generators(cf.field, cf.m, cf.generators)
+    want = {orthogonal_complement(w).bits for w in code.words}
+    with monkeypatch.context() as patch:
+        patch.setattr(subspace, "complement_bits", refuse_word_sets)
+        dual = dualize(code)
+    assert dual.bitsets == want and dual.size == 4505

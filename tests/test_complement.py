@@ -1,6 +1,7 @@
 """The perp-mask orthogonal complement against the elimination oracle it replaced."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from orbitcodes.gfext import PERP_TABLE_MAX_ORDER
 from orbitcodes.orbits import cyclic_orbit_data
 from orbitcodes.subspace import (
     complement_bits,
+    divisors,
     min_member,
     orbit_complements,
     rotate_bits,
@@ -103,12 +105,14 @@ def test_complement_is_an_involution(data):
     assert orthogonal_complement(C).bits == V.bits
 
 
-def assert_orbit_complements_match(field, bits, dim, oracle=False):
-    """orbit_complements gives complement_bits of every member, in order."""
+def assert_orbit_complements_match(field, bits, dim, oracle=False, m=1):
+    """orbit_complements gives complement_bits of every member of the m-quasi
+    orbit, in order; the orbit's length is returned."""
     N = field.group_order
     _, D = stabilizer(field, bits)
-    members = [rotate_bits(bits, j, N) for j in range(D)]
-    got = orbit_complements(field, bits, dim, D)
+    D //= gcd(m, D)
+    members = [rotate_bits(bits, j * m, N) for j in range(D)]
+    got = orbit_complements(field, bits, dim, D, m)
     assert got == [complement_bits(field, b, dim) for b in members]
     if oracle:
         assert got == [oracle_complement_bits(field, b, dim) for b in members]
@@ -131,6 +135,15 @@ def test_orbit_complements_match_complement_bits(name):
         assert_orbit_complements_match(field, bits, k, oracle=field.order <= ORACLE_MAX_ORDER)
 
 
+@pytest.mark.parametrize("spec", [(2, 6), (3, 3)])
+def test_quasi_orbit_complements_match_complement_bits(spec):
+    """Every orbit of P_2(6) and P_3(3), at every step m dividing q^n - 1."""
+    field = make_field(*spec)
+    for m in divisors(field.group_order):
+        for bits, k in orbit_reps(field):
+            assert_orbit_complements_match(field, bits, k, oracle=True, m=m)
+
+
 def test_orbit_complement_fields_reach_every_kind_of_orbit():
     """The fields above hold q = 2, 3, 5, 7 and orbits shorter than q^n - 1."""
     fields = [make_field(*spec) for spec in SELFDUAL_FIELDS.values()]
@@ -141,7 +154,8 @@ def test_orbit_complement_fields_reach_every_kind_of_orbit():
 
 
 def test_orbit_complements_above_table_cap():
-    """A sample of orbits of F_3^8 (x^8 + x^3 + 2): masks on demand, no table."""
+    """A sample of orbits of F_3^8 (x^8 + x^3 + 2), at steps 1, 5 and 82:
+    masks on demand, no table."""
     field = make_field(3, 8, (2, 0, 0, 1, 0, 0, 0, 0, 1))
     N = field.group_order
     assert field.order > PERP_TABLE_MAX_ORDER
@@ -154,6 +168,11 @@ def test_orbit_complements_above_table_cap():
         samples.append((random_subspace(field, k, rng).bits, k))
     lengths = [assert_orbit_complements_match(field, bits, k) for bits, k in samples]
     assert lengths[2:4] == [82 * 10, 82]
+    # m-quasi orbits, 6560 = 2^5 * 5 * 41: steps that divide some orbit
+    # lengths and not others
+    for m in (5, 82):
+        for bits, k in samples:
+            assert_orbit_complements_match(field, bits, k, m=m)
     assert field.perp_masks is None
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,42 @@ def test_census_stopped_by_its_budget_keeps_its_checkpoint(tmp_path, name, k):
             line for cand, line in zip(cands, lines) if cand < steps)
         assert cyclic_orbit_data(field, k, checkpoint=Checkpoint(str(path))) == records
         assert path.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_resume_walks_on_when_its_rebuild_outlasts_the_budget(tmp_path, monkeypatch):
+    """The budget's clock starts after a resume rebuilds its stored orbits:
+    with a clock that moves 1 s per orbit record and a 0.5 s budget, every
+    resume still appends records, and the resumes end in the whole run's
+    records and file."""
+    field = field_of("F2^8")
+    whole = tmp_path / "whole.jsonl"
+    records = cyclic_orbit_data(field, 4, checkpoint=Checkpoint(str(whole)))
+    path = tmp_path / "stopped.jsonl"
+    with pytest.raises(ResourceLimit):
+        cyclic_orbit_data(field, 4, RunBudget(max_steps=len(records) * 4),
+                          checkpoint=Checkpoint(str(path)))
+    now = [0.0]
+    walk_record = orbits._cyclic_record
+
+    def slow_record(*args):
+        now[0] += 1.0
+        return walk_record(*args)
+
+    monkeypatch.setattr(orbits, "_cyclic_record", slow_record)
+    monkeypatch.setattr(orbits, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    lines = len(path.read_text().splitlines())
+    for _ in range(len(records)):
+        try:
+            result = cyclic_orbit_data(field, 4, RunBudget(max_seconds=0.5),
+                                       checkpoint=Checkpoint(str(path)))
+        except ResourceLimit:
+            grown = len(path.read_text().splitlines())
+            assert grown > lines
+            lines = grown
+        else:
+            break
+    assert result == records and path.read_bytes() == whole.read_bytes()
 
 
 def pattern_starts(field, k):
