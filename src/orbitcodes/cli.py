@@ -296,7 +296,8 @@ def _format_arg(sp, *choices):
 
 
 def _budget_arg(sp):
-    sp.add_argument("--budget-sec", type=float, help="soft time budget")
+    sp.add_argument("--budget-sec", type=float, help="wall-clock limit in seconds on the "
+                    "census walk; a census it stops exits 4")
 
 
 def _classify_args(sp):

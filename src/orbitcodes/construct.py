@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import gcd
-from operator import add, and_, eq, floordiv, lt, mod, mul, ne, neg, not_, or_, rshift, sub
+from operator import add, and_, eq, floordiv, lt, mod, mul, neg, rshift, sub
 
 from .codes import SubspaceCode, code_from_generators, min_distance
 from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
@@ -599,7 +599,8 @@ class _Level:
     members, in the order of the roots, and component j is the ascending
     nodes[bounds[j]:bounds[j + 1]].  No member -> node map is kept: node
     and holds compute a member's node from its orbit, and a node's orbit
-    is found by bisecting offset.  Nodes are read with C-level maps.
+    is found by bisecting offset.  Nodes are read with C-level maps, but
+    for read_out's closure tests, which stop at the first node that fails.
     """
 
     __slots__ = ("M", "start", "orbit_of", "g", "offset", "dim", "root", "sizes", "nodes",
@@ -670,54 +671,40 @@ class _Level:
                         map(self.g.__getitem__, oids)))
         return all(map(eq, map(self.root.__getitem__, nodes), repeat(root)))
 
-    def closable(self) -> bytes:
-        """For each component, in the order of the roots, 1 if some shift by M/p closes it.
-
-        The shift by m rotates each orbit's run of nodes by m, and closes a
-        component when none of its nodes moves to another root.
-        """
-        root, offset, bounds = self.root, self.offset, self.bounds
-        out = bytes(len(bounds) - 1)
-        for p in filter(is_prime, divisors(self.M)):
-            cut = [a + self.M // p % (b - a) for a, b in zip(offset, offset[1:])]
-            image = _joined(chain.from_iterable((root[c:b], root[a:c]) for a, b, c
-                                                in zip(offset, offset[1:], cut)), len(root))
-            moved = bytes(map(ne, image, root))
-            moved = bytes(map(moved.__getitem__, self.nodes))      # in component order
-            runs = map(moved.__getitem__, map(slice, bounds, bounds[1:]))
-            out = bytes(map(or_, out, map(not_, map(bytes.__contains__, runs, repeat(1)))))
-        return out
-
-    def read_out(self, nodes, proper: list, closable: bool) -> tuple:
+    def read_out(self, nodes, proper: list) -> tuple:
         """(moduli, m0-quasi-orbit count) of the component with these ascending nodes.
 
         A shift by m | M maps quasi orbit s of orbit o to (s + m) mod g[o],
         so the component is closed under it when every shifted node has its
-        root.  The shifts that close it are the multiples of its smallest
+        root; each test stops at the first node whose shifted node has
+        another.  The shifts that close it are the multiples of its smallest
         modulus m0 (a set closed under two shifts is closed under their
         gcd), so m0 is found by dividing M by each of its primes while the
-        closure holds (m0 = M when no M/p closes it, closable false), and
-        the moduli are the m in proper that m0 divides.  The component meets
-        each m0-quasi orbit, a class of s mod gcd(m0, g[o]), in all its
-        quasi orbits or none, so it splits into as many m0-quasi orbits as
-        it has nodes with s < gcd(m0, g[o]).
+        closure holds, and the moduli are the m in proper that m0 divides.
+        The component meets each m0-quasi orbit, a class of s mod
+        gcd(m0, g[o]), in all its quasi orbits or none, so it splits into as
+        many m0-quasi orbits as it has nodes with s < gcd(m0, g[o]): every
+        node when m0 = M, as g[o] divides M.
         """
-        if not closable:
-            return tuple(m for m in proper if m % self.M == 0), len(nodes)
-        root = self.root[nodes[0]]
-        oids, ss = self.quasi_orbits(nodes)
-        gs = list(map(self.g.__getitem__, oids))
-        bases = list(map(self.offset.__getitem__, oids))
+        root, offset, g = self.root, self.offset, self.g
+        r = root[nodes[0]]
 
         def closed(m: int) -> bool:
-            shifted = map(add, bases, map(mod, map(add, ss, repeat(m)), gs))
-            return all(map(eq, map(self.root.__getitem__, shifted), repeat(root)))
+            for x in nodes:
+                o = bisect_right(offset, x) - 1
+                if root[offset[o] + (x - offset[o] + m) % g[o]] != r:
+                    return False
+            return True
 
         m0 = self.M
         for p in filter(is_prime, divisors(self.M)):
             while m0 % p == 0 and closed(m0 // p):
                 m0 //= p
-        count = sum(map(lt, ss, map(gcd, repeat(m0), gs)))
+        if m0 == self.M:
+            count = len(nodes)
+        else:
+            oids, ss = self.quasi_orbits(nodes)
+            count = sum(map(lt, ss, map(gcd, repeat(m0), map(g.__getitem__, oids))))
         return tuple(m for m in proper if m % m0 == 0), count
 
 
@@ -726,30 +713,37 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
 
     perp_id[i] is the member id of the complement of member i.  The orbits
     are filled in id order, each orbit's complements from
-    orbit_complements.  Only the members whose entry is not yet known are
-    looked up, and each pair found sets its partner's entry too: no member
-    above n/2 is looked up, nor a member of the middle dimension whose
-    partner came before it.  While dimension k is filled, the complements
-    are looked up through orbits.member_finder(n - k), an index of that
-    one dimension, dropped before the next one is built: dimensions n,
-    n - 1, ..., down to the middle are indexed, each once.  So no word set
-    is held.  Each orbit's entries, once it is filled, are checked against
-    the complements computed from its own words, bit for bit, and the
-    whole map for being an involution, which catches an entry a later pair
-    overwrote; either failure raises VerificationFailed.
+    orbit_complements, and each pair found sets its partner's entry too,
+    so the dimension tells which members are looked up: every member
+    below n/2, none above it, and in the middle dimension, n/2, those whose
+    entry is still unknown, as their partner's orbit is not before theirs.
+    While dimension k is filled, the complements are looked up through
+    orbits.member_finder(n - k), an index of that one dimension, dropped
+    before the next one is built: dimensions n, n - 1, ..., down to the
+    middle are indexed, each once.  So no word set is held.  Each orbit's
+    entries, once it is filled, are checked against the complements
+    computed from its own words, bit for bit, and the whole map for being
+    an involution, which catches an entry a later pair overwrote or one
+    left unset; either failure raises VerificationFailed.
     """
     mask, n = (1 << orbits.N) - 1, field.n
     indexed, member_ids = None, None
     perp_id = array("i", (-1,)) * orbits.start[-1]
     for k, doubled, a, b in zip(orbits.dims, orbits.doubled, orbits.start, orbits.start[1:]):
         comps = orbit_complements(field, doubled & mask, k, b - a)
-        unknown = bytes(map(eq, perp_id[a:b], repeat(-1)))
-        if any(unknown):
+        if 2 * k < n:
+            ids, words = range(a, b), comps
+        elif 2 * k == n:
+            unknown = bytes(map(eq, perp_id[a:b], repeat(-1)))
+            ids = list(compress(range(a, b), unknown))
+            words = list(compress(comps, unknown))
+        else:
+            ids = words = ()
+        if words:
             if indexed != n - k:
                 member_ids = None           # the previous dimension's index is freed first
                 indexed, member_ids = n - k, orbits.member_finder(n - k)
-            ids = list(compress(range(a, b), unknown))
-            found = member_ids(list(compress(comps, unknown)))
+            found = member_ids(words)
             # __setitem__ returns None, so any() runs each whole C-level pass
             any(map(perp_id.__setitem__, ids, found))
             any(map(perp_id.__setitem__, found, ids))
@@ -845,7 +839,9 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
     """An unchecked SelfDualHit for each minimal component but the {0, full-space} pair.
 
     Each is read at the first maximal modulus it is a component at, from
-    the pairing perp_id that _complement_pairs made.
+    the pairing perp_id that _complement_pairs made: its member ids from
+    the level's member arrays, built once the level has a hit, and its
+    moduli and quasi-orbit count from _Level.read_out.
     """
     N = field.group_order
     maximal = [N // p for p in divisors(N) if is_prime(p)]
@@ -876,16 +872,14 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
     hits, proper = [], divisors(N)[:-1]
     shared = {}          # one copy of each moduli and dims tuple
     while levels:
-        level, members, closable = levels.pop(), None, None
-        for j, (r, nodes) in enumerate(level.components()):
+        level, members = levels.pop(), None
+        for r, nodes in level.components():
             # member 0 is the zero subspace, so its component is the {0, full-space} pair
             if (level.M, r) in marked or r == 0:
                 continue
             if members is None:
-                # closable's per-prime images are freed before the member arrays exist
-                closable = level.closable()
                 members = level.member_ids()
-            moduli, orbit_count = level.read_out(nodes, proper, closable[j])
+            moduli, orbit_count = level.read_out(nodes, proper)
             dims = tuple(sorted(set(map(level.dim.__getitem__, nodes))))
             hits.append(SelfDualHit(field, shared.setdefault(moduli, moduli), orbit_count,
                                     shared.setdefault(dims, dims), members[r], orbits))

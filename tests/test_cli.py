@@ -299,10 +299,12 @@ def test_graph_file_is_pinned(tmp_path, capsys):
 
 # sha256 of the help texts (stdout) and of the unknown-command error
 # (stderr), taken at 80 columns from the CLI as it was when main gave every
-# subcommand its arguments; argparse's layout differs between Python versions
+# subcommand its arguments, but for classify's and conjecture-check's, taken
+# once their --budget-sec help named the census walk's wall-clock limit and
+# exit 4; argparse's layout differs between Python versions
 HELP_SHA256 = {
     "": "ed5c5b4465c774490519163efd92ddd833976a627ae10ba47db8a00876f1f0b8",
-    "classify": "fb37b8aab12ef0fb963939ea00f0a34ce5d49dddb2dbb46bcfb57d96575d37bd",
+    "classify": "c8db11905b5299f312436aa5e12eb0e965d72ca1d49b502a42e35770a5ffacad",
     "verify": "282dee9641baba6c4ce233be7ffb8a5b6def717d99126847c86d8491f46b6e97",
     "dualize": "26a47f7a2cf56abad67c94e405c8602addc806723b17069c8d77268fb22a0fb4",
     "bound": "200736c62b8ec1ac945a72c7414ab299885b99da0f28fe6971b616584147a89a",
@@ -310,7 +312,7 @@ HELP_SHA256 = {
     "graph": "68c52d4828552b10da1a172f71ab4340e6eaa6ed4d2adadcd7d0113244a3452b",
     "clique": "603dd4f0376dc0a1c087093d0ad3fdfcf0867ef18482c0359bd61b22aec16f7d",
     "selfdual": "cabb503e451aefe8bdb6ae1ef6799e470a47a6c086d79e4de1b82919cb6a7d8a",
-    "conjecture-check": "4db1fcc01a712eccf7d5881fd227e6f27262b536016c9c2d2ee0b82a5efca774",
+    "conjecture-check": "01a19113915a1ef3b30121f80698dc2ab4fd313cc390b88b466aefc68639d7c3",
     "bogus": "097ce2a01fb5b1edfd7b3a2643695f7b6a76ee648828f69dfbaa6ba99050c137",
 }
 HELP_CASES = [([command, "--help"] if command else ["--help"], 0)
@@ -820,9 +822,11 @@ SELFDUAL_STDOUT_SHA256 = {
 # 23.8-24.0 MB on 3.11, 25.1 to 22.5 MB on 3.12 and 25.2 to 22.3 MB on 3.13
 # once the complement index covers one dimension at a time, orbit_of holds
 # 16-bit ids, closable's images go before the member arrays are built, and
-# the pairing goes before the rotation tables.  The bound is at least 1.5 MB
-# above each of these, so it fails on a return to holding those together,
-# not on run-to-run noise.
+# the pairing goes before the rotation tables.  With the closure tests read
+# lazily per component, no per-prime images are made at all, and it peaks
+# at 23.9-24.0 MB on 3.11 (--format json, 3 runs; 23.8-24.1 MB before).
+# The bound is at least 1.5 MB above each of these, so it fails on a return
+# to holding those together, not on run-to-run noise.
 SELFDUAL_N8_PEAK_MB = 26
 
 # runs the CLI, then reports its own peak from /proc/self/status on stderr;

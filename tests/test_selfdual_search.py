@@ -92,10 +92,10 @@ def assert_same_level(M, orbits, perp_id, proper):
     # each root is its component's smallest member, the first member of its smallest node
     assert list(map(level.node, level.root)) == ref.parent
     assert list(map(level.node, range(len(perp_id)))) == list(ref.node_of)
-    for (root, nodes), closable in zip(components, level.closable()):
+    for root, nodes in components:
         assert root == next(level.members(nodes[:1])) == min(level.members(nodes))
         assert level.sizes[root] == ref.sizes[nodes[0]]
-        moduli, orbit_count = level.read_out(nodes, proper, closable)
+        moduli, orbit_count = level.read_out(nodes, proper)
         ref_moduli, ref_count = oracle.read_out(ref, nodes, proper)
         assert (moduli[0], moduli, orbit_count) == (ref_moduli[0], ref_moduli, ref_count)
 
@@ -236,6 +236,37 @@ def test_complement_pairs_indexes_each_upper_dimension_once(monkeypatch, name):
     assert asked == list(range(field.n, (field.n + 1) // 2 - 1, -1))
 
 
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_complement_pairs_looks_up_each_pair_once_across_orbits(monkeypatch, name):
+    """Every member below n/2 is looked up, none above it, and one of the
+    middle dimension only when its partner's orbit came after its own: each
+    complement pair {i, perp_id[i]} is looked up once, self-perpendicular
+    members included, but for a pair within one middle orbit, whose ends
+    are both unknown when that orbit is filled, so each is looked up."""
+    finder, looked_up = _OrbitTable.member_finder, []
+
+    def counted(orbits, dim):
+        member_ids = finder(orbits, dim)
+
+        def counting(words):
+            looked_up.extend((dim, word) for word in words)
+            return member_ids(words)
+
+        return counting
+
+    monkeypatch.setattr(_OrbitTable, "member_finder", counted)
+    field = make_field(*FIELDS[name])
+    orbits = _OrbitTable(field)
+    perp_id = _complement_pairs(field, orbits)
+    pairs = {frozenset((i, c)) for i, c in enumerate(perp_id)}
+    within = sum(len(p) == 2 and len(set(map(orbits.orbit_of.__getitem__, p))) == 1
+                 for p in pairs)
+    # every word looked up is a complement of dimension n/2 or more
+    assert all(2 * dim >= field.n for dim, _ in looked_up)
+    assert len(set(looked_up)) == len(looked_up)
+    assert len(looked_up) == len(pairs) + within
+
+
 def test_an_orbit_map_of_more_than_16_bits_is_refused(monkeypatch):
     """A table of 65,536 orbits or more would overflow the array('H') orbit map."""
     census = construct.cyclic_orbit_data
@@ -311,6 +342,9 @@ def test_differential_cases_reach_every_rule():
     assert any(h.m == 6 for h in self_dual_search(make_field(5, 2)))
     # minimal only at the second maximal modulus 9 of 63
     assert any(h.moduli == (9,) for h in self_dual_search(make_field(*FIELDS["F2^6-other"])))
+    # smallest modulus 10, read at the maximal modulus 40 = 2^2 * 10 of 80: the
+    # closure test divides the prime 2 out twice
+    assert any(h.moduli == (10, 20, 40) for h in self_dual_search(make_field(3, 4)))
 
 
 @pytest.mark.parametrize("name", ["F2^6", "F3^4"])
