@@ -15,15 +15,20 @@ each orbit's representative and candidate index alone, and a resumed run
 rebuilds the records from them.  An m-quasi census is then derived without
 re-enumeration: a cyclic orbit of length D splits into g = gcd(m, D) quasi
 orbits of length D/g, all sharing the same internal minimum distance
-profile.
+profile.  Every full cyclic census is checked against the closed-form
+orbit count per stabilizer degree (stabilizer_counts).
 
 The candidates come in one order for every q (_iter_candidates).  Each is
 gamma^0 plus the rows of a reduced echelon matrix over coordinates 1..n-1:
 the pivot patterns go in lexicographic order, and within one pattern row 0
 varies fastest, then row 1, and so on, each row's choices in increasing
 value as packed base-q digits.  So the span of gamma^0 and the later rows is
-built once for every choice of the rows below them.  A checkpoint counts
-candidates in this order.
+built once for every choice of the rows below them, and row 0's choices
+under one such span, a leaf, are expanded together when there are
+enough of them (subspace._walk_rows): in one C-level pass, handing on the
+kept candidates as one iterator, which chain.from_iterable joins over the
+leaves and pivot patterns, so the census loop takes them from C, not up a
+chain of generator frames.  A checkpoint counts candidates in this order.
 
 Most candidates are ruled out before they are spanned in full, by the
 wrap-gap bound.  A k-dim subspace has s = q^k - 1 exponents, and its s
@@ -44,7 +49,8 @@ import itertools
 import json
 import os
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import chain
 from math import gcd, prod
 
 from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
@@ -57,6 +63,7 @@ from .subspace import (
     _echelon_rows,
     _walk_rows,
     check_modulus,
+    divisors,
     exponents_of,
     from_bits,
     from_exponents,
@@ -142,19 +149,26 @@ def _iter_candidates(field: FieldSpec, k: int, start: int = 0):
     with its rows, a walk node above that skips its subtree (_walk_rows).
     k = 0 gives the zero subspace, the one candidate without gamma^0, and
     k = n the full space.
+
+    Each pattern's walk is an iterator over its leaves' kept candidates,
+    and chain.from_iterable joins the patterns, so no candidate passes
+    through a generator frame here.
     """
     n, q, N = field.n, field.q, field.group_order
     if k == 0:
-        yield 0, 0
-        return
+        return iter([(0, 0)])
     cap = 1 << N - (N - 1) // (q ** k - 1)
-    index = 0
-    for pivots in itertools.combinations(range(1, n), k - 1):
-        rows = _echelon_rows(q, pivots, n)
-        size = prod(map(len, rows))
-        if index + size > start:
-            yield from _walk_rows(field, [*rows, [1]], cap, index)  # gamma^0 outermost
-        index += size
+
+    def walks():
+        index = 0
+        for pivots in itertools.combinations(range(1, n), k - 1):
+            rows = _echelon_rows(q, pivots, n)
+            size = prod(map(len, rows))
+            if index + size > start:
+                yield _walk_rows(field, [*rows, [1]], cap, index)   # gamma^0 outermost
+            index += size
+
+    return chain.from_iterable(walks())
 
 
 def candidate_count(field: FieldSpec, k: int) -> int:
@@ -168,21 +182,42 @@ def candidate_count(field: FieldSpec, k: int) -> int:
 def _frobenius_conjugates(field: FieldSpec, rep: int) -> list:
     """The smallest members of the other orbits in rep's Frobenius class.
 
-    sigma(x) = x^q maps the exponent e to q e mod N, so each image is found
-    from the exponent list, not from the bitset's N bits, and its smallest
-    member from its gaps (min_member_of_exponents).  The
-    images sigma(V), sigma^2(V), ... run through the class and come back to
-    V's orbit after d | n steps, where the list ends.
+    sigma(x) = x^q maps the exponent e to q e mod N, which the field's
+    table FieldSpec.frobenius holds, so each image is found from the
+    exponent list, not from the bitset's N bits, and its smallest member
+    from its gaps (min_member_of_exponents).  The images sigma(V),
+    sigma^2(V), ... run through the class and come back to V's orbit after
+    d | n steps, where the list ends.
     """
-    q, N = field.q, field.group_order
+    N, times_q = field.group_order, field.frobenius.__getitem__
     exps, out = exponents_of(rep), []
     for _ in range(field.n - 1):
-        exps = sorted([q * e % N for e in exps])
+        exps = sorted(map(times_q, exps))
         image = min_member_of_exponents(exps, N)
         if image == rep:
             break
         out.append(image)
     return out
+
+
+def stabilizer_counts(q: int, n: int, k: int) -> dict:
+    """t -> how many cyclic orbits of G_q(n, k) have stabilizer degree t.
+
+    The stabilizer of V in <gamma> is F_{q^t}^* for the largest subfield
+    F_{q^t} over which V is a vector space (Gluesing-Luerssen, Morrison and
+    Troha, Cyclic orbit codes and stabilizer subfields, 2015).  For
+    t | gcd(n, k), A(t) = [n/t, k/t]_{q^t} k-subspaces are F_{q^t}-spaces,
+    and E(t) of them have F_{q^t} as their largest such subfield, so
+    A(t) = sum of E(s) over t | s | gcd(n, k): E(t) is A(t) less the E(s)
+    of the proper multiples s, the Moebius inversion sum of mu(s/t) A(s).
+    Their orbits have (q^n - 1)/(q^t - 1) members each.  Degrees without
+    orbits are left out.
+    """
+    E = {}
+    for t in reversed(divisors(gcd(n, k))):
+        E[t] = gaussian_coefficient(n // t, k // t, q ** t) - sum(
+            E[s] for s in E if s % t == 0)
+    return {t: e * (q ** t - 1) // (q ** n - 1) for t, e in sorted(E.items()) if e}
 
 
 _CYCLIC_CACHE: dict = {}
@@ -209,6 +244,10 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     The budget's clock starts after that rebuild, so it bounds the walk
     only.  The checkpoint's buffered lines are written even when the walk
     stops early.  Nothing mutates min_by_step, so records may share it.
+    A whole census whose orbit count for some stabilizer degree is not the
+    closed form's (stabilizer_counts) raises VerificationFailed: a census
+    that lost or doubled an orbit of a class the conjugate map does not
+    cover, such as an orbit that is its own Frobenius class.
     """
     if not 0 <= k <= field.n:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{field.n}")
@@ -239,6 +278,12 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
         raise VerificationFailed(
             f"{len(conjugates)} Frobenius conjugates of (q={field.q}, n={field.n}, "
             f"k={k}) orbits were never met by the census walk")
+    got = Counter(rec.stab_degree for rec in records)
+    expected = stabilizer_counts(field.q, field.n, k)
+    if got != expected:
+        raise VerificationFailed(
+            f"the census of (q={field.q}, n={field.n}, k={k}) has {dict(sorted(got.items()))} "
+            f"orbits by stabilizer degree, the closed form {expected}")
     _CYCLIC_CACHE[key] = records
     return records
 

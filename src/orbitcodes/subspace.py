@@ -41,17 +41,24 @@ it is a rotation down to an exponent that ends a largest cyclic gap, which
 is how a census names the Frobenius images of an orbit.
 
 Every basis, closure check and span comes from _span_step, which adds one
-vector to a span (by XOR over F_2, by Zech logarithms over larger q); src/
-does no elimination.  _basis_span takes the lowest
-exponent not yet spanned as the next basis vector, so from_exponents checks
-closure in at most k steps, and span and subspaces_of get a basis and its
-span in one pass.  The subspaces are spanned by walking the rows of reduced
-echelon matrices (_echelon_rows, _walk_rows): each choice of a row extends
-the span of the rows after it once for every choice of the rows before it,
-and each choice of the last row left only ORs the exponents it adds.
-Each span is numbered by its place in the walk.  The census walks them
-over the coordinates of F_q^n with a cap, skipping every node whose bitset
-is not below it together with the spans under it (the wrap-gap bound, see
+vector to a span (by XOR over F_2, by Zech logarithms over larger q), or
+from _leaf_bits, which takes the same steps for many vectors at once; src/
+does no elimination.  _basis_span takes the lowest exponent not yet
+spanned as the next basis vector, so from_exponents checks closure in at
+most k steps, and span and subspaces_of get a basis and its span in one
+pass.  The subspaces are spanned by walking the rows of reduced echelon
+matrices (_echelon_rows, _walk_rows): each choice of a row extends the
+span of the rows after it once for every choice of the rows before it.
+The choices of row 0 under one span of the later rows form a leaf, and
+each of them only adds the exponents it brings to the span's bits.  A leaf
+of LEAF_PASS_MIN choices or more is expanded in one C-level pass
+(_leaf_bits: one map per span vector over the whole row, summed per
+choice) and passes on its kept spans as one iterator, which
+chain.from_iterable joins, so none of them climbs the recursion's
+generator frames; a smaller leaf takes one _span_step per choice.  Each
+span is numbered by its place in the walk.  The census walks them over
+the coordinates of F_q^n with a cap, skipping every node whose bitset is
+not below it together with the spans under it (the wrap-gap bound, see
 orbits), and subspaces_of(field, bits, t) over a subspace's own basis with
 none, listing each of its t-subspaces once.
 
@@ -84,8 +91,9 @@ import itertools
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain, compress, count, repeat
 from math import gcd, isqrt, prod
-from operator import and_, itemgetter, sub
+from operator import add, and_, itemgetter, sub, xor
 
 from .errors import OrbitCodesError
 from .gfext import FieldSpec
@@ -435,6 +443,42 @@ def _echelon_rows(q: int, pivots, ncols: int) -> list:
     return rows
 
 
+# A leaf with at least this many row-0 choices is expanded in one C-level
+# pass (_leaf_bits); a smaller one, such as most leaves subspaces_of walks,
+# one _span_step per choice.  Where the pass starts to cost less grows with
+# the span: from about 4 choices over a span of 1 or 2 vectors to about 8
+# over 8 and 12 over 16 (q = 2), and from 3 over 1 to 9 over 9 (q = 3),
+# timed in-process under CPython 3.11 on a 2-core x86-64 machine.
+LEAF_PASS_MIN = 8
+
+
+def _leaf_bits(field: FieldSpec, elts: list, row: list, bits: int):
+    """bits plus the bits of the vectors _span_step(field, elts, v) adds,
+    for each choice v of row, in row's order.
+
+    One C-level map per pair (c, e) runs over the whole row, giving the bit
+    of c*v + e for every v; zip turns these columns into one tuple per
+    choice, and sum adds each tuple to bits.  Over F_2 that is v ^ e; over
+    larger q, c*v + e = gamma^w (1 + gamma^(log e - w)) for c*v = gamma^w,
+    the Zech lookups of _span_step taken column by column.
+    """
+    get = field.exp_bits.__getitem__
+    if field.q == 2:
+        columns = [map(get, map(xor, row, repeat(e))) for e in elts]
+    else:
+        log, at, zech, N = field.log, field.antilog.__getitem__, field.zech, field.group_order
+        logs = [log[e] for e in elts[1:]]
+        columns = []
+        for c in range(1, field.q):
+            ws = [(log[c] + log[v]) % N for v in row]
+            below = [w - N for w in ws]
+            columns.append(map(get, map(at, ws)))
+            columns += [map(get, map(at, map(add, below, map(zech.__getitem__,
+                                                              map(sub, repeat(x), ws)))))
+                        for x in logs]
+    return map(sum, zip(*columns), repeat(bits))
+
+
 def _walk_rows(field: FieldSpec, rows: list, cap: int | None = None, index: int = 0):
     """(index, bitset) of the span of one choice from each of rows, for every
     choice whose bitset is below cap, the last row outermost.
@@ -445,30 +489,40 @@ def _walk_rows(field: FieldSpec, rows: list, cap: int | None = None, index: int 
     grows as rows are added, so a choice whose partial bitset is not below
     cap skips every choice of the rows before it, and the index moves past
     them.  The exponents a step adds are distinct from those before it, so
-    the sum of their bits is their OR.
+    the sum of their bits is their OR.  The recursion yields iterables of
+    (index, bitset) pairs, which chain.from_iterable joins.  A leaf, the
+    choices of row 0 under one span of the later rows, of LEAF_PASS_MIN
+    choices or more is expanded as a whole in one C-level pass (_leaf_bits)
+    and yields its kept pairs as one iterator, compress over the numbered
+    bitsets, so none of them climbs the recursion's generator frames.  A
+    smaller leaf takes one _span_step per choice and yields each kept pair
+    in a 1-tuple.
     """
     if cap is None:
         cap = 1 << field.group_order
     get = field.exp_bits.__getitem__
 
-    def walk(rows, elts, bits, index):
+    def leaves(rows, elts, bits, index):
         if len(rows) > 1:
             below = prod(map(len, rows[:-1]))
             for v in rows[-1]:
                 new = _span_step(field, elts, v)
                 out = bits | sum(map(get, new))
                 if out < cap:
-                    yield from walk(rows[:-1], elts + new, out, index)
+                    yield from leaves(rows[:-1], elts + new, out, index)
                 index += below
-        elif rows:
-            outs = [bits | sum(map(get, _span_step(field, elts, v))) for v in rows[0]]
-            for i, out in enumerate(outs, index):
+        elif not rows:
+            yield ((index, bits),)
+        elif len(rows[0]) < LEAF_PASS_MIN:
+            for i, v in enumerate(rows[0], index):
+                out = bits | sum(map(get, _span_step(field, elts, v)))
                 if out < cap:
-                    yield i, out
+                    yield ((i, out),)
         else:
-            yield index, bits
+            outs = list(_leaf_bits(field, elts, rows[0], bits))
+            yield compress(zip(count(index), outs), map(cap.__gt__, outs))
 
-    return walk(rows, [0], 0, index)
+    return chain.from_iterable(leaves(rows, [0], 0, index))
 
 
 def subspaces_of(field: FieldSpec, bits: int, t: int):

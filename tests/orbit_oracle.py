@@ -21,6 +21,10 @@ of a pivot pattern, and every basis spanned from scratch.
 bounded_candidates numbers it and keeps the candidates that pass the bound
 (passes_wrap_gap_bound), as the census walk does.
 
+walk_rows_per_choice is the row walk before each leaf was expanded as a
+whole: one _span_step per row-0 choice, each candidate yielded up through
+the recursion's generator frames.
+
 pairwise_graph is the compatibility graph as it was built before the
 t-subspace index: one correlation (inter_orbit_distance) per pair of
 included orbits.
@@ -32,7 +36,7 @@ code from the word set through the constructor.
 """
 
 import itertools
-from math import gcd
+from math import gcd, prod
 
 from orbitcodes.codes import SubspaceCode
 from orbitcodes.construct import CompatGraph, inter_orbit_distance as kernel_inter_orbit_distance
@@ -40,6 +44,7 @@ from orbitcodes.errors import OrbitCodesError, VerificationFailed
 from orbitcodes.orbits import _iter_candidates
 from orbitcodes.subspace import (
     Subspace,
+    _span_step,
     check_modulus,
     cyclic_overlaps as overlap_kernel,
     dimension_from_popcount,
@@ -140,6 +145,34 @@ def rref_candidates(field, k: int):
             for v in elts[1:]:
                 bits |= 1 << exponent[v.to_bytes(n, "little").translate(mod_q)]
             yield bits
+
+
+def walk_rows_per_choice(field, rows: list, cap=None, index: int = 0):
+    """(index, bitset) of the span of one choice from each of rows, for every
+    choice whose bitset is below cap, the last row outermost, as
+    subspace._walk_rows yields them; the index counts the skipped ones too."""
+    if cap is None:
+        cap = 1 << field.group_order
+    get = field.exp_bits.__getitem__
+
+    def walk(rows, elts, bits, index):
+        if len(rows) > 1:
+            below = prod(map(len, rows[:-1]))
+            for v in rows[-1]:
+                new = _span_step(field, elts, v)
+                out = bits | sum(map(get, new))
+                if out < cap:
+                    yield from walk(rows[:-1], elts + new, out, index)
+                index += below
+        elif rows:
+            outs = [bits | sum(map(get, _span_step(field, elts, v))) for v in rows[0]]
+            for i, out in enumerate(outs, index):
+                if out < cap:
+                    yield i, out
+        else:
+            yield index, bits
+
+    return walk(rows, [0], 0, index)
 
 
 def passes_wrap_gap_bound(field, k: int, bits: int) -> bool:

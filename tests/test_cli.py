@@ -753,6 +753,25 @@ def test_checkpoint_without_a_predicted_conjugate_fails(tmp_path, capsys):
     assert "never met" in result[2]
 
 
+@pytest.mark.usefixtures("fresh_census_cache")
+def test_checkpoint_without_a_self_conjugate_orbit_fails(tmp_path, capsys):
+    """A file that lacks an orbit that is its own Frobenius class, with
+    records after it, leaves nothing in the conjugate map of a resumed run;
+    the count per stabilizer degree against the closed form makes it exit
+    5 before the stdout is written."""
+    from orbitcodes import make_field
+    from orbitcodes.orbits import _frobenius_conjugates
+    field = make_field(2, 6)
+    ck = tmp_path / "ck.jsonl"
+    header, *records = _checkpoint_lines(ck)
+    cut = next(j for j, line in enumerate(records[:-1])
+               if not _frobenius_conjugates(field, int(json.loads(line)["rep_bits"], 16)))
+    ck.write_text("\n".join([header, *records[:cut], *records[cut + 1:]]) + "\n")
+    result = run(capsys, "classify", "--n", "6", "--k", "3", "--checkpoint", str(ck))
+    assert_one_line_error(result, 5)
+    assert result[1] == "" and "the closed form" in result[2]
+
+
 @pytest.mark.extended
 @pytest.mark.usefixtures("fresh_census_cache")
 def test_checkpoint_of_a_census_stopped_by_its_budget_resumes(tmp_path, capsys):

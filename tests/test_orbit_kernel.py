@@ -5,11 +5,12 @@ visited-set census it replaced."""
 import itertools
 import json
 import random
+from collections import Counter
 from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitcodes import (
     classify,
@@ -25,6 +26,7 @@ from orbitcodes import (
     span,
 )
 from orbitcodes.codes import _min_distance_orbits
+from orbitcodes.gfext import gaussian_coefficient
 from orbitcodes import orbits
 from orbitcodes.errors import ResourceLimit, VerificationFailed
 from orbitcodes.orbits import (
@@ -34,6 +36,8 @@ from orbitcodes.orbits import (
     cyclic_orbit_data,
 )
 from orbitcodes.subspace import (
+    LEAF_PASS_MIN,
+    _basis_span,
     _echelon_rows,
     _walk_rows,
     check_modulus,
@@ -148,6 +152,46 @@ def test_candidates_match_rref_oracle(name, k):
     """
     field = field_of(name)
     assert list(_iter_candidates(field, k)) == oracle.bounded_candidates(field, k)
+
+
+def echelon_like_rows(field, data, leaf: int) -> list:
+    """Random rows over a random basis b_0..b_{K-1} of the field: row i's
+    choices are distinct vectors b_i + sum_{j > i} d_j b_j, so one choice
+    from each row is always independent; row 0 has leaf choices."""
+    q, N = field.q, field.group_order
+    exps = data.draw(st.sets(st.integers(0, N - 1), min_size=field.n + 2, max_size=field.n + 4))
+    basis, vectors, _ = _basis_span(field, sum(1 << e for e in exps))
+    K = len(basis)
+    assume(q ** (K - 1) >= leaf)
+    rows = []
+    for i in range(data.draw(st.integers(1, min(K, 4)))):
+        free = q ** (K - 1 - i)                 # the choices b_i + q^(i+1) * m
+        size = leaf if i == 0 else data.draw(st.integers(1, min(free, 4)))
+        picks = data.draw(st.lists(st.integers(0, free - 1), min_size=size, max_size=size,
+                                   unique=True))
+        rows.append([vectors[q ** i + q ** (i + 1) * m] for m in picks])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("leaf", [LEAF_PASS_MIN - 1, LEAF_PASS_MIN, LEAF_PASS_MIN + 1,
+                                  2 * LEAF_PASS_MIN])
+@pytest.mark.parametrize("name", ["F2^8", "F3^4"])
+def test_walk_rows_matches_per_choice_oracle(name, leaf, data):
+    """The walk that expands a leaf in one C-level pass, from LEAF_PASS_MIN
+    row-0 choices up, yields what one _span_step per choice yields: the
+    same (index, bitset) pairs in the same order from any start, with no
+    cap, a cap inside the walk's bitsets (so inside a leaf) or any cap."""
+    field = field_of(name)
+    rows = echelon_like_rows(field, data, leaf)
+    index = data.draw(st.integers(0, 10 ** 6))
+    whole = list(oracle.walk_rows_per_choice(field, rows, None, index))
+    assert len(whole) == prod(map(len, rows))
+    cap = data.draw(st.one_of(st.none(), st.sampled_from([b for _, b in whole]),
+                              st.integers(0, 1 << field.group_order)))
+    assert list(_walk_rows(field, rows, cap, index)) == \
+        list(oracle.walk_rows_per_choice(field, rows, cap, index))
 
 
 def assert_bound_keeps_every_smallest_member(field, k):
@@ -342,6 +386,59 @@ def test_census_fails_when_a_conjugate_is_never_met(monkeypatch):
                         lambda exps, N: real(exps, N) | 1 << N - 1)
     with pytest.raises(VerificationFailed, match="never met"):
         cyclic_orbit_data(field, 3)
+
+
+@pytest.mark.parametrize("name, k", [
+    pytest.param(name, k, id=f"{name}-k{k}")
+    for name, (_, n, _) in FIELDS.items() for k in range(n + 1)])
+def test_stabilizer_counts_match_the_per_orbit_census(name, k):
+    """The closed form gives, per stabilizer degree, the orbit counts of the
+    census that walks every kept orbit on its own, and their mass."""
+    field = field_of(name)
+    q, n = field.q, field.n
+    counts = orbits.stabilizer_counts(q, n, k)
+    assert counts == Counter(rec.stab_degree for rec in oracle.per_orbit_census(field, k))
+    assert sum(c * (q ** n - 1) // (q ** t - 1) for t, c in counts.items()) == \
+        gaussian_coefficient(n, k, q)
+
+
+def self_conjugate_rep(field, k):
+    """The representative of the first orbit of the census, longer than one
+    member, that is its own Frobenius class."""
+    return next(rec.rep_bits for rec in cyclic_orbit_data(field, k)
+                if rec.length > 1 and not orbits._frobenius_conjugates(field, rec.rep_bits))
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("mutation", ["drop-a-class-head", "a-candidate-twice",
+                                      "a-changed-stab-degree"])
+def test_census_fails_against_the_closed_form(monkeypatch, mutation):
+    """A census walk that loses a Frobenius class of one orbit, that meets a
+    kept candidate twice, or whose record has another stabilizer degree has
+    the wrong orbit count for some degree; the conjugate map holds nothing
+    then, and the closed-form check raises VerificationFailed."""
+    field, k = field_of("F2^6"), 3
+    head = self_conjugate_rep(field, k)
+    real_candidates, real_record = orbits._iter_candidates, orbits.orbit_record
+
+    def candidates(*args):
+        for idx, bits in real_candidates(*args):
+            if bits != head or mutation != "drop-a-class-head":
+                yield idx, bits
+            if bits == head and mutation == "a-candidate-twice":
+                yield idx, bits
+
+    def record(*args):
+        rec = real_record(*args)
+        if rec.rep_bits == head and mutation == "a-changed-stab-degree":
+            rec.stab_degree = 1 if rec.stab_degree > 1 else field.n
+        return rec
+
+    monkeypatch.setattr(orbits, "_CYCLIC_CACHE", {})
+    monkeypatch.setattr(orbits, "_iter_candidates", candidates)
+    monkeypatch.setattr(orbits, "orbit_record", record)
+    with pytest.raises(VerificationFailed, match="by stabilizer degree, the closed form"):
+        cyclic_orbit_data(field, k)
 
 
 @settings(max_examples=300, deadline=None)
