@@ -292,12 +292,6 @@ class FieldSpec:
         """
         return _ExpBits(self.log)
 
-    @cached_property
-    def frobenius(self) -> list:
-        """frobenius[e] = q e mod (q^n - 1): x -> x^q on exponents."""
-        q, N = self.q, self.group_order
-        return [q * e % N for e in range(N)]
-
     # -- dot-product hyperplanes ------------------------------------------
 
     @cached_property

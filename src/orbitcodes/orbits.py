@@ -23,8 +23,8 @@ gamma^0 plus the rows of a reduced echelon matrix over coordinates 1..n-1:
 the pivot patterns go in lexicographic order, and within one pattern row 0
 varies fastest, then row 1, and so on, each row's choices in increasing
 value as packed base-q digits.  So the span of gamma^0 and the later rows is
-built once for every choice of the rows below them, and row 0's choices
-under one such span, a leaf, are expanded together when there are
+built once for every choice of the rows below them, and over F_2 row 0's
+choices under one such span, a leaf, are expanded together when there are
 enough of them (subspace._walk_rows): in one C-level pass, handing on the
 kept candidates as one iterator, which chain.from_iterable joins over the
 leaves and pivot patterns, so the census loop takes them from C, not up a
@@ -182,17 +182,16 @@ def candidate_count(field: FieldSpec, k: int) -> int:
 def _frobenius_conjugates(field: FieldSpec, rep: int) -> list:
     """The smallest members of the other orbits in rep's Frobenius class.
 
-    sigma(x) = x^q maps the exponent e to q e mod N, which the field's
-    table FieldSpec.frobenius holds, so each image is found from the
-    exponent list, not from the bitset's N bits, and its smallest member
-    from its gaps (min_member_of_exponents).  The images sigma(V),
-    sigma^2(V), ... run through the class and come back to V's orbit after
-    d | n steps, where the list ends.
+    sigma(x) = x^q maps the exponent e to q e mod N, so each image is found
+    from the exponent list, not from the bitset's N bits, and its smallest
+    member from its gaps (min_member_of_exponents).  The
+    images sigma(V), sigma^2(V), ... run through the class and come back to
+    V's orbit after d | n steps, where the list ends.
     """
-    N, times_q = field.group_order, field.frobenius.__getitem__
+    q, N = field.q, field.group_order
     exps, out = exponents_of(rep), []
     for _ in range(field.n - 1):
-        exps = sorted(map(times_q, exps))
+        exps = sorted([q * e % N for e in exps])
         image = min_member_of_exponents(exps, N)
         if image == rep:
             break
@@ -245,9 +244,11 @@ def cyclic_orbit_data(field: FieldSpec, k: int, budget: RunBudget | None = None,
     only.  The checkpoint's buffered lines are written even when the walk
     stops early.  Nothing mutates min_by_step, so records may share it.
     A whole census whose orbit count for some stabilizer degree is not the
-    closed form's (stabilizer_counts) raises VerificationFailed: a census
-    that lost or doubled an orbit of a class the conjugate map does not
-    cover, such as an orbit that is its own Frobenius class.
+    closed form's (stabilizer_counts) raises VerificationFailed.  That
+    catches, for every caller, a lost or doubled orbit the conjugate map
+    does not cover, such as one that is its own Frobenius class, and beyond
+    classify's mass check a loss that orbits of another length make up
+    for, or a record with a wrong stab_degree.
     """
     if not 0 <= k <= field.n:
         raise OrbitCodesError(f"subspace dimension k={k} is outside 0..{field.n}")

@@ -42,25 +42,25 @@ is how a census names the Frobenius images of an orbit.
 
 Every basis, closure check and span comes from _span_step, which adds one
 vector to a span (by XOR over F_2, by Zech logarithms over larger q), or
-from _leaf_bits, which takes the same steps for many vectors at once; src/
-does no elimination.  _basis_span takes the lowest exponent not yet
-spanned as the next basis vector, so from_exponents checks closure in at
-most k steps, and span and subspaces_of get a basis and its span in one
+over F_2 from _leaf_bits, which takes the same steps for many vectors at
+once; src/ does no elimination.  _basis_span takes the lowest exponent not
+yet spanned as the next basis vector, so from_exponents checks closure in
+at most k steps, and span and subspaces_of get a basis and its span in one
 pass.  The subspaces are spanned by walking the rows of reduced echelon
 matrices (_echelon_rows, _walk_rows): each choice of a row extends the
 span of the rows after it once for every choice of the rows before it.
 The choices of row 0 under one span of the later rows form a leaf, and
-each of them only adds the exponents it brings to the span's bits.  A leaf
-of LEAF_PASS_MIN choices or more is expanded in one C-level pass
-(_leaf_bits: one map per span vector over the whole row, summed per
+each of them only adds the exponents it brings to the span's bits.  Over
+F_2 a leaf of LEAF_PASS_MIN choices or more is expanded in one C-level
+pass (_leaf_bits: one map per span vector over the whole row, summed per
 choice) and passes on its kept spans as one iterator, which
 chain.from_iterable joins, so none of them climbs the recursion's
-generator frames; a smaller leaf takes one _span_step per choice.  Each
-span is numbered by its place in the walk.  The census walks them over
-the coordinates of F_q^n with a cap, skipping every node whose bitset is
-not below it together with the spans under it (the wrap-gap bound, see
-orbits), and subspaces_of(field, bits, t) over a subspace's own basis with
-none, listing each of its t-subspaces once.
+generator frames; a smaller leaf, and every leaf over larger q, takes one
+_span_step per choice.  Each span is numbered by its place in the walk.
+The census walks them over the coordinates of F_q^n with a cap, skipping
+every node whose bitset is not below it together with the spans under it
+(the wrap-gap bound, see orbits), and subspaces_of(field, bits, t) over a
+subspace's own basis with none, listing each of its t-subspaces once.
 
 Every orbit distance comes from one correlation kernel, and two functions
 read it: orbit_record(field, bits, k) gives a cyclic orbit's length,
@@ -93,7 +93,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from math import gcd, isqrt, prod
-from operator import add, and_, itemgetter, sub, xor
+from operator import and_, itemgetter, sub, xor
 
 from .errors import OrbitCodesError
 from .gfext import FieldSpec
@@ -443,39 +443,25 @@ def _echelon_rows(q: int, pivots, ncols: int) -> list:
     return rows
 
 
-# A leaf with at least this many row-0 choices is expanded in one C-level
-# pass (_leaf_bits); a smaller one, such as most leaves subspaces_of walks,
-# one _span_step per choice.  Where the pass starts to cost less grows with
-# the span: from about 4 choices over a span of 1 or 2 vectors to about 8
-# over 8 and 12 over 16 (q = 2), and from 3 over 1 to 9 over 9 (q = 3),
-# timed in-process under CPython 3.11 on a 2-core x86-64 machine.
+# Over F_2 a leaf with at least this many row-0 choices is expanded in one
+# C-level pass (_leaf_bits); a smaller one, such as most leaves subspaces_of
+# walks, one _span_step per choice.  Where the pass starts to cost less
+# grows with the span: from about 4 choices over a span of 1 or 2 vectors
+# to about 8 over 8 and 12 over 16, timed in-process under CPython 3.11 on
+# a 2-core x86-64 machine.
 LEAF_PASS_MIN = 8
 
 
 def _leaf_bits(field: FieldSpec, elts: list, row: list, bits: int):
     """bits plus the bits of the vectors _span_step(field, elts, v) adds,
-    for each choice v of row, in row's order.
+    for each choice v of row, in row's order, over F_2.
 
-    One C-level map per pair (c, e) runs over the whole row, giving the bit
-    of c*v + e for every v; zip turns these columns into one tuple per
-    choice, and sum adds each tuple to bits.  Over F_2 that is v ^ e; over
-    larger q, c*v + e = gamma^w (1 + gamma^(log e - w)) for c*v = gamma^w,
-    the Zech lookups of _span_step taken column by column.
+    One C-level map per span vector e runs over the whole row, giving the
+    bit of v ^ e for every v; zip turns these columns into one tuple per
+    choice, and sum adds each tuple to bits.
     """
     get = field.exp_bits.__getitem__
-    if field.q == 2:
-        columns = [map(get, map(xor, row, repeat(e))) for e in elts]
-    else:
-        log, at, zech, N = field.log, field.antilog.__getitem__, field.zech, field.group_order
-        logs = [log[e] for e in elts[1:]]
-        columns = []
-        for c in range(1, field.q):
-            ws = [(log[c] + log[v]) % N for v in row]
-            below = [w - N for w in ws]
-            columns.append(map(get, map(at, ws)))
-            columns += [map(get, map(at, map(add, below, map(zech.__getitem__,
-                                                              map(sub, repeat(x), ws)))))
-                        for x in logs]
+    columns = [map(get, map(xor, row, repeat(e))) for e in elts]
     return map(sum, zip(*columns), repeat(bits))
 
 
@@ -490,13 +476,13 @@ def _walk_rows(field: FieldSpec, rows: list, cap: int | None = None, index: int 
     cap skips every choice of the rows before it, and the index moves past
     them.  The exponents a step adds are distinct from those before it, so
     the sum of their bits is their OR.  The recursion yields iterables of
-    (index, bitset) pairs, which chain.from_iterable joins.  A leaf, the
-    choices of row 0 under one span of the later rows, of LEAF_PASS_MIN
-    choices or more is expanded as a whole in one C-level pass (_leaf_bits)
-    and yields its kept pairs as one iterator, compress over the numbered
-    bitsets, so none of them climbs the recursion's generator frames.  A
-    smaller leaf takes one _span_step per choice and yields each kept pair
-    in a 1-tuple.
+    (index, bitset) pairs, which chain.from_iterable joins.  Over F_2 a
+    leaf, the choices of row 0 under one span of the later rows, of
+    LEAF_PASS_MIN choices or more is expanded as a whole in one C-level
+    pass (_leaf_bits) and yields its kept pairs as one iterator, compress
+    over the numbered bitsets, so none of them climbs the recursion's
+    generator frames.  A smaller leaf, and every leaf over larger q, takes
+    one _span_step per choice and yields each kept pair in a 1-tuple.
     """
     if cap is None:
         cap = 1 << field.group_order
@@ -513,7 +499,7 @@ def _walk_rows(field: FieldSpec, rows: list, cap: int | None = None, index: int 
                 index += below
         elif not rows:
             yield ((index, bits),)
-        elif len(rows[0]) < LEAF_PASS_MIN:
+        elif field.q > 2 or len(rows[0]) < LEAF_PASS_MIN:
             for i, v in enumerate(rows[0], index):
                 out = bits | sum(map(get, _span_step(field, elts, v)))
                 if out < cap:

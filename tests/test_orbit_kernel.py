@@ -179,10 +179,11 @@ def echelon_like_rows(field, data, leaf: int) -> list:
                                   2 * LEAF_PASS_MIN])
 @pytest.mark.parametrize("name", ["F2^8", "F3^4"])
 def test_walk_rows_matches_per_choice_oracle(name, leaf, data):
-    """The walk that expands a leaf in one C-level pass, from LEAF_PASS_MIN
-    row-0 choices up, yields what one _span_step per choice yields: the
-    same (index, bitset) pairs in the same order from any start, with no
-    cap, a cap inside the walk's bitsets (so inside a leaf) or any cap."""
+    """The walk that expands a leaf in one C-level pass, over F_2 from
+    LEAF_PASS_MIN row-0 choices up, yields what one _span_step per choice
+    yields: the same (index, bitset) pairs in the same order from any
+    start, with no cap, a cap inside the walk's bitsets (so inside a leaf)
+    or any cap.  Over F_3 every leaf takes the per-choice path."""
     field = field_of(name)
     rows = echelon_like_rows(field, data, leaf)
     index = data.draw(st.integers(0, 10 ** 6))
@@ -411,22 +412,36 @@ def self_conjugate_rep(field, k):
 
 @pytest.mark.usefixtures("fresh_census_cache")
 @pytest.mark.parametrize("mutation", ["drop-a-class-head", "a-candidate-twice",
-                                      "a-changed-stab-degree"])
+                                      "a-changed-stab-degree", "a-loss-made-up-by-shorter-orbits"])
 def test_census_fails_against_the_closed_form(monkeypatch, mutation):
     """A census walk that loses a Frobenius class of one orbit, that meets a
-    kept candidate twice, or whose record has another stabilizer degree has
-    the wrong orbit count for some degree; the conjugate map holds nothing
-    then, and the closed-form check raises VerificationFailed."""
+    kept candidate twice, whose record has another stabilizer degree, or
+    that loses a class of two orbits of length 63 and meets the one orbit
+    of length 9 fourteen more times (which keeps the mass) has the wrong
+    orbit count for some degree; the conjugate map holds nothing then, and
+    the closed-form check raises VerificationFailed."""
     field, k = field_of("F2^6"), 3
+    census = cyclic_orbit_data(field, k)
     head = self_conjugate_rep(field, k)
+    dropped, repeats = set(), {}
+    if mutation == "drop-a-class-head":
+        dropped = {head}
+    elif mutation == "a-candidate-twice":
+        repeats = {head: 2}
+    elif mutation == "a-loss-made-up-by-shorter-orbits":
+        pair = next(rec.rep_bits for rec in census if rec.length == 63
+                    and len(orbits._frobenius_conjugates(field, rec.rep_bits)) == 1)
+        dropped = {pair, *orbits._frobenius_conjugates(field, pair)}
+        [short] = [rec for rec in census if rec.length == 9]
+        repeats = {short.rep_bits: 15}
+        assert sum(rec.length for rec in census) - 2 * 63 + 14 * short.length == \
+            gaussian_coefficient(field.n, k, field.q)
     real_candidates, real_record = orbits._iter_candidates, orbits.orbit_record
 
     def candidates(*args):
         for idx, bits in real_candidates(*args):
-            if bits != head or mutation != "drop-a-class-head":
-                yield idx, bits
-            if bits == head and mutation == "a-candidate-twice":
-                yield idx, bits
+            if bits not in dropped:
+                yield from [(idx, bits)] * repeats.get(bits, 1)
 
     def record(*args):
         rec = real_record(*args)
