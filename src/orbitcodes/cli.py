@@ -145,11 +145,11 @@ def cmd_dualize(args) -> int:
     cf = load_code_file(args.file)
     code = code_from_generators(cf.field, cf.m, cf.generators)
     dual = dualize(code)
-    # dual words need not form orbits; emit each word as its own generator
-    # under the identity shift m = q^n - 1
+    # the dual holds each word as a one-word orbit under m = q^n - 1, and its
+    # file says so: each word its own generator under that m
     words = sorted(dual.bitsets)
     out = args.output or (args.file + ".dual.json")
-    dump_code_file(out, cf.field, cf.field.group_order, words)
+    dump_code_file(out, cf.field, dual.m, words)
     print(f"wrote {len(words)} dual words to {out}", file=sys.stderr)
     payload = {"size": dual.size, "dims": list(dual.dims), "cyclic": is_cyclic(dual)}
     _emit(args, payload, f"dual code: size {payload['size']}, dims {payload['dims']}, "

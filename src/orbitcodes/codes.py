@@ -6,7 +6,7 @@ import json
 import sys
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from math import gcd, log10
 
 from .errors import OrbitCodesError, ParseError, VerificationFailed
@@ -19,7 +19,6 @@ from .subspace import (
     from_bits,
     from_exponents,
     min_member,
-    orbit_bits,
     orbit_complements,
     orbit_distance,
     orbit_record,
@@ -66,45 +65,41 @@ def etzion_vardy_bound(n: int, d: int, k: int, q: int) -> int:
 # -- code objects ----------------------------------------------------------------
 
 
-def word_dims(field: FieldSpec, bitsets) -> tuple:
-    """The distinct dimensions of the words with these bitsets, ascending."""
-    return tuple(sorted(dimension_from_popcount(c, field.q)
-                        for c in {b.bit_count() for b in bitsets}))
-
-
 class SubspaceCode(Record):
-    """A set of subspaces, possibly of mixed dimension, held as their bitsets.
+    """A set of subspaces, possibly of mixed dimension, held as its distinct orbits.
 
-    The constructor takes the word bitsets.  A code from
-    code_from_generators holds its distinct orbits instead, each as
-    (generator, orbit size): size and dims read them, dualize complements
-    each orbit in one pass, and bitsets is expanded from them the first
-    time it is read.  words, the same set as Subspace objects, is built the
-    first time it is read; equality, hashing and the duality and cyclicity
-    checks read bitsets.  provenance, from code_from_generators, is (m,
-    ((generator, orbit size), ...)), one entry per generator, duplicates
-    included.
+    m divides q^n - 1, and each orbit is (representative bits, dimension,
+    size), its members the representative rotated by 0, m, ..., (size - 1) m.
+    A code from code_from_generators holds its generators' distinct orbits
+    under their m.  The constructor, and so code_from_words, holds each
+    word bitset it is given as a one-word orbit under m = q^n - 1, as a
+    code file dualize writes does, and so does the code dualize returns.
+    size, dims, min_distance and dualize read the orbits.  bitsets, one
+    rotation per word (none for a one-word orbit), and words, the same set
+    as Subspace objects, are built the first time they are read; equality,
+    hashing and the duality and cyclicity checks read bitsets.  provenance, from code_from_generators,
+    is (m, ((generator, orbit size), ...)), one entry per generator,
+    duplicates included.
     """
 
     _fields = ("field", "words", "provenance", "duplicate_generators")
 
     def __init__(self, field: FieldSpec, bitsets, provenance: tuple = None,
                  duplicate_generators: tuple = ()):
+        words = set(bitsets)
+        dim = {c: dimension_from_popcount(c, field.q) for c in {b.bit_count() for b in words}}
         self.field = field
-        self.bitsets = frozenset(bitsets)          # of word bitsets
+        self.m = field.group_order                 # the orbits' shift, a divisor of q^n - 1
+        self._orbits = tuple((b, dim[b.bit_count()], 1) for b in words)  # (bits, dim, size)
         self.provenance = provenance               # (m, ((generator, orbit size), ...)) or None
         self.duplicate_generators = duplicate_generators  # generators whose orbit repeated
-        self._orbits = None                        # the distinct orbits of a code from generators
 
     @classmethod
-    def _from_orbits(cls, field: FieldSpec, provenance: tuple, duplicate_generators: tuple):
-        """The code of provenance's orbits less the duplicates, bitsets unexpanded."""
-        code = cls.__new__(cls)
-        code.field, code.provenance = field, provenance
-        code.duplicate_generators = duplicate_generators
-        duplicates = set(duplicate_generators)
-        code._orbits = tuple(orbit for idx, orbit in enumerate(provenance[1])
-                             if idx not in duplicates)
+    def _from_orbits(cls, field: FieldSpec, m: int, orbits, provenance: tuple = None,
+                     duplicate_generators: tuple = ()):
+        """The code of these distinct orbits under m: an empty code given them."""
+        code = cls(field, (), provenance, duplicate_generators)
+        code.m, code._orbits = m, tuple(orbits)
         return code
 
     def _astuple(self) -> tuple:
@@ -116,11 +111,10 @@ class SubspaceCode(Record):
 
     @cached_property
     def bitsets(self) -> frozenset:
-        """The word bitsets, expanded from the distinct orbits (orbit_bits);
-        the constructor sets them instead."""
-        field, m = self.field, self.provenance[0]
-        return frozenset(chain.from_iterable(orbit_bits(field, gen.bits, m)
-                                             for gen, _ in self._orbits))
+        """The word bitsets, member j of each orbit its representative rotated by j m."""
+        N, m = self.field.group_order, self.m
+        return frozenset(rotate_bits(bits, j * m, N)
+                         for bits, _, size in self._orbits for j in range(size))
 
     @cached_property
     def words(self) -> frozenset:
@@ -130,15 +124,11 @@ class SubspaceCode(Record):
 
     @property
     def size(self) -> int:
-        if self._orbits is None:
-            return len(self.bitsets)
-        return sum(size for _, size in self._orbits)
+        return sum(size for _, _, size in self._orbits)
 
     @cached_property
     def dims(self) -> tuple:
-        if self._orbits is None:
-            return word_dims(self.field, self.bitsets)
-        return tuple(sorted({gen.dim for gen, _ in self._orbits}))
+        return tuple(sorted({dim for _, dim, _ in self._orbits}))
 
     @property
     def constant_dimension(self) -> bool:
@@ -156,25 +146,28 @@ class SubspaceCode(Record):
 def code_from_generators(field: FieldSpec, m: int, generators) -> SubspaceCode:
     """Union of the m-quasi orbits of the generators; duplicate orbits are merged.
 
-    Each orbit is kept as (generator, orbit size), the size D/gcd(m, D)
-    with D from stabilizer, and no word set is built.  Two orbits are equal
-    or disjoint, so a generator's orbit repeats an earlier one exactly when
-    their smallest members (min_member) are equal.
+    Each orbit's size is D/gcd(m, D) with D from stabilizer, and no word
+    set is built.  Two orbits are equal or disjoint, so a generator's orbit
+    repeats an earlier one exactly when their smallest members (min_member)
+    are equal.
     """
     check_modulus(field, m)
     reps = set()
     duplicates = []
+    provenance = []
     orbits = []
     for idx, gen in enumerate(generators):
         if gen.field != field:
             raise OrbitCodesError("generator belongs to a different field")
+        _, D = stabilizer(field, gen.bits)
+        provenance.append((gen, D // gcd(m, D)))
         rep = min_member(field, gen.bits, m)
         if rep in reps:
             duplicates.append(idx)
-        reps.add(rep)
-        _, D = stabilizer(field, gen.bits)
-        orbits.append((gen, D // gcd(m, D)))
-    return SubspaceCode._from_orbits(field, (m, tuple(orbits)), tuple(duplicates))
+        else:
+            reps.add(rep)
+            orbits.append((gen.bits, gen.dim, D // gcd(m, D)))
+    return SubspaceCode._from_orbits(field, m, orbits, (m, tuple(provenance)), tuple(duplicates))
 
 
 def code_from_words(field: FieldSpec, words) -> SubspaceCode:
@@ -206,48 +199,44 @@ def spread_code(field: FieldSpec, t: int) -> SubspaceCode:
 
 
 def min_distance(C: SubspaceCode) -> int:
-    """Exact minimum distance: orbit by orbit when a code from generators has
-    an orbit of two or more words, else word by word, one AND per pair of
-    words (as for the one-word orbits of every code file dualize writes)."""
+    """Exact minimum distance: orbit by orbit when an orbit of C has two or
+    more words, else word by word, one AND per pair of words (as for a code
+    built from words and the one-word orbits of every code file dualize
+    writes)."""
     if C.size < 2:
         raise OrbitCodesError("minimum distance needs at least two codewords")
-    if C._orbits is not None and any(size > 1 for _, size in C._orbits):
+    if any(size > 1 for _, _, size in C._orbits):
         return _min_distance_orbits(C)
     return _min_distance_all_pairs(C)
 
 
 def _min_distance_all_pairs(C: SubspaceCode) -> int:
-    q = C.field.q
-    ws = [(dimension_from_popcount(b.bit_count(), q), b) for b in C.bitsets]
+    meet = {C.field.q ** k - 1: 2 * k for k in range(C.field.n + 1)}   # popcount -> 2 dim
     best = None
-    for i in range(len(ws)):
-        ka, a = ws[i]
-        for j in range(i + 1, len(ws)):
-            kb, b = ws[j]
-            d = ka + kb - 2 * dimension_from_popcount((a & b).bit_count(), q)
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return 0
+    for (a, ka, _), (b, kb, _) in combinations(C._orbits, 2):
+        d = ka + kb - meet[(a & b).bit_count()]
+        if best is None or d < best:
+            best = d
+            if best == 0:
+                return 0
     return best
 
 
 def _min_distance_orbits(C: SubspaceCode) -> int:
     """Shift identity: only orbit-vs-shifted-orbit comparisons are needed.
 
-    The orbits are the code's distinct ones.  The internal distance of an
-    orbit of two or more words is its cyclic orbit record's at step
-    gcd(m, D) (orbit_record), and each pair of orbits is compared by
-    orbit_distance from one generator to the other's orbit.
+    The internal distance of an orbit of two or more words is its cyclic
+    orbit record's at step gcd(m, D) (orbit_record), and each pair of
+    orbits is compared by orbit_distance from one representative to the
+    other's orbit, both under the code's m.
     """
-    field, m = C.field, C.provenance[0]
-    orbits = [(gen.dim, gen.bits, size) for gen, size in C._orbits]
+    field, m, orbits = C.field, C.m, C._orbits
     dists = []
-    for i, (ka, a, size) in enumerate(orbits):
+    for i, (a, ka, size) in enumerate(orbits):
         if size > 1:
             rec = orbit_record(field, a, ka, m)
             dists.append(rec.min_dist_for_step(gcd(m, rec.length)))
-        for kb, b, _ in orbits[i + 1:]:
+        for b, kb, _ in orbits[i + 1:]:
             dists.append(orbit_distance(field, a, ka, b, kb, m))
     return min(dists)
 
@@ -255,25 +244,19 @@ def _min_distance_orbits(C: SubspaceCode) -> int:
 # -- duality and cyclicity ----------------------------------------------------------
 
 
-def _complements(C: SubspaceCode):
-    """The bitset of each word's orthogonal complement, computed afresh."""
-    from .subspace import complement_bits
-    field, q = C.field, C.field.q
-    return (complement_bits(field, b, dimension_from_popcount(b.bit_count(), q))
-            for b in C.bitsets)
-
-
 def dualize(C: SubspaceCode) -> SubspaceCode:
     """The code of orthogonal complements (provenance does not survive).
 
-    A code from generators complements each distinct orbit in one pass
-    (orbit_complements, with the code's m); any other code, word by word.
+    Each orbit is complemented in one pass (orbit_complements, with the
+    code's m), and each complement, of dimension n - dim, is a one-word
+    orbit of the dual under m = q^n - 1: complementing does not commute
+    with the shift, so the complements of an orbit need not form one.
+    Distinct words have distinct complements, so these orbits are distinct.
     """
-    if C._orbits is None:
-        return SubspaceCode(C.field, _complements(C))
-    field, m = C.field, C.provenance[0]
-    return SubspaceCode(field, chain.from_iterable(
-        orbit_complements(field, gen.bits, gen.dim, size, m) for gen, size in C._orbits))
+    field, m, n = C.field, C.m, C.field.n
+    return SubspaceCode._from_orbits(field, field.group_order, chain.from_iterable(
+        zip(orbit_complements(field, bits, dim, size, m), repeat(n - dim), repeat(1))
+        for bits, dim, size in C._orbits))
 
 
 def is_quasi_cyclic(C: SubspaceCode, m: int) -> bool:
@@ -288,8 +271,9 @@ def is_cyclic(C: SubspaceCode) -> bool:
 
 
 def is_self_dual(C: SubspaceCode) -> bool:
-    """True iff the orthogonal complement of every word is a word."""
-    return C.bitsets.issuperset(_complements(C))
+    """True iff the orthogonal complement of every word is a word: complementing
+    is a bijection, so iff the dual's word set is the code's."""
+    return dualize(C).bitsets == C.bitsets
 
 
 # -- code files -----------------------------------------------------------------
@@ -349,8 +333,9 @@ def dump_code_file(path, field: FieldSpec, m: int, generators,
                    claimed: dict | None = None) -> None:
     """Write a code file through records.write_json, plus a newline.
 
-    generators are Subspaces or their bitsets; their exponent lists, nearly
-    all of the file, are written one at a time.
+    generators are bitsets, as the CLI's dualize and spread pass them, or
+    Subspaces, as perfbench/traced_job.py passes the dual's words.  Their
+    exponent lists, nearly all of the file, are laid out one join each.
     """
     doc = {"field": {"q": field.q, "n": field.n, "poly": list(field.poly)}, "m": m,
            "generators": (exponents_of(g) if isinstance(g, int) else g.exponents

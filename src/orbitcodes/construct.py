@@ -745,7 +745,10 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
                 indexed, member_ids = n - k, orbits.member_finder(n - k)
             found = member_ids(words)
             # __setitem__ returns None, so any() runs each whole C-level pass
-            any(map(perp_id.__setitem__, ids, found))
+            if 2 * k < n:
+                perp_id[a:b] = found
+            else:
+                any(map(perp_id.__setitem__, ids, found))
             any(map(perp_id.__setitem__, found, ids))
         if not all(map(eq, orbits.words(perp_id[a:b]), comps)):
             raise VerificationFailed("a complement's id names another word: internal error")

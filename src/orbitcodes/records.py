@@ -33,9 +33,10 @@ def write_json(write, value, indent: int = 0) -> None:
     """Write value through write as json.dumps(value, indent=1) lays it out.
 
     Dicts, lists, tuples and iterators (as lists) go item by item, so an
-    iterator is never held whole; a list or tuple of ints alone is joined
-    in one go, not by the pure-Python encoder.  Dict keys must be strings.
-    indent is how far in value's closing bracket sits.
+    iterator is never held whole.  An item that is a nonempty list or tuple
+    of ints alone, such as an exponent list of a code file, is laid out in
+    one join and one write, not by the pure-Python encoder.  Dict keys must
+    be strings.  indent is how far in value's closing bracket sits.
     """
     pad = "\n" + " " * (indent + 1)
     if type(value) is int:
@@ -47,14 +48,15 @@ def write_json(write, value, indent: int = 0) -> None:
             write_json(write, item, indent + 1)
             sep = "," + pad
         write("{}" if sep[0] == "{" else pad[:-1] + "}")
-    elif isinstance(value, (list, tuple)) and {*map(type, value)} <= {int}:
-        write(f"[{pad}" + f",{pad}".join(map(str, value)) + f"{pad[:-1]}]" if value else "[]")
     elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
         sep = "[" + pad
         for item in value:
-            parts = [sep]       # one write per item, as a write costs more than a join
-            write_json(parts.append, item, indent + 1)
-            write("".join(parts))
+            if isinstance(item, (list, tuple)) and item and {int}.issuperset(map(type, item)):
+                write(f"{sep}[{pad} " + f",{pad} ".join(map(str, item)) + f"{pad}]")
+            else:
+                parts = [sep]   # one write per item, as a write costs more than a join
+                write_json(parts.append, item, indent + 1)
+                write("".join(parts))
             sep = "," + pad
         write("[]" if sep[0] == "[" else pad[:-1] + "]")
     else:

@@ -517,14 +517,21 @@ def subspaces_of(field: FieldSpec, bits: int, t: int):
     They are the row spaces of the reduced echelon t x k matrices over the
     subspace's own basis b_0..b_{k-1}: the span of that basis, listed by
     _basis_span, holds sum c_i b_i at the packed index sum c_i q^i, so an
-    echelon row in those coordinates indexes its vector.  No t-subspace is
-    met twice, and there are none when t > k.
+    echelon row in those coordinates indexes its vector.  The rows depend
+    only on (q, k, t), and _echelon_patterns makes them once.  No
+    t-subspace is met twice, and there are none when t > k.
     """
     basis, vectors, _ = _basis_span(field, bits)
-    for pivots in itertools.combinations(range(len(basis)), t):
-        rows = [[vectors[c] for c in row]
-                for row in _echelon_rows(field.q, pivots, len(basis))]
+    for pattern in _echelon_patterns(field.q, len(basis), t):
+        rows = [[vectors[c] for c in row] for row in pattern]
         yield from map(itemgetter(1), _walk_rows(field, rows))
+
+
+@lru_cache(maxsize=None)
+def _echelon_patterns(q: int, k: int, t: int) -> tuple:
+    """_echelon_rows for each choice of t of k pivots, in tuples no caller can change."""
+    return tuple(tuple(map(tuple, _echelon_rows(q, pivots, k)))
+                 for pivots in itertools.combinations(range(k), t))
 
 
 def from_exponents(field: FieldSpec, exps) -> Subspace:
@@ -670,7 +677,7 @@ def orbit_complements(field: FieldSpec, bits: int, dim: int, D: int, m: int = 1)
     time.
     """
     basis, out = _complement_scan(field, bits, dim)
-    if not basis:
+    if D == 1 or not basis:             # out is the complement of bits, member 0
         return [out] * D
     comps = _masks_from(field, basis[0], D, m)
     for b in basis[1:]:

@@ -185,23 +185,59 @@ def generator_lists(draw):
     return field, m, gens
 
 
+def reads(C) -> tuple:
+    """What a code reads as: size, dims, words, distance, dual, self-duality
+    and quasi-cyclicity under every m."""
+    return (C.size, C.dims, C.bitsets, min_distance(C) if C.size >= 2 else None,
+            dualize(C).bitsets, is_self_dual(C),
+            tuple(is_quasi_cyclic(C, m) for m in divisors(C.field.group_order)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(generator_lists())
 def test_code_from_generators_matches_the_word_set_oracle(case):
-    """A code kept as orbits reads as the code of its expanded word set: the
-    orbit-read size, dims, distance and dual first, the word set last."""
+    """One model: a code from generators, holding their distinct orbits
+    under m, the same words through SubspaceCode(field, bitsets), each a
+    one-word orbit under q^n - 1, and the oracle's materialized code read
+    alike."""
     field, m, gens = case
     code = code_from_generators(field, m, gens)
     want = oracle.materialized_code(field, m, gens)
+    from_words = SubspaceCode(field, want.bitsets)
     assert code.provenance == want.provenance
     assert code.duplicate_generators == want.duplicate_generators
-    assert (code.size, code.dims) == (want.size, want.dims)
-    assert dualize(code).bitsets == dualize(want).bitsets
-    if want.size >= 2:     # the oracle's code holds no orbits: its words are compared pairwise
-        assert min_distance(code) == min_distance(want)
-    assert code.params() == want.params()
-    assert code.bitsets == want.bitsets and code.words == want.words
+    assert (code.m, from_words.m, want.m) == (m, field.group_order, field.group_order)
+    assert reads(code) == reads(from_words) == reads(want)
+    assert code.params() == want.params() == from_words.params()
+    assert code.words == want.words
     assert code == want and hash(code) == hash(want)
+
+
+def test_expanding_a_code_calls_no_stabilizer(monkeypatch):
+    """bitsets is expanded from the stored orbit sizes: neither a code built
+    from words, nor the code dualize returns, nor a code from generators
+    calls stabilizer to list its words; code_from_generators calls it once
+    per generator."""
+    from orbitcodes import subspace
+    cf = load_code_file(data_path("example3_n8k4.json"))
+    want = oracle.materialized_code(cf.field, cf.m, cf.generators).bitsets
+    calls = []
+
+    def counted(field, bits):
+        calls.append(bits)
+        return real(field, bits)
+
+    real = subspace.stabilizer
+    monkeypatch.setattr(subspace, "stabilizer", counted)
+    monkeypatch.setattr(codes, "stabilizer", counted)
+    code = code_from_generators(cf.field, cf.m, cf.generators)
+    assert len(calls) == len(cf.generators) == 20
+    calls.clear()
+    words = SubspaceCode(cf.field, want)
+    dual = dualize(words)
+    assert code.bitsets == words.bitsets == want and len(dualize(code).bitsets) == 4505
+    assert dual.bitsets == dualize(code).bitsets
+    assert calls == []
 
 
 def test_min_distance_needs_two_words(f16):
@@ -452,7 +488,7 @@ def test_verify_builds_no_word_subspace(monkeypatch):
     monkeypatch.setattr(subspace, "Subspace", Counted)
     path = data_path("example2_n10k3.json")
     with monkeypatch.context() as patch:
-        patch.setattr(codes, "orbit_bits", refuse_word_sets)
+        patch.setattr(codes, "rotate_bits", refuse_word_sets)
         patch.setattr(SubspaceCode, "bitsets", property(refuse_word_sets))
         report = verify_code_file(path)
         assert report["size"] == 21483 and report["min_dist"] == 4
