@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import OrbitCodesError, ParseError, ResourceLimit, VerificationFailed
+from .errors import OrbitCodesError, ParseError, ResourceLimit
 
 EXIT_OK = 0
 EXIT_ARGS = 2
-EXIT_DOMAIN = 3
-EXIT_RESOURCE = 4
 EXIT_MISMATCH = 5
 
 # classify runs that span more vectors than this need --extended.  Each
@@ -404,21 +402,9 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OrbitCodesError, ResourceLimit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except OrbitCodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:      # an output file that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
+        return getattr(exc, "exit_code", EXIT_ARGS)     # OSError: an unwritable output file
 
 
 if __name__ == "__main__":

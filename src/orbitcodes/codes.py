@@ -272,8 +272,12 @@ def is_cyclic(C: SubspaceCode) -> bool:
 
 def is_self_dual(C: SubspaceCode) -> bool:
     """True iff the orthogonal complement of every word is a word: complementing
-    is a bijection, so iff the dual's word set is the code's."""
-    return dualize(C).bitsets == C.bitsets
+    is a bijection, so iff the dual's word set is the code's.  The orbits are
+    complemented one at a time (orbit_complements under the code's m), up to
+    the first with a complement outside the code."""
+    field, m, words = C.field, C.m, C.bitsets
+    return all(words.issuperset(orbit_complements(field, bits, dim, size, m))
+               for bits, dim, size in C._orbits)
 
 
 # -- code files -----------------------------------------------------------------

@@ -545,7 +545,7 @@ def self_dual_search(field: FieldSpec) -> list:
     up to n/2, the trace duals of those above it: see _OrbitTable), the
     pairing as one map perp_id from each member id to its complement's,
     made and verified by _complement_pairs, each level as arrays over its
-    nodes (_Pairs, _Level), and each hit as a slotted SelfDualHit over an
+    nodes (_level_roots, _Level), and each hit as a slotted SelfDualHit over an
     array of its member ids, built where its component is read.  Each hit
     is checked on sets of its member ids: every hit is self-dual when its
     set holds perp_id of every member; then perp_id is dropped, and every
@@ -607,7 +607,7 @@ class _Level:
                  "bounds")
 
     def __init__(self, M: int, orbits: _OrbitTable, root: array):
-        """The level of modulus M whose nodes have the roots _Pairs.roots(M)."""
+        """The level of modulus M whose nodes have the roots _level_roots gives for M."""
         sizes = orbits.lengths
         self.M, self.start, self.orbit_of, self.root = M, orbits.start, orbits.orbit_of, root
         self.g = g = [gcd(M, size) for size in sizes]
@@ -757,46 +757,42 @@ def _complement_pairs(field: FieldSpec, orbits: _OrbitTable) -> array:
     return perp_id
 
 
-class _Pairs:
-    """The complement pairs {i, perp_id[i]}, i < perp_id[i], that every maximal modulus joins.
+def _level_roots(orbits: _OrbitTable, perp_id: array, maximal: list) -> list:
+    """For each modulus M in maximal, the smallest member of the component of
+    each quasi orbit at M, an array('i').
 
-    Ids ascend with dimension, and a k-subspace's complement has dimension
+    Every M joins the complement pairs {i, perp_id[i]}, i < perp_id[i].  Ids
+    ascend with dimension, and a k-subspace's complement has dimension
     n - k, so each id below lo, the first of dimension 2k >= n, is its
     pair's smaller end; left and right hold the pairs of dimension 2k = n,
     self-perpendicular members left out.  parent, the union-find forest
-    over the members, is one buffer for every modulus.
+    over the members, is one buffer for every M.  Orbit o of size D has
+    g = gcd(M, D) quasi orbits, and quasi orbit s < g holds its members
+    s, s + g, ...  Each member starts under the first member of its quasi
+    orbit, start[o] + s, which stands for it, so the pairs index the
+    forest directly.
     """
-
-    __slots__ = ("lo", "left", "right", "perp_id", "start", "parent")
-
-    def __init__(self, orbits: _OrbitTable, perp_id: array):
-        dims, n = orbits.dims, orbits.dims[-1]
-        self.perp_id, self.start = perp_id, start = perp_id, orbits.start
-        self.lo = lo = start[bisect_left(dims, (n + 1) // 2)]
-        hi = start[bisect_left(dims, n // 2 + 1)]
-        ids, perp = range(lo, hi), perp_id[lo:hi]
-        below = bytes(map(lt, ids, perp))
-        self.left, self.right = array("i", compress(ids, below)), array("i", compress(perp, below))
-        self.parent = array("i", (0,)) * len(perp_id)
-
-    def roots(self, M: int) -> array:
-        """The smallest member of the component of each quasi orbit at modulus M, an array('i').
-
-        Orbit o of size D has g = gcd(M, D) quasi orbits, and quasi orbit
-        s < g holds its members s, s + g, ...  Each member starts under the
-        first member of its quasi orbit, start[o] + s, which stands for it,
-        so the pairs index the forest directly.
-        """
-        parent, lo, start = self.parent, self.lo, self.start
+    dims, n, start = orbits.dims, orbits.dims[-1], orbits.start
+    lo = start[bisect_left(dims, (n + 1) // 2)]
+    hi = start[bisect_left(dims, n // 2 + 1)]
+    ids, perp = range(lo, hi), perp_id[lo:hi]
+    below = bytes(map(lt, ids, perp))
+    left, right = array("i", compress(ids, below)), array("i", compress(perp, below))
+    # dropped after the forest is allocated: the n = 8 peak moves with this order
+    parent = array("i", (0,)) * len(perp_id)
+    del perp, below
+    out = []
+    for M in maximal:
         stop = list(map(add, start, map(gcd, repeat(M), map(sub, start[1:], start))))
         for a, b, end in zip(start, stop, start[1:]):
             parent[a:end] = array("i", range(a, b)) * ((end - a) // (b - a))
-        _union_find(parent, chain(range(lo), self.left),
-                    chain(islice(self.perp_id, lo), self.right))
+        _union_find(parent, chain(range(lo), left), chain(islice(perp_id, lo), right))
         # every parent is a first member, below its child
         for first in chain.from_iterable(map(range, start, stop)):
             parent[first] = parent[parent[first]]
-        return _joined(map(parent.__getitem__, map(slice, start, stop)), sum(map(sub, stop, start)))
+        out.append(_joined(map(parent.__getitem__, map(slice, start, stop)),
+                           sum(map(sub, stop, start))))
+    return out
 
 
 def _union_find(parent: array, a, b) -> None:
@@ -849,11 +845,7 @@ def _minimal_components(field: FieldSpec, orbits: _OrbitTable, perp_id: array) -
     N = field.group_order
     maximal = [N // p for p in divisors(N) if is_prime(p)]
     # every union-find first, so that the pairs are gone before any level is grouped
-    pairs = _Pairs(orbits, perp_id)
-    roots = list(map(pairs.roots, maximal))
-    del pairs
-    levels = list(map(_Level, maximal, repeat(orbits), roots))
-    del roots
+    levels = list(map(_Level, maximal, repeat(orbits), _level_roots(orbits, perp_id, maximal)))
 
     # minimality: probe every level with the smallest member of each
     # component, its root, and mark the root found there when its component

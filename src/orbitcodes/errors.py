@@ -1,4 +1,4 @@
-"""Exception types shared across the package, one per CLI exit code.
+"""Exception types shared across the package, each carrying its CLI exit_code.
 
 - ParseError (exit 2): a malformed argument, polynomial or input file.
 - OrbitCodesError (exit 3): input outside what the math allows, such as
@@ -13,14 +13,18 @@
 class OrbitCodesError(ValueError):
     """Base class for all validation errors raised by this package."""
 
+    exit_code = 3
+
 
 class ParseError(OrbitCodesError):
-    pass
+    exit_code = 2
 
 
 class VerificationFailed(OrbitCodesError):
-    pass
+    exit_code = 5
 
 
 class ResourceLimit(RuntimeError):
     """A configured time or work budget was exceeded."""
+
+    exit_code = 4

@@ -84,12 +84,14 @@ class Orbit(namedtuple("Orbit", "field m rep length k min_dist stab_degree")):
 
 
 class RunBudget(Record):
-    """Work limits of every search; one exceeded raises ResourceLimit.
+    """Work limits of every search, and the clock that counts against them;
+    one exceeded raises ResourceLimit.
 
     A step is one census candidate, skipped ones included, one node of the
-    exact clique search, or one vertex a greedy clique start scans.  The
-    clock starts with the search, after a resumed census has rebuilt the
-    orbits its checkpoint stores.  It is read on a run's first step and
+    exact clique search, or one vertex a greedy clique start scans.  start()
+    sets the budget's own step count and clock going, after a resumed
+    census has rebuilt the orbits its checkpoint stores, so a budget runs
+    one search at a time.  The clock is read on a run's first step and
     each time the step count passes a multiple of 1024, so a budget bounds
     short runs too.
     """
@@ -100,28 +102,23 @@ class RunBudget(Record):
         self.max_seconds = max_seconds
         self.max_steps = max_steps
 
-    def start(self):
-        return _BudgetClock(self)
-
-
-class _BudgetClock:
-    def __init__(self, budget: RunBudget):
-        self.budget = budget
+    def start(self) -> RunBudget:
+        """Count steps and time from zero again; returns the budget."""
         self.t0 = time.monotonic()
         self.steps = 0
+        return self
 
     def tick(self, n: int = 1):
         """Count n more steps; the clock is read if these hold the first step
         or the count passes a multiple of 1024."""
         before = self.steps
         self.steps += n
-        b = self.budget
-        if b.max_steps is not None and self.steps > b.max_steps:
-            raise ResourceLimit(f"step budget {b.max_steps} exceeded")
+        if self.max_steps is not None and self.steps > self.max_steps:
+            raise ResourceLimit(f"step budget {self.max_steps} exceeded")
         first_step = before == 0 < n
-        if b.max_seconds is not None and (first_step or before >> 10 != self.steps >> 10):
-            if time.monotonic() - self.t0 > b.max_seconds:
-                raise ResourceLimit(f"time budget {b.max_seconds}s exceeded")
+        if self.max_seconds is not None and (first_step or before >> 10 != self.steps >> 10):
+            if time.monotonic() - self.t0 > self.max_seconds:
+                raise ResourceLimit(f"time budget {self.max_seconds}s exceeded")
 
 
 # -- candidate enumeration -----------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -1015,3 +1016,37 @@ def test_graph_of_a_mixed_dimension_db_matches_the_pairwise_oracle(tmp_path, cap
     assert {o.k for o in oracle.orbits} == {2, 3}
     write_dimacs(oracle, str(expected))
     assert g.read_text() == expected.read_text()
+
+
+@pytest.mark.usefixtures("fresh_census_cache")
+@pytest.mark.parametrize("name, code, argv", [
+    ("ParseError", 2, ["--budget-sec", "-1"]),
+    ("OrbitCodesError", 3, ["--m", "4"]),
+    ("ResourceLimit", 4, ["--budget-sec", "0"]),
+    ("VerificationFailed", 5, []),
+])
+def test_each_error_class_carries_the_exit_code_main_returns(capsys, monkeypatch, name, code,
+                                                             argv):
+    """Each class's exit_code is the one the errors module documents, and a
+    classify run that raises that class, and no other, exits with it."""
+    from orbitcodes import cli, errors, orbits
+    documented = dict(re.findall(r"- (\w+) \(exit (\d)\)", errors.__doc__))
+    assert len(documented) == 4 and documented[name] == str(code)
+    cls = getattr(errors, name)
+    assert cls.exit_code == code
+    if name == "VerificationFailed":        # a closed form the census cannot meet
+        monkeypatch.setattr(orbits, "stabilizer_counts", lambda q, n, k: {})
+    raised = []
+    summary, add_args, func = cli.COMMANDS["classify"]
+
+    def spy(args):
+        try:
+            return func(args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", (summary, add_args, spy))
+    result = run(capsys, "classify", "--n", "6", "--k", "3", *argv)
+    assert raised == [cls]
+    assert_one_line_error(result, code)

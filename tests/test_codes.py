@@ -418,6 +418,24 @@ def test_mixed_dims_missing_pair_not_self_dual(f16):
     assert not is_self_dual(C)
 
 
+def test_is_self_dual_stops_at_the_first_orbit_with_a_complement_outside(monkeypatch):
+    """example3_n8k4 is not self-dual, and its first orbit's complements
+    already leave the code: one orbit_complements call, whether the code
+    holds its generators' 19 orbits or its 4,505 words as one-word orbits."""
+    cf = load_code_file(data_path("example3_n8k4.json"))
+    from_generators = code_from_generators(cf.field, cf.m, cf.generators)
+    from_words = SubspaceCode(cf.field, from_generators.bitsets)
+    calls = []
+    complements = codes.orbit_complements
+    monkeypatch.setattr(codes, "orbit_complements",
+                        lambda *args: calls.append(args) or complements(*args))
+    for C, orbit_count in [(from_generators, 19), (from_words, 4505)]:
+        assert len(C._orbits) == orbit_count
+        calls.clear()
+        assert not is_self_dual(C)
+        assert len(calls) == 1
+
+
 # -- code files --------------------------------------------------------------------
 
 

@@ -225,6 +225,18 @@ def test_time_budget_is_read_on_the_first_step():
         clock.tick()
 
 
+def test_budget_start_returns_the_budget_counting_from_zero():
+    budget = RunBudget(max_steps=10)
+    assert budget.start() is budget
+    budget.tick(10)
+    with pytest.raises(ResourceLimit, match="step budget 10"):
+        budget.tick()
+    assert budget.start() is budget and budget.steps == 0
+    budget.tick(10)                     # a second start counts from zero again
+    assert budget == RunBudget(max_steps=10) and repr(budget) == (
+        "RunBudget(max_seconds=None, max_steps=10)")
+
+
 @pytest.mark.usefixtures("fresh_census_cache")
 @pytest.mark.parametrize("budget", [
     lambda last: RunBudget(max_seconds=0),

@@ -3,6 +3,7 @@
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain, repeat
+from operator import lt
 from types import SimpleNamespace
 
 import pytest
@@ -12,8 +13,8 @@ from orbitcodes import construct, from_bits, make_field, self_dual_search
 from orbitcodes.construct import (
     _complement_pairs,
     _Level,
+    _level_roots,
     _OrbitTable,
-    _Pairs,
     _union_find,
 )
 from orbitcodes.errors import ResourceLimit, VerificationFailed
@@ -85,7 +86,7 @@ def assert_same_level(M, orbits, perp_id, proper):
     orbits is an _OrbitTable, or anything with its dims, lengths, start and
     orbit_of, and perp_id the complement map over its member ids.
     """
-    level = _Level(M, orbits, _Pairs(orbits, perp_id).roots(M))
+    level = _Level(M, orbits, _level_roots(orbits, perp_id, [M])[0])
     ref, ref_groups = oracle.components_at(M, orbits.lengths, perp_id)
     components = list(level.components())
     assert [list(nodes) for _, nodes in components] == list(map(list, ref_groups)), f"M={M}"
@@ -192,10 +193,11 @@ def test_f2_8_level_structure_is_pinned():
     field = make_field(2, 8)
     orbits = _OrbitTable(field)
     perp_id = _complement_pairs(field, orbits)
-    pairs = _Pairs(orbits, perp_id)
-    assert pairs.lo + len(pairs.left) == 208_532
-    for M, components, nodes in [(85, 3195, 139_419), (51, 5, 83_455), (15, 5, 24_543)]:
-        level = _Level(M, orbits, pairs.roots(M))
+    assert sum(map(lt, range(len(perp_id)), perp_id)) == 208_532
+    pinned = [(85, 3195, 139_419), (51, 5, 83_455), (15, 5, 24_543)]
+    roots = _level_roots(orbits, perp_id, [M for M, _, _ in pinned])
+    for (M, components, nodes), root in zip(pinned, roots):
+        level = _Level(M, orbits, root)
         assert (len(level.sizes), len(level.root)) == (components, nodes), f"M={M}"
     found = construct._minimal_components(field, orbits, perp_id)
     assert len(found) == 3194
